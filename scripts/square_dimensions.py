@@ -19,12 +19,6 @@ from grs_squarebreak.codes import code_from_generator, random_code
 from grs_squarebreak.gf import GF
 
 
-def random_grs(f, n, k, rng):
-    x = rng.permutation(f.q)[:n].astype(np.int64)
-    y = rng.integers(1, f.q, n, dtype=np.int64)
-    return grs.GrsParams(f, x, y, k)
-
-
 def table(label, counter, reps):
     items = ", ".join(f"{d}:{c}" for d, c in sorted(counter.items()))
     print(f"  {label:<14} {items}  (out of {reps})")
@@ -49,7 +43,7 @@ def main():
         for child in seeds:
             rng = np.random.default_rng(child)
             rand_dims[random_code(f, k, n, rng).square().k] += 1
-            grs_dims[grs.code(random_grs(f, n, k, rng)).square().k] += 1
+            grs_dims[grs.code(grs.random_params(f, n, k, rng)).square().k] += 1
             pk, _ = scheme.keygen(f, n, k, rng)
             pub_dims[code_from_generator(f, pk.g_pub).square().k] += 1
         table("random", rand_dims, args.reps)

@@ -29,10 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import grs, linalg
-from .codes import LinearCode, code_from_generator
+from .codes import LinearCode, code_from_generator, star_rows
 from .gf import GF
-from .scheme import DecryptionFailure, PublicKey
-from .scheme import canonical_choice as scheme_canonical_choice
+from .scheme import PublicKey, sweep_decrypt
 
 
 class NotApplicable(RuntimeError):
@@ -90,11 +89,6 @@ def applicable_branch(n: int, k: int) -> Branch | None:
     return None
 
 
-def _star_rows(f: GF, zs: np.ndarray, gen: np.ndarray) -> np.ndarray:
-    """All products z_i * g_j, one row each."""
-    return f.mul(zs[:, None, :], gen[None, :, :]).reshape(-1, gen.shape[1])
-
-
 _BATCH = 32
 _PHASE2_RETRIES = 8
 
@@ -116,7 +110,7 @@ def _extend_triple(
     columns.
     """
     k, n = gen.shape
-    base_r, base_piv = linalg.rref(f, _star_rows(f, zs[:2], gen))
+    base_r, base_piv = linalg.rref(f, star_rows(f, zs[:2], gen))
     base_rank = len(base_piv)
     free_cols = np.array([c for c in range(n) if c not in set(base_piv)], dtype=np.int64)
     collected = zs
@@ -126,7 +120,7 @@ def _extend_triple(
         while draws < 16 * f.q:
             coeffs = linalg.random_matrix(f, _BATCH, k, rng)
             cands = linalg.matmul(f, coeffs, gen)
-            crows = f.mul(cands[:, None, :], gen[None, :, :])  # (batch, k, n)
+            crows = star_rows(f, cands[:, None, :], gen)  # (batch, k, n)
             for i, pc in enumerate(base_piv):
                 crows = f.sub(crows, f.mul(crows[:, :, pc, None], base_r[i][None, None, :]))
             ranks = base_rank + linalg.batched_rank(f, crows[:, :, free_cols])
@@ -185,8 +179,7 @@ def find_shared_subcode(
     while True:
         coeffs = linalg.random_matrix(f, _BATCH, 3 * k, rng).reshape(_BATCH, 3, k)
         zbatch = f.sum(f.mul(coeffs[:, :, :, None], gen[None, None, :, :]), axis=2)
-        bmats = f.mul(zbatch[:, :, None, :], gen[None, None, :, :]).reshape(_BATCH, 3 * k, n)
-        ranks = linalg.batched_rank(f, bmats)
+        ranks = linalg.batched_rank(f, star_rows(f, zbatch, gen))
         passing = np.nonzero(ranks <= threshold)[0]
         pos = 0
         for idx in passing:
@@ -400,30 +393,13 @@ def decrypt_with_pair(rk: RecoveredKey, pub: PublicKey, z: np.ndarray) -> np.nda
     Sweeps alpha over GF(q): for the value matching -<lam0, p> the shifted
     word z + alpha a0 equals p + e with p in the recovered GRS code, so the
     decoder reveals p, the masking pair rebuilds the public codeword, and a
-    linear solve recovers the plaintext.  All verified candidates are
-    collected and the canonical one returned (weight exactly t first, then
-    the lightest), which makes the result agree with the legitimate
-    decryption even for ambiguous ciphertexts.
+    linear solve through G_pub recovers the plaintext.  The candidate set and
+    the canonical choice are those of ``scheme.decrypt``, so the result agrees
+    with the legitimate decryption even for ambiguous ciphertexts.
     """
     f = pub.field
-    z = np.asarray(z, dtype=np.int64)
-    if z.shape != (pub.n,):
-        raise linalg.DimensionMismatch(f"ciphertext length must be n={pub.n}")
-    t = pub.t
-    candidates: list[tuple[int, np.ndarray]] = []
-    for alpha in f.elements():
-        dec = grs.decode(rk.grs, f.add(z, f.mul(alpha, rk.a0)))
-        if dec is None:
-            continue
-        p, _err = dec
-        cw = f.add(p, f.mul(f.dot(rk.lam0, p), rk.a0))
-        weight = int(np.count_nonzero(f.sub(z, cw)))
-        if weight > t:
-            continue
-        msg = linalg.solve_left(f, pub.g_pub, cw)
-        if msg is None:
-            continue
-        candidates.append((weight, msg))
-    if not candidates:
-        raise DecryptionFailure("no shift produced a consistent decoding")
-    return scheme_canonical_choice(candidates, t)
+
+    def plaintext(p: np.ndarray) -> np.ndarray | None:
+        return linalg.solve_left(f, pub.g_pub, f.add(p, f.mul(f.dot(rk.lam0, p), rk.a0)))
+
+    return sweep_decrypt(pub, z, rk.grs, lambda v: v, f.neg(rk.a0), plaintext)

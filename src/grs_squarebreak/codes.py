@@ -67,12 +67,18 @@ class LinearCode:
         """Span of all componentwise products of codewords of self and other."""
         if self.field != other.field or self.n != other.n:
             raise DimensionMismatch("star product needs codes of equal length and field")
-        f = self.field
-        prods = f.mul(self.gen[:, None, :], other.gen[None, :, :])
-        return code_from_generator(f, prods.reshape(self.k * other.k, self.n))
+        return code_from_generator(self.field, star_rows(self.field, self.gen, other.gen))
 
     def square(self) -> "LinearCode":
         return self.star(self)
+
+
+def star_rows(f: GF, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """All componentwise products a_i * b_j of the rows of a (..., r, n) and
+    b (..., s, n), i-major: row i*s + j of the (..., r*s, n) result is
+    a_i * b_j.  Leading batch axes broadcast."""
+    prods = f.mul(a[..., :, None, :], b[..., None, :, :])
+    return prods.reshape(*prods.shape[:-3], -1, prods.shape[-1])
 
 
 def code_from_generator(f: GF, g) -> LinearCode:

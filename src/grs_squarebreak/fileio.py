@@ -106,20 +106,27 @@ def loads(text: str) -> ParsedFile:
             raise FileFormatError(f"bad section shape in {line!r}") from e
         if name in sections:
             raise FileFormatError(f"duplicate section @{name}")
-        data = np.zeros((rows, cols), dtype=np.int64)
-        for r in range(rows):
-            if i >= len(lines):
-                raise FileFormatError(f"section @{name} is truncated")
-            vals = lines[i].split()
-            i += 1
+        # Parse the rows present before allocating anything the header asks for.
+        if rows < 0 or cols < 0:
+            raise FileFormatError(f"bad section shape in {line!r}")
+        if len(lines) - i < rows:
+            raise FileFormatError(f"section @{name} is truncated")
+        parsed = []
+        for r, row in enumerate(lines[i : i + rows]):
+            vals = row.split()
             if len(vals) != cols:
                 raise FileFormatError(
                     f"section @{name} row {r} has {len(vals)} entries, expected {cols}"
                 )
             try:
-                data[r] = [int(v) for v in vals]
+                parsed.append([int(v) for v in vals])
             except ValueError as e:
                 raise FileFormatError(f"non-integer entry in section @{name}") from e
+        i += rows
+        try:
+            data = np.array(parsed, dtype=np.int64).reshape(rows, cols)
+        except OverflowError as e:
+            raise FileFormatError(f"section @{name} has an entry out of range") from e
         if name != "perm" and (np.any(data < 0) or np.any(data >= f.q)):
             raise FileFormatError(f"section @{name} has entries outside [0, {f.q})")
         sections[name] = data
@@ -221,11 +228,6 @@ def load_recovered_key(path) -> RecoveredKey:
         _section(pf, "lambda0", (1, n))[0],
         None,
     )
-
-
-def save_code(path, f: GF, g: np.ndarray) -> None:
-    g = np.asarray(g, dtype=np.int64)
-    write_file(path, f, g.shape[1], g.shape[0], {"G": g})
 
 
 def load_code_matrix(pf: ParsedFile) -> np.ndarray:

@@ -38,6 +38,7 @@ class NoRoot(ArithmeticError):
 
 
 _MAX_Q = 1 << 16
+_MAX_M = 16  # 2^m > _MAX_Q beyond this
 
 
 def _is_prime(n: int) -> bool:
@@ -132,10 +133,15 @@ class GF:
     """
 
     def __init__(self, p: int, m: int = 1, modulus: int = 0):
+        # Bounds first: trial division and p**m are unbounded on untrusted input.
+        if p > _MAX_Q:
+            raise FieldError(f"characteristic p={p} exceeds supported bound {_MAX_Q}")
         if not _is_prime(p):
             raise NonPrimeCharacteristic(f"p={p} is not prime")
         if m < 1:
             raise DegreeMismatch(f"extension degree m={m} must be >= 1")
+        if m > _MAX_M:
+            raise FieldError(f"extension degree m={m} exceeds supported bound {_MAX_M}")
         q = p**m
         if q > _MAX_Q:
             raise FieldError(f"field size {q} exceeds supported bound {_MAX_Q}")

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .codes import LinearCode, code_from_generator
+from .codes import LinearCode, code_from_generator, star_rows
 from .gf import GF
 from .linalg import DimensionMismatch
 
@@ -81,6 +81,14 @@ class GrsParams:
 
     def __repr__(self):
         return f"GrsParams(n={self.n}, k={self.k}, field={self.field!r})"
+
+
+def random_params(f: GF, n: int, k: int, rng: np.random.Generator) -> GrsParams:
+    """Uniform distinct points, then uniform nonzero multipliers, in that
+    order of draws from rng."""
+    x = rng.permutation(f.q)[:n].astype(np.int64)
+    y = rng.integers(1, f.q, n, dtype=np.int64)
+    return GrsParams(f, x, y, k)
 
 
 def generator_matrix(p: GrsParams) -> np.ndarray:
@@ -201,8 +209,7 @@ def recover_multipliers(x: np.ndarray, k: int, sub: LinearCode) -> np.ndarray | 
         raise InvalidParams("subcode/point dimensions are inconsistent")
     ones = GrsParams(f, x, np.ones(n, dtype=np.int64), k)
     checks = generator_matrix(dual_params(ones))  # (n-k) x n
-    constraints = f.mul(sub.gen[:, None, :], checks[None, :, :]).reshape(-1, n)
-    kernel = linalg.right_kernel(f, constraints)
+    kernel = linalg.right_kernel(f, star_rows(f, sub.gen, checks))
     if kernel.shape[0] == 0:
         return None
     for row in kernel:

@@ -207,12 +207,6 @@ def intersect_rowspaces(f: GF, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return right_kernel(f, np.vstack([ka, kb]))
 
 
-def in_rowspace(f: GF, basis: np.ndarray, v: np.ndarray) -> bool:
-    basis = as_matrix(basis)
-    r, pivots = rref(f, basis)
-    return not reduce_row(f, r, pivots, v).any()
-
-
 def reduce_row(f: GF, r: np.ndarray, pivots: list[int], v: np.ndarray) -> np.ndarray:
     """Residual of v after elimination against an RREF basis (r, pivots)."""
     v = np.asarray(v, dtype=np.int64).copy()
@@ -244,9 +238,3 @@ def permutation_matrix(perm: np.ndarray) -> np.ndarray:
     p = np.zeros((n, n), dtype=np.int64)
     p[np.arange(n), perm] = 1
     return p
-
-
-def random_permutation(f: GF, n: int, rng: np.random.Generator) -> np.ndarray:
-    if n < 1:
-        raise DimensionMismatch("n must be >= 1")
-    return permutation_matrix(rng.permutation(n))

@@ -17,6 +17,7 @@ honest ones, and also exactly the ones the square-code attack targets.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -136,11 +137,10 @@ def keygen(
         raise InvalidDimensions(f"need 1 <= k < n, got k={k}, n={n}")
     if n > f.q:
         raise InvalidDimensions(f"need n <= q, got n={n}, q={f.q}")
-    x = rng.permutation(f.q)[:n].astype(np.int64)
-    y = rng.integers(1, f.q, n, dtype=np.int64)
+    params = grs.random_params(f, n, k, rng)
     s_mat = linalg.random_invertible(f, k, rng)
     perm = rng.permutation(n).astype(np.int64)
-    g_c = grs.generator_matrix(grs.GrsParams(f, x, y, k))[:, perm]
+    g_c = grs.generator_matrix(params)[:, perm]
     c_rref, _ = linalg.rref(f, g_c)
 
     def nonzero_vec() -> np.ndarray:
@@ -153,7 +153,7 @@ def keygen(
         alpha = nonzero_vec()
         beta = nonzero_vec()
         try:
-            pk, sk = build_keypair(f, x, y, s_mat, perm, alpha, beta)
+            pk, sk = build_keypair(f, params.x, params.y, s_mat, perm, alpha, beta)
         except InvalidDimensions:
             continue  # singular Q
         if not linalg.matvec(f, g_c, sk.lam).any():
@@ -217,30 +217,47 @@ def canonical_choice(candidates: list[tuple[int, np.ndarray]], t: int) -> np.nda
     return min(candidates, key=lambda c: (c[0] != t, c[0], tuple(c[1].tolist())))[1]
 
 
-def decrypt(sk: SecretKey, c: np.ndarray) -> np.ndarray:
-    """Sweep gamma over GF(q): c Q - gamma beta = m S^-1 G_sec + e Pi for the
-    true gamma = <e, alpha>, which the GRS decoder then corrects.  All
-    verified candidates are collected and the canonical one returned:
-    weight exactly t first, then the lightest."""
-    f = sk.field
+def sweep_decrypt(
+    key: PublicKey | SecretKey, c: np.ndarray, code: grs.GrsParams,
+    base: Callable[[np.ndarray], np.ndarray], direction: np.ndarray,
+    plaintext: Callable[[np.ndarray], np.ndarray | None],
+) -> np.ndarray:
+    """The shift sweep shared by both decryptors.
+
+    For every s in GF(q), decodes base(c) - s * direction in ``code``, maps
+    the decoded codeword to a plaintext, and keeps it when its public
+    codeword lies within distance t of c.  Returns the canonical choice
+    among those candidates; raises DecryptionFailure when there is none.
+    """
+    f = key.field
     c = np.asarray(c, dtype=np.int64)
-    if c.shape != (sk.n,):
-        raise DimensionMismatch(f"ciphertext length must be n={sk.n}")
-    cq = linalg.vecmat(f, c, sk.q_mat)
+    if c.shape != (key.n,):
+        raise DimensionMismatch(f"ciphertext length must be n={key.n}")
+    word = base(c)
     candidates: list[tuple[int, np.ndarray]] = []
-    for gamma in f.elements():
-        shifted = f.sub(cq, f.mul(gamma, sk.beta))
-        dec = grs.decode(sk.grs, shifted)
+    for s in f.elements():
+        dec = grs.decode(code, f.sub(word, f.mul(s, direction)))
         if dec is None:
             continue
-        cw, _err = dec
-        u = linalg.solve_left(f, sk.g_sec, cw)
-        if u is None:
+        msg = plaintext(dec[0])
+        if msg is None:
             continue
-        msg = linalg.vecmat(f, u, sk.s_mat)
-        weight = error_weight(f, sk.g_pub, c, msg)
-        if weight <= sk.t:
+        weight = error_weight(f, key.g_pub, c, msg)
+        if weight <= key.t:
             candidates.append((weight, msg))
     if not candidates:
-        raise DecryptionFailure("no gamma guess produced a consistent decoding")
-    return canonical_choice(candidates, sk.t)
+        raise DecryptionFailure("no shift produced a consistent decoding")
+    return canonical_choice(candidates, key.t)
+
+
+def decrypt(sk: SecretKey, c: np.ndarray) -> np.ndarray:
+    """Sweep gamma over GF(q): c Q - gamma beta = m S^-1 G_sec + e Pi for the
+    true gamma = <e, alpha>, which the GRS decoder in C_sec then corrects;
+    the plaintext is solved through G_sec and S."""
+    f = sk.field
+
+    def plaintext(cw: np.ndarray) -> np.ndarray | None:
+        u = linalg.solve_left(f, sk.g_sec, cw)
+        return None if u is None else linalg.vecmat(f, u, sk.s_mat)
+
+    return sweep_decrypt(sk, c, sk.grs, lambda v: linalg.vecmat(f, v, sk.q_mat), sk.beta, plaintext)

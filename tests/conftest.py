@@ -35,10 +35,6 @@ def rng():
     return np.random.default_rng(12345)
 
 
-def make_rng(seed: int) -> np.random.Generator:
-    return np.random.default_rng(seed)
-
-
 def genuine_tie(pk: scheme.PublicKey, z: np.ndarray, got: np.ndarray) -> bool:
     """Whether the decrypted plaintext ``got`` is a genuine tie for the
     weight-t ciphertext ``z``: its public codeword also sits at distance

@@ -25,12 +25,6 @@ GF32 = GF(2, 5, 37)
 GF5 = GF(5)
 
 
-def random_grs(f, n, k, rng) -> grs.GrsParams:
-    x = rng.permutation(f.q)[:n].astype(np.int64)
-    y = rng.integers(1, f.q, n, dtype=np.int64)
-    return grs.GrsParams(f, x, y, k)
-
-
 def _report(num, text):
     print(f"ACCEPTANCE {num}: PASS - {text}")
 
@@ -109,7 +103,7 @@ def test_criterion_1_square_code_law():
             n = int(rng.integers(10, f.q))
             k = int(rng.integers(2, (n + 1) // 2))
             assert 2 * k - 1 <= n
-            p = random_grs(f, n, k, rng)
+            p = grs.random_params(f, n, k, rng)
             sq = grs.code(p).square()
             if 2 * k - 1 < n:
                 expected = grs.code(grs.GrsParams(f, p.x, f.mul(p.y, p.y), 2 * k - 1))

@@ -305,11 +305,10 @@ class TestEndToEnd:
         f = gf16m
         rng = np.random.default_rng(51)
         n, k = 15, 6
-        x = rng.permutation(16)[:n].astype(np.int64)
-        y = rng.integers(1, 16, n, dtype=np.int64)
+        params = grs.random_params(f, n, k, rng)
         s_mat = la.random_invertible(f, k, rng)
         perm = rng.permutation(n).astype(np.int64)
-        c_gen = grs.generator_matrix(grs.GrsParams(f, x, y, k))[:, perm]
+        c_gen = grs.generator_matrix(params)[:, perm]
         c_perp = la.right_kernel(f, c_gen)
         while True:
             alpha = la.vecmat(f, rng.integers(0, 16, c_perp.shape[0]), c_perp)
@@ -317,7 +316,7 @@ class TestEndToEnd:
             if not alpha.any() or not beta.any():
                 continue
             try:
-                pk, sk = scheme.build_keypair(f, x, y, s_mat, perm, alpha, beta)
+                pk, sk = scheme.build_keypair(f, params.x, params.y, s_mat, perm, alpha, beta)
                 break
             except scheme.InvalidDimensions:
                 continue
@@ -336,6 +335,18 @@ class TestEndToEnd:
 
 
 class TestDecryptWithPair:
+    @pytest.mark.parametrize("k", [6, 9])
+    def test_true_pair_matches_secret_decryption(self, gf16m, k):
+        """With the true masking pair, decrypt_with_pair returns exactly what
+        scheme.decrypt returns: both routes feed the same candidate set to
+        the shared sweep's canonical choice."""
+        pk, sk = scheme.keygen(gf16m, 15, k, np.random.default_rng(70 + k))
+        rk = atk.RecoveredKey(scheme.masked_params(sk), sk.a, sk.lam, None)
+        rng = np.random.default_rng(80 + k)
+        for _ in range(40):
+            z = scheme.encrypt(pk, rng.integers(0, 16, k), rng)
+            assert np.array_equal(atk.decrypt_with_pair(rk, pk, z), scheme.decrypt(sk, z))
+
     def test_zero_error_ciphertext(self, gf16m, low_rate_key, low_rate_attack):
         pk, _sk = low_rate_key
         rk, _ = low_rate_attack

@@ -61,10 +61,8 @@ class TestFileFormat:
         assert (tmp_path / "v2.txt").read_text() == path.read_text()
 
     def test_recovered_key_round_trip(self, tmp_path, gf16, rng):
-        x = rng.permutation(16)[:15].astype(np.int64)
-        y = rng.integers(1, 16, 15, dtype=np.int64)
         rk = atk.RecoveredKey(
-            grs.GrsParams(gf16, x, y, 6),
+            grs.random_params(gf16, 15, 6, rng),
             rng.integers(0, 16, 15),
             rng.integers(0, 16, 15),
             None,
@@ -100,6 +98,18 @@ class TestFileFormat:
         )
         with pytest.raises(FileFormatError):
             fileio.read_file(bad)
+
+    @pytest.mark.parametrize("shape", ["1000000000000 1000000000000", "6 3000000000"])
+    def test_oversized_section_header_rejected(self, tmp_path, capsys, shape):
+        """A section header is checked against the rows present before any
+        array is allocated from it."""
+        bad = tmp_path / "huge.key"
+        bad.write_text(f"grs-squarebreak v1\nfield p=2 m=4 poly=19\nn=15 k=6\n@Gpub {shape}\n1 2\n")
+        with pytest.raises(FileFormatError):
+            fileio.read_file(bad)
+        assert main(["distinguish", "--code", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
 
     def test_tampered_secret_rejected(self, keydir):
         tmp_path, _, sec = keydir
@@ -180,6 +190,19 @@ class TestCliWorkflows:
         _, back = fileio.load_vector(tmp_path / "zo.txt", 6)
         assert not back.any()
 
+    def test_decrypt_failure_exit_2(self, keydir, capsys):
+        """A random vector decrypts under neither route: both exit 2."""
+        tmp_path, pub, sec = keydir
+        pk, sk = fileio.load_secret_key(sec)
+        rk = atk.RecoveredKey(scheme.masked_params(sk), sk.a, sk.lam, None)
+        fileio.save_recovered_key(tmp_path / "rk.txt", pk.field, pk.n, pk.k, rk)
+        ct = tmp_path / "rand.ct"
+        fileio.save_vector(ct, pk.field, pk.n, pk.k, np.random.default_rng(5).integers(0, 16, 15))
+        assert main(["decrypt", "--key", str(sec), "--ct", str(ct)]) == 2
+        assert main(["decrypt", "--recovered", str(tmp_path / "rk.txt"), "--pub", str(pub),
+                     "--ct", str(ct)]) == 2
+        assert capsys.readouterr().err.count("decryption failed:") == 2
+
     def test_truncated_ciphertext_exit_1(self, keydir):
         tmp_path, _, sec = keydir
         bad = tmp_path / "bad.ct"
@@ -187,8 +210,8 @@ class TestCliWorkflows:
         assert main(["decrypt", "--key", str(sec), "--ct", str(bad)]) == 1
 
     def test_distinguish_grs_code(self, tmp_path, gf16, rng, capsys):
-        p = grs.GrsParams(gf16, rng.permutation(16)[:15], rng.integers(1, 16, 15), 6)
-        fileio.save_code(tmp_path / "code.txt", gf16, grs.generator_matrix(p))
+        p = grs.random_params(gf16, 15, 6, rng)
+        fileio.write_file(tmp_path / "code.txt", gf16, 15, 6, {"G": grs.generator_matrix(p)})
         assert main(["distinguish", "--code", str(tmp_path / "code.txt")]) == 0
         out = capsys.readouterr().out
         assert "square_dim=11 generic_dim=15 verdict=NonGeneric" in out
@@ -197,7 +220,7 @@ class TestCliWorkflows:
         from grs_squarebreak.codes import random_code
 
         c = random_code(gf16, 6, 15, rng)
-        fileio.save_code(tmp_path / "code.txt", gf16, c.gen)
+        fileio.write_file(tmp_path / "code.txt", gf16, c.n, c.k, {"G": c.gen})
         main(["distinguish", "--code", str(tmp_path / "code.txt")])
         assert "verdict=Generic" in capsys.readouterr().out
 

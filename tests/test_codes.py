@@ -14,12 +14,6 @@ from grs_squarebreak.codes import (
 from grs_squarebreak.linalg import DimensionMismatch
 
 
-def random_grs(f, n, k, rng) -> grs.GrsParams:
-    x = rng.permutation(f.q)[:n].astype(np.int64)
-    y = rng.integers(1, f.q, n, dtype=np.int64)
-    return grs.GrsParams(f, x, y, k)
-
-
 class TestCanonicalization:
     def test_identity_full_space(self, gf7):
         c = code_from_generator(gf7, np.eye(3, dtype=np.int64))
@@ -71,7 +65,7 @@ class TestDual:
     def test_grs_dual_square_dimension(self, gf16, rng):
         # dual of GRS_k has a square of dimension min(2(n-k)-1, n)
         for k in (4, 6, 10):
-            p = random_grs(gf16, 15, k, rng)
+            p = grs.random_params(gf16, 15, k, rng)
             d = grs.code(p).dual()
             assert d.square().k == min(2 * (15 - k) - 1, 15)
 
@@ -86,7 +80,7 @@ class TestStarProduct:
         assert c.star(ones) == c
 
     def test_grs_degrees_add(self, gf16, rng):
-        p3 = random_grs(gf16, 15, 3, rng)
+        p3 = grs.random_params(gf16, 15, 3, rng)
         p2 = grs.GrsParams(gf16, p3.x, p3.y, 2)
         prod = grs.code(p3).star(grs.code(p2))
         assert prod.k == 4  # k1 + k2 - 1
@@ -119,7 +113,7 @@ class TestStarProduct:
 class TestSquare:
     def test_grs_square_exact_law(self, gf16, rng):
         for k in (2, 4, 6, 8):
-            p = random_grs(gf16, 15, k, rng)
+            p = grs.random_params(gf16, 15, k, rng)
             sq = grs.code(p).square()
             if 2 * k - 1 < 15:
                 expected = grs.code(grs.GrsParams(gf16, p.x, gf16.mul(p.y, p.y), 2 * k - 1))
@@ -128,7 +122,7 @@ class TestSquare:
             assert sq == expected
 
     def test_k1_square_dim1(self, gf16, rng):
-        p = random_grs(gf16, 15, 1, rng)
+        p = grs.random_params(gf16, 15, 1, rng)
         assert grs.code(p).square().k == 1
 
     def test_random_square_dim_majority(self, gf16):
@@ -142,7 +136,7 @@ class TestSquare:
 
 class TestDistinguish:
     def test_grs6_nongeneric(self, gf16, rng):
-        rep = distinguish(grs.code(random_grs(gf16, 15, 6, rng)))
+        rep = distinguish(grs.code(grs.random_params(gf16, 15, 6, rng)))
         assert (rep.square_dim, rep.generic_dim, rep.verdict) == (11, 15, "NonGeneric")
         assert rep.dual_square_dim is None
 
@@ -159,7 +153,7 @@ class TestDistinguish:
         assert rep.verdict == "Generic"
 
     def test_high_rate_dual_side(self, gf16, rng):
-        rep = distinguish(grs.code(random_grs(gf16, 15, 10, rng)))
+        rep = distinguish(grs.code(grs.random_params(gf16, 15, 10, rng)))
         assert rep.verdict == "Generic"  # primal square saturates at n
         assert rep.dual_square_dim == 2 * (15 - 10) - 1 == 9
         assert rep.dual_generic_dim == 15

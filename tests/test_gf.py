@@ -1,5 +1,7 @@
 """Field arithmetic tests, checked against exhaustive table oracles."""
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from grs_squarebreak.gf import (
     GF,
     DegreeMismatch,
+    FieldError,
     NoRoot,
     NonPrimeCharacteristic,
     ReducibleModulus,
@@ -50,6 +53,16 @@ class TestConstruction:
     def test_non_prime_characteristic(self):
         with pytest.raises(NonPrimeCharacteristic):
             GF(6)
+
+    @pytest.mark.parametrize("p, m", [(2**61 - 1, 1), (3, 100000)])
+    def test_oversized_field_rejected_at_once(self, p, m):
+        """The bounds on p and m come before the trial division of p and the
+        power p**m, which would take unbounded time on a huge key-file
+        header."""
+        start = time.perf_counter()
+        with pytest.raises(FieldError):
+            GF(p, m)
+        assert time.perf_counter() - start < 1.0
 
     def test_non_monic_modulus(self):
         with pytest.raises(DegreeMismatch):

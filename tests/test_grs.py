@@ -10,12 +10,6 @@ from grs_squarebreak.codes import code_from_generator, random_code
 from grs_squarebreak.grs import GrsParams, InvalidParams, NotGrs
 
 
-def random_grs(f, n, k, rng) -> GrsParams:
-    x = rng.permutation(f.q)[:n].astype(np.int64)
-    y = rng.integers(1, f.q, n, dtype=np.int64)
-    return GrsParams(f, x, y, k)
-
-
 class TestParams:
     def test_duplicate_points_rejected(self, gf5):
         with pytest.raises(InvalidParams):
@@ -44,11 +38,11 @@ class TestGenerator:
         assert grs.generator_matrix(p).tolist() == [[2, 1, 1, 1], [0, 1, 2, 3]]
 
     def test_vandermonde_full_rank(self, gf7, rng):
-        p = random_grs(gf7, 6, 5, rng)
+        p = grs.random_params(gf7, 6, 5, rng)
         assert la.rank(gf7, grs.generator_matrix(p)) == 5
 
     def test_encode_matches_poly_eval(self, gf16, rng):
-        p = random_grs(gf16, 15, 6, rng)
+        p = grs.random_params(gf16, 15, 6, rng)
         msg = rng.integers(0, 16, 6)
         cw = grs.encode(p, msg)
         # Horner oracle
@@ -75,14 +69,14 @@ def brute_force_nearest(f, p, r):
 
 class TestDecode:
     def test_codeword_decodes_to_itself(self, gf16, rng):
-        p = random_grs(gf16, 15, 6, rng)
+        p = grs.random_params(gf16, 15, 6, rng)
         cw = grs.encode(p, rng.integers(0, 16, 6))
         out = grs.decode(p, cw)
         assert out is not None
         assert np.array_equal(out[0], cw) and not out[1].any()
 
     def test_random_errors_within_radius(self, gf16, rng):
-        p = random_grs(gf16, 15, 6, rng)
+        p = grs.random_params(gf16, 15, 6, rng)
         assert p.t == 4
         for _ in range(25):
             cw = grs.encode(p, rng.integers(0, 16, 6))
@@ -109,7 +103,7 @@ class TestDecode:
                 assert out is None
 
     def test_beyond_radius_fails(self, gf16, rng):
-        p = random_grs(gf16, 15, 13, rng)  # t = 1
+        p = grs.random_params(gf16, 15, 13, rng)  # t = 1
         cw = grs.encode(p, rng.integers(0, 16, 13))
         e = np.zeros(15, dtype=np.int64)
         pos = rng.choice(15, 2, replace=False)
@@ -122,11 +116,11 @@ class TestDualParams:
     def test_matches_kernel_dual(self, gf16, gf7, rng):
         for f, n in ((gf16, 15), (gf7, 6)):
             for k in (1, 2, n // 2, n - 1):
-                p = random_grs(f, n, k, rng)
+                p = grs.random_params(f, n, k, rng)
                 assert grs.code(grs.dual_params(p)) == grs.code(p).dual()
 
     def test_square_of_dual_dimension(self, gf16, rng):
-        p = random_grs(gf16, 15, 11, rng)
+        p = grs.random_params(gf16, 15, 11, rng)
         d = grs.dual_params(p)
         assert grs.code(d).square().k == 2 * (15 - 11) - 1
 
@@ -139,7 +133,7 @@ class TestSsRecover:
                 rng = np.random.default_rng(seed)
                 n = int(rng.integers(8, f.q))
                 k = int(rng.integers(2, min(n - 1, 12)))
-                p = random_grs(f, n, k, rng)
+                p = grs.random_params(f, n, k, rng)
                 c = grs.code(p)
                 rec = grs.ss_recover(c)
                 assert grs.code(rec) == c
@@ -147,13 +141,13 @@ class TestSsRecover:
         assert count == 50
 
     def test_k1(self, gf16, rng):
-        p = random_grs(gf16, 10, 1, rng)
+        p = grs.random_params(gf16, 10, 1, rng)
         c = grs.code(p)
         rec = grs.ss_recover(c)
         assert rec.k == 1 and grs.code(rec) == c
 
     def test_k_equals_n_minus_1(self, gf16, rng):
-        p = random_grs(gf16, 12, 11, rng)
+        p = grs.random_params(gf16, 12, 11, rng)
         c = grs.code(p)
         rec = grs.ss_recover(c)
         assert grs.code(rec) == c
@@ -177,14 +171,14 @@ class TestSsRecover:
 class TestRecoverMultipliers:
     def test_full_code_as_subcode(self, gf16, gf7, rng):
         for f, n, k in ((gf16, 15, 6), (gf7, 7, 3)):
-            p = random_grs(f, n, k, rng)
+            p = grs.random_params(f, n, k, rng)
             c = grs.code(p)
             y = grs.recover_multipliers(p.x, k, c)
             assert y is not None
             assert grs.code(GrsParams(f, p.x, y, k)) == c
 
     def test_rank_one_subcode(self, gf16, rng):
-        p = random_grs(gf16, 15, 4, rng)
+        p = grs.random_params(gf16, 15, 4, rng)
         sub = code_from_generator(gf16, p.y[None, :])  # y * x^0
         y = grs.recover_multipliers(p.x, 4, sub)
         assert y is not None
@@ -197,7 +191,7 @@ class TestRecoverMultipliers:
         assert np.array_equal(gf16.sqrt(z), y)
 
     def test_codim1_subcode_recovers_code(self, gf16, rng):
-        p = random_grs(gf16, 15, 6, rng)
+        p = grs.random_params(gf16, 15, 6, rng)
         c = grs.code(p)
         # a random hyperplane section of the code
         lam = rng.integers(0, 16, 15)

@@ -166,7 +166,7 @@ class TestRandomSampling:
         assert np.array_equal(m1, m2)
 
     def test_permutation_matrix(self, gf7, rng):
-        p = la.random_permutation(gf7, 6, rng)
+        p = la.permutation_matrix(rng.permutation(6))
         assert np.array_equal(p.sum(axis=0), np.ones(6))
         assert np.array_equal(p.sum(axis=1), np.ones(6))
         assert la.rank(gf7, p) == 6
