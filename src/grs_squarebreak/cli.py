@@ -140,7 +140,7 @@ def cmd_attack(args) -> int:
     print(
         f"recovered key written to {args.out}\n"
         f"branch: {st.branch.value}  outer trials: {st.outer_trials}  "
-        f"inner trials: {st.inner_trials}  restarts: {st.restarts}  "
+        f"inner trials (subcodes checked): {st.inner_trials}  restarts: {st.restarts}  "
         f"wall time: {st.wall_time:.2f}s"
     )
     if args.verify_sec:

@@ -70,7 +70,10 @@ class LinearCode:
         return code_from_generator(self.field, star_rows(self.field, self.gen, other.gen))
 
     def square(self) -> "LinearCode":
-        return self.star(self)
+        """The star product of the code with itself, spanned by the
+        k(k+1)/2 products g_i * g_j with i <= j (the product commutes)."""
+        i, j = np.triu_indices(self.k)
+        return code_from_generator(self.field, self.field.mul(self.gen[i], self.gen[j]))
 
 
 def star_rows(f: GF, a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -8,8 +8,9 @@ algebra on top of this module fast enough for the attack loops.
 
 Fields are kept deliberately small (q <= 2^16): multiplication runs off
 log/antilog tables built from a primitive element, and square roots off a
-precomputed table, so nothing here is constant-time or suitable for
-production cryptography.
+precomputed table.  Fields of at most 1024 elements multiply, and in odd
+characteristic add and subtract, by one gather from a q x q table.  Nothing
+here is constant-time or suitable for production cryptography.
 """
 
 from __future__ import annotations
@@ -194,11 +195,14 @@ class GF:
         inv[exp] = exp[(-(log[exp])) % (q - 1)] if q > 2 else 1
         self._inv = inv
         elems = np.arange(q, dtype=np.int64)
-        # One-gather multiplication for small fields; the attack loops are
-        # dominated by elementwise products, so this is worth q^2 memory.
-        self._mul_table = None
+        # One-gather arithmetic for small fields (xor needs no table): the
+        # attack loops are dominated by it, so this is worth q^2 memory.
+        self._mul_table = self._add_table = self._sub_table = None
         if q <= 1024:
             self._mul_table = self.mul(elems[:, None], elems[None, :])
+            if p != 2:
+                self._add_table = self.add(elems[:, None], elems[None, :])
+                self._sub_table = self.sub(elems[:, None], elems[None, :])
         squares = self.mul(elems, elems)
         sqrt = np.full(q, q, dtype=np.int64)
         np.minimum.at(sqrt, squares, elems)
@@ -218,6 +222,8 @@ class GF:
     def add(self, a, b):
         if self.p == 2:
             return np.bitwise_xor(a, b)
+        if self._add_table is not None:
+            return self._add_table[np.asarray(a), np.asarray(b)]
         if self.m == 1:
             return (np.asarray(a) + b) % self.p
         return self._digitwise(a, b, lambda x, y: (x + y) % self.p)
@@ -225,6 +231,8 @@ class GF:
     def sub(self, a, b):
         if self.p == 2:
             return np.bitwise_xor(a, b)
+        if self._sub_table is not None:
+            return self._sub_table[np.asarray(a), np.asarray(b)]
         if self.m == 1:
             return (np.asarray(a) - b) % self.p
         return self._digitwise(a, b, lambda x, y: (x - y) % self.p)
@@ -232,9 +240,7 @@ class GF:
     def neg(self, a):
         if self.p == 2:
             return np.asarray(a)
-        if self.m == 1:
-            return (-np.asarray(a)) % self.p
-        return self._digitwise(a, 0, lambda x, _: (-x) % self.p)
+        return self.sub(0, a)  # row 0 of the sub table when there is one
 
     def _digitwise(self, a, b, op):
         a = np.asarray(a)

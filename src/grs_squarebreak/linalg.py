@@ -50,7 +50,7 @@ def rref(f: GF, a: np.ndarray) -> tuple[np.ndarray, list[int]]:
         pr = r + int(nz[0])
         if pr != r:
             m[[r, pr]] = m[[pr, r]]
-        m[r] = f.mul(m[r], f.inv(m[r, c]))
+        m[r] = f.mul(m[r], f.inv0(m[r, c]))  # nonzero: found by np.nonzero
         col = m[:, c].copy()
         col[r] = 0
         hit = np.nonzero(col)[0]

@@ -148,6 +148,47 @@ class TestFindSharedSubcode:
             )
 
 
+# (field, n, k, keygen seed): n - (2k+2) = 1 at (15, 6), so a subcode triple
+# leaves a single form there; two forms at (16, 6), more at length 31.
+SOLVE_POINTS = [
+    ((2, 4, 19), 15, 6, 42),
+    ((5, 2, 32), 16, 6, 5),
+    ((17,), 16, 6, 3),
+    ((2, 5, 37), 31, 9, 2),
+    ((2, 5, 37), 31, 12, 2),
+]
+
+
+@pytest.fixture(
+    scope="module",
+    params=SOLVE_POINTS,
+    ids=["GF16-15-6", "GF25-16-6", "GF17-16-6", "GF32-31-9", "GF32-31-12"],
+)
+def solve_point(request):
+    field, n, k, seed = request.param
+    f = GF(*field)
+    pk, sk = scheme.keygen(f, n, k, np.random.default_rng(seed))
+    return f, code_from_generator(f, pk.g_pub), true_shared_subcode(f, pk, sk)
+
+
+class TestSolveSubcode:
+    def test_subcode_triples_return_the_subcode(self, solve_point):
+        f, pub, sub = solve_point
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            zs = la.matmul(f, la.random_matrix(f, 3, sub.k, rng), sub.gen)
+            assert atk.solve_subcode(pub, zs, AttackStats()) == sub
+
+    def test_random_triples_yield_no_subcode(self, solve_point):
+        """No candidate from a random public triple obeys the square law, so
+        the linear solve is also the filter for false rank-test passes."""
+        f, pub, _sub = solve_point
+        rng = np.random.default_rng(1)
+        for _ in range(200):
+            zs = la.matmul(f, la.random_matrix(f, 3, pub.k, rng), pub.gen)
+            assert atk.solve_subcode(pub, zs, AttackStats()) is None
+
+
 class TestRecoverSecretGrs:
     def test_reconstructs_hidden_code(self, gf16m, low_rate_key):
         f = gf16m
@@ -253,6 +294,20 @@ class TestEndToEnd:
             msg = rng.integers(0, 16, pk.k)
             z = scheme.encrypt(pk, msg, rng)
             got = atk.decrypt_with_pair(rk, pk, z)
+            assert np.array_equal(got, msg) or genuine_tie(pk, z, got)
+
+    @pytest.mark.parametrize("field", [(17,), (5, 2, 32)], ids=["GF17", "GF25"])
+    def test_odd_characteristic_recovers_and_decrypts(self, field):
+        f = GF(*field)
+        pk, sk = scheme.keygen(f, 16, 6, np.random.default_rng(90))
+        rk, _st = atk.recover_key(pk, AttackConfig(seed=91))
+        assert grs.code(rk.grs) == grs.code(scheme.masked_params(sk))
+        rng = np.random.default_rng(92)
+        for _ in range(10):
+            msg = rng.integers(0, f.q, pk.k)
+            z = scheme.encrypt(pk, msg, rng)
+            got = atk.decrypt_with_pair(rk, pk, z)
+            assert np.array_equal(got, scheme.decrypt(sk, z))
             assert np.array_equal(got, msg) or genuine_tie(pk, z, got)
 
     def test_pair_validity_invariants(self, gf16m, low_rate_key, low_rate_attack):

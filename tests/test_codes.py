@@ -11,6 +11,7 @@ from grs_squarebreak.codes import (
     distinguish,
     random_code,
 )
+from grs_squarebreak.gf import GF
 from grs_squarebreak.linalg import DimensionMismatch
 
 
@@ -120,6 +121,13 @@ class TestSquare:
             else:  # the law saturates: degree-2k-2 evaluations fill the space
                 expected = code_from_generator(gf16, np.eye(15, dtype=np.int64))
             assert sq == expected
+
+    @pytest.mark.parametrize("f", [GF(2, 4, 19), GF(5, 2, 32)], ids=["GF16", "GF25"])
+    def test_square_equals_self_star(self, f, rng):
+        """The i <= j products span the same code as all k^2 products."""
+        for k in range(1, 8):
+            c = random_code(f, k, 15, rng)
+            assert c.square() == c.star(c)
 
     def test_k1_square_dim1(self, gf16, rng):
         p = grs.random_params(gf16, 15, 1, rng)

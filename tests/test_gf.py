@@ -120,6 +120,41 @@ class TestArithmetic:
         assert np.array_equal(gf16.pow(a, 0), np.ones(16, dtype=np.int64))
 
 
+def schoolbook_add(a: int, b: int, p: int, m: int, sign: int = 1) -> int:
+    """Independent reference for a + sign * b: digit by digit mod p."""
+    return sum(
+        ((a // p**i) % p + sign * ((b // p**i) % p)) % p * p**i for i in range(m)
+    )
+
+
+class TestAddSub:
+    @pytest.mark.parametrize(
+        "f", [GF(3, 2, 10), GF(5, 2, 32), GF(3, 3, 34)], ids=["GF9", "GF25", "GF27"]
+    )
+    def test_every_pair_against_schoolbook(self, f):
+        a, b = np.meshgrid(f.elements(), f.elements(), indexing="ij")
+        p, m = f.p, f.m
+        assert f.add(a, b).tolist() == [
+            [schoolbook_add(x, y, p, m) for y in range(f.q)] for x in range(f.q)
+        ]
+        assert f.sub(a, b).tolist() == [
+            [schoolbook_add(x, y, p, m, -1) for y in range(f.q)] for x in range(f.q)
+        ]
+        assert f.neg(f.elements()).tolist() == [
+            schoolbook_add(0, y, p, m, -1) for y in range(f.q)
+        ]
+
+    def test_sampled_pairs_above_table_bound(self, rng):
+        """GF(3^7) has more than 1024 elements, so it adds digit-wise."""
+        f = GF(3, 7, 2198)  # X^7 + X^2 + 2
+        assert f.q > 1024
+        a = rng.integers(0, f.q, 500)
+        b = rng.integers(0, f.q, 500)
+        assert f.add(a, b).tolist() == [schoolbook_add(x, y, 3, 7) for x, y in zip(a, b)]
+        assert f.sub(a, b).tolist() == [schoolbook_add(x, y, 3, 7, -1) for x, y in zip(a, b)]
+        assert f.neg(a).tolist() == [schoolbook_add(0, x, 3, 7, -1) for x in a]
+
+
 class TestSqrt:
     def test_char2_sqrt_is_frobenius_inverse(self, gf16):
         a = gf16.elements()
