@@ -5,11 +5,15 @@ C & <lam>^perp of a GRS code C: exactly the public codewords fixed by the
 rank-one masking.  Squares betray it: star products z * g_j with all z_i in
 the hidden subcode span at most 2k+2 dimensions, against 3k-3 for generic
 triples.  Phase 1 draws random triples (about q^3) until one passes that
-rank test.  Phase 2 solves for the subcode linearly, since it is totally
-isotropic for z * z' modulo the span of the triple's products, and keeps a
-candidate only if it obeys the square-code law dim = 2k-1.  Squaring it
-yields a full GRS code of dimension 2k-1 whose describing pair is
-recoverable, after which a valid masking pair (a0, lam0) with
+rank test.  The public generator is in RREF, [I | A] on its pivot columns,
+so one member z_a nonzero on all of them makes its k products independent,
+and the test reduces to the rank of a 2k x (n-k) Schur complement built from
+A and the 2 x 2 minors of the triple on a pivot and a free column.  Phase 2
+solves for the subcode linearly, since it is totally isotropic for z * z'
+modulo the span of the triple's products, and keeps a candidate only if
+it obeys the square-code law dim = 2k-1.  Squaring it yields a full GRS
+code of dimension 2k-1 whose describing pair is recoverable, after which a
+valid masking pair (a0, lam0) with
 
     phi(p) = p + <lam0, p> a0  mapping  C  onto  C_pub
 
@@ -91,7 +95,37 @@ def applicable_branch(n: int, k: int) -> Branch | None:
     return None
 
 
-_BATCH = 32
+_BATCH = 256
+
+
+def triple_ranks(pub: LinearCode, zs: np.ndarray) -> np.ndarray:
+    """Rank of the products z_i * g_j of each triple in a batch zs (b, 3, n),
+    equal to ``batched_rank(star_rows(zs, pub.gen))``.
+
+    ``pub.gen`` is [I | A] on its pivot columns P.  When some member z_a is
+    nonzero on every column of P, its products z_a * g_j have rank k, and
+    eliminating the other members' products against them leaves the
+    2k x (n-k) Schur complement with entries
+    A[j, l] (z_a[p_j] z_i[l] - z_i[p_j] z_a[l]), so the rank is k plus its
+    rank.  The other triples are ranked in full.
+    """
+    f, k, gen = pub.field, pub.k, pub.gen
+    piv = np.asarray(pub.pivots)
+    free = np.delete(np.arange(pub.n), piv)
+    full = (zs[:, :, piv] != 0).all(axis=2)
+    schur = full.any(axis=1)
+    ranks = np.empty(len(zs), dtype=np.int64)
+    if not schur.all():
+        ranks[~schur] = linalg.batched_rank(f, star_rows(f, zs[~schur], gen))
+    if schur.any():
+        # z_a first, then the other two members.
+        order = (np.argmax(full[schur], axis=1)[:, None] + np.arange(3)) % 3
+        t = np.take_along_axis(zs[schur], order[:, :, None], axis=1)
+        tp, tn = t[:, :, piv, None], t[:, :, None, free]
+        minors = f.sub(f.mul(tp[:, :1], tn[:, 1:]), f.mul(tp[:, 1:], tn[:, :1]))
+        mats = f.mul(gen[:, free], minors).reshape(len(t), 2 * k, len(free))
+        ranks[schur] = k + linalg.batched_rank(f, mats)
+    return ranks
 
 
 def solve_subcode(pub: LinearCode, zs: np.ndarray, stats: AttackStats) -> LinearCode | None:
@@ -145,13 +179,16 @@ def find_shared_subcode(
     """Locate the codimension-1 subcode of ``pub`` lying inside the hidden
     GRS code.
 
-    Phase 1 draws triples z_1, z_2, z_3 from pub, in fixed-size batches (which
-    only changes how far ahead the rng streams), until the span of all
-    z_i * g_j has dimension <= 2k+2 and the triple is independent; each draw
-    is an outer trial.  At desk scale the generic span saturates at n with a
-    margin of very few dimensions over the threshold, so false triples pass
-    too; phase 2 (``solve_subcode``) finds no subcode for them, which counts
-    a restart.
+    Phase 1 draws triples z_1, z_2, z_3 from pub, in batches of ``_BATCH``,
+    until the span of all z_i * g_j (ranked by ``triple_ranks``) has
+    dimension <= 2k+2 and the triple is independent; each draw is an outer
+    trial.  Within one call the batch size only sets how far ahead the rng
+    is read; but a call that returns drops the rest of its batch, so when
+    ``recover_key`` rejects the subcode and calls again, the batch size also
+    decides which triples that restart skips.  At desk scale the generic
+    span saturates at n with a margin of very few dimensions over the
+    threshold, so false triples pass too; phase 2 (``solve_subcode``) finds
+    no subcode for them, which counts a restart.
     """
     f, n, k = pub.field, pub.n, pub.k
     if not (2 * k + 2 < n and k >= _MIN_DIM):
@@ -165,7 +202,7 @@ def find_shared_subcode(
     while True:
         coeffs = linalg.random_matrix(f, _BATCH, 3 * k, rng).reshape(_BATCH, 3, k)
         zbatch = f.sum(f.mul(coeffs[:, :, :, None], gen[None, None, :, :]), axis=2)
-        ranks = linalg.batched_rank(f, star_rows(f, zbatch, gen))
+        ranks = triple_ranks(pub, zbatch)
         passing = np.nonzero(ranks <= threshold)[0]
         pos = 0
         for idx in passing:

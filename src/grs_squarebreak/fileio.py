@@ -147,6 +147,16 @@ def _section(pf: ParsedFile, name: str, shape: tuple[int, int]) -> np.ndarray:
     return arr
 
 
+def _key_file(path) -> ParsedFile:
+    """A parsed key file whose header dimensions a key can have."""
+    pf = read_file(path)
+    if not 1 <= pf.k < pf.n <= pf.field.q:
+        raise FileFormatError(
+            f"key dimensions n={pf.n} k={pf.k} need 1 <= k < n <= q={pf.field.q}"
+        )
+    return pf
+
+
 # -- typed wrappers --------------------------------------------------------
 
 
@@ -155,7 +165,7 @@ def save_public_key(path, pk: scheme.PublicKey) -> None:
 
 
 def load_public_key(path) -> scheme.PublicKey:
-    pf = read_file(path)
+    pf = _key_file(path)
     g = _section(pf, "Gpub", (pf.k, pf.n))
     return scheme.PublicKey(pf.field, pf.n, pf.k, g)
 
@@ -174,7 +184,7 @@ def save_secret_key(path, sk: scheme.SecretKey) -> None:
 
 
 def load_secret_key(path) -> tuple[scheme.PublicKey, scheme.SecretKey]:
-    pf = read_file(path)
+    pf = _key_file(path)
     n, k = pf.n, pf.k
     perm = _section(pf, "perm", (1, n))[0]
     if sorted(perm.tolist()) != list(range(n)):
@@ -219,7 +229,7 @@ def save_recovered_key(path, f: GF, n: int, k: int, rk: RecoveredKey) -> None:
 
 
 def load_recovered_key(path) -> RecoveredKey:
-    pf = read_file(path)
+    pf = _key_file(path)
     n = pf.n
     params = GrsParams(pf.field, _section(pf, "x", (1, n))[0], _section(pf, "y", (1, n))[0], pf.k)
     return RecoveredKey(

@@ -9,8 +9,9 @@ algebra on top of this module fast enough for the attack loops.
 Fields are kept deliberately small (q <= 2^16): multiplication runs off
 log/antilog tables built from a primitive element, and square roots off a
 precomputed table.  Fields of at most 1024 elements multiply, and in odd
-characteristic add and subtract, by one gather from a q x q table.  Nothing
-here is constant-time or suitable for production cryptography.
+characteristic add and subtract, by one gather from a q x q table; odd
+extension fields of that size also sum by a tree of add-table gathers.
+Nothing here is constant-time or suitable for production cryptography.
 """
 
 from __future__ import annotations
@@ -303,6 +304,18 @@ class GF:
             return np.bitwise_xor.reduce(arr, axis=axis)
         if self.m == 1:
             return arr.sum(axis=axis) % self.p
+        if self._add_table is not None:
+            # Pairwise halving: one table gather per level.
+            arr = np.moveaxis(arr, axis, 0)
+            if not len(arr):
+                return np.zeros(arr.shape[1:], dtype=np.int64)
+            while len(arr) > 1:
+                h = len(arr) // 2
+                head = self._add_table[arr[:h], arr[h : 2 * h]]
+                if len(arr) % 2:
+                    head[0] = self._add_table[head[0], arr[-1]]
+                arr = head
+            return arr[0].copy()
         out = 0
         scale = 1
         for i in range(self.m):

@@ -71,34 +71,42 @@ def batched_rank(f: GF, mats: np.ndarray) -> np.ndarray:
     All matrices share one column schedule; each keeps its own pivot-row
     counter.  One pass over the columns with whole-batch vector operations is
     far cheaper than per-matrix elimination when thousands of small rank
-    tests are needed (the attack's sampling loops).
+    tests are needed (the attack's rank test).  Only the live block is
+    touched: rows from the lowest counter down, columns right of the current
+    one.  A pivot row is lifted out rather than swapped up, since rows above
+    a counter are never read again, and its inverse goes into the row
+    factors rather than into the row.
     """
     m = np.array(mats, dtype=np.int64)
     if m.ndim != 3:
         raise DimensionMismatch(f"expected a stack of matrices, got shape {m.shape}")
     nmat, nrows, ncols = m.shape
     rowptr = np.zeros(nmat, dtype=np.int64)
+    if not nmat:
+        return rowptr
     rowidx = np.arange(nrows)
     for c in range(ncols):
-        col = m[:, :, c]
-        eligible = (rowidx[None, :] >= rowptr[:, None]) & (col != 0)
-        has = eligible.any(axis=1)
-        if not has.any():
-            continue
-        b = np.nonzero(has)[0]
-        rp = rowptr[b]
-        pr = np.argmax(eligible[b], axis=1)
-        swap = m[b, rp, :].copy()
-        m[b, rp, :] = m[b, pr, :]
-        m[b, pr, :] = swap
-        piv_row = f.mul(m[b, rp, :], f.inv0(m[b, rp, c])[:, None])
-        m[b, rp, :] = piv_row
-        colb = m[b, :, c]
-        fac = np.where(rowidx[None, :] > rp[:, None], colb, 0)
-        m[b] = f.sub(m[b], f.mul(fac[:, :, None], piv_row[:, None, :]))
-        rowptr[b] += 1
-        if (rowptr == nrows).all():
+        lo = int(rowptr.min())
+        if lo == nrows:
             break
+        col = m[:, lo:, c]
+        eligible = (rowidx[None, lo:] >= rowptr[:, None]) & (col != 0)
+        b = np.nonzero(eligible.any(axis=1))[0]
+        if not b.size:
+            continue
+        rp = rowptr[b]
+        pr = lo + np.argmax(eligible[b], axis=1)
+        piv_inv = f.inv0(m[b, pr, c])
+        piv_row = m[b, pr, c + 1 :]
+        # The row at the counter (zero in column c unless it is the pivot
+        # row itself) takes the pivot row's slot; rows up to the counter are
+        # then dead, so their factors need not be masked.
+        m[b, pr, c:] = m[b, rp, c:]
+        fac = f.mul(m[b, lo:, c], piv_inv[:, None])
+        m[b, lo:, c + 1 :] = f.sub(
+            m[b, lo:, c + 1 :], f.mul(fac[:, :, None], piv_row[:, None, :])
+        )
+        rowptr[b] += 1
     return rowptr
 
 

@@ -12,7 +12,7 @@ from grs_squarebreak.attack import (
     NotApplicable,
     TrialBudgetExceeded,
 )
-from grs_squarebreak.codes import code_from_generator
+from grs_squarebreak.codes import code_from_generator, star_rows
 from grs_squarebreak.gf import GF
 from grs_squarebreak.scheme import DecryptionFailure
 
@@ -124,6 +124,88 @@ class TestRankTestBounds:
             space_code_rank = la.rank(f, space)
             rows = f.mul(zs[:, None, :], pub.gen[None, :, :]).reshape(-1, 15)
             assert la.rank(f, np.vstack([space, rows])) == space_code_rank
+
+
+# (field, n, k, keygen seed, attacked side): the code each point's rank test
+# runs on, the public code or (for the rate-9/15 key) its dual.
+RANK_POINTS = [
+    ((2, 4, 19), 15, 6, 42, "primal"),
+    ((2, 4, 19), 15, 9, 5, "dual"),
+    ((5, 2, 32), 16, 6, 5, "primal"),
+    ((17,), 16, 6, 3, "primal"),
+    ((2, 5, 37), 31, 9, 2, "primal"),
+]
+
+
+@pytest.fixture(
+    scope="module",
+    params=RANK_POINTS,
+    ids=["GF16-15-6", "GF16-15-9-dual", "GF25-16-6", "GF17-16-6", "GF32-31-9"],
+)
+def rank_point(request):
+    field, n, k, seed, side = request.param
+    f = GF(*field)
+    pk, sk = scheme.keygen(f, n, k, np.random.default_rng(seed))
+    target = code_from_generator(f, pk.g_pub)
+    hidden = scheme.masked_params(sk)
+    if side == "dual":
+        target, hidden = target.dual(), grs.dual_params(hidden)
+    sub = code_from_generator(f, la.intersect_rowspaces(f, target.gen, grs.code(hidden).gen))
+    assert sub.k == target.k - 1
+    return f, target, sub
+
+
+def triples(f, code, coeffs):
+    """Codewords coeffs (b, 3, k) times the code's RREF generator; on the
+    pivot columns they read back the coefficients."""
+    return f.sum(f.mul(coeffs[:, :, :, None], code.gen[None, None, :, :]), axis=2)
+
+
+class TestTripleRanks:
+    """``triple_ranks`` (Schur complement, with a full fallback) against the
+    rank of all the products z_i * g_j."""
+
+    @staticmethod
+    def full_ranks(f, code, zs):
+        return la.batched_rank(f, star_rows(f, zs, code.gen)).tolist()
+
+    @staticmethod
+    def schur_share(code, zs):
+        return (zs[:, :, list(code.pivots)] != 0).all(axis=2).any(axis=1).mean()
+
+    def test_random_triples_with_forced_fallbacks(self, rank_point):
+        f, pub, _sub = rank_point
+        rng = np.random.default_rng(0)
+        coeffs = rng.integers(0, f.q, (120, 3, pub.k))
+        # A pivot coordinate zero in all three members leaves no z_a.
+        coeffs[np.arange(0, 120, 3), :, rng.integers(0, pub.k, 40)] = 0
+        zs = triples(f, pub, coeffs)
+        assert 0 < self.schur_share(pub, zs) < 1
+        assert atk.triple_ranks(pub, zs).tolist() == self.full_ranks(f, pub, zs)
+
+    def test_subcode_triples(self, rank_point):
+        f, pub, sub = rank_point
+        rng = np.random.default_rng(1)
+        zs = triples(f, sub, rng.integers(0, f.q, (60, 3, sub.k)))
+        ranks = atk.triple_ranks(pub, zs).tolist()
+        assert ranks == self.full_ranks(f, pub, zs)
+        assert max(ranks) <= 2 * pub.k + 2
+
+    def test_all_schur_batch(self, rank_point):
+        f, pub, _sub = rank_point
+        rng = np.random.default_rng(2)
+        zs = triples(f, pub, rng.integers(1, f.q, (60, 3, pub.k)))
+        assert self.schur_share(pub, zs) == 1
+        assert atk.triple_ranks(pub, zs).tolist() == self.full_ranks(f, pub, zs)
+
+    def test_all_fallback_batch(self, rank_point):
+        f, pub, _sub = rank_point
+        rng = np.random.default_rng(3)
+        coeffs = rng.integers(0, f.q, (60, 3, pub.k))
+        coeffs[np.arange(60), :, rng.integers(0, pub.k, 60)] = 0
+        zs = triples(f, pub, coeffs)
+        assert self.schur_share(pub, zs) == 0
+        assert atk.triple_ranks(pub, zs).tolist() == self.full_ranks(f, pub, zs)
 
 
 class TestFindSharedSubcode:

@@ -111,6 +111,22 @@ class TestFileFormat:
         err = capsys.readouterr().err
         assert "error:" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("n,k", [(15, 0), (15, 15), (6, 9), (17, 6)],
+                             ids=["k=0", "k=n", "k>n", "n>q"])
+    def test_key_header_dimensions_bounded(self, tmp_path, capsys, rng, n, k):
+        """A key needs 1 <= k < n <= q; its sections match its header, so
+        only the header's dimensions are at fault."""
+        bad = tmp_path / "dims.key"
+        fileio.write_file(bad, GF(2, 4, 19), n, k, {"Gpub": rng.integers(0, 16, (k, n))})
+        loaders = (fileio.load_public_key, fileio.load_secret_key, fileio.load_recovered_key)
+        for load in loaders:
+            with pytest.raises(FileFormatError, match="need 1 <= k < n <= q"):
+                load(bad)
+        assert fileio.read_file(bad).sections["Gpub"].shape == (k, n)
+        assert main(["attack", "--pub", str(bad), "--out", str(tmp_path / "rk")]) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
+
     def test_tampered_secret_rejected(self, keydir):
         tmp_path, _, sec = keydir
         lines = sec.read_text().splitlines()

@@ -155,6 +155,48 @@ class TestAddSub:
         assert f.neg(a).tolist() == [schoolbook_add(0, x, 3, 7, -1) for x in a]
 
 
+def schoolbook_sum(arr: np.ndarray, axis: int, p: int, m: int) -> np.ndarray:
+    """Independent reference for a field sum along an axis: each base-p
+    digit summed mod p."""
+    moved = np.moveaxis(arr, axis, -1)
+    out = np.zeros(moved.shape[:-1], dtype=np.int64)
+    for idx in np.ndindex(out.shape):
+        vals = [int(v) for v in moved[idx]]
+        out[idx] = sum(sum(v // p**i % p for v in vals) % p * p**i for i in range(m))
+    return out
+
+
+SUM_FIELDS = [GF(3, 2, 10), GF(5, 2, 32), GF(3, 3, 34), GF(3, 7, 2198)]
+SUM_IDS = ["GF9", "GF25", "GF27", "GF3^7"]
+
+
+class TestSum:
+    @pytest.mark.parametrize("f", SUM_FIELDS, ids=SUM_IDS)
+    @pytest.mark.parametrize(
+        "shape", [(0,), (1,), (7,), (3, 5), (0, 4), (1, 6), (2, 3, 4), (4, 1, 5), (3, 0, 2)]
+    )
+    def test_every_axis_against_schoolbook(self, f, shape, rng):
+        arr = rng.integers(0, f.q, shape)
+        for axis in range(len(shape)):
+            got = f.sum(arr, axis=axis)
+            assert np.shape(got) == shape[:axis] + shape[axis + 1 :]
+            assert np.asarray(got).tolist() == schoolbook_sum(arr, axis, f.p, f.m).tolist()
+
+    @pytest.mark.parametrize("f", SUM_FIELDS, ids=SUM_IDS)
+    def test_length_one_axis_returns_a_copy(self, f):
+        arr = np.array([[1, 2, 3]])
+        f.sum(arr, axis=0)[0] = 0
+        assert arr.tolist() == [[1, 2, 3]]
+
+    @pytest.mark.parametrize("f", SUM_FIELDS, ids=SUM_IDS)
+    @pytest.mark.parametrize("length", [0, 1, 2, 5, 16])
+    def test_dot(self, f, length, rng):
+        u = rng.integers(0, f.q, length)
+        v = rng.integers(0, f.q, length)
+        want = schoolbook_sum(f.mul(u, v), 0, f.p, f.m)
+        assert f.dot(u, v) == int(want)
+
+
 class TestSqrt:
     def test_char2_sqrt_is_frobenius_inverse(self, gf16):
         a = gf16.elements()

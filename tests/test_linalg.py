@@ -73,6 +73,40 @@ class TestRankKernel:
             assert la.batched_rank(f, mats).tolist() == expected
 
 
+# GF(3^7) lies above the table bound, so it adds digit-wise.
+RANK_FIELDS = [GF(7), GF(2, 4, 19), GF(5, 2, 32), GF(3, 7, 2198)]
+RANK_IDS = ["GF7", "GF16", "GF25", "GF3^7"]
+
+
+class TestBatchedRank:
+    @pytest.mark.parametrize("f", RANK_FIELDS, ids=RANK_IDS)
+    @pytest.mark.parametrize(
+        "shape", [(6, 8), (9, 4), (5, 5), (1, 7), (7, 1)],
+        ids=["wide", "tall", "square", "row", "column"],
+    )
+    def test_planted_ranks(self, f, shape, rng):
+        """One stack mixes every rank from 0 to min(shape), so the row
+        counters of its matrices drift apart; some matrices also get a zero
+        column."""
+        rows, cols = shape
+        mats = []
+        for r in range(min(shape) + 1):
+            for _ in range(6):
+                left = la.random_matrix(f, rows, r, rng)
+                mats.append(la.matmul(f, left, la.random_matrix(f, r, cols, rng)))
+        mats = np.stack(mats)
+        mats[np.arange(0, len(mats), 4), :, rng.integers(0, cols, (len(mats) + 3) // 4)] = 0
+        mats = mats[rng.permutation(len(mats))]
+        expected = [la.rank(f, m) for m in mats]
+        assert set(expected) == set(range(min(shape) + 1))
+        assert la.batched_rank(f, mats).tolist() == expected
+
+    @pytest.mark.parametrize("f", RANK_FIELDS, ids=RANK_IDS)
+    def test_empty_stack(self, f):
+        ranks = la.batched_rank(f, np.zeros((0, 3, 4), dtype=np.int64))
+        assert ranks.shape == (0,)
+
+
 class TestSolve:
     def test_identity(self, gf7):
         g = np.eye(3, dtype=np.int64)
