@@ -1,7 +1,7 @@
 """Cryptanalysis toolkit: rank-one-masked McEliece over GRS codes and the
 square-code attack that breaks it."""
 
-from .gf import GF, FieldError, NoRoot, NonPrimeCharacteristic, ReducibleModulus
+from .gf import GF, FieldError, NonPrimeCharacteristic, ReducibleModulus
 from .codes import LinearCode, code_from_generator, distinguish
 from .grs import GrsParams
 from .scheme import PublicKey, SecretKey, keygen, encrypt, decrypt
@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 __all__ = [
     "GF",
     "FieldError",
-    "NoRoot",
     "NonPrimeCharacteristic",
     "ReducibleModulus",
     "LinearCode",

@@ -17,8 +17,11 @@ valid masking pair (a0, lam0) with
 
     phi(p) = p + <lam0, p> a0  mapping  C  onto  C_pub
 
-is constructed from intersections of the codes and their duals.  That pair
-is all it takes to decrypt arbitrary ciphertexts.
+is built without any sampling: phi must fix the shared subcode C & C_pub
+and send one codeword p1 of C outside C_pub to one codeword p2 of C_pub
+outside C, so lam0 is a vector orthogonal to the subcode and to p2 - p1 but
+not to p1, and a0 is (p2 - p1) / <lam0, p1>.  That pair is all it takes to
+decrypt arbitrary ciphertexts.
 
 Rates above 1/2 are handled by running the same machinery on the dual code
 (which carries the same structure with the roles of the two mask vectors
@@ -36,7 +39,6 @@ import numpy as np
 
 from . import grs, linalg
 from .codes import LinearCode, code_from_generator, star_rows
-from .gf import GF
 from .scheme import PublicKey, sweep_decrypt
 
 
@@ -53,7 +55,6 @@ class PreconditionViolated(RuntimeError):
 
 
 class Branch(enum.Enum):
-    AUTO = "auto"
     LOW_RATE = "low-rate"
     HIGH_RATE_DUAL = "high-rate-dual"
 
@@ -66,7 +67,6 @@ _MIN_DIM = 6
 class AttackConfig:
     max_outer_trials: int | None = None  # default: 100 * q^3
     seed: int | None = None
-    branch: Branch = Branch.AUTO
 
 
 @dataclass
@@ -191,7 +191,7 @@ def find_shared_subcode(
     no subcode for them, which counts a restart.
     """
     f, n, k = pub.field, pub.n, pub.k
-    if not (2 * k + 2 < n and k >= _MIN_DIM):
+    if applicable_branch(n, k) is not Branch.LOW_RATE:
         raise NotApplicable(f"rank test needs 2k+2 < n and k >= {_MIN_DIM} (k={k}, n={n})")
     if stats is None:
         stats = AttackStats()
@@ -250,65 +250,30 @@ def recover_secret_grs(shared: LinearCode, k: int) -> grs.GrsParams:
     return params
 
 
-def _sampler(f: GF, basis: np.ndarray, rng: np.random.Generator):
-    def draw() -> np.ndarray:
-        return linalg.vecmat(f, rng.integers(0, f.q, basis.shape[0], dtype=np.int64), basis)
+def recover_valid_pair(pub: LinearCode, c: LinearCode) -> tuple[np.ndarray, np.ndarray]:
+    """A masking pair (a0, lam0) carrying c onto pub, with <a0, lam0> = 0.
 
-    return draw
-
-
-def _pick(draw, tests, tries: int = 512) -> np.ndarray:
-    for _ in range(tries):
-        v = draw()
-        if all(t(v) for t in tests):
-            return v
-    raise PreconditionViolated("sampling a constrained vector failed")
-
-
-def recover_valid_pair(
-    pub: LinearCode, c: LinearCode, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """A masking pair (a0, lam0) carrying c onto pub.
-
-    Chooses r1 in pub^perp \\ c^perp, b0 in (pub & c)^perp \\ c^perp and a0 in
-    (pub^perp & c^perp)^perp \\ c with <a0, r1> != 0 and <a0, b0> = 0, then
-    scales: lam0 = gamma b0 with gamma = -<p1, r1> / (<b0, p1> <a0, r1>) for
-    any p1 in c \\ pub.  Each constraint excludes a proper subspace, so a few
-    random combinations suffice.  Raises PreconditionViolated when the
-    dimension facts fail, which means c is not the hidden code.
+    With p1 the first generator row of c outside pub, p2 the first of pub
+    outside c and d = p2 - p1, lam0 is the first kernel row of the shared
+    subcode and d with <lam0, p1> != 0, and a0 = d / <lam0, p1>.  The map
+    p -> p + <lam0, p> a0 then fixes pub & c and sends p1 to p2, so it
+    carries c = (pub & c) + <p1> onto pub = (pub & c) + <p2>.  Such a lam0
+    exists because p1 lies outside span(pub & c, d).  Raises
+    PreconditionViolated unless dim(pub & c) = k-1, which means c is not the
+    hidden code.
     """
-    f, n, k = pub.field, pub.n, pub.k
+    f, k = pub.field, pub.k
     if pub == c or c.k != k:
         raise PreconditionViolated("need c != pub of the same dimension")
     inter = linalg.intersect_rowspaces(f, pub.gen, c.gen)
     if inter.shape[0] != k - 1:
         raise PreconditionViolated(f"dim(pub & c) = {inter.shape[0]}, expected {k - 1}")
-    pub_perp = linalg.right_kernel(f, pub.gen)
-    c_perp = linalg.right_kernel(f, c.gen)
-    inter_perp = linalg.right_kernel(f, inter)
-    dual_inter = linalg.intersect_rowspaces(f, pub_perp, c_perp)
-    if dual_inter.shape[0] != n - k - 1:
-        raise PreconditionViolated("dual intersection has unexpected dimension")
-    both_perp = linalg.right_kernel(f, dual_inter)  # (pub^perp & c^perp)^perp
-
-    c_perp_r, c_perp_piv = linalg.rref(f, c_perp)
-    outside_c_perp = lambda v: linalg.reduce_row(f, c_perp_r, c_perp_piv, v).any()
-
-    r1 = _pick(_sampler(f, pub_perp, rng), [outside_c_perp])
-    b0 = _pick(_sampler(f, inter_perp, rng), [outside_c_perp])
-    # Restrict the a0 search space to the hyperplane orthogonal to b0.
-    weights = linalg.matvec(f, both_perp, b0)
-    coeff_space = linalg.right_kernel(f, weights[None, :])
-    a0_basis = linalg.matmul(f, coeff_space, both_perp)
-    a0 = _pick(
-        _sampler(f, a0_basis, rng),
-        [lambda v: not c.contains(v), lambda v: f.dot(v, r1) != 0],
-    )
-    p1 = _pick(_sampler(f, c.gen, rng), [lambda v: not pub.contains(v)])
-    gamma = f.neg(
-        f.div(f.dot(p1, r1), f.mul(f.dot(b0, p1), f.dot(a0, r1)))
-    )
-    return a0, f.mul(gamma, b0)
+    p1 = next(row for row in c.gen if not pub.contains(row))
+    p2 = next(row for row in pub.gen if not c.contains(row))
+    d = f.sub(p2, p1)
+    kernel = linalg.right_kernel(f, np.vstack([inter, d]))
+    lam0 = next(row for row in kernel if f.dot(row, p1) != 0)
+    return f.div(d, f.dot(lam0, p1)), lam0
 
 
 def pair_is_valid(pub: LinearCode, c: LinearCode, a0: np.ndarray, lam0: np.ndarray) -> bool:
@@ -343,21 +308,14 @@ def recover_key(
     if pub_code.k != k:
         raise PreconditionViolated("public generator is not full rank")
 
-    branch = cfg.branch
-    if branch == Branch.AUTO:
-        branch = applicable_branch(n, k)
-        if branch is None:
-            raise NotApplicable(
-                f"k={k} lies in the dead interval [{(n - 2) / 2:g}, {(n + 2) / 2:g}] for n={n}"
-            )
-    elif applicable_branch(n, k) != branch:
-        raise NotApplicable(f"branch {branch.value} does not apply to k={k}, n={n}")
+    branch = applicable_branch(n, k)
+    if branch is None:
+        raise NotApplicable(
+            f"k={k} lies in the dead interval [{(n - 2) / 2:g}, {(n + 2) / 2:g}] for n={n}"
+        )
 
     stats = AttackStats(branch=branch)
     start = time.perf_counter()
-    # The pair construction draws from its own stream, so the phase-1 draws
-    # of a restart do not depend on how many draws it took.
-    pair_rng = rng.spawn(1)[0]
 
     if branch == Branch.LOW_RATE:
         target = pub_code
@@ -395,7 +353,7 @@ def recover_key(
         params = params_target if branch == Branch.LOW_RATE else grs.dual_params(params_target)
         c_code = grs.code(params)
         try:
-            a0, lam0 = recover_valid_pair(pub_code, c_code, pair_rng)
+            a0, lam0 = recover_valid_pair(pub_code, c_code)
         except PreconditionViolated:
             stats.restarts += 1
             continue

@@ -91,6 +91,13 @@ def cmd_decrypt(args) -> int:
             return EXIT_USAGE
         pk = fileio.load_public_key(args.pub)
         rk = fileio.load_recovered_key(args.recovered)
+        if (rk.grs.field, rk.grs.n, rk.grs.k) != (pk.field, pk.n, pk.k):
+            print(
+                f"error: recovered key (n={rk.grs.n} k={rk.grs.k} over {rk.grs.field!r}) does not "
+                f"match the public key (n={pk.n} k={pk.k} over {pk.field!r})",
+                file=sys.stderr,
+            )
+            return EXIT_USAGE
         _, c = fileio.load_vector(args.ct, pk.n)
         msg = attack_mod.decrypt_with_pair(rk, pk, c)
         n, k, f = pk.n, pk.k, pk.field
@@ -125,9 +132,7 @@ def cmd_distinguish(args) -> int:
 
 def cmd_attack(args) -> int:
     pk = fileio.load_public_key(args.pub)
-    cfg = attack_mod.AttackConfig(
-        max_outer_trials=args.trials, seed=args.seed, branch=attack_mod.Branch(args.branch)
-    )
+    cfg = attack_mod.AttackConfig(max_outer_trials=args.trials, seed=args.seed)
     try:
         rk, st = attack_mod.recover_key(pk, cfg)
     except attack_mod.NotApplicable as e:
@@ -259,11 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="recovered key file")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=None, help="outer trial cap (default 100 q^3)")
-    p.add_argument(
-        "--branch",
-        choices=[b.value for b in attack_mod.Branch],
-        default="auto",
-    )
     p.add_argument("--verify-sec", help="secret key file to cross-check decryption")
     p.add_argument("--verify-count", type=int, default=20)
     p.set_defaults(func=cmd_attack)

@@ -125,8 +125,8 @@ def loads(text: str) -> ParsedFile:
         i += rows
         try:
             data = np.array(parsed, dtype=np.int64).reshape(rows, cols)
-        except OverflowError as e:
-            raise FileFormatError(f"section @{name} has an entry out of range") from e
+        except (OverflowError, ValueError) as e:  # an entry, or the shape of an empty section
+            raise FileFormatError(f"section @{name} has an entry or shape out of range") from e
         if name != "perm" and (np.any(data < 0) or np.any(data >= f.q)):
             raise FileFormatError(f"section @{name} has entries outside [0, {f.q})")
         sections[name] = data

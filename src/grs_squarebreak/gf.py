@@ -7,10 +7,10 @@ integer arrays and broadcast elementwise, which is what makes the linear
 algebra on top of this module fast enough for the attack loops.
 
 Fields are kept deliberately small (q <= 2^16): multiplication runs off
-log/antilog tables built from a primitive element, and square roots off a
-precomputed table.  Fields of at most 1024 elements multiply, and in odd
-characteristic add and subtract, by one gather from a q x q table; odd
-extension fields of that size also sum by a tree of add-table gathers.
+log/antilog tables built from a primitive element.  Fields of at most 1024
+elements multiply, and in odd characteristic add and subtract, by one gather
+from a q x q table; odd extension fields of that size also sum by a tree of
+add-table gathers.
 Nothing here is constant-time or suitable for production cryptography.
 """
 
@@ -33,10 +33,6 @@ class ReducibleModulus(FieldError):
 
 class DegreeMismatch(FieldError):
     pass
-
-
-class NoRoot(ArithmeticError):
-    """Raised when an odd-characteristic element has no square root."""
 
 
 _MAX_Q = 1 << 16
@@ -155,7 +151,7 @@ class GF:
             self._mod_digits = None
         else:
             mod_digits = _digits(modulus, p, m + 1)
-            if modulus >= p ** (m + 1) or mod_digits[m] != 1:
+            if not 0 <= modulus < p ** (m + 1) or mod_digits[m] != 1:
                 raise DegreeMismatch(
                     f"modulus {modulus} does not encode a monic degree-{m} polynomial"
                 )
@@ -204,11 +200,6 @@ class GF:
             if p != 2:
                 self._add_table = self.add(elems[:, None], elems[None, :])
                 self._sub_table = self.sub(elems[:, None], elems[None, :])
-        squares = self.mul(elems, elems)
-        sqrt = np.full(q, q, dtype=np.int64)
-        np.minimum.at(sqrt, squares, elems)
-        sqrt[sqrt == q] = -1
-        self._sqrt = sqrt
 
     def _find_primitive(self, mod: list[int]) -> int:
         p, m, q = self.p, self.m, self.q
@@ -286,15 +277,6 @@ class GF:
             return np.ones_like(a)
         r = self._exp[(self._log[a] * (e % (self.q - 1))) % (self.q - 1)]
         return np.where(a == 0, 0, r)
-
-    def sqrt(self, a):
-        """Square root; in characteristic 2 unique, in odd characteristic the
-        smaller of the two roots.  Raises NoRoot for non-residues."""
-        a = np.asarray(a)
-        r = self._sqrt[a]
-        if np.any(r < 0):
-            raise NoRoot(f"no square root in {self!r}")
-        return r
 
     # -- reductions -------------------------------------------------------
 

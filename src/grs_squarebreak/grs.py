@@ -235,18 +235,20 @@ def _grs_from_points(c: LinearCode, x: np.ndarray) -> GrsParams | None:
     return None
 
 
-def _recover_via_ratios(c: LinearCode, colperm: np.ndarray) -> GrsParams | None:
-    """Core point recovery for 2 <= k <= n-2 on a column-permuted copy.
+def _recover_via_ratios(c: LinearCode) -> GrsParams | None:
+    """Core point recovery for 2 <= k <= n-2.
 
-    In systematic form [I | A] w.r.t. an information set, every entry of A is
+    In systematic form [I | A] w.r.t. the pivot columns, every entry of A is
     nonzero for a genuine GRS code and row ratios A[0,j]/A[i,j] are Moebius
     images of the unknown points.  Pinning the first two information points
     to 0 and 1 and one redundancy point to a trial value v makes all other
     points solvable from cross-ratios; a bad v (one that pushes a point to
     infinity) shows up as a division by zero or a collision and is skipped.
+    For a GRS code with n <= q some v passes: the projective line has a
+    point off the support, and some v in 2..q-1 sends it to infinity.
     """
     f, n, k = c.field, c.n, c.k
-    r, piv = linalg.rref(f, c.gen[:, colperm])
+    r, piv = linalg.rref(f, c.gen)
     pivset = set(piv)
     rest = [j for j in range(n) if j not in pivset]
     a = r[:, rest]
@@ -261,23 +263,19 @@ def _recover_via_ratios(c: LinearCode, colperm: np.ndarray) -> GrsParams | None:
         if np.any(s == 1):
             continue
         xr = f.inv(f.sub(1, s))  # points of the redundancy columns; xr[0] == v
-        xcols = np.empty(n, dtype=np.int64)
-        xcols[piv[0]] = 0
-        xcols[piv[1]] = 1
-        xcols[rest] = xr
+        x = np.empty(n, dtype=np.int64)
+        x[piv[0]] = 0
+        x[piv[1]] = 1
+        x[rest] = xr
         if k >= 3:
-            if len(rest) < 2:
-                return None
             ratio = f.div(va[2:, 0], va[2:, 1])
             rho = f.mul(ratio, f.div(xr[0], xr[1]))
             if np.any(rho == 1):
                 continue
             xi = f.div(f.sub(f.mul(rho, xr[1]), xr[0]), f.sub(rho, 1))
-            xcols[np.asarray(piv[2:], dtype=np.int64)] = xi
-        if np.unique(xcols).size != n:
+            x[np.asarray(piv[2:], dtype=np.int64)] = xi
+        if np.unique(x).size != n:
             continue
-        x = np.empty(n, dtype=np.int64)
-        x[colperm] = xcols
         params = _grs_from_points(c, x)
         if params is not None:
             return params
@@ -309,10 +307,7 @@ def ss_recover(c: LinearCode) -> GrsParams:
         if code(params) == c:
             return params
         raise NotGrs("dual-route reconstruction failed verification")
-    retry = np.random.default_rng(0)  # deterministic fallback permutations
-    for attempt in range(6):
-        colperm = np.arange(n) if attempt == 0 else retry.permutation(n)
-        params = _recover_via_ratios(c, colperm)
-        if params is not None:
-            return params
-    raise NotGrs("cross-ratio reconstruction failed verification")
+    params = _recover_via_ratios(c)
+    if params is None:
+        raise NotGrs("cross-ratio reconstruction failed verification")
+    return params

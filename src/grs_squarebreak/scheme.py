@@ -123,9 +123,11 @@ def build_keypair(
     return pk, sk
 
 
-def keygen(
-    f: GF, n: int, k: int, rng: np.random.Generator, max_resample: int = 1000
-) -> tuple[PublicKey, SecretKey]:
+# Mask draws before keygen gives up on the parameters.
+_MAX_RESAMPLE = 1000
+
+
+def keygen(f: GF, n: int, k: int, rng: np.random.Generator) -> tuple[PublicKey, SecretKey]:
     """Generate an honest keypair.
 
     Draws x, y, S, Pi once, then resamples the rank-one mask (alpha, beta)
@@ -149,7 +151,7 @@ def keygen(
             if v.any():
                 return v
 
-    for _ in range(max_resample):
+    for _ in range(_MAX_RESAMPLE):
         alpha = nonzero_vec()
         beta = nonzero_vec()
         try:
@@ -162,7 +164,7 @@ def keygen(
         if pub_rref.shape == c_rref.shape and np.array_equal(pub_rref, c_rref):
             continue  # public code coincides with C
         return pk, sk
-    raise ResampleExhausted(f"no acceptable mask after {max_resample} samples")
+    raise ResampleExhausted(f"no acceptable mask after {_MAX_RESAMPLE} samples")
 
 
 def random_error(f: GF, n: int, weight: int, rng: np.random.Generator) -> np.ndarray:

@@ -219,6 +219,24 @@ class TestCliWorkflows:
                      "--ct", str(ct)]) == 2
         assert capsys.readouterr().err.count("decryption failed:") == 2
 
+    @pytest.mark.parametrize(
+        "field,n,k", [((2, 4, 19), 10, 6), ((2, 4, 19), 15, 5), ((17,), 15, 6)],
+        ids=["length", "dimension", "field"],
+    )
+    def test_recovered_key_must_match_public_key(self, keydir, capsys, field, n, k):
+        """A recovered key of another length, dimension or field than the
+        public key exits 1 with an error line, not a traceback."""
+        tmp_path, pub, _ = keydir
+        f = GF(*field)
+        zeros = np.zeros(n, dtype=np.int64)
+        rk = atk.RecoveredKey(grs.random_params(f, n, k, np.random.default_rng(3)), zeros, zeros, None)
+        fileio.save_recovered_key(tmp_path / "rk.txt", f, n, k, rk)
+        ct = tmp_path / "zero.ct"
+        fileio.save_vector(ct, GF(2, 4, 19), 15, 6, np.zeros(15, dtype=np.int64))
+        assert main(["decrypt", "--recovered", str(tmp_path / "rk.txt"), "--pub", str(pub),
+                     "--ct", str(ct)]) == 1
+        assert "error: recovered key" in capsys.readouterr().err
+
     def test_truncated_ciphertext_exit_1(self, keydir):
         tmp_path, _, sec = keydir
         bad = tmp_path / "bad.ct"

@@ -11,7 +11,6 @@ from grs_squarebreak.gf import (
     GF,
     DegreeMismatch,
     FieldError,
-    NoRoot,
     NonPrimeCharacteristic,
     ReducibleModulus,
 )
@@ -67,6 +66,11 @@ class TestConstruction:
     def test_non_monic_modulus(self):
         with pytest.raises(DegreeMismatch):
             GF(2, 4, 7)  # degree 2, not 4
+
+    def test_negative_modulus_rejected(self):
+        # -1 has base-2 digits 1, 1, 1 and would pass for X^2 + X + 1 (= 7)
+        with pytest.raises(DegreeMismatch):
+            GF(2, 2, -1)
 
     def test_equality_and_hash(self):
         assert GF(2, 4, 19) == GF(2, 4, 19)
@@ -195,28 +199,6 @@ class TestSum:
         v = rng.integers(0, f.q, length)
         want = schoolbook_sum(f.mul(u, v), 0, f.p, f.m)
         assert f.dot(u, v) == int(want)
-
-
-class TestSqrt:
-    def test_char2_sqrt_is_frobenius_inverse(self, gf16):
-        a = gf16.elements()
-        assert np.array_equal(gf16.sqrt(a), gf16.pow(a, 8))
-        assert gf16.sqrt(1) == 1
-
-    def test_gf7_squares(self, gf7):
-        # squares mod 7 are {0, 1, 2, 4}; 3 is chosen over 4 as the root of 2
-        assert gf7.sqrt(2) == 3
-        assert gf7.sqrt(4) == 2
-        for nonresidue in (3, 5, 6):
-            with pytest.raises(NoRoot):
-                gf7.sqrt(nonresidue)
-
-    def test_sqrt_of_square_squares_back(self, gf7, gf16):
-        for f in (gf7, gf16):
-            a = f.elements()
-            sq = f.mul(a, a)
-            r = f.sqrt(sq)
-            assert np.array_equal(f.mul(r, r), sq)
 
 
 FIELDS = [GF(2), GF(5), GF(7), GF(2, 4, 19), GF(3, 2, 10), GF(2, 5, 37)]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from grs_squarebreak import grs, linalg as la
-from grs_squarebreak.codes import code_from_generator, random_code
+from grs_squarebreak.codes import code_from_generator, random_code, star_rows
 from grs_squarebreak.grs import GrsParams, InvalidParams, NotGrs
 
 
@@ -185,10 +185,26 @@ class TestRecoverMultipliers:
         big = grs.code(GrsParams(gf16, p.x, y, 4))
         assert big.contains(p.y)
 
-    def test_char2_sqrt_shortcut_exact(self, gf16, rng):
-        y = rng.integers(1, 16, 15)
-        z = gf16.mul(y, y)
-        assert np.array_equal(gf16.sqrt(z), y)
+    @pytest.mark.parametrize("seed", range(4))
+    def test_local_search_when_no_basis_row_is_nonzero(self, gf16, seed):
+        """Over GF(16) at n=15, with a the one point off the support, the
+        subcode {y p(x) : p(a) = 0} of GRS_6(x, y) lies in GRS_6(x, y (x-a) / l(x))
+        for every l of degree <= 1: a 2-dimensional multiplier kernel whose
+        RREF basis rows both have a zero, so only the local search finds one
+        of the two l nonzero on x, a constant or x - a."""
+        f, n, k = gf16, 15, 6
+        p = grs.random_params(f, n, k, np.random.default_rng(seed))
+        a = int(np.setdiff1d(f.elements(), p.x)[0])
+        ya = f.mul(p.y, f.sub(p.x, a))
+        sub = grs.code(GrsParams(f, p.x, ya, k - 1))
+        checks = grs.generator_matrix(grs.dual_params(GrsParams(f, p.x, np.ones(n), k)))
+        kernel = la.right_kernel(f, star_rows(f, sub.gen, checks))
+        assert kernel.shape[0] == 2 and all((row == 0).any() for row in kernel)
+        y = grs.recover_multipliers(p.x, k, sub)
+        assert y is not None and y.all()
+        got = grs.code(GrsParams(f, p.x, y, k))
+        assert got in (grs.code(p), grs.code(GrsParams(f, p.x, ya, k)))
+        assert all(got.contains(row) for row in sub.gen)
 
     def test_codim1_subcode_recovers_code(self, gf16, rng):
         p = grs.random_params(gf16, 15, 6, rng)
