@@ -250,8 +250,11 @@ def recover_secret_grs(shared: LinearCode, k: int) -> grs.GrsParams:
     return params
 
 
-def recover_valid_pair(pub: LinearCode, c: LinearCode) -> tuple[np.ndarray, np.ndarray]:
-    """A masking pair (a0, lam0) carrying c onto pub, with <a0, lam0> = 0.
+def recover_valid_pair(
+    pub: LinearCode, c: LinearCode
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A masking pair (a0, lam0) carrying c onto pub, with <a0, lam0> = 0,
+    and a generator matrix of the shared subcode pub & c.
 
     With p1 the first generator row of c outside pub, p2 the first of pub
     outside c and d = p2 - p1, lam0 is the first kernel row of the shared
@@ -273,7 +276,7 @@ def recover_valid_pair(pub: LinearCode, c: LinearCode) -> tuple[np.ndarray, np.n
     d = f.sub(p2, p1)
     kernel = linalg.right_kernel(f, np.vstack([inter, d]))
     lam0 = next(row for row in kernel if f.dot(row, p1) != 0)
-    return f.div(d, f.dot(lam0, p1)), lam0
+    return f.div(d, f.dot(lam0, p1)), lam0, inter
 
 
 def pair_is_valid(pub: LinearCode, c: LinearCode, a0: np.ndarray, lam0: np.ndarray) -> bool:
@@ -353,18 +356,15 @@ def recover_key(
         params = params_target if branch == Branch.LOW_RATE else grs.dual_params(params_target)
         c_code = grs.code(params)
         try:
-            a0, lam0 = recover_valid_pair(pub_code, c_code)
+            a0, lam0, inter = recover_valid_pair(pub_code, c_code)
         except PreconditionViolated:
             stats.restarts += 1
             continue
         if not pair_is_valid(pub_code, c_code, a0, lam0):
             stats.restarts += 1
             continue
-        shared_primal = code_from_generator(
-            f, linalg.intersect_rowspaces(f, pub_code.gen, c_code.gen)
-        )
         stats.wall_time = time.perf_counter() - start
-        return RecoveredKey(params, a0, lam0, shared_primal), stats
+        return RecoveredKey(params, a0, lam0, code_from_generator(f, inter)), stats
 
 
 def decrypt_with_pair(rk: RecoveredKey, pub: PublicKey, z: np.ndarray) -> np.ndarray:

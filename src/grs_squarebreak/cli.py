@@ -45,6 +45,19 @@ def _add_field_args(p: argparse.ArgumentParser) -> None:
     )
 
 
+def _at_least(low: int):
+    """An argparse type: an integer of at least low."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
 def _field(args) -> GF:
     return GF(args.p, args.m, args.poly)
 
@@ -74,7 +87,7 @@ def cmd_keygen(args) -> int:
 
 def cmd_encrypt(args) -> int:
     pk = fileio.load_public_key(args.key)
-    _, msg = fileio.load_vector(args.msg, pk.k)
+    _, msg = fileio.load_vector(args.msg, pk.k, pk.field)
     rng = np.random.default_rng(args.seed)
     c = scheme.encrypt(pk, msg, rng)
     if args.out:
@@ -98,7 +111,7 @@ def cmd_decrypt(args) -> int:
                 file=sys.stderr,
             )
             return EXIT_USAGE
-        _, c = fileio.load_vector(args.ct, pk.n)
+        _, c = fileio.load_vector(args.ct, pk.n, pk.field)
         msg = attack_mod.decrypt_with_pair(rk, pk, c)
         n, k, f = pk.n, pk.k, pk.field
     else:
@@ -106,7 +119,7 @@ def cmd_decrypt(args) -> int:
             print("decrypt: need --key (or --recovered with --pub)", file=sys.stderr)
             return EXIT_USAGE
         _, sk = fileio.load_secret_key(args.key)
-        _, c = fileio.load_vector(args.ct, sk.n)
+        _, c = fileio.load_vector(args.ct, sk.n, sk.field)
         msg = scheme.decrypt(sk, c)
         n, k, f = sk.n, sk.k, sk.field
     if args.out:
@@ -235,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_field_args(p)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_at_least(0), default=0)
     p.add_argument("--out-pub", required=True)
     p.add_argument("--out-sec", required=True)
     p.set_defaults(func=cmd_keygen)
@@ -244,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--key", required=True, help="public key file")
     p.add_argument("--msg", required=True, help="message file (@vec 1 k)")
     p.add_argument("--out", help="ciphertext file (stdout when omitted)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_at_least(0), default=0)
     p.set_defaults(func=cmd_encrypt)
 
     p = sub.add_parser("decrypt", help="decrypt a ciphertext file")
@@ -262,19 +275,21 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("attack", help="recover a key from a public key file")
     p.add_argument("--pub", required=True)
     p.add_argument("--out", required=True, help="recovered key file")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=None, help="outer trial cap (default 100 q^3)")
+    p.add_argument("--seed", type=_at_least(0), default=0)
+    p.add_argument(
+        "--trials", type=_at_least(1), default=None, help="outer trial cap (default 100 q^3)"
+    )
     p.add_argument("--verify-sec", help="secret key file to cross-check decryption")
-    p.add_argument("--verify-count", type=int, default=20)
+    p.add_argument("--verify-count", type=_at_least(0), default=20)
     p.set_defaults(func=cmd_attack)
 
     p = sub.add_parser("bench", help="seeded attack replicas over a parameter grid")
     _add_field_args(p)
     p.add_argument("--n", type=_int_list, required=True, help="comma-separated lengths")
     p.add_argument("--k", type=_int_list, required=True, help="comma-separated dimensions")
-    p.add_argument("--reps", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=None)
+    p.add_argument("--reps", type=_at_least(0), default=10)
+    p.add_argument("--seed", type=_at_least(0), default=0)
+    p.add_argument("--trials", type=_at_least(1), default=None)
     p.add_argument("--csv", help="write the machine-readable table here instead of stdout")
     p.set_defaults(func=cmd_bench)
 

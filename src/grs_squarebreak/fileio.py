@@ -208,13 +208,17 @@ def save_vector(path, f: GF, n: int, k: int, v: np.ndarray) -> None:
     write_file(path, f, n, k, {"vec": np.asarray(v, dtype=np.int64).reshape(1, -1)})
 
 
-def load_vector(path, length: int | None = None) -> tuple[ParsedFile, np.ndarray]:
+def load_vector(
+    path, length: int | None = None, field: GF | None = None
+) -> tuple[ParsedFile, np.ndarray]:
     pf = read_file(path)
     if "vec" not in pf.sections:
         raise FileFormatError("missing section @vec")
     v = pf.sections["vec"]
     if v.shape[0] != 1 or (length is not None and v.shape[1] != length):
         raise FileFormatError(f"@vec has shape {v.shape}, expected (1, {length})")
+    if field is not None and pf.field != field:
+        raise FileFormatError(f"@vec is over {pf.field!r}, expected {field!r}")
     return pf, v[0]
 
 

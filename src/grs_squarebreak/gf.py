@@ -7,10 +7,14 @@ integer arrays and broadcast elementwise, which is what makes the linear
 algebra on top of this module fast enough for the attack loops.
 
 Fields are kept deliberately small (q <= 2^16): multiplication runs off
-log/antilog tables built from a primitive element.  Fields of at most 1024
-elements multiply, and in odd characteristic add and subtract, by one gather
-from a q x q table; odd extension fields of that size also sum by a tree of
-add-table gathers.
+log/antilog tables built from a primitive element.  The tables are built on
+base-p digit rows, where multiplication by a field element is an m x m
+matrix over GF(p): the antilog table of a candidate g doubles in length by
+one product with the matrix of g^L, which is then squared.  The modulus is
+checked by dividing it by every monic polynomial of degree at most m/2 at
+once.  Fields of at most 1024 elements multiply, and in odd characteristic
+add and subtract, by one gather from a q x q table; odd extension fields
+sum by a tree of pairwise adds.
 Nothing here is constant-time or suitable for production cryptography.
 """
 
@@ -50,79 +54,6 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _digits(v: int, p: int, width: int) -> list[int]:
-    out = []
-    for _ in range(width):
-        out.append(v % p)
-        v //= p
-    return out
-
-
-def _undigits(ds: list[int], p: int) -> int:
-    v = 0
-    for d in reversed(ds):
-        v = v * p + d
-    return v
-
-
-def _poly_deg(ds: list[int]) -> int:
-    for i in range(len(ds) - 1, -1, -1):
-        if ds[i]:
-            return i
-    return -1
-
-
-def _poly_mod(a: list[int], b: list[int], p: int) -> list[int]:
-    """Remainder of a by b over GF(p), coefficient lists little-endian."""
-    a = list(a)
-    db = _poly_deg(b)
-    lead_inv = pow(b[db], p - 2, p)
-    for i in range(_poly_deg(a), db - 1, -1):
-        if a[i] == 0:
-            continue
-        c = (a[i] * lead_inv) % p
-        for j in range(db + 1):
-            a[i - db + j] = (a[i - db + j] - c * b[j]) % p
-    return a[:db] if db > 0 else [0]
-
-
-def _raw_mul(a: int, b: int, p: int, m: int, mod_digits: list[int]) -> int:
-    """Product of two field elements without tables (used to build them)."""
-    da = _digits(a, p, m)
-    db = _digits(b, p, m)
-    conv = [0] * (2 * m - 1)
-    for i, ai in enumerate(da):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(db):
-            conv[i + j] = (conv[i + j] + ai * bj) % p
-    return _undigits(_poly_mod(conv, mod_digits, p), p)
-
-
-def _raw_pow(a: int, e: int, p: int, m: int, mod_digits: list[int]) -> int:
-    r = 1
-    while e:
-        if e & 1:
-            r = _raw_mul(r, a, p, m, mod_digits)
-        a = _raw_mul(a, a, p, m, mod_digits)
-        e >>= 1
-    return r
-
-
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 class GF:
     """The finite field GF(p^m) defined by a monic irreducible modulus.
 
@@ -146,50 +77,61 @@ class GF:
         self.p = p
         self.m = m
         self.q = q
-        if m == 1:
-            self.modulus = 0
-            self._mod_digits = None
-        else:
-            mod_digits = _digits(modulus, p, m + 1)
-            if not 0 <= modulus < p ** (m + 1) or mod_digits[m] != 1:
-                raise DegreeMismatch(
-                    f"modulus {modulus} does not encode a monic degree-{m} polynomial"
-                )
-            self._check_irreducible(mod_digits)
-            self.modulus = modulus
-            self._mod_digits = mod_digits
-        self._build_tables()
+        self.modulus = modulus if m > 1 else 0
+        if m > 1 and not p**m <= modulus < 2 * p**m:
+            raise DegreeMismatch(
+                f"modulus {modulus} does not encode a monic degree-{m} polynomial"
+            )
+        # The digits of the modulus below X^m (m == 1 works mod X: low = 0).
+        low = self.modulus // p ** np.arange(m) % p
+        if m > 1:
+            self._check_irreducible(np.append(low, 1))
+        self._build_tables(low)
 
-    def _check_irreducible(self, mod_digits: list[int]) -> None:
-        # Trial division by every monic polynomial of degree <= m/2 suffices:
-        # a reducible polynomial has a factor of at most half its degree.
+    def _check_irreducible(self, mod: np.ndarray) -> None:
+        # A reducible polynomial has a factor of at most half its degree, so
+        # divide by every monic polynomial of each degree d <= m/2 at once:
+        # one row of digits, little-endian, per divisor.
         p, m = self.p, self.m
         for d in range(1, m // 2 + 1):
-            for low in range(p**d):
-                divisor = _digits(low, p, d) + [1]
-                if _poly_deg(_poly_mod(mod_digits, divisor, p)) < 0:
-                    raise ReducibleModulus(
-                        f"modulus is divisible by {_undigits(divisor, p)}"
-                    )
+            div = np.arange(p**d, 2 * p**d)[:, None] // p ** np.arange(d + 1) % p
+            rem = np.repeat(mod[None], p**d, axis=0)
+            for i in range(m, d - 1, -1):
+                rem[:, i - d : i + 1] = (rem[:, i - d : i + 1] - rem[:, i, None] * div) % p
+            hit = ~rem.any(axis=1)
+            if hit.any():
+                raise ReducibleModulus(f"modulus is divisible by {p**d + hit.argmax()}")
 
-    def _build_tables(self) -> None:
+    def _build_tables(self, low: np.ndarray) -> None:
         p, m, q = self.p, self.m, self.q
-        mod = self._mod_digits if m > 1 else [0, 1]
-        exp = np.zeros(max(q - 1, 1), dtype=np.int64)
-        log = np.zeros(q, dtype=np.int64)
-        if q == 2:
-            exp[0] = 1
+        pw = p ** np.arange(m)
+        # Multiplication as m x m matrices on digit rows.  Times X shifts the
+        # digits up and folds the top one through X^m = -low; row i of times g
+        # holds the digits of X^i g.
+        times_x = np.vstack([np.eye(m, dtype=np.int64)[1:], -low % p])
+        # The generator is the smallest g >= 2 (1 in GF(2)) whose first q-1
+        # powers hit 1 only once; when m > 1, the g < p lie in GF(p)*, whose
+        # order p-1 is smaller, so the scan starts at p.
+        for g in range(p if m > 1 else min(2, q - 1), q):
+            step = [g // pw % p]
+            for _ in range(1, m):
+                step.append(step[-1] @ times_x % p)
+            step = np.array(step)
+            powers = np.eye(1, m, dtype=np.int64)  # the digits of g^0
+            while len(powers) < q - 1:  # g^0..g^(L-1), then g^0..g^(2L-1)
+                powers = np.concatenate([powers, powers @ step % p])
+                step = step @ step % p
+            exp = powers[: q - 1] @ pw
+            if np.count_nonzero(exp == 1) == 1:
+                break
         else:
-            g = self._find_primitive(mod)
-            v = 1
-            for i in range(q - 1):
-                exp[i] = v
-                log[v] = i
-                v = _raw_mul(v, g, p, m, mod) if m > 1 else (v * g) % p
+            raise FieldError("no primitive element found")  # pragma: no cover
+        log = np.zeros(q, dtype=np.int64)
+        log[exp] = np.arange(q - 1)
         self._exp = exp
         self._log = log
         inv = np.zeros(q, dtype=np.int64)
-        inv[exp] = exp[(-(log[exp])) % (q - 1)] if q > 2 else 1
+        inv[exp] = exp[-log[exp] % (q - 1)]
         self._inv = inv
         elems = np.arange(q, dtype=np.int64)
         # One-gather arithmetic for small fields (xor needs no table): the
@@ -200,14 +142,6 @@ class GF:
             if p != 2:
                 self._add_table = self.add(elems[:, None], elems[None, :])
                 self._sub_table = self.sub(elems[:, None], elems[None, :])
-
-    def _find_primitive(self, mod: list[int]) -> int:
-        p, m, q = self.p, self.m, self.q
-        checks = [(q - 1) // r for r in _prime_factors(q - 1)]
-        for g in range(2, q):
-            if all(_raw_pow(g, e, p, m, mod) != 1 for e in checks):
-                return g
-        raise FieldError("no primitive element found")  # pragma: no cover
 
     # -- elementwise arithmetic ------------------------------------------
 
@@ -286,24 +220,17 @@ class GF:
             return np.bitwise_xor.reduce(arr, axis=axis)
         if self.m == 1:
             return arr.sum(axis=axis) % self.p
-        if self._add_table is not None:
-            # Pairwise halving: one table gather per level.
-            arr = np.moveaxis(arr, axis, 0)
-            if not len(arr):
-                return np.zeros(arr.shape[1:], dtype=np.int64)
-            while len(arr) > 1:
-                h = len(arr) // 2
-                head = self._add_table[arr[:h], arr[h : 2 * h]]
-                if len(arr) % 2:
-                    head[0] = self._add_table[head[0], arr[-1]]
-                arr = head
-            return arr[0].copy()
-        out = 0
-        scale = 1
-        for i in range(self.m):
-            out = out + ((arr // scale) % self.p).sum(axis=axis) % self.p * scale
-            scale *= self.p
-        return out
+        # Pairwise halving: one add per level.
+        arr = np.moveaxis(arr, axis, 0)
+        if not len(arr):
+            return np.zeros(arr.shape[1:], dtype=np.int64)
+        while len(arr) > 1:
+            h = len(arr) // 2
+            head = self.add(arr[:h], arr[h : 2 * h])
+            if len(arr) % 2:
+                head[0] = self.add(head[0], arr[-1])
+            arr = head
+        return arr[0].copy()
 
     def dot(self, u, v) -> int:
         """Standard inner product of two vectors."""

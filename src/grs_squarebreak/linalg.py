@@ -118,12 +118,10 @@ def right_kernel(f: GF, a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=np.int64)
     ncols = a.shape[1] if a.ndim == 2 else a.shape[0]
     r, pivots = rref(f, a.reshape(-1, ncols))
-    free = [c for c in range(ncols) if c not in set(pivots)]
+    free = [c for c in range(ncols) if c not in pivots]
     k = np.zeros((len(free), ncols), dtype=np.int64)
-    for row, fc in enumerate(free):
-        k[row, fc] = 1
-        for i, pc in enumerate(pivots):
-            k[row, pc] = f.neg(r[i, fc])
+    k[range(len(free)), free] = 1
+    k[:, pivots] = f.neg(r[:, free].T)
     return k
 
 

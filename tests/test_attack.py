@@ -307,9 +307,11 @@ class TestRecoverValidPair:
         pk, sk = low_rate_key
         pub = code_from_generator(f, pk.g_pub)
         c_code = grs.code(scheme.masked_params(sk))
-        a0, lam0 = atk.recover_valid_pair(pub, c_code)
+        a0, lam0, inter = atk.recover_valid_pair(pub, c_code)
         assert f.dot(a0, lam0) == 0  # orthogonal by construction, != -1
         assert atk.pair_is_valid(pub, c_code, a0, lam0)
+        assert la.rank(f, inter) == pk.k - 1
+        assert all(pub.contains(row) and c_code.contains(row) for row in inter)
 
     def test_skips_kernel_rows_orthogonal_to_p1(self, gf7):
         """With c = <e0, e3 + e4> and pub = <e0, e1>, p1 = e3 + e4 and
@@ -322,7 +324,7 @@ class TestRecoverValidPair:
         pub = code_from_generator(f, e[:2])
         kernel = la.right_kernel(f, np.stack([e[0], f.sub(e[1], p1)]))
         assert f.dot(kernel[0], p1) == 0
-        a0, lam0 = atk.recover_valid_pair(pub, c)
+        a0, lam0, _ = atk.recover_valid_pair(pub, c)
         assert f.dot(a0, lam0) == 0
         assert atk.pair_is_valid(pub, c, a0, lam0)
 

@@ -237,6 +237,48 @@ class TestCliWorkflows:
                      "--ct", str(ct)]) == 1
         assert "error: recovered key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["encrypt", "decrypt"])
+    def test_vector_over_another_field_exit_1(self, keydir, capsys, command):
+        """A message or ciphertext file over GF(256) is refused against a
+        GF(16) key, although its entry 200 is a valid element of its field."""
+        tmp_path, pub, sec = keydir
+        length = 6 if command == "encrypt" else 15
+        vec = tmp_path / "vec.txt"
+        v = np.zeros(length, dtype=np.int64)
+        v[0] = 200
+        fileio.save_vector(vec, GF(2, 8, 285), 15, 6, v)
+        if command == "encrypt":
+            argv = ["encrypt", "--key", str(pub), "--msg", str(vec)]
+        else:
+            argv = ["decrypt", "--key", str(sec), "--ct", str(vec)]
+        assert main(argv) == 1
+        assert "error: @vec is over GF(256, poly=285), expected GF(16, poly=19)" in (
+            capsys.readouterr().err
+        )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["keygen", *FIELD_ARGS, "--n", "15", "--k", "6", "--out-pub", "p", "--out-sec", "s",
+             "--seed", "-1"],
+            ["encrypt", "--key", "k", "--msg", "m", "--seed", "-1"],
+            ["attack", "--pub", "p", "--out", "o", "--seed", "-1"],
+            ["attack", "--pub", "p", "--out", "o", "--verify-count", "-1"],
+            ["attack", "--pub", "p", "--out", "o", "--trials", "-5"],
+            ["attack", "--pub", "p", "--out", "o", "--trials", "0"],
+            ["bench", *FIELD_ARGS, "--n", "15", "--k", "6", "--seed", "-1"],
+            ["bench", *FIELD_ARGS, "--n", "15", "--k", "6", "--reps", "-1"],
+            ["bench", *FIELD_ARGS, "--n", "15", "--k", "6", "--trials", "0"],
+        ],
+        ids=["keygen-seed", "encrypt-seed", "attack-seed", "attack-verify-count",
+             "attack-trials", "attack-trials-zero", "bench-seed", "bench-reps", "bench-trials"],
+    )
+    def test_out_of_range_count_is_usage_error(self, argv, capsys):
+        """Seeds and counts below their range are refused by the parser with
+        exit 1, before any file is read or any work is done."""
+        assert main(argv) == 1
+        assert "must be at least" in capsys.readouterr().err
+
     def test_truncated_ciphertext_exit_1(self, keydir):
         tmp_path, _, sec = keydir
         bad = tmp_path / "bad.ct"

@@ -63,6 +63,24 @@ class TestConstruction:
             GF(p, m)
         assert time.perf_counter() - start < 1.0
 
+    @pytest.mark.parametrize(
+        "p, m, modulus, factor",
+        [(2, 4, 21, 7), (3, 4, 113, 10)],
+        ids=["(X^2+X+1)^2", "(X^2+1)(X^2+X+2)"],
+    )
+    def test_factor_of_half_degree_rejected(self, p, m, modulus, factor):
+        """The smallest factor has degree m/2, the last degree trial division
+        tries; the message names the smallest monic factor."""
+        with pytest.raises(ReducibleModulus, match=f"divisible by {factor}$"):
+            GF(p, m, modulus)
+
+    def test_largest_field_builds_fast(self):
+        """A key-file header may ask for GF(2^16), so building it must not
+        cost seconds."""
+        start = time.perf_counter()
+        GF(2, 16, 69643)
+        assert time.perf_counter() - start < 1.0
+
     def test_non_monic_modulus(self):
         with pytest.raises(DegreeMismatch):
             GF(2, 4, 7)  # degree 2, not 4
@@ -88,6 +106,22 @@ class TestArithmetic:
         for a in range(16):
             for b in range(16):
                 assert gf16.mul(a, b) == slow_poly_mul_mod(a, b, 2, 4, 19)
+
+    @pytest.mark.parametrize(
+        "p, m, modulus", [(2, 11, 2053), (3, 7, 2198), (2, 16, 69643)],
+        ids=["GF2^11", "GF3^7", "GF2^16"],
+    )
+    def test_large_field_against_slow_oracle(self, p, m, modulus, rng):
+        """Fields above the 1024-element table bound multiply through
+        log/antilog tables; their antilog table lists every nonzero element
+        once."""
+        f = GF(p, m, modulus)
+        assert sorted(f._exp.tolist()) == list(range(1, f.q))
+        a = rng.integers(0, f.q, 300)
+        b = rng.integers(0, f.q, 300)
+        assert f.mul(a, b).tolist() == [
+            slow_poly_mul_mod(int(x), int(y), p, m, modulus) for x, y in zip(a, b)
+        ]
 
     def test_gf16_known_product(self, gf16):
         # X * (X^3 + 1) = X^4 + X = 1 mod X^4 + X + 1
