@@ -74,6 +74,15 @@ def _diagnose(n: int, k: int) -> str:
     )
 
 
+def _match_public_key(name: str, key, pk: scheme.PublicKey) -> None:
+    """Refuse a key over another field, length or dimension than pk."""
+    if (key.field, key.n, key.k) != (pk.field, pk.n, pk.k):
+        raise FileFormatError(
+            f"{name} (n={key.n} k={key.k} over {key.field!r}) does not match "
+            f"the public key (n={pk.n} k={pk.k} over {pk.field!r})"
+        )
+
+
 def cmd_keygen(args) -> int:
     f = _field(args)
     rng = np.random.default_rng(args.seed)
@@ -104,13 +113,7 @@ def cmd_decrypt(args) -> int:
             return EXIT_USAGE
         pk = fileio.load_public_key(args.pub)
         rk = fileio.load_recovered_key(args.recovered)
-        if (rk.grs.field, rk.grs.n, rk.grs.k) != (pk.field, pk.n, pk.k):
-            print(
-                f"error: recovered key (n={rk.grs.n} k={rk.grs.k} over {rk.grs.field!r}) does not "
-                f"match the public key (n={pk.n} k={pk.k} over {pk.field!r})",
-                file=sys.stderr,
-            )
-            return EXIT_USAGE
+        _match_public_key("recovered key", rk.grs, pk)
         _, c = fileio.load_vector(args.ct, pk.n, pk.field)
         msg = attack_mod.decrypt_with_pair(rk, pk, c)
         n, k, f = pk.n, pk.k, pk.field
@@ -145,6 +148,9 @@ def cmd_distinguish(args) -> int:
 
 def cmd_attack(args) -> int:
     pk = fileio.load_public_key(args.pub)
+    if args.verify_sec:
+        _, sk = fileio.load_secret_key(args.verify_sec)
+        _match_public_key("secret key", sk, pk)
     cfg = attack_mod.AttackConfig(max_outer_trials=args.trials, seed=args.seed)
     try:
         rk, st = attack_mod.recover_key(pk, cfg)
@@ -162,7 +168,6 @@ def cmd_attack(args) -> int:
         f"wall time: {st.wall_time:.2f}s"
     )
     if args.verify_sec:
-        _, sk = fileio.load_secret_key(args.verify_sec)
         rng = np.random.default_rng(args.seed)
         good = tied = 0
         for _ in range(args.verify_count):

@@ -14,14 +14,15 @@ and diff-able and round-trips bit-exactly.
 from __future__ import annotations
 
 import io
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import scheme
+from . import linalg, scheme
 from .attack import RecoveredKey
 from .gf import GF
-from .grs import GrsParams
+from .grs import GrsParams, InvalidParams
 
 MAGIC = "grs-squarebreak v1"
 
@@ -157,6 +158,16 @@ def _key_file(path) -> ParsedFile:
     return pf
 
 
+@contextmanager
+def _key_material():
+    """Key material no key can have (repeated points, a zero multiplier, a
+    singular scrambler or mask) is refused as a format error."""
+    try:
+        yield
+    except (InvalidParams, linalg.SingularMatrix, scheme.InvalidDimensions) as e:
+        raise FileFormatError(f"impossible key material: {e}") from e
+
+
 # -- typed wrappers --------------------------------------------------------
 
 
@@ -167,6 +178,8 @@ def save_public_key(path, pk: scheme.PublicKey) -> None:
 def load_public_key(path) -> scheme.PublicKey:
     pf = _key_file(path)
     g = _section(pf, "Gpub", (pf.k, pf.n))
+    if linalg.rank(pf.field, g) < pf.k:
+        raise FileFormatError(f"@Gpub has rank below k={pf.k}")
     return scheme.PublicKey(pf.field, pf.n, pf.k, g)
 
 
@@ -189,15 +202,16 @@ def load_secret_key(path) -> tuple[scheme.PublicKey, scheme.SecretKey]:
     perm = _section(pf, "perm", (1, n))[0]
     if sorted(perm.tolist()) != list(range(n)):
         raise FileFormatError("@perm is not a permutation of 0..n-1")
-    pk, sk = scheme.build_keypair(
-        pf.field,
-        _section(pf, "x", (1, n))[0],
-        _section(pf, "y", (1, n))[0],
-        _section(pf, "S", (k, k)),
-        perm,
-        _section(pf, "alpha", (1, n))[0],
-        _section(pf, "beta", (1, n))[0],
-    )
+    with _key_material():
+        pk, sk = scheme.build_keypair(
+            pf.field,
+            _section(pf, "x", (1, n))[0],
+            _section(pf, "y", (1, n))[0],
+            _section(pf, "S", (k, k)),
+            perm,
+            _section(pf, "alpha", (1, n))[0],
+            _section(pf, "beta", (1, n))[0],
+        )
     stored = _section(pf, "Gpub", (k, n))
     if not np.array_equal(stored, sk.g_pub):
         raise FileFormatError("@Gpub does not match the key material")
@@ -235,7 +249,8 @@ def save_recovered_key(path, f: GF, n: int, k: int, rk: RecoveredKey) -> None:
 def load_recovered_key(path) -> RecoveredKey:
     pf = _key_file(path)
     n = pf.n
-    params = GrsParams(pf.field, _section(pf, "x", (1, n))[0], _section(pf, "y", (1, n))[0], pf.k)
+    with _key_material():
+        params = GrsParams(pf.field, _section(pf, "x", (1, n))[0], _section(pf, "y", (1, n))[0], pf.k)
     return RecoveredKey(
         params,
         _section(pf, "a0", (1, n))[0],
@@ -247,5 +262,7 @@ def load_recovered_key(path) -> RecoveredKey:
 def load_code_matrix(pf: ParsedFile) -> np.ndarray:
     for name in ("G", "Gpub"):
         if name in pf.sections:
+            if not pf.sections[name].any():
+                raise FileFormatError(f"@{name} spans only the zero vector")
             return pf.sections[name]
     raise FileFormatError("no @G or @Gpub section found")

@@ -5,8 +5,9 @@ column multipliers y and a dimension k: its codewords are
 (y_1 p(x_1), ..., y_n p(x_n)) for polynomials p of degree < k.
 
 This module provides the generator matrix, bounded-distance decoding up to
-floor((n-k)/2) errors (Berlekamp-Welch), the dual-code multiplier formula,
-and two reconstruction routines used by the key-recovery attack:
+floor((n-k)/2) errors (Berlekamp-Welch: a syndrome system for the error
+locator alone, then an erasure solve off its roots), the dual-code
+multiplier formula, and two reconstruction routines used by the attack:
 
 * ``ss_recover``: given only a code known to be GRS, find some describing
   pair (x, y) (Sidelnikov-Shestakov style, via cross-ratios of the
@@ -91,13 +92,17 @@ def random_params(f: GF, n: int, k: int, rng: np.random.Generator) -> GrsParams:
     return GrsParams(f, x, y, k)
 
 
+def _rows(f: GF, first: np.ndarray, x: np.ndarray, m: int) -> np.ndarray:
+    """m x n matrix with row j equal to first * x^j (componentwise powers)."""
+    rows = [np.asarray(first, dtype=np.int64)]
+    for _ in range(m - 1):
+        rows.append(f.mul(rows[-1], x))
+    return np.stack(rows)
+
+
 def generator_matrix(p: GrsParams) -> np.ndarray:
     """k x n matrix with row i equal to y * x^i (componentwise powers)."""
-    f = p.field
-    rows = [np.array(p.y, dtype=np.int64)]
-    for _ in range(p.k - 1):
-        rows.append(f.mul(rows[-1], p.x))
-    return np.stack(rows)
+    return _rows(p.field, p.y, p.x, p.k)
 
 
 def code(p: GrsParams) -> LinearCode:
@@ -111,79 +116,51 @@ def encode(p: GrsParams, msg: np.ndarray) -> np.ndarray:
     return linalg.vecmat(p.field, msg, generator_matrix(p))
 
 
-def _poly_deg(c: np.ndarray) -> int:
-    nz = np.nonzero(c)[0]
-    return int(nz[-1]) if nz.size else -1
-
-
-def _poly_eval(f: GF, coeffs: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Horner evaluation of a coefficient vector (constant term first)."""
-    acc = np.zeros_like(xs)
-    for c in coeffs[::-1]:
-        acc = f.add(f.mul(acc, xs), c)
-    return acc
-
-
-def _poly_divmod(f: GF, num: np.ndarray, den: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    dd = _poly_deg(den)
-    rem = np.array(num, dtype=np.int64)
-    if rem.shape[0] < dd + 1:
-        rem = np.append(rem, np.zeros(dd + 1 - rem.shape[0], dtype=np.int64))
-    quot = np.zeros(max(rem.shape[0] - dd, 1), dtype=np.int64)
-    lead_inv = f.inv(den[dd])
-    for i in range(rem.shape[0] - 1, dd - 1, -1):
-        if rem[i] == 0:
-            continue
-        c = f.mul(rem[i], lead_inv)
-        quot[i - dd] = c
-        rem[i - dd : i + 1] = f.sub(rem[i - dd : i + 1], f.mul(c, den[: dd + 1]))
-    return quot, rem
-
-
 def decode(p: GrsParams, received: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """Berlekamp-Welch bounded-distance decoding.
+    """Berlekamp-Welch bounded-distance decoding in syndrome form.
 
     Returns (codeword, error) when some codeword lies within Hamming distance
     t = floor((n-k)/2) of the received word (that codeword is unique), else
-    None.  Solves for a monic error locator E of degree t and N of degree
-    < k+t with N(x_i) = (r_i / y_i) E(x_i), then divides.
+    None.  With s = r / y, the monic degree-t error locators E are the
+    solutions of the n-k-t parity checks z x^j of RS_{k+t}(x, 1) on s E(x):
+    an (n-k-t) x (t+1) Hankel system in the n-k syndromes of s.  The codeword
+    agrees with r off E's roots, at n-t >= k places or more, so one erasure
+    solve there returns it.  A codeword within t makes the system consistent
+    and is what every solution E leads to, and any codeword the erasure solve
+    finds lies within t; so either step failing means there is none.
     """
     f, x, k, n, t = p.field, p.x, p.k, p.n, p.t
     r = np.asarray(received, dtype=np.int64)
     if r.shape != (n,):
         raise DimensionMismatch(f"received word must have length n={n}")
-    s = f.div(r, p.y)
-    # powers[:, j] = x^j for j = 0..k+t
-    powers = np.empty((n, k + t + 1), dtype=np.int64)
-    powers[:, 0] = 1
-    for j in range(1, k + t + 1):
-        powers[:, j] = f.mul(powers[:, j - 1], x)
-    lhs = np.hstack([powers[:, : k + t], f.mul(f.neg(s)[:, None], powers[:, :t])])
-    rhs = f.mul(s, powers[:, t])
-    sol = linalg.solve_right(f, lhs, rhs)
+    syn = linalg.matvec(f, _parity_checks(f, x, n - k), f.div(r, p.y))
+    hankel = syn[np.arange(n - k - t)[:, None] + np.arange(t + 1)[None, :]]
+    sol = linalg.solve_right(f, hankel[:, :t], f.neg(hankel[:, t]))
     if sol is None:
         return None
-    num = sol[: k + t]
-    loc = np.append(sol[k + t :], 1)  # monic degree-t locator
-    quot, rem = _poly_divmod(f, num, loc)
-    if rem.any() or _poly_deg(quot) >= k:
+    loc = linalg.vecmat(f, np.append(sol, 1), _rows(f, np.ones(n, dtype=np.int64), x, t + 1))
+    g = generator_matrix(p)
+    msg = linalg.solve_left(f, g[:, loc != 0], r[loc != 0])
+    if msg is None:
         return None
-    cw = f.mul(p.y, _poly_eval(f, quot, x))
-    err = f.sub(r, cw)
-    if int(np.count_nonzero(err)) > t:
-        return None
-    return cw, err
+    cw = linalg.vecmat(f, msg, g)
+    return cw, f.sub(r, cw)
 
 
 def _pairwise_products(f: GF, x: np.ndarray) -> np.ndarray:
     """v_i = prod_{j != i} (x_i - x_j)."""
-    n = x.shape[0]
     diffs = f.sub(x[:, None], x[None, :])
-    diffs[np.arange(n), np.arange(n)] = 1
-    acc = np.ones(n, dtype=np.int64)
-    for j in range(n):
-        acc = f.mul(acc, diffs[:, j])
+    np.fill_diagonal(diffs, 1)
+    acc = diffs[:, 0]
+    for col in diffs.T[1:]:
+        acc = f.mul(acc, col)
     return acc
+
+
+def _parity_checks(f: GF, x: np.ndarray, m: int) -> np.ndarray:
+    """m x n matrix with row l equal to z * x^l, z_i = 1 / prod_{j != i}
+    (x_i - x_j): a generator of the dual of RS_{n-m}(x, 1)."""
+    return _rows(f, f.inv(_pairwise_products(f, x)), x, m)
 
 
 def dual_params(p: GrsParams) -> GrsParams:
@@ -205,11 +182,9 @@ def recover_multipliers(x: np.ndarray, k: int, sub: LinearCode) -> np.ndarray | 
     f = sub.field
     x = np.asarray(x, dtype=np.int64)
     n = x.shape[0]
-    if sub.n != n or not (1 <= k < n) or sub.k > k:
-        raise InvalidParams("subcode/point dimensions are inconsistent")
-    ones = GrsParams(f, x, np.ones(n, dtype=np.int64), k)
-    checks = generator_matrix(dual_params(ones))  # (n-k) x n
-    kernel = linalg.right_kernel(f, star_rows(f, sub.gen, checks))
+    if sub.n != n or not (1 <= k < n) or sub.k > k or np.unique(x).size != n:
+        raise InvalidParams("points, subcode and dimension are inconsistent")
+    kernel = linalg.right_kernel(f, star_rows(f, sub.gen, _parity_checks(f, x, n - k)))
     if kernel.shape[0] == 0:
         return None
     for row in kernel:

@@ -127,6 +127,44 @@ class TestFileFormat:
         err = capsys.readouterr().err
         assert "error:" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "target,section,at,copy_from",
+        [
+            ("sec", "S", 0, None),
+            ("sec", "y", (0, 3), None),
+            ("sec", "x", (0, 1), (0, 0)),
+            ("rk", "x", (0, 1), (0, 0)),
+            ("pub", "Gpub", 1, 0),
+            ("code", "G", slice(None), None),
+        ],
+        ids=["S-zero-row", "y-zero", "x-repeated", "recovered-x-repeated", "Gpub-equal-rows",
+             "G-all-zero"],
+    )
+    def test_impossible_key_material_exit_1(self, keydir, capsys, target, section, at, copy_from):
+        """Sections that parse but that no key or code can have are refused
+        by the loaders: the CLI prints an error line and exits 1.  The entry
+        or row at ``at`` is zeroed, or overwritten by the one at copy_from."""
+        tmp_path, pub, sec = keydir
+        pk, sk = fileio.load_secret_key(sec)
+        rk = atk.RecoveredKey(scheme.masked_params(sk), sk.a, sk.lam, None)
+        fileio.save_recovered_key(tmp_path / "rk", pk.field, pk.n, pk.k, rk)
+        fileio.write_file(tmp_path / "code", pk.field, pk.n, pk.k, {"G": pk.g_pub})
+        ct = tmp_path / "zero.ct"
+        fileio.save_vector(ct, pk.field, pk.n, pk.k, np.zeros(pk.n, dtype=np.int64))
+        path = {"sec": sec, "pub": pub, "rk": tmp_path / "rk", "code": tmp_path / "code"}[target]
+        pf = fileio.read_file(path)
+        a = pf.sections[section]
+        a[at] = 0 if copy_from is None else a[copy_from]
+        fileio.write_file(path, pf.field, pf.n, pf.k, pf.sections)
+        argv = {
+            "sec": ["decrypt", "--key", str(sec), "--ct", str(ct)],
+            "rk": ["decrypt", "--recovered", str(path), "--pub", str(pub), "--ct", str(ct)],
+            "pub": ["attack", "--pub", str(pub), "--out", str(tmp_path / "out")],
+            "code": ["distinguish", "--code", str(path)],
+        }[target]
+        assert main(argv) == 1
+        assert "error:" in capsys.readouterr().err
+
     def test_tampered_secret_rejected(self, keydir):
         tmp_path, _, sec = keydir
         lines = sec.read_text().splitlines()
@@ -325,6 +363,23 @@ class TestCliWorkflows:
         assert "verify: 18/20 correct, 2 tied at distance t" in capsys.readouterr().out
         monkeypatch.setattr(atk, "recover_key", lambda pk, cfg: (wrong_key, stats))
         assert main(argv) == 2
+
+    @pytest.mark.parametrize(
+        "field,n,k", [((2, 5, 37), 20, 8), ((2, 4, 19), 15, 9)], ids=["field-length", "dimension"]
+    )
+    def test_attack_verify_key_must_match_public_key(self, keydir, capsys, field, n, k):
+        """A --verify-sec key over another field, length or dimension than
+        the public key exits 1 with an error line, as decrypt --recovered
+        does, instead of a traceback or a verify count of 0."""
+        tmp_path, pub, _ = keydir
+        other = tmp_path / "other.sec"
+        main(["keygen", "--p", str(field[0]), "--m", str(field[1]), "--poly", str(field[2]),
+              "--n", str(n), "--k", str(k), "--seed", "1",
+              "--out-pub", str(tmp_path / "other.pub"), "--out-sec", str(other)])
+        capsys.readouterr()
+        assert main(["attack", "--pub", str(pub), "--out", str(tmp_path / "rk"),
+                     "--verify-sec", str(other), "--verify-count", "3"]) == 1
+        assert "error: secret key" in capsys.readouterr().err
 
     def test_attack_dead_interval_exit_3(self, tmp_path):
         main(

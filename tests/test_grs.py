@@ -55,16 +55,18 @@ class TestGenerator:
         assert cw.tolist() == [int(v) for v in expect]
 
 
-def brute_force_nearest(f, p, r):
-    """Exhaustive nearest-codeword oracle for tiny parameters."""
-    best, best_d = None, None
-    g = grs.generator_matrix(p)
-    for msg in itertools.product(range(f.q), repeat=p.k):
-        cw = la.vecmat(f, np.array(msg, dtype=np.int64), g)
-        d = int(np.count_nonzero(f.sub(r, cw)))
-        if best_d is None or d < best_d:
-            best, best_d = cw, d
-    return best, best_d
+def all_codewords(f, p):
+    """Every codeword, one per row, for tiny parameters."""
+    msgs = np.array(list(itertools.product(range(f.q), repeat=p.k)), dtype=np.int64)
+    return la.matmul(f, msgs, grs.generator_matrix(p))
+
+
+def brute_force_nearest(f, codewords, r):
+    """Exhaustive nearest-codeword oracle: the first closest codeword and
+    its distance."""
+    dists = np.count_nonzero(f.sub(r[None, :], codewords), axis=1)
+    best = int(np.argmin(dists))
+    return codewords[best], int(dists[best])
 
 
 class TestDecode:
@@ -88,15 +90,28 @@ class TestDecode:
             assert np.array_equal(out[0], cw)
             assert np.array_equal(out[1], e)
 
-    def test_exhaustive_against_brute_force(self, gf5):
-        """Every received word over GF(5), n=4, k=2, t=1 against the oracle."""
-        p = GrsParams(gf5, np.array([0, 1, 2, 3]), np.array([1, 2, 1, 3]), 2)
-        assert p.t == 1
-        for r in itertools.product(range(5), repeat=4):
+    @pytest.mark.parametrize(
+        "x,y,k,t",
+        [
+            ([0, 1, 2, 3], [1, 2, 1, 3], 2, 1),
+            ([0, 1, 2, 3, 4], [1, 2, 1, 3, 4], 1, 2),
+            ([0, 1, 2, 3, 4], [4, 1, 3, 2, 2], 2, 1),
+            ([4, 2, 0, 1], [1, 2, 1, 3], 3, 0),
+        ],
+        ids=["n4-k2", "n5-k1-t2", "n5-k2-spare-check", "n4-k3-t0"],
+    )
+    def test_exhaustive_against_brute_force(self, gf5, x, y, k, t):
+        """Every received word over GF(5) against the oracle: t = 2, a
+        spare parity check when n-k is odd, and t = 0, where the locator
+        system has no unknowns."""
+        p = GrsParams(gf5, np.array(x), np.array(y), k)
+        assert p.t == t
+        codewords = all_codewords(gf5, p)
+        for r in itertools.product(range(5), repeat=p.n):
             r = np.array(r, dtype=np.int64)
-            nearest, dist = brute_force_nearest(gf5, p, r)
+            nearest, dist = brute_force_nearest(gf5, codewords, r)
             out = grs.decode(p, r)
-            if dist <= 1:
+            if dist <= t:
                 assert out is not None
                 assert np.array_equal(out[0], nearest)
             else:
