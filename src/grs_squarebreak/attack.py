@@ -39,7 +39,7 @@ import numpy as np
 
 from . import grs, linalg
 from .codes import LinearCode, code_from_generator, star_rows
-from .scheme import PublicKey, sweep_decrypt
+from .scheme import PublicKey, canonical_choice, sweep_decrypt
 
 
 class NotApplicable(RuntimeError):
@@ -367,19 +367,26 @@ def recover_key(
         return RecoveredKey(params, a0, lam0, code_from_generator(f, inter)), stats
 
 
-def decrypt_with_pair(rk: RecoveredKey, pub: PublicKey, z: np.ndarray) -> np.ndarray:
+def pair_candidates(rk: RecoveredKey, pub: PublicKey, z: np.ndarray) -> list[tuple[int, np.ndarray]]:
     """Decrypt using only public data and a recovered key.
 
     Sweeps alpha over GF(q): for the value matching -<lam0, p> the shifted
     word z + alpha a0 equals p + e with p in the recovered GRS code, so the
     decoder reveals p, the masking pair rebuilds the public codeword, and a
-    linear solve through G_pub recovers the plaintext.  The candidate set and
-    the canonical choice are those of ``scheme.decrypt``, so the result agrees
-    with the legitimate decryption even for ambiguous ciphertexts.
+    linear solve through G_pub recovers the plaintext.  Returns every
+    verified (error weight, plaintext) candidate; the set is that of
+    ``scheme.decrypt_candidates``.
     """
     f = pub.field
 
-    def plaintext(p: np.ndarray) -> np.ndarray | None:
+    def plaintext(u: np.ndarray) -> np.ndarray | None:
+        p = grs.encode(rk.grs, u)
         return linalg.solve_left(f, pub.g_pub, f.add(p, f.mul(f.dot(rk.lam0, p), rk.a0)))
 
     return sweep_decrypt(pub, z, rk.grs, lambda v: v, f.neg(rk.a0), plaintext)
+
+
+def decrypt_with_pair(rk: RecoveredKey, pub: PublicKey, z: np.ndarray) -> np.ndarray:
+    """The canonical choice among ``pair_candidates``: it agrees with
+    ``scheme.decrypt`` even for ambiguous ciphertexts."""
+    return canonical_choice(pair_candidates(rk, pub, z), pub.t)

@@ -115,16 +115,20 @@ def cmd_decrypt(args) -> int:
         rk = fileio.load_recovered_key(args.recovered)
         _match_public_key("recovered key", rk.grs, pk)
         _, c = fileio.load_vector(args.ct, pk.n, pk.field)
-        msg = attack_mod.decrypt_with_pair(rk, pk, c)
-        n, k, f = pk.n, pk.k, pk.field
+        cands = attack_mod.pair_candidates(rk, pk, c)
+        n, k, f, t = pk.n, pk.k, pk.field, pk.t
     else:
         if not args.key:
             print("decrypt: need --key (or --recovered with --pub)", file=sys.stderr)
             return EXIT_USAGE
         _, sk = fileio.load_secret_key(args.key)
         _, c = fileio.load_vector(args.ct, sk.n, sk.field)
-        msg = scheme.decrypt(sk, c)
-        n, k, f = sk.n, sk.k, sk.field
+        cands = scheme.decrypt_candidates(sk, c)
+        n, k, f, t = sk.n, sk.k, sk.field, sk.t
+    msg = scheme.canonical_choice(cands, t)
+    if len(cands) > 1:
+        print(f"decrypt: note: {len(cands)} plaintexts lie within distance t={t} of the "
+              "ciphertext; writing the canonical choice", file=sys.stderr)
     if args.out:
         fileio.save_vector(args.out, f, n, k, msg)
     else:
@@ -174,17 +178,16 @@ def cmd_attack(args) -> int:
             msg = rng.integers(0, pk.field.q, pk.k, dtype=np.int64)
             c = scheme.encrypt(pk, msg, rng)
             try:
-                outs = (attack_mod.decrypt_with_pair(rk, pk, c), scheme.decrypt(sk, c))
+                sets = (attack_mod.pair_candidates(rk, pk, c), scheme.decrypt_candidates(sk, c))
             except scheme.DecryptionFailure:
                 continue
             # The public code's minimum distance can fall below 2t+1, so another
             # plaintext may also sit at distance exactly t: a tie, not a failure.
-            if all(np.array_equal(out, msg) for out in outs):
+            # The sent plaintext is at distance t, so a route that found it and
+            # chose another chose one at distance t.
+            if all(np.array_equal(scheme.canonical_choice(cands, pk.t), msg) for cands in sets):
                 good += 1
-            elif all(
-                np.array_equal(out, msg) or scheme.error_weight(pk.field, pk.g_pub, c, out) == pk.t
-                for out in outs
-            ):
+            elif all(any(np.array_equal(m, msg) for _, m in cands) for cands in sets):
                 tied += 1
         print(f"verify: {good}/{args.verify_count} correct, {tied} tied at distance t")
         if good + tied != args.verify_count:

@@ -6,8 +6,11 @@ column multipliers y and a dimension k: its codewords are
 
 This module provides the generator matrix, bounded-distance decoding up to
 floor((n-k)/2) errors (Berlekamp-Welch: a syndrome system for the error
-locator alone, then an erasure solve off its roots), the dual-code
-multiplier formula, and two reconstruction routines used by the attack:
+locator alone, then an erasure solve off its roots; ``decode_many`` solves
+the systems of a whole stack of words in lockstep, as the decryption sweep
+does for its q shifted words, and ``decode`` is its one-word form), the
+dual-code multiplier formula, and two reconstruction routines used by the
+attack:
 
 * ``ss_recover``: given only a code known to be GRS, find some describing
   pair (x, y) (Sidelnikov-Shestakov style, via cross-ratios of the
@@ -116,35 +119,58 @@ def encode(p: GrsParams, msg: np.ndarray) -> np.ndarray:
     return linalg.vecmat(p.field, msg, generator_matrix(p))
 
 
-def decode(p: GrsParams, received: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """Berlekamp-Welch bounded-distance decoding in syndrome form.
+def decode_many(p: GrsParams, words: np.ndarray) -> list[np.ndarray | None]:
+    """Berlekamp-Welch bounded-distance decoding in syndrome form, of a
+    stack of received words at once.
 
-    Returns (codeword, error) when some codeword lies within Hamming distance
-    t = floor((n-k)/2) of the received word (that codeword is unique), else
-    None.  With s = r / y, the monic degree-t error locators E are the
-    solutions of the n-k-t parity checks z x^j of RS_{k+t}(x, 1) on s E(x):
-    an (n-k-t) x (t+1) Hankel system in the n-k syndromes of s.  The codeword
-    agrees with r off E's roots, at n-t >= k places or more, so one erasure
-    solve there returns it.  A codeword within t makes the system consistent
-    and is what every solution E leads to, and any codeword the erasure solve
-    finds lies within t; so either step failing means there is none.
+    Entry i is the message u (length k) whose codeword u G lies within
+    Hamming distance t = floor((n-k)/2) of words[i] (that codeword is
+    unique), or None when there is none.  With s = r / y, the monic degree-t
+    error locators E are the solutions of the n-k-t parity checks z x^j of
+    RS_{k+t}(x, 1) on s E(x): an (n-k-t) x (t+1) Hankel system in the n-k
+    syndromes of s.  A codeword within t makes the system consistent and is
+    what every solution E leads to: the codeword agrees with r off E's
+    roots, at n-t >= k places or more, so one erasure solve there returns
+    it, and any codeword that solve finds lies within t.  An error of weight
+    w < t leaves E = locator * M free in a monic M of degree t-w, so when
+    the solution is unique the codeword's error has weight exactly t and E
+    is its locator: an E with fewer than t roots among x means there is
+    none, and no erasure solve is made.  The checks, the syndromes, the
+    Hankel solves and the locator values are shared over the stack; only
+    the words left after that take an erasure solve each.
     """
     f, x, k, n, t = p.field, p.x, p.k, p.n, p.t
-    r = np.asarray(received, dtype=np.int64)
-    if r.shape != (n,):
-        raise DimensionMismatch(f"received word must have length n={n}")
-    syn = linalg.matvec(f, _parity_checks(f, x, n - k), f.div(r, p.y))
-    hankel = syn[np.arange(n - k - t)[:, None] + np.arange(t + 1)[None, :]]
-    sol = linalg.solve_right(f, hankel[:, :t], f.neg(hankel[:, t]))
-    if sol is None:
-        return None
-    loc = linalg.vecmat(f, np.append(sol, 1), _rows(f, np.ones(n, dtype=np.int64), x, t + 1))
+    r = np.asarray(words, dtype=np.int64)
+    if r.ndim != 2 or r.shape[1] != n:
+        raise DimensionMismatch(f"received words must have length n={n}")
+    syn = linalg.matmul(f, f.div(r, p.y), _parity_checks(f, x, n - k).T)
+    hankel = syn[:, np.arange(n - k - t)[:, None] + np.arange(t + 1)[None, :]]
+    sol, consistent, rank = linalg.batched_solve_right(
+        f, hankel[:, :, :t], f.neg(hankel[:, :, t])
+    )
+    monic = np.hstack([sol, np.ones((r.shape[0], 1), dtype=np.int64)])
+    loc = linalg.matmul(f, monic, _rows(f, np.ones(n, dtype=np.int64), x, t + 1))
+    roots = np.count_nonzero(loc == 0, axis=1)
     g = generator_matrix(p)
-    msg = linalg.solve_left(f, g[:, loc != 0], r[loc != 0])
+    out: list[np.ndarray | None] = [None] * r.shape[0]
+    for i in np.nonzero(consistent & ((rank < t) | (roots == t)))[0]:
+        keep = loc[i] != 0
+        out[i] = linalg.solve_left(f, g[:, keep], r[i, keep])
+    return out
+
+
+def decode(p: GrsParams, received: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """Bounded-distance decoding of one word (see ``decode_many``).
+
+    Returns (codeword, error) when some codeword lies within Hamming distance
+    t of the received word, else None.
+    """
+    r = np.asarray(received, dtype=np.int64)
+    (msg,) = decode_many(p, r[None, :])
     if msg is None:
         return None
-    cw = linalg.vecmat(f, msg, g)
-    return cw, f.sub(r, cw)
+    cw = encode(p, msg)
+    return cw, p.field.sub(r, cw)
 
 
 def _pairwise_products(f: GF, x: np.ndarray) -> np.ndarray:

@@ -192,6 +192,50 @@ def solve_right(f: GF, a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     return x
 
 
+def batched_solve_right(
+    f: GF, a: np.ndarray, b: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Solve a stack of systems a[i] @ x^T = b[i] in lockstep.
+
+    Returns (x, consistent, rank): where consistent[i], x[i] is the solution
+    ``solve_right`` returns (free variables zero; it is the only solution
+    supported on the pivot columns, so any elimination order finds it), and
+    rank[i] is the rank of a[i].  Gauss-Jordan over one shared column
+    schedule, each matrix with its own pivot-row counter, so a stack of many
+    small systems costs a few whole-stack operations per column.
+    """
+    a = np.asarray(a, dtype=np.int64)
+    b = np.asarray(b, dtype=np.int64)
+    if a.ndim != 3 or b.shape != a.shape[:2]:
+        raise DimensionMismatch(f"cannot solve a stack {a.shape} against {b.shape}")
+    nmat, nrows, ncols = a.shape
+    m = np.concatenate([a, b[:, :, None]], axis=2)
+    rowptr = np.zeros(nmat, dtype=np.int64)
+    pivcol = np.zeros((nmat, nrows), dtype=np.int64)
+    rowidx = np.arange(nrows)
+    for c in range(ncols):
+        eligible = (rowidx[None, :] >= rowptr[:, None]) & (m[:, :, c] != 0)
+        bi = np.nonzero(eligible.any(axis=1))[0]
+        if not bi.size:
+            continue
+        rp = rowptr[bi]
+        pr = np.argmax(eligible[bi], axis=1)
+        piv = f.mul(m[bi, pr, c:], f.inv0(m[bi, pr, c])[:, None])
+        m[bi, pr, c:] = m[bi, rp, c:]
+        fac = m[bi, :, c]
+        fac[np.arange(bi.size), rp] = 0
+        m[bi, :, c:] = f.sub(m[bi, :, c:], f.mul(fac[:, :, None], piv[:, None, :]))
+        m[bi, rp, c:] = piv
+        pivcol[bi, rp] = c
+        rowptr[bi] += 1
+    live = rowidx[None, :] < rowptr[:, None]
+    consistent = ~np.any(~live & (m[:, :, ncols] != 0), axis=1)
+    x = np.zeros((nmat, ncols + 1), dtype=np.int64)
+    # Rows past the counter point at the spare last column, dropped below.
+    np.put_along_axis(x, np.where(live, pivcol, ncols), np.where(live, m[:, :, ncols], 0), axis=1)
+    return x[:, :ncols], consistent, rowptr
+
+
 def solve_left(f: GF, g: np.ndarray, c: np.ndarray) -> np.ndarray | None:
     """Some u with u @ g = c, or None when c is outside the row space."""
     g = as_matrix(g)

@@ -223,43 +223,46 @@ def sweep_decrypt(
     key: PublicKey | SecretKey, c: np.ndarray, code: grs.GrsParams,
     base: Callable[[np.ndarray], np.ndarray], direction: np.ndarray,
     plaintext: Callable[[np.ndarray], np.ndarray | None],
-) -> np.ndarray:
+) -> list[tuple[int, np.ndarray]]:
     """The shift sweep shared by both decryptors.
 
-    For every s in GF(q), decodes base(c) - s * direction in ``code``, maps
-    the decoded codeword to a plaintext, and keeps it when its public
-    codeword lies within distance t of c.  Returns the canonical choice
-    among those candidates; raises DecryptionFailure when there is none.
+    Decodes base(c) - s * direction in ``code`` for every s in GF(q), all q
+    words in one ``grs.decode_many`` call, maps each decoded message
+    (coefficients in ``grs.generator_matrix(code)``) to a plaintext, and
+    keeps it when its public codeword lies within distance t of c.  Returns
+    the distinct verified (error weight, plaintext) candidates, in shift
+    order; raises DecryptionFailure when there is none.
     """
     f = key.field
     c = np.asarray(c, dtype=np.int64)
     if c.shape != (key.n,):
         raise DimensionMismatch(f"ciphertext length must be n={key.n}")
-    word = base(c)
-    candidates: list[tuple[int, np.ndarray]] = []
-    for s in f.elements():
-        dec = grs.decode(code, f.sub(word, f.mul(s, direction)))
-        if dec is None:
-            continue
-        msg = plaintext(dec[0])
+    words = f.sub(base(c)[None, :], f.mul(f.elements()[:, None], direction[None, :]))
+    candidates: dict[tuple[int, ...], tuple[int, np.ndarray]] = {}
+    for u in grs.decode_many(code, words):
+        msg = None if u is None else plaintext(u)
         if msg is None:
             continue
         weight = error_weight(f, key.g_pub, c, msg)
         if weight <= key.t:
-            candidates.append((weight, msg))
+            candidates[tuple(msg.tolist())] = (weight, msg)
     if not candidates:
         raise DecryptionFailure("no shift produced a consistent decoding")
-    return canonical_choice(candidates, key.t)
+    return list(candidates.values())
+
+
+def decrypt_candidates(sk: SecretKey, c: np.ndarray) -> list[tuple[int, np.ndarray]]:
+    """Sweep gamma over GF(q): c Q - gamma beta = m S^-1 G_sec + e Pi for the
+    true gamma = <e, alpha>, which the GRS decoder in C_sec then corrects;
+    the decoder's message times S is the plaintext.  Returns every verified
+    (error weight, plaintext) candidate, as ``sweep_decrypt`` does."""
+    f = sk.field
+    return sweep_decrypt(
+        sk, c, sk.grs, lambda v: linalg.vecmat(f, v, sk.q_mat), sk.beta,
+        lambda u: linalg.vecmat(f, u, sk.s_mat),
+    )
 
 
 def decrypt(sk: SecretKey, c: np.ndarray) -> np.ndarray:
-    """Sweep gamma over GF(q): c Q - gamma beta = m S^-1 G_sec + e Pi for the
-    true gamma = <e, alpha>, which the GRS decoder in C_sec then corrects;
-    the plaintext is solved through G_sec and S."""
-    f = sk.field
-
-    def plaintext(cw: np.ndarray) -> np.ndarray | None:
-        u = linalg.solve_left(f, sk.g_sec, cw)
-        return None if u is None else linalg.vecmat(f, u, sk.s_mat)
-
-    return sweep_decrypt(sk, c, sk.grs, lambda v: linalg.vecmat(f, v, sk.q_mat), sk.beta, plaintext)
+    """The canonical choice among ``decrypt_candidates``."""
+    return canonical_choice(decrypt_candidates(sk, c), sk.t)

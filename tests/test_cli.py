@@ -257,6 +257,28 @@ class TestCliWorkflows:
                      "--ct", str(ct)]) == 2
         assert capsys.readouterr().err.count("decryption failed:") == 2
 
+    def test_decrypt_notes_tie(self, tmp_path, capsys):
+        """Ciphertext 6 of the dual campaign's first key (keygen seed 3020,
+        n=15 k=9) lies at distance t=3 from the public codewords of two
+        plaintexts: both routes write the canonical choice, exit 0 and say
+        on stderr that the ciphertext is ambiguous."""
+        pub, sec = tmp_path / "p9", tmp_path / "s9"
+        main(["keygen", *FIELD_ARGS, "--n", "15", "--k", "9", "--seed", "3020",
+              "--out-pub", str(pub), "--out-sec", str(sec)])
+        pk, sk = fileio.load_secret_key(sec)
+        rk = tmp_path / "rk9"
+        fileio.save_recovered_key(rk, pk.field, pk.n, pk.k,
+                                  atk.RecoveredKey(scheme.masked_params(sk), sk.a, sk.lam, None))
+        ct, out = tmp_path / "tie.ct", tmp_path / "tie.out"
+        fileio.save_vector(ct, pk.field, pk.n, pk.k,
+                           np.array([14, 2, 9, 4, 14, 10, 6, 0, 5, 1, 8, 9, 15, 13, 12]))
+        capsys.readouterr()
+        for route in (["--key", str(sec)], ["--recovered", str(rk), "--pub", str(pub)]):
+            assert main(["decrypt", *route, "--ct", str(ct), "--out", str(out)]) == 0
+            assert "2 plaintexts lie within distance t=3" in capsys.readouterr().err
+            _, back = fileio.load_vector(out, 9)
+            assert back.tolist() == [4, 7, 15, 10, 14, 7, 12, 12, 4]  # sent: [6, 4, 11, ...]
+
     @pytest.mark.parametrize(
         "field,n,k", [((2, 4, 19), 10, 6), ((2, 4, 19), 15, 5), ((17,), 15, 6)],
         ids=["length", "dimension", "field"],

@@ -101,21 +101,22 @@ class TestDecode:
         ids=["n4-k2", "n5-k1-t2", "n5-k2-spare-check", "n4-k3-t0"],
     )
     def test_exhaustive_against_brute_force(self, gf5, x, y, k, t):
-        """Every received word over GF(5) against the oracle: t = 2, a
-        spare parity check when n-k is odd, and t = 0, where the locator
-        system has no unknowns."""
+        """Every received word over GF(5) against the oracle, one at a time
+        and all in one stacked call: t = 2, a spare parity check when n-k is
+        odd, and t = 0, where the locator system has no unknowns."""
         p = GrsParams(gf5, np.array(x), np.array(y), k)
         assert p.t == t
         codewords = all_codewords(gf5, p)
-        for r in itertools.product(range(5), repeat=p.n):
-            r = np.array(r, dtype=np.int64)
+        words = np.array(list(itertools.product(range(5), repeat=p.n)), dtype=np.int64)
+        for r, msg in zip(words, grs.decode_many(p, words), strict=True):
             nearest, dist = brute_force_nearest(gf5, codewords, r)
             out = grs.decode(p, r)
             if dist <= t:
-                assert out is not None
+                assert out is not None and msg is not None
                 assert np.array_equal(out[0], nearest)
+                assert np.array_equal(grs.encode(p, msg), nearest)
             else:
-                assert out is None
+                assert out is None and msg is None
 
     def test_beyond_radius_fails(self, gf16, rng):
         p = grs.random_params(gf16, 15, 13, rng)  # t = 1

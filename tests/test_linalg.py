@@ -138,6 +138,36 @@ class TestSolve:
         with pytest.raises(DimensionMismatch):
             la.solve_left(gf7, np.eye(2, dtype=np.int64), np.array([1, 2, 3]))
 
+    @pytest.mark.parametrize("f", [GF(7), GF(2, 4, 19)], ids=["GF7", "GF16"])
+    def test_batched_solve_right_matches(self, f, rng):
+        """Each system of a stack against solve_right: planted coefficient
+        blocks of every rank, each with a consistent right-hand side and a
+        random one (inconsistent unless the block has full row rank), a
+        block with no columns, and an empty stack."""
+        for rows, cols in ((5, 4), (3, 5), (4, 4), (4, 0)):
+            a, b = [], []
+            for r in range(min(rows, cols) + 1):
+                for _ in range(4):
+                    m = np.zeros((rows, cols), dtype=np.int64)
+                    if r:
+                        m = la.matmul(f, la.random_matrix(f, rows, r, rng),
+                                      la.random_matrix(f, r, cols, rng))
+                    a += [m, m]
+                    b += [la.matvec(f, m, rng.integers(0, f.q, cols)), rng.integers(0, f.q, rows)]
+            x, consistent, ranks = la.batched_solve_right(f, np.stack(a), np.stack(b))
+            assert x.shape == (len(a), cols)
+            for i, (m, v) in enumerate(zip(a, b, strict=True)):
+                want = la.solve_right(f, m, v)
+                assert consistent[i] == (want is not None)
+                assert ranks[i] == la.rank(f, m)
+                if want is not None:
+                    assert np.array_equal(x[i], want)
+            assert set(consistent.tolist()) == {True, False}
+        x, consistent, ranks = la.batched_solve_right(
+            f, np.zeros((0, 3, 2), dtype=np.int64), np.zeros((0, 3), dtype=np.int64)
+        )
+        assert x.shape == (0, 2) and consistent.shape == ranks.shape == (0,)
+
 
 class TestInverse:
     def test_round_trip(self, gf16, rng):
