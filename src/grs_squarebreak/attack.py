@@ -25,8 +25,8 @@ decrypt arbitrary ciphertexts.
 
 Rates above 1/2 are handled by running the same machinery on the dual code
 (which carries the same structure with the roles of the two mask vectors
-swapped); dimensions k in the dead interval [(n-2)/2, (n+2)/2] admit
-neither branch.
+swapped); dimensions k in the dead interval [(n-2)/2, (n+2)/2], or with
+fewer than 6 dimensions on the attacked side, admit neither branch.
 """
 
 from __future__ import annotations
@@ -39,7 +39,8 @@ import numpy as np
 
 from . import grs, linalg
 from .codes import LinearCode, code_from_generator, star_rows
-from .scheme import PublicKey, canonical_choice, sweep_decrypt
+from .gf import GF
+from .scheme import DecryptionFailure, PublicKey, canonical_choice, sweep_decrypt
 
 
 class NotApplicable(RuntimeError):
@@ -93,6 +94,15 @@ def applicable_branch(n: int, k: int) -> Branch | None:
     if 2 * k > n + 2 and n - k >= _MIN_DIM:
         return Branch.HIGH_RATE_DUAL
     return None
+
+
+def not_applicable_reason(n: int, k: int) -> str:
+    """Why ``applicable_branch(n, k)`` is None."""
+    if 2 * k + 2 < n:
+        return f"the rank test needs k >= {_MIN_DIM}, got k={k} for n={n}"
+    if 2 * k > n + 2:
+        return f"the rank test on the dual needs n-k >= {_MIN_DIM}, got n-k={n - k}"
+    return f"k={k} lies in the dead interval [{(n - 2) / 2:g}, {(n + 2) / 2:g}] for n={n}"
 
 
 _BATCH = 256
@@ -200,15 +210,12 @@ def find_shared_subcode(
     gen = pub.gen
 
     while True:
+        drawn = stats.outer_trials
         coeffs = linalg.random_matrix(f, _BATCH, 3 * k, rng).reshape(_BATCH, 3, k)
         zbatch = f.sum(f.mul(coeffs[:, :, :, None], gen[None, None, :, :]), axis=2)
         ranks = triple_ranks(pub, zbatch)
-        passing = np.nonzero(ranks <= threshold)[0]
-        pos = 0
-        for idx in passing:
-            idx = int(idx)
-            stats.outer_trials += idx - pos + 1
-            pos = idx + 1
+        for idx in np.nonzero(ranks <= threshold)[0]:
+            stats.outer_trials = drawn + int(idx) + 1
             if stats.outer_trials > budget:
                 raise TrialBudgetExceeded(f"no suitable triple within {budget} draws")
             zs = zbatch[idx]
@@ -218,7 +225,7 @@ def find_shared_subcode(
             if subcode is not None:
                 return subcode
             stats.restarts += 1
-        stats.outer_trials += _BATCH - pos
+        stats.outer_trials = drawn + _BATCH
         if stats.outer_trials > budget:
             raise TrialBudgetExceeded(f"no suitable triple within {budget} draws")
 
@@ -279,15 +286,18 @@ def recover_valid_pair(
     return f.div(d, f.dot(lam0, p1)), lam0, inter
 
 
+def _apply_pair(f: GF, gen: np.ndarray, a0: np.ndarray, lam0: np.ndarray) -> np.ndarray:
+    """The rows p + <lam0, p> a0 of the masking map applied to gen's rows."""
+    return f.add(gen, linalg.outer(f, linalg.matvec(f, gen, lam0), a0))
+
+
 def pair_is_valid(pub: LinearCode, c: LinearCode, a0: np.ndarray, lam0: np.ndarray) -> bool:
     """Check <a0, lam0> != -1 and that p -> p + <lam0, p> a0 maps a basis of
     c into pub with full rank."""
     f = pub.field
     if f.dot(a0, lam0) == int(f.neg(1)):
         return False
-    images = np.stack(
-        [f.add(p, f.mul(f.dot(lam0, p), a0)) for p in c.gen]
-    )
+    images = _apply_pair(f, c.gen, a0, lam0)
     if any(not pub.contains(row) for row in images):
         return False
     return linalg.rank(f, images) == c.k
@@ -299,8 +309,8 @@ def recover_key(
     """Full key recovery from the public key alone.
 
     Returns the recovered key together with trial statistics.  Raises
-    NotApplicable for dimensions in the dead interval and
-    TrialBudgetExceeded when the configured trial cap runs out.
+    NotApplicable when neither branch applies (``not_applicable_reason``)
+    and TrialBudgetExceeded when the configured trial cap runs out.
     """
     if cfg is None:
         cfg = AttackConfig()
@@ -313,9 +323,7 @@ def recover_key(
 
     branch = applicable_branch(n, k)
     if branch is None:
-        raise NotApplicable(
-            f"k={k} lies in the dead interval [{(n - 2) / 2:g}, {(n + 2) / 2:g}] for n={n}"
-        )
+        raise NotApplicable(not_applicable_reason(n, k))
 
     stats = AttackStats(branch=branch)
     start = time.perf_counter()
@@ -370,20 +378,19 @@ def recover_key(
 def pair_candidates(rk: RecoveredKey, pub: PublicKey, z: np.ndarray) -> list[tuple[int, np.ndarray]]:
     """Decrypt using only public data and a recovered key.
 
-    Sweeps alpha over GF(q): for the value matching -<lam0, p> the shifted
-    word z + alpha a0 equals p + e with p in the recovered GRS code, so the
-    decoder reveals p, the masking pair rebuilds the public codeword, and a
-    linear solve through G_pub recovers the plaintext.  Returns every
-    verified (error weight, plaintext) candidate; the set is that of
-    ``scheme.decrypt_candidates``.
+    phi(p) = p + <lam0, p> a0 carries the recovered GRS code C onto C_pub,
+    so phi(G_C) = T G_pub for a k x k matrix T, read off one rref of
+    [G_pub^T | phi(G_C)^T]; for z = phi(p) + e and s = <lam0, p>, z - s a0 is
+    p + e, and T maps messages in C to plaintexts.  Returns the candidate set
+    of ``scheme.decrypt_candidates``; raises DecryptionFailure when phi does
+    not carry C into C_pub.
     """
-    f = pub.field
-
-    def plaintext(u: np.ndarray) -> np.ndarray | None:
-        p = grs.encode(rk.grs, u)
-        return linalg.solve_left(f, pub.g_pub, f.add(p, f.mul(f.dot(rk.lam0, p), rk.a0)))
-
-    return sweep_decrypt(pub, z, rk.grs, lambda v: v, f.neg(rk.a0), plaintext)
+    f, k = pub.field, pub.k
+    images = _apply_pair(f, grs.generator_matrix(rk.grs), rk.a0, rk.lam0)
+    r, pivots = linalg.rref(f, np.hstack([pub.g_pub.T, images.T]))
+    if pivots != list(range(k)):
+        raise DecryptionFailure("the masking pair does not carry the recovered code into C_pub")
+    return sweep_decrypt(pub, z, rk.grs, rk.a0, r[:, k:].T)
 
 
 def decrypt_with_pair(rk: RecoveredKey, pub: PublicKey, z: np.ndarray) -> np.ndarray:

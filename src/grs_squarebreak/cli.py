@@ -64,14 +64,10 @@ def _field(args) -> GF:
 
 def _diagnose(n: int, k: int) -> str:
     branch = attack_mod.applicable_branch(n, k)
-    if branch is attack_mod.Branch.LOW_RATE:
-        return "branch: low-rate"
-    if branch is attack_mod.Branch.HIGH_RATE_DUAL:
-        return "branch: high-rate-dual"
-    return (
-        f"branch: none -- k={k} is in the dead interval "
-        f"[{(n - 2) / 2:g}, {(n + 2) / 2:g}]; the bundled attack will not apply"
-    )
+    if branch is None:
+        reason = attack_mod.not_applicable_reason(n, k)
+        return f"branch: none -- {reason}; the bundled attack will not apply"
+    return f"branch: {branch.value}"
 
 
 def _match_public_key(name: str, key, pk: scheme.PublicKey) -> None:

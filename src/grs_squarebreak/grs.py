@@ -119,25 +119,25 @@ def encode(p: GrsParams, msg: np.ndarray) -> np.ndarray:
     return linalg.vecmat(p.field, msg, generator_matrix(p))
 
 
-def decode_many(p: GrsParams, words: np.ndarray) -> list[np.ndarray | None]:
+def decode_many(p: GrsParams, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Berlekamp-Welch bounded-distance decoding in syndrome form, of a
     stack of received words at once.
 
-    Entry i is the message u (length k) whose codeword u G lies within
-    Hamming distance t = floor((n-k)/2) of words[i] (that codeword is
-    unique), or None when there is none.  With s = r / y, the monic degree-t
-    error locators E are the solutions of the n-k-t parity checks z x^j of
-    RS_{k+t}(x, 1) on s E(x): an (n-k-t) x (t+1) Hankel system in the n-k
-    syndromes of s.  A codeword within t makes the system consistent and is
-    what every solution E leads to: the codeword agrees with r off E's
-    roots, at n-t >= k places or more, so one erasure solve there returns
-    it, and any codeword that solve finds lies within t.  An error of weight
-    w < t leaves E = locator * M free in a monic M of degree t-w, so when
-    the solution is unique the codeword's error has weight exactly t and E
-    is its locator: an E with fewer than t roots among x means there is
-    none, and no erasure solve is made.  The checks, the syndromes, the
-    Hankel solves and the locator values are shared over the stack; only
-    the words left after that take an erasure solve each.
+    Returns (msgs, ok): ok[i] tells whether a codeword u G lies within
+    Hamming distance t = floor((n-k)/2) of words[i] (it is then unique), and
+    msgs[i] is its message u (length k), or zero.  With s = r / y, the monic
+    degree-t error locators E are the solutions of the n-k-t parity checks
+    z x^j of RS_{k+t}(x, 1) on s E(x): an (n-k-t) x (t+1) Hankel system in
+    the n-k syndromes of s.  A codeword within t makes the system consistent
+    and is what every solution E leads to: the codeword agrees with r off
+    E's roots, at n-t >= k places or more, so one erasure solve there
+    returns it, and any codeword that solve finds lies within t.  An error
+    of weight w < t leaves E = locator * M free in a monic M of degree t-w,
+    so when the solution is unique the codeword's error has weight exactly t
+    and E is its locator: an E with fewer than t roots among x means there
+    is none, and no erasure solve is made.  The checks, the syndromes, the
+    Hankel solves and the locator values are shared over the stack; only the
+    words left after that take an erasure solve each.
     """
     f, x, k, n, t = p.field, p.x, p.k, p.n, p.t
     r = np.asarray(words, dtype=np.int64)
@@ -152,11 +152,14 @@ def decode_many(p: GrsParams, words: np.ndarray) -> list[np.ndarray | None]:
     loc = linalg.matmul(f, monic, _rows(f, np.ones(n, dtype=np.int64), x, t + 1))
     roots = np.count_nonzero(loc == 0, axis=1)
     g = generator_matrix(p)
-    out: list[np.ndarray | None] = [None] * r.shape[0]
+    msgs = np.zeros((r.shape[0], k), dtype=np.int64)
+    ok = np.zeros(r.shape[0], dtype=bool)
     for i in np.nonzero(consistent & ((rank < t) | (roots == t)))[0]:
         keep = loc[i] != 0
-        out[i] = linalg.solve_left(f, g[:, keep], r[i, keep])
-    return out
+        msg = linalg.solve_left(f, g[:, keep], r[i, keep])
+        if msg is not None:
+            msgs[i], ok[i] = msg, True
+    return msgs, ok
 
 
 def decode(p: GrsParams, received: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
@@ -166,10 +169,10 @@ def decode(p: GrsParams, received: np.ndarray) -> tuple[np.ndarray, np.ndarray] 
     t of the received word, else None.
     """
     r = np.asarray(received, dtype=np.int64)
-    (msg,) = decode_many(p, r[None, :])
-    if msg is None:
+    msgs, ok = decode_many(p, r[None, :])
+    if not ok[0]:
         return None
-    cw = encode(p, msg)
+    cw = encode(p, msgs[0])
     return cw, p.field.sub(r, cw)
 
 

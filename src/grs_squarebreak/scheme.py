@@ -2,9 +2,7 @@
 
 Key generation hides a secret GRS generator G_sec behind
 G_pub = S^-1 G_sec Q^-1 where Q = Pi + R, Pi a permutation matrix and
-R = alpha^T beta a rank-one matrix.  Decryption guesses the scalar
-gamma = <e, alpha> (q candidates), strips e R = gamma beta, and decodes in
-the secret code.
+R = alpha^T beta a rank-one matrix.
 
 Writing b = alpha and a = beta Pi^-1, the masking matrix satisfies
 Q = (I + b^T a) Pi, and with lam = -b / (1 + <a, b>) every public codeword
@@ -12,12 +10,16 @@ is p + <lam, p> a for some p in the permuted secret code C = C_sec Pi^-1.
 Key generation resamples (alpha, beta) until Q is invertible, lam is not a
 parity check of C, and the public code differs from C; these keys are the
 honest ones, and also exactly the ones the square-code attack targets.
+
+Decryption needs only that shape, so the secret key and a recovered pair
+(a0, lam0) decrypt alike (``sweep_decrypt``): a ciphertext is
+p + <lam, p> a + e, so for one of the q values of s, c - s a is p + e, which
+the GRS decoder in C corrects; one k x k matrix maps messages to plaintexts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -65,6 +67,7 @@ class SecretKey:
     lam: np.ndarray  # -b / (1 + <a, b>)
     g_sec: np.ndarray
     g_pub: np.ndarray
+    masked: grs.GrsParams  # C = C_sec Pi^-1, the code decryption decodes in
 
     @property
     def field(self) -> GF:
@@ -85,7 +88,7 @@ class SecretKey:
 
 def masked_params(sk: SecretKey) -> grs.GrsParams:
     """Describing pair of C = C_sec Pi^-1 (the permuted secret code)."""
-    return grs.GrsParams(sk.field, sk.grs.x[sk.perm], sk.grs.y[sk.perm], sk.k)
+    return sk.masked
 
 
 def build_keypair(
@@ -119,7 +122,8 @@ def build_keypair(
     s_inv = linalg.inverse(f, s_mat)
     g_pub = linalg.matmul(f, s_inv, linalg.matmul(f, g_sec, linalg.inverse(f, q_mat)))
     pk = PublicKey(f, n, k, g_pub)
-    sk = SecretKey(params, np.asarray(s_mat), s_inv, perm, alpha, beta, q_mat, a, b, lam, g_sec, g_pub)
+    sk = SecretKey(params, np.asarray(s_mat), s_inv, perm, alpha, beta, q_mat, a, b, lam, g_sec, g_pub,
+                   grs.GrsParams(f, params.x[perm], params.y[perm], k))
     return pk, sk
 
 
@@ -213,7 +217,7 @@ def canonical_choice(candidates: list[tuple[int, np.ndarray]], t: int) -> np.nda
     candidate at a smaller distance cannot be the plaintext that produced
     such a ciphertext; lighter candidates win only when no weight-t candidate
     exists, as for a caller-supplied zero error.  Both decryption routes (the
-    secret gamma sweep and the recovered-key alpha sweep) surface exactly the
+    secret key's sweep and a recovered masking pair's) surface exactly the
     same candidate set, and this rule makes them return identical results.
     """
     return min(candidates, key=lambda c: (c[0] != t, c[0], tuple(c[1].tolist())))[1]
@@ -221,46 +225,35 @@ def canonical_choice(candidates: list[tuple[int, np.ndarray]], t: int) -> np.nda
 
 def sweep_decrypt(
     key: PublicKey | SecretKey, c: np.ndarray, code: grs.GrsParams,
-    base: Callable[[np.ndarray], np.ndarray], direction: np.ndarray,
-    plaintext: Callable[[np.ndarray], np.ndarray | None],
+    direction: np.ndarray, to_plain: np.ndarray,
 ) -> list[tuple[int, np.ndarray]]:
     """The shift sweep shared by both decryptors.
 
-    Decodes base(c) - s * direction in ``code`` for every s in GF(q), all q
-    words in one ``grs.decode_many`` call, maps each decoded message
-    (coefficients in ``grs.generator_matrix(code)``) to a plaintext, and
-    keeps it when its public codeword lies within distance t of c.  Returns
-    the distinct verified (error weight, plaintext) candidates, in shift
-    order; raises DecryptionFailure when there is none.
+    Decodes c - s * direction in ``code`` for every s in GF(q), all q words
+    in one ``grs.decode_many`` call, maps the decoded messages (coefficients
+    in ``grs.generator_matrix(code)``) to plaintexts by the k x k matrix
+    ``to_plain``, and keeps those whose public codeword lies within t of c.
+    Returns the distinct verified (error weight, plaintext) candidates, in
+    shift order; raises DecryptionFailure when there is none.
     """
     f = key.field
     c = np.asarray(c, dtype=np.int64)
     if c.shape != (key.n,):
         raise DimensionMismatch(f"ciphertext length must be n={key.n}")
-    words = f.sub(base(c)[None, :], f.mul(f.elements()[:, None], direction[None, :]))
-    candidates: dict[tuple[int, ...], tuple[int, np.ndarray]] = {}
-    for u in grs.decode_many(code, words):
-        msg = None if u is None else plaintext(u)
-        if msg is None:
-            continue
-        weight = error_weight(f, key.g_pub, c, msg)
-        if weight <= key.t:
-            candidates[tuple(msg.tolist())] = (weight, msg)
+    words = f.sub(c[None, :], f.mul(f.elements()[:, None], direction[None, :]))
+    msgs, ok = grs.decode_many(code, words)
+    plain = linalg.matmul(f, msgs[ok], to_plain)
+    weights = np.count_nonzero(f.sub(c[None, :], linalg.matmul(f, plain, key.g_pub)), axis=1)
+    candidates = {m.tobytes(): (int(w), m) for w, m in zip(weights, plain) if w <= key.t}
     if not candidates:
         raise DecryptionFailure("no shift produced a consistent decoding")
     return list(candidates.values())
 
 
 def decrypt_candidates(sk: SecretKey, c: np.ndarray) -> list[tuple[int, np.ndarray]]:
-    """Sweep gamma over GF(q): c Q - gamma beta = m S^-1 G_sec + e Pi for the
-    true gamma = <e, alpha>, which the GRS decoder in C_sec then corrects;
-    the decoder's message times S is the plaintext.  Returns every verified
-    (error weight, plaintext) candidate, as ``sweep_decrypt`` does."""
-    f = sk.field
-    return sweep_decrypt(
-        sk, c, sk.grs, lambda v: linalg.vecmat(f, v, sk.q_mat), sk.beta,
-        lambda u: linalg.vecmat(f, u, sk.s_mat),
-    )
+    """``sweep_decrypt`` with the secret key: for c = m G_pub + e, the word
+    c - s a at s = <e - c, alpha> is m S^-1 G_sec Pi^-1 + e, decoded in C."""
+    return sweep_decrypt(sk, c, sk.masked, sk.a, sk.s_mat)
 
 
 def decrypt(sk: SecretKey, c: np.ndarray) -> np.ndarray:

@@ -393,7 +393,7 @@ class TestEndToEnd:
     def test_dead_interval(self, gf16m):
         for k in (7, 8):
             pk, _sk = scheme.keygen(gf16m, 15, k, np.random.default_rng(k))
-            with pytest.raises(NotApplicable):
+            with pytest.raises(NotApplicable, match="dead interval"):
                 atk.recover_key(pk)
 
     def test_budget_exceeded(self, gf16m, low_rate_key):
@@ -468,6 +468,58 @@ class TestDecryptWithPair:
         for _ in range(40):
             z = scheme.encrypt(pk, rng.integers(0, 16, k), rng)
             assert np.array_equal(atk.decrypt_with_pair(rk, pk, z), scheme.decrypt(sk, z))
+
+    @pytest.mark.parametrize(
+        "field,n,k,seed",
+        [((2, 4, 19), 15, 6, 42), ((2, 4, 19), 15, 9, 3020), ((5, 2, 32), 16, 6, 5000)],
+        ids=["GF16-15-6", "GF16-15-9", "GF25-16-6"],
+    )
+    def test_routes_return_the_same_candidate_set(self, field, n, k, seed):
+        """scheme.decrypt_candidates and pair_candidates with the true pair
+        give the same candidates as sets, or both fail: on weight-t
+        ciphertexts, on the tied ciphertext 6 of the dual campaign's first key
+        (keygen seed 3020), and on random vectors."""
+        f = GF(*field)
+        pk, sk = scheme.keygen(f, n, k, np.random.default_rng(seed))
+        rk = atk.RecoveredKey(scheme.masked_params(sk), sk.a, sk.lam, None)
+        rng = np.random.default_rng(seed + 1)
+        words = [scheme.encrypt(pk, rng.integers(0, f.q, k), rng) for _ in range(15)]
+        words += [rng.integers(0, f.q, n) for _ in range(10)]
+        if seed == 3020:
+            words.append(np.array([14, 2, 9, 4, 14, 10, 6, 0, 5, 1, 8, 9, 15, 13, 12]))
+
+        def candidate_set(route, *args):
+            try:
+                return {(w, tuple(m.tolist())) for w, m in route(*args)}
+            except DecryptionFailure:
+                return set()
+
+        sizes = []
+        for z in words:
+            secret = candidate_set(scheme.decrypt_candidates, sk, z)
+            assert candidate_set(atk.pair_candidates, rk, pk, z) == secret
+            sizes.append(len(secret))
+        assert min(sizes[:15]) >= 1
+        assert not any(sizes[15:25])
+        if seed == 3020:
+            assert sizes[25] == 2
+
+    @pytest.mark.parametrize("k", [6, 9])
+    def test_pair_that_misses_the_public_code_is_refused(self, gf16m, k):
+        """A pair with lam0 = 0 maps the hidden code to itself, not onto the
+        public code; pair_candidates refuses it on every ciphertext, before
+        decoding, instead of decrypting the few whose decoded codeword
+        happens to lie in the public code.  recover_key never returns such a
+        pair (pair_is_valid rejects it)."""
+        pk, sk = scheme.keygen(gf16m, 15, k, np.random.default_rng(42))
+        bad = atk.RecoveredKey(scheme.masked_params(sk), sk.a, np.zeros_like(sk.lam), None)
+        assert not atk.pair_is_valid(code_from_generator(gf16m, pk.g_pub),
+                                     grs.code(bad.grs), bad.a0, bad.lam0)
+        rng = np.random.default_rng(43)
+        for _ in range(100):
+            z = scheme.encrypt(pk, rng.integers(0, 16, k), rng)
+            with pytest.raises(DecryptionFailure, match="does not carry the recovered code"):
+                atk.pair_candidates(bad, pk, z)
 
     def test_zero_error_ciphertext(self, gf16m, low_rate_key, low_rate_attack):
         pk, _sk = low_rate_key

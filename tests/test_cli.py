@@ -206,6 +206,25 @@ class TestCliWorkflows:
         )
         assert "dead interval" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "k,reason", [(4, "needs k >= 6, got k=4"), (11, "needs n-k >= 6, got n-k=4")]
+    )
+    def test_attacked_dimension_below_six_is_not_the_dead_interval(
+        self, tmp_path, capsys, k, reason
+    ):
+        """At (15, 4) and (15, 11) the attacked code (the public code, or its
+        dual) has fewer than 6 dimensions; keygen and attack give that reason,
+        not the dead interval, and attack exits 3."""
+        pub = tmp_path / "p"
+        main(["keygen", *FIELD_ARGS, "--n", "15", "--k", str(k), "--seed", "1",
+              "--out-pub", str(pub), "--out-sec", str(tmp_path / "s")])
+        out = capsys.readouterr().out
+        assert "branch: none -- the rank test" in out and reason in out
+        assert "dead interval" not in out
+        assert main(["attack", "--pub", str(pub), "--out", str(tmp_path / "rk")]) == 3
+        err = capsys.readouterr().err
+        assert reason in err and "dead interval" not in err
+
     def test_keygen_invalid_dims_exit_1(self, tmp_path):
         rc = main(
             ["keygen", *FIELD_ARGS, "--n", "15", "--k", "15", "--seed", "1",
@@ -278,6 +297,25 @@ class TestCliWorkflows:
             assert "2 plaintexts lie within distance t=3" in capsys.readouterr().err
             _, back = fileio.load_vector(out, 9)
             assert back.tolist() == [4, 7, 15, 10, 14, 7, 12, 12, 4]  # sent: [6, 4, 11, ...]
+
+    def test_decrypt_refuses_a_pair_that_misses_the_public_code(self, tmp_path, capsys):
+        """A recovered-key file whose pair (lam0 = 0) does not carry the
+        hidden code onto the public code makes decrypt --recovered exit 2
+        with the reason on stderr."""
+        pub, sec = tmp_path / "p9", tmp_path / "s9"
+        main(["keygen", *FIELD_ARGS, "--n", "15", "--k", "9", "--seed", "42",
+              "--out-pub", str(pub), "--out-sec", str(sec)])
+        pk, sk = fileio.load_secret_key(sec)
+        rk = tmp_path / "rk9"
+        fileio.save_recovered_key(rk, pk.field, pk.n, pk.k, atk.RecoveredKey(
+            scheme.masked_params(sk), sk.a, np.zeros_like(sk.lam), None))
+        ct = tmp_path / "c.ct"
+        fileio.save_vector(ct, pk.field, pk.n, pk.k,
+                           scheme.encrypt(pk, np.arange(9), np.random.default_rng(1)))
+        capsys.readouterr()
+        assert main(["decrypt", "--recovered", str(rk), "--pub", str(pub), "--ct", str(ct)]) == 2
+        err = capsys.readouterr().err
+        assert "does not carry the recovered code into C_pub" in err
 
     @pytest.mark.parametrize(
         "field,n,k", [((2, 4, 19), 10, 6), ((2, 4, 19), 15, 5), ((17,), 15, 6)],

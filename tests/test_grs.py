@@ -108,15 +108,17 @@ class TestDecode:
         assert p.t == t
         codewords = all_codewords(gf5, p)
         words = np.array(list(itertools.product(range(5), repeat=p.n)), dtype=np.int64)
-        for r, msg in zip(words, grs.decode_many(p, words), strict=True):
+        msgs, ok = grs.decode_many(p, words)
+        assert msgs.shape == (len(words), k) and ok.shape == (len(words),)
+        for r, msg, found in zip(words, msgs, ok, strict=True):
             nearest, dist = brute_force_nearest(gf5, codewords, r)
             out = grs.decode(p, r)
             if dist <= t:
-                assert out is not None and msg is not None
+                assert out is not None and found
                 assert np.array_equal(out[0], nearest)
                 assert np.array_equal(grs.encode(p, msg), nearest)
             else:
-                assert out is None and msg is None
+                assert out is None and not found and not msg.any()
 
     def test_beyond_radius_fails(self, gf16, rng):
         p = grs.random_params(gf16, 15, 13, rng)  # t = 1
