@@ -34,6 +34,7 @@ from __future__ import annotations
 import enum
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -86,6 +87,11 @@ class RecoveredKey:
     lam0: np.ndarray
     shared_subcode: LinearCode | None  # C_pub & C, dimension k-1 (None in the
     # degenerate branch where the public code is itself GRS)
+
+    def __post_init__(self):
+        # Read-only copies: pair_candidates keeps a map built from them.
+        object.__setattr__(self, "a0", linalg.frozen(self.a0))
+        object.__setattr__(self, "lam0", linalg.frozen(self.lam0))
 
 
 def applicable_branch(n: int, k: int) -> Branch | None:
@@ -375,22 +381,31 @@ def recover_key(
         return RecoveredKey(params, a0, lam0, code_from_generator(f, inter)), stats
 
 
-def pair_candidates(rk: RecoveredKey, pub: PublicKey, z: np.ndarray) -> list[tuple[int, np.ndarray]]:
-    """Decrypt using only public data and a recovered key.
-
-    phi(p) = p + <lam0, p> a0 carries the recovered GRS code C onto C_pub,
-    so phi(G_C) = T G_pub for a k x k matrix T, read off one rref of
-    [G_pub^T | phi(G_C)^T]; for z = phi(p) + e and s = <lam0, p>, z - s a0 is
-    p + e, and T maps messages in C to plaintexts.  Returns the candidate set
-    of ``scheme.decrypt_candidates``; raises DecryptionFailure when phi does
-    not carry C into C_pub.
-    """
+@lru_cache(maxsize=16)
+def _pair_map(rk: RecoveredKey, pub: PublicKey) -> np.ndarray:
+    """The k x k matrix T with phi(G_C) = T G_pub, read off one rref of
+    [G_pub^T | phi(G_C)^T].  Cached per (rk, pub) pair, both hashed by
+    identity; a refused pair raises, so it is refused again on every call."""
     f, k = pub.field, pub.k
     images = _apply_pair(f, grs.generator_matrix(rk.grs), rk.a0, rk.lam0)
     r, pivots = linalg.rref(f, np.hstack([pub.g_pub.T, images.T]))
     if pivots != list(range(k)):
         raise DecryptionFailure("the masking pair does not carry the recovered code into C_pub")
-    return sweep_decrypt(pub, z, rk.grs, rk.a0, r[:, k:].T)
+    return linalg.frozen(r[:, k:].T)
+
+
+def pair_candidates(rk: RecoveredKey, pub: PublicKey, z: np.ndarray) -> list[tuple[int, np.ndarray]]:
+    """Decrypt using only public data and a recovered key.
+
+    phi(p) = p + <lam0, p> a0 carries the recovered GRS code C onto C_pub,
+    so phi(G_C) = T G_pub for a k x k matrix T, read off one rref of
+    [G_pub^T | phi(G_C)^T] per key pair (the first call on a pair builds
+    it, later calls reuse it); for z = phi(p) + e and s = <lam0, p>, z - s a0
+    is p + e, and T maps messages in C to plaintexts.  Returns the candidate
+    set of ``scheme.decrypt_candidates``; raises DecryptionFailure when phi
+    does not carry C into C_pub.
+    """
+    return sweep_decrypt(pub, z, rk.grs, rk.a0, _pair_map(rk, pub))
 
 
 def decrypt_with_pair(rk: RecoveredKey, pub: PublicKey, z: np.ndarray) -> np.ndarray:

@@ -10,7 +10,11 @@ locator alone, then an erasure solve off its roots; ``decode_many`` solves
 the systems of a whole stack of words in lockstep, as the decryption sweep
 does for its q shifted words, and ``decode`` is its one-word form), the
 dual-code multiplier formula, and two reconstruction routines used by the
-attack:
+attack.  A ``GrsParams`` is read-only and builds its key-fixed tables (the
+generator, the parity checks and the locator power rows) once, on first
+use, so decoding many words under one key pays for them once.
+
+The reconstruction routines:
 
 * ``ss_recover``: given only a code known to be GRS, find some describing
   pair (x, y) (Sidelnikov-Shestakov style, via cross-ratios of the
@@ -24,6 +28,7 @@ attack:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -49,8 +54,8 @@ class GrsParams:
     k: int
 
     def __post_init__(self):
-        x = np.asarray(self.x, dtype=np.int64)
-        y = np.asarray(self.y, dtype=np.int64)
+        x = linalg.frozen(self.x)
+        y = linalg.frozen(self.y)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
         n = x.shape[0]
@@ -73,6 +78,27 @@ class GrsParams:
     def t(self) -> int:
         """Unique-decoding radius floor((n-k)/2)."""
         return (self.n - self.k) // 2
+
+    # Key-fixed tables, built on first use (decoding needs all three, the
+    # attack and key generation only the generator).  Like x and y they are
+    # read-only, so no caller can make them disagree with the code.
+
+    @cached_property
+    def generator(self) -> np.ndarray:
+        """k x n matrix with row i equal to y * x^i (componentwise powers)."""
+        return linalg.frozen(_rows(self.field, self.y, self.x, self.k))
+
+    @cached_property
+    def parity_checks_t(self) -> np.ndarray:
+        """n x (n-k) transposed parity checks of RS_k(x, 1): column l is
+        z * x^l, z_i = 1 / prod_{j != i} (x_i - x_j)."""
+        return linalg.frozen(_parity_checks(self.field, self.x, self.n - self.k).T)
+
+    @cached_property
+    def locator_rows(self) -> np.ndarray:
+        """(t+1) x n matrix with row j equal to x^j: monic @ it evaluates
+        degree-t locators at the points."""
+        return linalg.frozen(_rows(self.field, np.ones(self.n, dtype=np.int64), self.x, self.t + 1))
 
     def __eq__(self, other):
         return (
@@ -104,8 +130,9 @@ def _rows(f: GF, first: np.ndarray, x: np.ndarray, m: int) -> np.ndarray:
 
 
 def generator_matrix(p: GrsParams) -> np.ndarray:
-    """k x n matrix with row i equal to y * x^i (componentwise powers)."""
-    return _rows(p.field, p.y, p.x, p.k)
+    """k x n matrix with row i equal to y * x^i (componentwise powers),
+    built once per ``GrsParams`` and read-only."""
+    return p.generator
 
 
 def code(p: GrsParams) -> LinearCode:
@@ -137,21 +164,23 @@ def decode_many(p: GrsParams, words: np.ndarray) -> tuple[np.ndarray, np.ndarray
     and E is its locator: an E with fewer than t roots among x means there
     is none, and no erasure solve is made.  The checks, the syndromes, the
     Hankel solves and the locator values are shared over the stack; only the
-    words left after that take an erasure solve each.
+    words left after that take an erasure solve each.  The parity checks,
+    the locator power rows and the generator are tables of ``p``, built on
+    its first decode and reused by every later one.
     """
-    f, x, k, n, t = p.field, p.x, p.k, p.n, p.t
+    f, k, n, t = p.field, p.k, p.n, p.t
     r = np.asarray(words, dtype=np.int64)
     if r.ndim != 2 or r.shape[1] != n:
         raise DimensionMismatch(f"received words must have length n={n}")
-    syn = linalg.matmul(f, f.div(r, p.y), _parity_checks(f, x, n - k).T)
+    syn = linalg.matmul(f, f.div(r, p.y), p.parity_checks_t)
     hankel = syn[:, np.arange(n - k - t)[:, None] + np.arange(t + 1)[None, :]]
     sol, consistent, rank = linalg.batched_solve_right(
         f, hankel[:, :, :t], f.neg(hankel[:, :, t])
     )
     monic = np.hstack([sol, np.ones((r.shape[0], 1), dtype=np.int64)])
-    loc = linalg.matmul(f, monic, _rows(f, np.ones(n, dtype=np.int64), x, t + 1))
+    loc = linalg.matmul(f, monic, p.locator_rows)
     roots = np.count_nonzero(loc == 0, axis=1)
-    g = generator_matrix(p)
+    g = p.generator
     msgs = np.zeros((r.shape[0], k), dtype=np.int64)
     ok = np.zeros(r.shape[0], dtype=bool)
     for i in np.nonzero(consistent & ((rank < t) | (roots == t)))[0]:

@@ -29,6 +29,14 @@ def as_matrix(rows) -> np.ndarray:
     return a
 
 
+def frozen(a) -> np.ndarray:
+    """A read-only C-ordered int64 copy of a: for key material and the
+    tables built from it, which stay valid only while nobody writes to it."""
+    out = np.array(a, dtype=np.int64, order="C")
+    out.flags.writeable = False
+    return out
+
+
 def rref(f: GF, a: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form with zero rows dropped.
 

@@ -47,6 +47,10 @@ class PublicKey:
     k: int
     g_pub: np.ndarray  # k x n, rank k
 
+    def __post_init__(self):
+        # A read-only copy: the pair route keeps a map built from it.
+        object.__setattr__(self, "g_pub", linalg.frozen(self.g_pub))
+
     @property
     def t(self) -> int:
         """Error weight budget floor((n-k)/2)."""

@@ -509,8 +509,9 @@ class TestDecryptWithPair:
         """A pair with lam0 = 0 maps the hidden code to itself, not onto the
         public code; pair_candidates refuses it on every ciphertext, before
         decoding, instead of decrypting the few whose decoded codeword
-        happens to lie in the public code.  recover_key never returns such a
-        pair (pair_is_valid rejects it)."""
+        happens to lie in the public code, and again on each later call with
+        the same pair: a refusal is not kept as a map.  recover_key never
+        returns such a pair (pair_is_valid rejects it)."""
         pk, sk = scheme.keygen(gf16m, 15, k, np.random.default_rng(42))
         bad = atk.RecoveredKey(scheme.masked_params(sk), sk.a, np.zeros_like(sk.lam), None)
         assert not atk.pair_is_valid(code_from_generator(gf16m, pk.g_pub),
@@ -520,6 +521,106 @@ class TestDecryptWithPair:
             z = scheme.encrypt(pk, rng.integers(0, 16, k), rng)
             with pytest.raises(DecryptionFailure, match="does not carry the recovered code"):
                 atk.pair_candidates(bad, pk, z)
+
+    def test_wrong_pair_refused_after_true_pair_decrypts(self, gf16m):
+        """Maps are kept per (recovered key, public key): the true pair's map
+        on a public key does not serve a wrong pair on the same public key,
+        whichever of the two is used first."""
+        pk, sk = scheme.keygen(gf16m, 15, 9, np.random.default_rng(45))
+        z = scheme.encrypt(pk, np.arange(9), np.random.default_rng(46))
+        for wrong_first in (False, True):
+            good = atk.RecoveredKey(scheme.masked_params(sk), sk.a, sk.lam, None)
+            bad = atk.RecoveredKey(scheme.masked_params(sk), sk.a, np.zeros_like(sk.lam), None)
+            if wrong_first:
+                with pytest.raises(DecryptionFailure):
+                    atk.pair_candidates(bad, pk, z)
+            assert np.array_equal(atk.decrypt_with_pair(good, pk, z), scheme.decrypt(sk, z))
+            with pytest.raises(DecryptionFailure):
+                atk.pair_candidates(bad, pk, z)
+
+    def test_keys_do_not_share_maps(self, gf16m):
+        """Two keys of one shape, used in turn: each recovered key decrypts
+        under its own public key, and is refused under the other's."""
+        keys = [scheme.keygen(gf16m, 15, 6, np.random.default_rng(seed)) for seed in (47, 48)]
+        rks = [atk.RecoveredKey(scheme.masked_params(sk), sk.a, sk.lam, None) for _, sk in keys]
+        rng = np.random.default_rng(49)
+        for _ in range(5):
+            for (pk, sk), rk, (other_pk, _) in zip(keys, rks, keys[::-1]):
+                z = scheme.encrypt(pk, rng.integers(0, 16, 6), rng)
+                assert np.array_equal(atk.decrypt_with_pair(rk, pk, z), scheme.decrypt(sk, z))
+                with pytest.raises(DecryptionFailure, match="does not carry the recovered code"):
+                    atk.pair_candidates(rk, other_pk, z)
+
+    @pytest.mark.parametrize(
+        "field,n,k",
+        [((17,), 16, 6), ((17,), 17, 9), ((13,), 12, 4), ((3, 2, 17), 8, 3), ((7,), 7, 2)],
+        ids=["GF17-16-6", "GF17-17-9", "GF13-12-4", "GF9-8-3", "GF7-7-2"],
+    )
+    def test_odd_characteristic_routes_agree(self, field, n, k):
+        """Over odd-characteristic fields, prime and extension, both routes
+        return one candidate set for every weight-t ciphertext, and it holds
+        the sent plaintext at weight t."""
+        f = GF(*field)
+        for seed in range(3):
+            pk, sk = scheme.keygen(f, n, k, np.random.default_rng(seed))
+            rk = atk.RecoveredKey(scheme.masked_params(sk), sk.a, sk.lam, None)
+            rng = np.random.default_rng(100 + seed)
+            for _ in range(40):
+                msg = rng.integers(0, f.q, k)
+                z = scheme.encrypt(pk, msg, rng)
+                secret = {(w, tuple(m.tolist())) for w, m in scheme.decrypt_candidates(sk, z)}
+                assert {(w, tuple(m.tolist())) for w, m in atk.pair_candidates(rk, pk, z)} == secret
+                assert (pk.t, tuple(msg.tolist())) in secret
+
+    def test_key_arrays_are_read_only_copies(self, gf16m):
+        """The arrays the pair route's map is built from cannot change under
+        it: writes into them raise, and writes into the arrays the keys were
+        built from do not reach them."""
+        pk, sk = scheme.keygen(gf16m, 15, 6, np.random.default_rng(52))
+        a0, lam0, g_pub = sk.a.copy(), sk.lam.copy(), pk.g_pub.copy()
+        rk = atk.RecoveredKey(scheme.masked_params(sk), a0, lam0, None)
+        pub = scheme.PublicKey(gf16m, 15, 6, g_pub)
+        z = scheme.encrypt(pk, np.arange(6), np.random.default_rng(53))
+        expect = atk.decrypt_with_pair(rk, pub, z)
+        for table in (rk.a0, rk.lam0, pub.g_pub):
+            with pytest.raises(ValueError):
+                table.flat[0] = 1
+        lam0[:] = 0
+        g_pub[0] = 0
+        assert np.array_equal(atk.decrypt_with_pair(rk, pub, z), expect)
+        fresh = atk.RecoveredKey(scheme.masked_params(sk), a0, lam0, None)
+        with pytest.raises(DecryptionFailure, match="does not carry the recovered code"):
+            atk.pair_candidates(fresh, pk, z)
+
+    def test_second_ciphertext_rebuilds_no_table(self, gf16m, monkeypatch):
+        """Once a key has decrypted, later ciphertexts under it build none of
+        the key-fixed tables: not the decoder's (generator, parity checks,
+        locator powers) and not the pair route's map."""
+        calls = {}
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args):
+                calls[name] = calls.get(name, 0) + 1
+                return original(*args)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        for module, name in ((grs, "_rows"), (grs, "_parity_checks"), (atk, "_apply_pair")):
+            counted(module, name)
+        pk, sk = scheme.keygen(gf16m, 15, 6, np.random.default_rng(50))
+        rk = atk.RecoveredKey(scheme.masked_params(sk), sk.a, sk.lam, None)
+        rng = np.random.default_rng(51)
+        calls.clear()
+        for round_ in range(3):
+            z = scheme.encrypt(pk, rng.integers(0, 16, 6), rng)
+            scheme.decrypt(sk, z)
+            atk.decrypt_with_pair(rk, pk, z)
+            if round_ == 0:
+                assert set(calls) == {"_rows", "_parity_checks", "_apply_pair"}
+                calls.clear()
+        assert calls == {}
 
     def test_zero_error_ciphertext(self, gf16m, low_rate_key, low_rate_attack):
         pk, _sk = low_rate_key

@@ -27,6 +27,32 @@ class TestParams:
         with pytest.raises(InvalidParams):
             GrsParams(gf5, np.arange(4), np.ones(4, dtype=np.int64), 4)
 
+    def test_points_multipliers_and_tables_are_read_only(self, gf16, rng):
+        p = grs.random_params(gf16, 15, 6, rng)
+        for table in (p.x, p.y, grs.generator_matrix(p), p.parity_checks_t, p.locator_rows):
+            with pytest.raises(ValueError):
+                table.flat[0] = 1
+
+    def test_caller_arrays_are_copied(self, gf16, rng):
+        """Writing into the arrays a GrsParams was built from changes neither
+        its decodes so far (tables already built) nor its first decode after
+        the write (tables built from then on)."""
+        x = rng.permutation(16)[:15]
+        y = rng.integers(1, 16, 15)
+        decoded, fresh = GrsParams(gf16, x, y, 6), GrsParams(gf16, x, y, 6)
+        errors = np.zeros((10, 15), dtype=np.int64)
+        for e in errors:
+            e[rng.choice(15, 4, replace=False)] = rng.integers(1, 16, 4)
+        cws = la.matmul(gf16, rng.integers(0, 16, (10, 6)), grs.generator_matrix(decoded))
+        words = np.vstack([gf16.add(cws, errors), rng.integers(0, 16, (10, 15))])
+        msgs, ok = grs.decode_many(decoded, words)
+        assert ok[:10].all() and not ok[10:].all()
+        x[[0, 1]] = x[[1, 0]]
+        y[:] = 1
+        for p in (decoded, fresh):
+            again = grs.decode_many(p, words)
+            assert np.array_equal(again[0], msgs) and np.array_equal(again[1], ok)
+
 
 class TestGenerator:
     def test_rs2_over_gf5(self, gf5):
