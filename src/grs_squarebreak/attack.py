@@ -11,7 +11,11 @@ and the test reduces to the rank of a 2k x (n-k) Schur complement built from
 A and the 2 x 2 minors of the triple on a pivot and a free column.  Phase 2
 solves for the subcode linearly, since it is totally isotropic for z * z'
 modulo the span of the triple's products, and keeps a candidate only if
-it obeys the square-code law dim = 2k-1.  Squaring it yields a full GRS
+it obeys the square-code law dim = 2k-1.  Its front half (the forms of each
+triple and the sum of their kernels) runs in lockstep over every triple of a
+batch that passes the rank test, so the false passes, frequent when n is
+close to 2k+2, are mostly rejected there by a few whole-stack eliminations
+before any candidate is built.  Squaring the subcode yields a full GRS
 code of dimension 2k-1 whose describing pair is recoverable, after which a
 valid masking pair (a0, lam0) with
 
@@ -144,27 +148,38 @@ def triple_ranks(pub: LinearCode, zs: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def solve_subcode(pub: LinearCode, zs: np.ndarray, stats: AttackStats) -> LinearCode | None:
-    """Phase 2 of the search: the shared subcode that a triple zs of ``pub``
-    passing the rank test points to, solved linearly, or None.
+def kernel_sums(
+    pub: LinearCode, zs: np.ndarray, squares: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The front half of phase 2 for a stack of triples zs (b, 3, n) of
+    ``pub``, in lockstep; ``squares`` is ``star_rows(f, pub.gen, pub.gen)``.
 
-    With W the span of the z_i * g_j, each p in W^perp gives the symmetric
-    form M_p = G diag(p) G^T, reading z * z' mod W in coefficient space.  A
-    triple inside the subcode makes it totally isotropic for every M_p, whose
-    form is then t(x) l_p(y) + l_p(x) t(y) + w_p t(x) t(y) with ker t the
-    subcode; so the kernels of the nonzero M_p sum to the subcode, or, for a
-    single rank-2 form (n - dim W = 1), to a hyperplane of it that one
-    isotropic line of a complement completes.  Each candidate is an inner
-    trial, kept only if it has dimension k-1 and a square of dimension 2k-1.
+    With W the span of a triple's products z_i * g_j, each p in W^perp gives
+    the symmetric form M_p = G diag(p) G^T, reading z * z' mod W in
+    coefficient space.  Returns (sums, dims, pivots, forms): sums[i, :dims[i]]
+    is the RREF basis, with pivot columns pivots[i, :dims[i]], of the sum of
+    the kernels of triple i's nonzero forms, and forms[i] holds its forms
+    M_p for a basis of W^perp, padded with zero forms.
     """
+    f, n, k = pub.field, pub.n, pub.k
+    perp, _ = linalg.batched_right_kernel(f, star_rows(f, zs, pub.gen))
+    forms = linalg.matmul(f, perp.reshape(-1, n), squares.T).reshape(len(zs), perp.shape[1], k, k)
+    nonzero = forms.any(axis=(2, 3))
+    kern, _ = linalg.batched_right_kernel(f, forms[nonzero])
+    kernels = np.zeros((*nonzero.shape, kern.shape[1], k), dtype=np.int64)
+    kernels[nonzero] = kern
+    sums, dims, pivots = linalg.batched_rref(f, kernels.reshape(len(zs), -1, k))
+    return sums, dims, pivots, forms
+
+
+def _subcode_from(pub: LinearCode, front: tuple, i: int, stats: AttackStats) -> LinearCode | None:
+    """The back half of phase 2: the subcode that triple i of the
+    ``kernel_sums`` result ``front`` points to, or None.  Each candidate is
+    an inner trial; a kernel sum of dimension other than k-1 or k-2 yields
+    none."""
     f, k, gen = pub.field, pub.k, pub.gen
-    perp = linalg.right_kernel(f, star_rows(f, zs, gen))
-    forms = linalg.matmul(f, perp, star_rows(f, gen, gen).T).reshape(-1, k, k)
-    forms = forms[forms.any(axis=(1, 2))]
-    if not len(forms):
-        return None
-    kernels = np.vstack([linalg.right_kernel(f, form) for form in forms])
-    basis, pivots = linalg.rref(f, kernels)
+    sums, dims, pivcols, stacked_forms = front
+    basis, pivots, forms = sums[i, : dims[i]], pivcols[i, : dims[i]].tolist(), stacked_forms[i]
     if len(pivots) == k - 1:
         candidates = [basis]
     elif len(pivots) == k - 2:
@@ -186,6 +201,23 @@ def solve_subcode(pub: LinearCode, zs: np.ndarray, stats: AttackStats) -> Linear
     return None
 
 
+def solve_subcode(pub: LinearCode, zs: np.ndarray, stats: AttackStats) -> LinearCode | None:
+    """Phase 2 of the search for one triple zs of ``pub`` passing the rank
+    test: the shared subcode it points to, solved linearly, or None.
+
+    A triple inside the subcode makes it totally isotropic for every form
+    M_p of ``kernel_sums``, whose form is then
+    t(x) l_p(y) + l_p(x) t(y) + w_p t(x) t(y) with ker t the subcode; so the
+    kernels of the nonzero M_p sum to the subcode, or, for a single rank-2
+    form (n - dim W = 1), to a hyperplane of it that one isotropic line of a
+    complement completes.  Each candidate is an inner trial, kept only if it
+    has dimension k-1 and a square of dimension 2k-1.  This is the
+    one-triple case of the lockstep search in ``find_shared_subcode``.
+    """
+    f, gen = pub.field, pub.gen
+    return _subcode_from(pub, kernel_sums(pub, zs[None], star_rows(f, gen, gen)), 0, stats)
+
+
 def find_shared_subcode(
     pub: LinearCode,
     cfg: AttackConfig,
@@ -203,8 +235,17 @@ def find_shared_subcode(
     ``recover_key`` rejects the subcode and calls again, the batch size also
     decides which triples that restart skips.  At desk scale the generic
     span saturates at n with a margin of very few dimensions over the
-    threshold, so false triples pass too; phase 2 (``solve_subcode``) finds
-    no subcode for them, which counts a restart.
+    threshold, so false triples pass too; phase 2 finds no subcode for them,
+    which counts a restart.
+
+    Phase 2 is ``solve_subcode`` for every passing triple, split in two.
+    Its front half, the triples' independence and their ``kernel_sums``,
+    runs once per batch in lockstep for all passing triples; the passing
+    triples are then walked in draw order, each first counted and checked
+    against the budget.  A dependent triple is skipped, a kernel sum of
+    dimension other than k-1 or k-2 counts a restart without an inner
+    trial, and the rest go through the candidate stage one by one.  The
+    draws and decisions are those of calling ``solve_subcode`` per triple.
     """
     f, n, k = pub.field, pub.n, pub.k
     if applicable_branch(n, k) is not Branch.LOW_RATE:
@@ -214,20 +255,24 @@ def find_shared_subcode(
     budget = cfg.max_outer_trials if cfg.max_outer_trials is not None else 100 * f.q**3
     threshold = 2 * k + 2
     gen = pub.gen
+    squares = star_rows(f, gen, gen)
 
     while True:
         drawn = stats.outer_trials
         coeffs = linalg.random_matrix(f, _BATCH, 3 * k, rng).reshape(_BATCH, 3, k)
         zbatch = f.sum(f.mul(coeffs[:, :, :, None], gen[None, None, :, :]), axis=2)
         ranks = triple_ranks(pub, zbatch)
-        for idx in np.nonzero(ranks <= threshold)[0]:
+        passing = np.nonzero(ranks <= threshold)[0]
+        if passing.size:
+            independent = linalg.batched_rank(f, zbatch[passing]) == 3
+            front = kernel_sums(pub, zbatch[passing], squares)
+        for i, idx in enumerate(passing):
             stats.outer_trials = drawn + int(idx) + 1
             if stats.outer_trials > budget:
                 raise TrialBudgetExceeded(f"no suitable triple within {budget} draws")
-            zs = zbatch[idx]
-            if linalg.rank(f, zs) != 3:
+            if not independent[i]:
                 continue
-            subcode = solve_subcode(pub, zs, stats)
+            subcode = _subcode_from(pub, front, i, stats)
             if subcode is not None:
                 return subcode
             stats.restarts += 1

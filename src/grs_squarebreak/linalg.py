@@ -200,33 +200,35 @@ def solve_right(f: GF, a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     return x
 
 
-def batched_solve_right(
-    f: GF, a: np.ndarray, b: np.ndarray
+def batched_rref(
+    f: GF, mats: np.ndarray, ncols: int | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Solve a stack of systems a[i] @ x^T = b[i] in lockstep.
+    """Gauss-Jordan elimination of a stack of equally-shaped matrices in
+    lockstep, pivoting on their first ``ncols`` columns (default: all).
 
-    Returns (x, consistent, rank): where consistent[i], x[i] is the solution
-    ``solve_right`` returns (free variables zero; it is the only solution
-    supported on the pivot columns, so any elimination order finds it), and
-    rank[i] is the rank of a[i].  Gauss-Jordan over one shared column
-    schedule, each matrix with its own pivot-row counter, so a stack of many
-    small systems costs a few whole-stack operations per column.
+    Returns (m, rank, pivcol): row r < rank[i] of m[i] is a pivot row with
+    its pivot in column pivcol[i, r], and the rows below are zero on the
+    pivoting columns.  With every column pivoting, m[i, :rank[i]] and
+    pivcol[i, :rank[i]] are ``rref(f, mats[i])``, as the RREF is unique.
+    One shared column schedule, each matrix with its own pivot-row counter,
+    so a stack of many small matrices costs a few whole-stack operations
+    per column.
     """
-    a = np.asarray(a, dtype=np.int64)
-    b = np.asarray(b, dtype=np.int64)
-    if a.ndim != 3 or b.shape != a.shape[:2]:
-        raise DimensionMismatch(f"cannot solve a stack {a.shape} against {b.shape}")
-    nmat, nrows, ncols = a.shape
-    m = np.concatenate([a, b[:, :, None]], axis=2)
-    rowptr = np.zeros(nmat, dtype=np.int64)
+    m = np.array(mats, dtype=np.int64)
+    if m.ndim != 3:
+        raise DimensionMismatch(f"expected a stack of matrices, got shape {m.shape}")
+    nmat, nrows, width = m.shape
+    if ncols is None:
+        ncols = width
+    rank = np.zeros(nmat, dtype=np.int64)
     pivcol = np.zeros((nmat, nrows), dtype=np.int64)
     rowidx = np.arange(nrows)
     for c in range(ncols):
-        eligible = (rowidx[None, :] >= rowptr[:, None]) & (m[:, :, c] != 0)
+        eligible = (rowidx[None, :] >= rank[:, None]) & (m[:, :, c] != 0)
         bi = np.nonzero(eligible.any(axis=1))[0]
         if not bi.size:
             continue
-        rp = rowptr[bi]
+        rp = rank[bi]
         pr = np.argmax(eligible[bi], axis=1)
         piv = f.mul(m[bi, pr, c:], f.inv0(m[bi, pr, c])[:, None])
         m[bi, pr, c:] = m[bi, rp, c:]
@@ -235,13 +237,61 @@ def batched_solve_right(
         m[bi, :, c:] = f.sub(m[bi, :, c:], f.mul(fac[:, :, None], piv[:, None, :]))
         m[bi, rp, c:] = piv
         pivcol[bi, rp] = c
-        rowptr[bi] += 1
-    live = rowidx[None, :] < rowptr[:, None]
+        rank[bi] += 1
+    return m, rank, pivcol
+
+
+def batched_right_kernel(f: GF, mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``right_kernel`` of each matrix of a stack, in lockstep.
+
+    Returns (kern, nullity): kern has shape (nmat, d, ncols) with d the
+    largest nullity in the stack; kern[i, :nullity[i]] is, row for row,
+    ``right_kernel(f, mats[i])``, and the rows below are zero.
+    """
+    m, rank, pivcol = batched_rref(f, mats)
+    nmat, nrows, ncols = m.shape
+    nullity = ncols - rank
+    d = int(nullity.max(initial=0))
+    mat = np.arange(nmat)[:, None]
+    # Rows past the rank point at the spare last column, dropped below.
+    at = np.where(np.arange(nrows) < rank[:, None], pivcol, ncols)
+    ispiv = np.zeros((nmat, ncols + 1), dtype=bool)
+    ispiv[mat, at] = True
+    free = np.argsort(ispiv[:, :ncols], axis=1, kind="stable")[:, :d]  # free columns first
+    # Kernel row j: 1 at free column free[j], -R[r, free[j]] at each pivot.
+    kern = np.zeros((nmat, d, ncols + 1), dtype=np.int64)
+    rows = np.arange(nrows)[None, :, None]
+    kern[mat[:, :, None], np.arange(d)[:, None], at[:, None, :]] = f.neg(
+        m[mat[:, :, None], rows, free[:, None, :]]
+    ).transpose(0, 2, 1)
+    kern[mat, np.arange(d), free] = 1
+    kern[np.arange(d) >= nullity[:, None]] = 0
+    return kern[:, :, :ncols], nullity
+
+
+def batched_solve_right(
+    f: GF, a: np.ndarray, b: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Solve a stack of systems a[i] @ x^T = b[i] in lockstep.
+
+    Returns (x, consistent, rank): where consistent[i], x[i] is the solution
+    ``solve_right`` returns (free variables zero; it is the only solution
+    supported on the pivot columns, so any elimination order finds it), and
+    rank[i] is the rank of a[i].  One ``batched_rref`` of the augmented
+    matrices, pivoting on a's columns.
+    """
+    a = np.asarray(a, dtype=np.int64)
+    b = np.asarray(b, dtype=np.int64)
+    if a.ndim != 3 or b.shape != a.shape[:2]:
+        raise DimensionMismatch(f"cannot solve a stack {a.shape} against {b.shape}")
+    nmat, nrows, ncols = a.shape
+    m, rank, pivcol = batched_rref(f, np.concatenate([a, b[:, :, None]], axis=2), ncols)
+    live = np.arange(nrows)[None, :] < rank[:, None]
     consistent = ~np.any(~live & (m[:, :, ncols] != 0), axis=1)
     x = np.zeros((nmat, ncols + 1), dtype=np.int64)
-    # Rows past the counter point at the spare last column, dropped below.
+    # Rows past the rank point at the spare last column, dropped below.
     np.put_along_axis(x, np.where(live, pivcol, ncols), np.where(live, m[:, :, ncols], 0), axis=1)
-    return x[:, :ncols], consistent, rowptr
+    return x[:, :ncols], consistent, rank
 
 
 def solve_left(f: GF, g: np.ndarray, c: np.ndarray) -> np.ndarray | None:

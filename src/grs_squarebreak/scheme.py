@@ -123,11 +123,14 @@ def build_keypair(
     lam = f.mul(f.neg(f.inv(denom)), b)
     q_mat = f.add(linalg.permutation_matrix(perm), linalg.outer(f, alpha, beta))
     g_sec = grs.generator_matrix(params)
+    masked = grs.GrsParams(f, params.x[perm], params.y[perm], k)
+    # Q^-1 = Pi^-1 (I + lam^T a), so G_sec Q^-1 = G_C + (G_C lam^T) a.
+    g_c = grs.generator_matrix(masked)
     s_inv = linalg.inverse(f, s_mat)
-    g_pub = linalg.matmul(f, s_inv, linalg.matmul(f, g_sec, linalg.inverse(f, q_mat)))
+    g_pub = linalg.matmul(f, s_inv, f.add(g_c, linalg.outer(f, linalg.matvec(f, g_c, lam), a)))
     pk = PublicKey(f, n, k, g_pub)
     sk = SecretKey(params, np.asarray(s_mat), s_inv, perm, alpha, beta, q_mat, a, b, lam, g_sec, g_pub,
-                   grs.GrsParams(f, params.x[perm], params.y[perm], k))
+                   masked)
     return pk, sk
 
 
@@ -151,7 +154,7 @@ def keygen(f: GF, n: int, k: int, rng: np.random.Generator) -> tuple[PublicKey, 
     s_mat = linalg.random_invertible(f, k, rng)
     perm = rng.permutation(n).astype(np.int64)
     g_c = grs.generator_matrix(params)[:, perm]
-    c_rref, _ = linalg.rref(f, g_c)
+    c_rref, c_pivots = linalg.rref(f, g_c)
 
     def nonzero_vec() -> np.ndarray:
         while True:
@@ -168,9 +171,8 @@ def keygen(f: GF, n: int, k: int, rng: np.random.Generator) -> tuple[PublicKey, 
             continue  # singular Q
         if not linalg.matvec(f, g_c, sk.lam).any():
             continue  # lam orthogonal to C: degenerate, public code equals C
-        pub_rref, _ = linalg.rref(f, pk.g_pub)
-        if pub_rref.shape == c_rref.shape and np.array_equal(pub_rref, c_rref):
-            continue  # public code coincides with C
+        if not linalg.reduce_row(f, c_rref, c_pivots, sk.a).any():
+            continue  # a in C: the public code p + <lam, p> a coincides with C
         return pk, sk
     raise ResampleExhausted(f"no acceptable mask after {_MAX_RESAMPLE} samples")
 

@@ -270,6 +270,36 @@ class TestSolveSubcode:
             zs = la.matmul(f, la.random_matrix(f, 3, pub.k, rng), pub.gen)
             assert atk.solve_subcode(pub, zs, AttackStats()) is None
 
+    def test_kernel_sums_match_reference(self, solve_point):
+        """The lockstep kernel sums of 20 subcode triples and 200 random
+        public triples, against a reference built one triple and one form
+        at a time with right_kernel and rref; every triple the search
+        rejects on its kernel sum leaves inner_trials unchanged."""
+        f, pub, sub = solve_point
+        k = pub.k
+        rng = np.random.default_rng(2)
+        zs = np.concatenate([
+            triples(f, sub, rng.integers(0, f.q, (20, 3, sub.k))),
+            triples(f, pub, rng.integers(0, f.q, (200, 3, k))),
+        ])
+        squares = star_rows(f, pub.gen, pub.gen)
+        sums, dims, pivots, _forms = atk.kernel_sums(pub, zs, squares)
+        assert set(dims[:20].tolist()) <= {k - 1, k - 2}
+        rejected = 0
+        for zs_i, sum_i, d, piv in zip(zs, sums, dims, pivots, strict=True):
+            perp = la.right_kernel(f, star_rows(f, zs_i, pub.gen))
+            forms = la.matmul(f, perp, squares.T).reshape(-1, k, k)
+            kernels = [la.right_kernel(f, m) for m in forms if m.any()]
+            want, want_piv = la.rref(f, np.vstack(kernels)) if kernels else (sum_i[:0], [])
+            assert d == len(want_piv)
+            assert np.array_equal(sum_i[:d], want) and piv[:d].tolist() == want_piv
+            if d not in (k - 1, k - 2):
+                rejected += 1
+                stats = AttackStats()
+                assert atk.solve_subcode(pub, zs_i, stats) is None
+                assert stats.inner_trials == 0
+        assert rejected > 0
+
 
 class TestRecoverSecretGrs:
     def test_reconstructs_hidden_code(self, gf16m, low_rate_key):
@@ -454,6 +484,28 @@ class TestEndToEnd:
             msg = rng.integers(0, 16, k)
             z = scheme.encrypt(pk, msg, rng)
             assert np.array_equal(atk.decrypt_with_pair(rk, pk, z), msg)
+
+
+class TestSeededCounters:
+    """The draws and decisions of seeded attacks, pinned as (outer trials,
+    inner trials, restarts) on three benchmark keys: a change that moves
+    them changes the algorithm."""
+
+    @pytest.mark.parametrize(
+        "field,n,k,keygen_seed,attack_seed,counters",
+        [
+            ((2, 4, 19), 15, 6, 1000, 2000, (1659, 12, 120)),
+            ((2, 4, 19), 15, 9, 3020, 4000, (2392, 24, 178)),
+            ((5, 2, 32), 16, 6, 5002, 6002, (15983, 1, 33)),
+        ],
+        ids=["GF16-15-6", "GF16-15-9", "GF25-16-6"],
+    )
+    def test_counters_and_recovered_code(self, field, n, k, keygen_seed, attack_seed, counters):
+        f = GF(*field)
+        pk, sk = scheme.keygen(f, n, k, np.random.default_rng(keygen_seed))
+        rk, st = atk.recover_key(pk, AttackConfig(seed=attack_seed))
+        assert (st.outer_trials, st.inner_trials, st.restarts) == counters
+        assert grs.code(rk.grs) == grs.code(scheme.masked_params(sk))
 
 
 class TestDecryptWithPair:

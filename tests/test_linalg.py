@@ -169,6 +169,52 @@ class TestSolve:
         assert x.shape == (0, 2) and consistent.shape == ranks.shape == (0,)
 
 
+class TestBatchedKernel:
+    """The lockstep Gauss-Jordan (``batched_rref``) and its kernel view
+    against ``rref`` and ``right_kernel``, matrix by matrix."""
+
+    SHAPES = ((1, 6), (3, 7), (7, 3), (5, 5), (6, 1), (0, 4))
+
+    @staticmethod
+    def planted_stack(f, rows, cols, rng):
+        """Matrices of every rank from zero to full, three of each."""
+        mats = []
+        for r in range(min(rows, cols) + 1):
+            for _ in range(3):
+                m = np.zeros((rows, cols), dtype=np.int64)
+                if r:
+                    m = la.matmul(f, la.random_matrix(f, rows, r, rng), la.random_matrix(f, r, cols, rng))
+                mats.append(m)
+        return np.stack(mats)
+
+    @pytest.mark.parametrize("f", [GF(2, 4, 19), GF(5, 2, 32), GF(7)], ids=["GF16", "GF25", "GF7"])
+    def test_kernel_rows_match_right_kernel(self, f, rng):
+        for rows, cols in self.SHAPES:
+            mats = self.planted_stack(f, rows, cols, rng)
+            kern, nullity = la.batched_right_kernel(f, mats)
+            assert kern.shape == (len(mats), int(nullity.max()), cols)
+            for m, basis, d in zip(mats, kern, nullity, strict=True):
+                want = la.right_kernel(f, m)
+                assert d == want.shape[0]
+                assert np.array_equal(basis[:d], want)
+                assert not basis[d:].any()
+
+    @pytest.mark.parametrize("f", [GF(2, 4, 19), GF(5, 2, 32), GF(7)], ids=["GF16", "GF25", "GF7"])
+    def test_rref_matches(self, f, rng):
+        for rows, cols in self.SHAPES:
+            mats = self.planted_stack(f, rows, cols, rng)
+            red, ranks, pivcol = la.batched_rref(f, mats)
+            for m, r, d, piv in zip(mats, red, ranks, pivcol, strict=True):
+                want, want_piv = la.rref(f, m)
+                assert np.array_equal(r[:d], want)
+                assert piv[:d].tolist() == want_piv
+                assert not r[d:].any()
+
+    def test_empty_stack(self, gf7):
+        kern, nullity = la.batched_right_kernel(gf7, np.zeros((0, 3, 4), dtype=np.int64))
+        assert kern.shape == (0, 0, 4) and nullity.shape == (0,)
+
+
 class TestInverse:
     def test_round_trip(self, gf16, rng):
         m = la.random_invertible(gf16, 5, rng)

@@ -27,3 +27,12 @@ def test_square_dimensions(monkeypatch, capsys):
     out = run_script("square_dimensions.py", ["--reps", "4", "--seed", "3"], monkeypatch, capsys)
     assert out.count("(out of 4)") == 9
     assert "  GRS            11:4  (out of 4)" in out
+
+
+def test_attack_digest(monkeypatch, capsys):
+    out = run_script("attack_digest.py", ["--keys", "GF16"], monkeypatch, capsys)
+    lines = out.splitlines()
+    assert lines[0].startswith("GF16 (15, 6) 1000/2000: outer=1659 inner=12 restarts=120 key=")
+    assert lines[1].startswith("GF16 (15, 9) 3020/4000: outer=2392 inner=24 restarts=178 key=")
+    assert lines[2].startswith("GF16 (15, 6) 1001/2001: outer=4640 inner=43 restarts=309 key=")
+    assert lines[3].startswith("digest of 3 keys: ")
