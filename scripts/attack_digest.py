@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Digest of the seeded attack: trial counters and recovered keys, per key.
 
-Usage: python scripts/attack_digest.py [--campaign] [--keys GF16]
+Usage: python scripts/attack_digest.py [--campaign] [--keys GF16] [--keygen]
 
 For each key it prints the outer trials, inner trials and restarts of
 ``recover_key`` and a sha256 over the recovered (x, y, a0, lam0), then one
@@ -10,6 +10,11 @@ sha256 over all those lines.  The keys are the 5 keys of the benchmark
 (GF(16) (15, 6) keygen 1000+i / attack 2000+i and (15, 9) 3020+i / 4000+i,
 i < 20); --keys GF16 keeps only the GF(16) keys.  Two trees that print the
 same digest make the same draws and the same decisions.
+
+--keygen prints instead one sha256 over every output of ``scheme.keygen``
+at keygen seeds 0-109 of each of 7 points (GF(16) (15, 6) and (15, 9),
+GF(25) (16, 6), GF(7) (7, 2) and (7, 5), GF(3) (3, 1), GF(4) (4, 2)): two
+trees that print the same value generate the same keys.
 """
 
 import argparse
@@ -34,6 +39,12 @@ BENCH_KEYS = [
 CAMPAIGN_KEYS = [("GF16", 15, 6, 1000 + i, 2000 + i) for i in range(20)] + [
     ("GF16", 15, 9, 3020 + i, 4000 + i) for i in range(20)
 ]
+# (field, n, k) of the keygen digest, each at keygen seeds 0-109
+KEYGEN_POINTS = [
+    ((2, 4, 19), 15, 6), ((2, 4, 19), 15, 9), ((5, 2, 32), 16, 6),
+    ((7,), 7, 2), ((7,), 7, 5), ((3,), 3, 1), ((2, 2, 7), 4, 2),
+]
+KEYGEN_SEEDS = range(110)
 
 
 def digest_line(field: str, n: int, k: int, keygen_seed: int, attack_seed: int) -> str:
@@ -49,11 +60,29 @@ def digest_line(field: str, n: int, k: int, keygen_seed: int, attack_seed: int) 
     )
 
 
+def keygen_digest() -> str:
+    h = hashlib.sha256()
+    for field, n, k in KEYGEN_POINTS:
+        f = GF(*field)
+        for seed in KEYGEN_SEEDS:
+            pk, sk = scheme.keygen(f, n, k, np.random.default_rng(seed))
+            for part in (pk.g_pub, sk.grs.x, sk.grs.y, sk.s_mat, sk.perm, sk.alpha, sk.beta,
+                         sk.a, sk.lam, sk.q_mat, sk.g_sec, sk.masked.x, sk.masked.y):
+                h.update(np.asarray(part, dtype=np.int64).tobytes())
+    return h.hexdigest()
+
+
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--campaign", action="store_true", help="add the 40 campaign keys")
     ap.add_argument("--keys", choices=sorted(FIELDS), help="only the keys over this field")
+    ap.add_argument("--keygen", action="store_true", help="digest the keygen outputs instead")
     args = ap.parse_args()
+
+    if args.keygen:
+        count = len(KEYGEN_POINTS) * len(KEYGEN_SEEDS)
+        print(f"keygen digest of {count} keys at {len(KEYGEN_POINTS)} points: {keygen_digest()}")
+        return
 
     keys = BENCH_KEYS + (CAMPAIGN_KEYS if args.campaign else [])
     if args.keys:

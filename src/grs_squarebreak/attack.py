@@ -42,9 +42,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import grs, linalg
+from . import grs, linalg, scheme
 from .codes import LinearCode, code_from_generator, star_rows
-from .gf import GF
 from .scheme import DecryptionFailure, PublicKey, canonical_choice, sweep_decrypt
 
 
@@ -168,7 +167,9 @@ def kernel_sums(
     kern, _ = linalg.batched_right_kernel(f, forms[nonzero])
     kernels = np.zeros((*nonzero.shape, kern.shape[1], k), dtype=np.int64)
     kernels[nonzero] = kern
-    sums, dims, pivots = linalg.batched_rref(f, kernels.reshape(len(zs), -1, k))
+    sums, dims, pivots = linalg.batched_rref(
+        f, kernels.reshape(len(zs), kernels.shape[1] * kernels.shape[2], k)
+    )
     return sums, dims, pivots, forms
 
 
@@ -300,11 +301,9 @@ def recover_secret_grs(shared: LinearCode, k: int) -> grs.GrsParams:
     if y is None:
         raise grs.NotGrs("no everywhere-nonzero multiplier vector")
     params = grs.GrsParams(f, sq_params.x, y, k)
-    gen = grs.generator_matrix(params)
-    r, piv = linalg.rref(f, gen)
-    for row in shared.gen:
-        if linalg.reduce_row(f, r, piv, row).any():
-            raise grs.NotGrs("recovered code does not contain the subcode")
+    c = grs.code(params)
+    if linalg.reduce_row(f, c.gen, c.pivots, shared.gen).any():
+        raise grs.NotGrs("recovered code does not contain the subcode")
     return params
 
 
@@ -337,19 +336,14 @@ def recover_valid_pair(
     return f.div(d, f.dot(lam0, p1)), lam0, inter
 
 
-def _apply_pair(f: GF, gen: np.ndarray, a0: np.ndarray, lam0: np.ndarray) -> np.ndarray:
-    """The rows p + <lam0, p> a0 of the masking map applied to gen's rows."""
-    return f.add(gen, linalg.outer(f, linalg.matvec(f, gen, lam0), a0))
-
-
 def pair_is_valid(pub: LinearCode, c: LinearCode, a0: np.ndarray, lam0: np.ndarray) -> bool:
-    """Check <a0, lam0> != -1 and that p -> p + <lam0, p> a0 maps a basis of
-    c into pub with full rank."""
+    """Check <a0, lam0> != -1 and that the masking map ``scheme.mask``,
+    p -> p + <lam0, p> a0, maps a basis of c into pub with full rank."""
     f = pub.field
     if f.dot(a0, lam0) == int(f.neg(1)):
         return False
-    images = _apply_pair(f, c.gen, a0, lam0)
-    if any(not pub.contains(row) for row in images):
+    images = scheme.mask(f, c.gen, a0, lam0)
+    if linalg.reduce_row(f, pub.gen, pub.pivots, images).any():
         return False
     return linalg.rank(f, images) == c.k
 
@@ -407,32 +401,30 @@ def recover_key(
         )
     while True:
         shared = find_shared_subcode(target, cfg, rng, stats)
+        # A wrong subcode fails one of these steps; the search then goes on.
         try:
-            params_target = recover_secret_grs(shared, k_target)
-        except grs.NotGrs:
-            stats.restarts += 1
-            continue
-        params = params_target if branch == Branch.LOW_RATE else grs.dual_params(params_target)
-        c_code = grs.code(params)
-        try:
+            params = recover_secret_grs(shared, k_target)
+            if branch == Branch.HIGH_RATE_DUAL:
+                params = grs.dual_params(params)
+            c_code = grs.code(params)
             a0, lam0, inter = recover_valid_pair(pub_code, c_code)
-        except PreconditionViolated:
-            stats.restarts += 1
-            continue
-        if not pair_is_valid(pub_code, c_code, a0, lam0):
-            stats.restarts += 1
-            continue
-        stats.wall_time = time.perf_counter() - start
-        return RecoveredKey(params, a0, lam0, code_from_generator(f, inter)), stats
+            valid = pair_is_valid(pub_code, c_code, a0, lam0)
+        except (grs.NotGrs, PreconditionViolated):
+            valid = False
+        if valid:
+            stats.wall_time = time.perf_counter() - start
+            return RecoveredKey(params, a0, lam0, code_from_generator(f, inter)), stats
+        stats.restarts += 1
 
 
 @lru_cache(maxsize=16)
 def _pair_map(rk: RecoveredKey, pub: PublicKey) -> np.ndarray:
-    """The k x k matrix T with phi(G_C) = T G_pub, read off one rref of
+    """The k x k matrix T with phi(G_C) = T G_pub, phi the masking map
+    ``scheme.mask`` of the pair, read off one rref of
     [G_pub^T | phi(G_C)^T].  Cached per (rk, pub) pair, both hashed by
     identity; a refused pair raises, so it is refused again on every call."""
     f, k = pub.field, pub.k
-    images = _apply_pair(f, grs.generator_matrix(rk.grs), rk.a0, rk.lam0)
+    images = scheme.mask(f, rk.grs.generator, rk.a0, rk.lam0)
     r, pivots = linalg.rref(f, np.hstack([pub.g_pub.T, images.T]))
     if pivots != list(range(k)):
         raise DecryptionFailure("the masking pair does not carry the recovered code into C_pub")

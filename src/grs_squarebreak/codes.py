@@ -56,7 +56,7 @@ class LinearCode:
         v = np.asarray(v, dtype=np.int64)
         if v.shape != (self.n,):
             raise DimensionMismatch(f"vector length {v.shape} != n={self.n}")
-        return not linalg.reduce_row(self.field, self.gen, list(self.pivots), v).any()
+        return not linalg.reduce_row(self.field, self.gen, self.pivots, v).any()
 
     def dual(self) -> "LinearCode":
         if self.k == self.n:
@@ -81,7 +81,7 @@ def star_rows(f: GF, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     b (..., s, n), i-major: row i*s + j of the (..., r*s, n) result is
     a_i * b_j.  Leading batch axes broadcast."""
     prods = f.mul(a[..., :, None, :], b[..., None, :, :])
-    return prods.reshape(*prods.shape[:-3], -1, prods.shape[-1])
+    return prods.reshape(*prods.shape[:-3], prods.shape[-3] * prods.shape[-2], prods.shape[-1])
 
 
 def code_from_generator(f: GF, g) -> LinearCode:

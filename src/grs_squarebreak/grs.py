@@ -129,21 +129,15 @@ def _rows(f: GF, first: np.ndarray, x: np.ndarray, m: int) -> np.ndarray:
     return np.stack(rows)
 
 
-def generator_matrix(p: GrsParams) -> np.ndarray:
-    """k x n matrix with row i equal to y * x^i (componentwise powers),
-    built once per ``GrsParams`` and read-only."""
-    return p.generator
-
-
 def code(p: GrsParams) -> LinearCode:
-    return code_from_generator(p.field, generator_matrix(p))
+    return code_from_generator(p.field, p.generator)
 
 
 def encode(p: GrsParams, msg: np.ndarray) -> np.ndarray:
     msg = np.asarray(msg, dtype=np.int64)
     if msg.shape != (p.k,):
         raise DimensionMismatch(f"message length must be k={p.k}")
-    return linalg.vecmat(p.field, msg, generator_matrix(p))
+    return linalg.vecmat(p.field, msg, p.generator)
 
 
 def decode_many(p: GrsParams, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -280,11 +274,9 @@ def _recover_via_ratios(c: LinearCode) -> GrsParams | None:
     For a GRS code with n <= q some v passes: the projective line has a
     point off the support, and some v in 2..q-1 sends it to infinity.
     """
-    f, n, k = c.field, c.n, c.k
-    r, piv = linalg.rref(f, c.gen)
-    pivset = set(piv)
-    rest = [j for j in range(n) if j not in pivset]
-    a = r[:, rest]
+    f, n, k, piv = c.field, c.n, c.k, c.pivots
+    rest = [j for j in range(n) if j not in piv]
+    a = c.gen[:, rest]
     if np.any(a == 0):
         return None
     u = f.div(a[0], a[1])

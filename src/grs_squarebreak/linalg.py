@@ -315,13 +315,16 @@ def intersect_rowspaces(f: GF, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return right_kernel(f, np.vstack([ka, kb]))
 
 
-def reduce_row(f: GF, r: np.ndarray, pivots: list[int], v: np.ndarray) -> np.ndarray:
-    """Residual of v after elimination against an RREF basis (r, pivots)."""
-    v = np.asarray(v, dtype=np.int64).copy()
-    for i, pc in enumerate(pivots):
-        if v[pc]:
-            v = f.sub(v, f.mul(v[pc], r[i]))
-    return v
+def reduce_row(
+    f: GF, r: np.ndarray, pivots: list[int] | tuple[int, ...], v: np.ndarray
+) -> np.ndarray:
+    """Residual of v, one vector or a stack (..., n), after elimination
+    against an RREF basis (r, pivots): v - v[pivots] r, since r is the
+    identity on its pivot columns.  It is zero exactly when v lies in the
+    row space."""
+    v = np.asarray(v, dtype=np.int64)
+    coef = v[..., np.asarray(pivots, dtype=np.int64)]
+    return f.sub(v, f.sum(f.mul(coef[..., :, None], r), axis=-2))
 
 
 def random_matrix(f: GF, rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:

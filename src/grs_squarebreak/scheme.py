@@ -4,9 +4,10 @@ Key generation hides a secret GRS generator G_sec behind
 G_pub = S^-1 G_sec Q^-1 where Q = Pi + R, Pi a permutation matrix and
 R = alpha^T beta a rank-one matrix.
 
-Writing b = alpha and a = beta Pi^-1, the masking matrix satisfies
-Q = (I + b^T a) Pi, and with lam = -b / (1 + <a, b>) every public codeword
-is p + <lam, p> a for some p in the permuted secret code C = C_sec Pi^-1.
+Writing a = beta Pi^-1, the masking matrix satisfies
+Q = (I + alpha^T a) Pi, and with lam = -alpha / (1 + <a, alpha>) every public
+codeword is p + <lam, p> a (``mask``) for some p in the permuted secret code
+C = C_sec Pi^-1.
 Key generation resamples (alpha, beta) until Q is invertible, lam is not a
 parity check of C, and the public code differs from C; these keys are the
 honest ones, and also exactly the ones the square-code attack targets.
@@ -61,14 +62,12 @@ class PublicKey:
 class SecretKey:
     grs: grs.GrsParams  # the secret GRS code C_sec
     s_mat: np.ndarray  # k x k invertible scrambler
-    s_inv: np.ndarray
     perm: np.ndarray  # permutation as an index array; Pi[i, perm[i]] = 1
     alpha: np.ndarray
     beta: np.ndarray
     q_mat: np.ndarray  # Q = Pi + alpha^T beta
-    a: np.ndarray  # beta permuted so that R Pi^-1 = b^T a
-    b: np.ndarray  # alpha
-    lam: np.ndarray  # -b / (1 + <a, b>)
+    a: np.ndarray  # beta permuted so that R Pi^-1 = alpha^T a
+    lam: np.ndarray  # -alpha / (1 + <a, alpha>)
     g_sec: np.ndarray
     g_pub: np.ndarray
     masked: grs.GrsParams  # C = C_sec Pi^-1, the code decryption decodes in
@@ -95,6 +94,11 @@ def masked_params(sk: SecretKey) -> grs.GrsParams:
     return sk.masked
 
 
+def mask(f: GF, gen: np.ndarray, a: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """The masking map p -> p + <lam, p> a applied to each row p of gen."""
+    return f.add(gen, linalg.outer(f, linalg.matvec(f, gen, lam), a))
+
+
 def build_keypair(
     f: GF,
     x: np.ndarray,
@@ -116,21 +120,17 @@ def build_keypair(
     alpha = np.asarray(alpha, dtype=np.int64)
     beta = np.asarray(beta, dtype=np.int64)
     a = beta[perm]
-    b = alpha.copy()
-    denom = int(f.add(1, f.dot(a, b)))
+    denom = int(f.add(1, f.dot(a, alpha)))
     if denom == 0:
         raise InvalidDimensions("Q = Pi + alpha^T beta is singular")
-    lam = f.mul(f.neg(f.inv(denom)), b)
+    lam = f.mul(f.neg(f.inv(denom)), alpha)
     q_mat = f.add(linalg.permutation_matrix(perm), linalg.outer(f, alpha, beta))
-    g_sec = grs.generator_matrix(params)
     masked = grs.GrsParams(f, params.x[perm], params.y[perm], k)
-    # Q^-1 = Pi^-1 (I + lam^T a), so G_sec Q^-1 = G_C + (G_C lam^T) a.
-    g_c = grs.generator_matrix(masked)
-    s_inv = linalg.inverse(f, s_mat)
-    g_pub = linalg.matmul(f, s_inv, f.add(g_c, linalg.outer(f, linalg.matvec(f, g_c, lam), a)))
+    # Q^-1 = Pi^-1 (I + lam^T a), so G_sec Q^-1 = mask(G_C, a, lam).
+    g_pub = linalg.matmul(f, linalg.inverse(f, s_mat), mask(f, masked.generator, a, lam))
     pk = PublicKey(f, n, k, g_pub)
-    sk = SecretKey(params, np.asarray(s_mat), s_inv, perm, alpha, beta, q_mat, a, b, lam, g_sec, g_pub,
-                   masked)
+    sk = SecretKey(params, np.asarray(s_mat), perm, alpha, beta, q_mat, a, lam, params.generator,
+                   g_pub, masked)
     return pk, sk
 
 
@@ -153,7 +153,7 @@ def keygen(f: GF, n: int, k: int, rng: np.random.Generator) -> tuple[PublicKey, 
     params = grs.random_params(f, n, k, rng)
     s_mat = linalg.random_invertible(f, k, rng)
     perm = rng.permutation(n).astype(np.int64)
-    g_c = grs.generator_matrix(params)[:, perm]
+    g_c = params.generator[:, perm]
     c_rref, c_pivots = linalg.rref(f, g_c)
 
     def nonzero_vec() -> np.ndarray:
@@ -237,7 +237,7 @@ def sweep_decrypt(
 
     Decodes c - s * direction in ``code`` for every s in GF(q), all q words
     in one ``grs.decode_many`` call, maps the decoded messages (coefficients
-    in ``grs.generator_matrix(code)``) to plaintexts by the k x k matrix
+    in ``code.generator``) to plaintexts by the k x k matrix
     ``to_plain``, and keeps those whose public codeword lies within t of c.
     Returns the distinct verified (error weight, plaintext) candidates, in
     shift order; raises DecryptionFailure when there is none.

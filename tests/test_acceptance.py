@@ -183,7 +183,7 @@ def test_criterion_5_scheme_round_trip():
     f = GF5
     p = grs.GrsParams(f, np.array([0, 1, 2, 3]), np.array([1, 2, 1, 3]), 2)
     assert p.t == 1
-    gen = grs.generator_matrix(p)
+    gen = p.generator
     codewords = [
         la.vecmat(f, np.array(m, dtype=np.int64), gen)
         for m in itertools.product(range(5), repeat=2)

@@ -301,6 +301,20 @@ class TestSolveSubcode:
         assert rejected > 0
 
 
+@pytest.mark.parametrize(
+    "field,n,k,seed", [((2, 4, 19), 15, 6, 42), ((5, 2, 32), 16, 6, 5)], ids=["GF16", "GF25"]
+)
+def test_empty_stack_of_triples(field, n, k, seed):
+    """An empty batch of triples gives empty products and empty kernel sums."""
+    f = GF(*field)
+    pk, _sk = scheme.keygen(f, n, k, np.random.default_rng(seed))
+    pub = code_from_generator(f, pk.g_pub)
+    zs = np.zeros((0, 3, n), dtype=np.int64)
+    assert star_rows(f, zs, pub.gen).shape == (0, 3 * k, n)
+    sums, dims, pivots, forms = atk.kernel_sums(pub, zs, star_rows(f, pub.gen, pub.gen))
+    assert len(sums) == len(dims) == len(pivots) == len(forms) == 0
+
+
 class TestRecoverSecretGrs:
     def test_reconstructs_hidden_code(self, gf16m, low_rate_key):
         f = gf16m
@@ -460,7 +474,7 @@ class TestEndToEnd:
         params = grs.random_params(f, n, k, rng)
         s_mat = la.random_invertible(f, k, rng)
         perm = rng.permutation(n).astype(np.int64)
-        c_gen = grs.generator_matrix(params)[:, perm]
+        c_gen = params.generator[:, perm]
         c_perp = la.right_kernel(f, c_gen)
         while True:
             alpha = la.vecmat(f, rng.integers(0, 16, c_perp.shape[0]), c_perp)
@@ -504,6 +518,45 @@ class TestSeededCounters:
         f = GF(*field)
         pk, sk = scheme.keygen(f, n, k, np.random.default_rng(keygen_seed))
         rk, st = atk.recover_key(pk, AttackConfig(seed=attack_seed))
+        assert (st.outer_trials, st.inner_trials, st.restarts) == counters
+        assert grs.code(rk.grs) == grs.code(scheme.masked_params(sk))
+
+    @pytest.mark.parametrize(
+        "site,failure",
+        [
+            ("recover_secret_grs", grs.NotGrs("forced")),
+            ("recover_valid_pair", atk.PreconditionViolated("forced")),
+            ("pair_is_valid", False),
+        ],
+        ids=["not-grs", "precondition", "invalid-pair"],
+    )
+    @pytest.mark.parametrize(
+        "k,keygen_seed,attack_seed,counters",
+        [(6, 1000, 2000, (7988, 56, 556)), (9, 3020, 4000, (11672, 124, 826))],
+        ids=["GF16-15-6", "GF16-15-9"],
+    )
+    def test_back_half_failure_restarts_search(
+        self, monkeypatch, site, failure, k, keygen_seed, attack_seed, counters
+    ):
+        """One failure of a step after the search, whichever step fails,
+        counts one restart and sends the search on to its next subcode; the
+        key it then recovers is the true one."""
+        f = GF(2, 4, 19)
+        pk, sk = scheme.keygen(f, 15, k, np.random.default_rng(keygen_seed))
+        original = getattr(atk, site)
+        failed = []
+
+        def fail_once(*args):
+            if failed:
+                return original(*args)
+            failed.append(site)
+            if isinstance(failure, Exception):
+                raise failure
+            return failure
+
+        monkeypatch.setattr(atk, site, fail_once)
+        rk, st = atk.recover_key(pk, AttackConfig(seed=attack_seed))
+        assert failed == [site]
         assert (st.outer_trials, st.inner_trials, st.restarts) == counters
         assert grs.code(rk.grs) == grs.code(scheme.masked_params(sk))
 
@@ -659,7 +712,7 @@ class TestDecryptWithPair:
 
             monkeypatch.setattr(module, name, wrapper)
 
-        for module, name in ((grs, "_rows"), (grs, "_parity_checks"), (atk, "_apply_pair")):
+        for module, name in ((grs, "_rows"), (grs, "_parity_checks"), (scheme, "mask")):
             counted(module, name)
         pk, sk = scheme.keygen(gf16m, 15, 6, np.random.default_rng(50))
         rk = atk.RecoveredKey(scheme.masked_params(sk), sk.a, sk.lam, None)
@@ -670,7 +723,7 @@ class TestDecryptWithPair:
             scheme.decrypt(sk, z)
             atk.decrypt_with_pair(rk, pk, z)
             if round_ == 0:
-                assert set(calls) == {"_rows", "_parity_checks", "_apply_pair"}
+                assert set(calls) == {"_rows", "_parity_checks", "mask"}
                 calls.clear()
         assert calls == {}
 

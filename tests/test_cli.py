@@ -1,5 +1,7 @@
 """CLI workflows and the wire format: round trips, determinism, exit codes."""
 
+import csv
+
 import numpy as np
 import pytest
 
@@ -385,7 +387,7 @@ class TestCliWorkflows:
 
     def test_distinguish_grs_code(self, tmp_path, gf16, rng, capsys):
         p = grs.random_params(gf16, 15, 6, rng)
-        fileio.write_file(tmp_path / "code.txt", gf16, 15, 6, {"G": grs.generator_matrix(p)})
+        fileio.write_file(tmp_path / "code.txt", gf16, 15, 6, {"G": p.generator})
         assert main(["distinguish", "--code", str(tmp_path / "code.txt")]) == 0
         out = capsys.readouterr().out
         assert "square_dim=11 generic_dim=15 verdict=NonGeneric" in out
@@ -454,3 +456,16 @@ class TestCliWorkflows:
         assert rc == 0
         out = capsys.readouterr().out
         assert "mean_trials" in out  # header only, no rows
+
+    def test_bench_grid(self, tmp_path, capsys):
+        """Two seeded replicas at each of (15, 6) and (15, 9) all succeed,
+        with pinned mean outer trials."""
+        csv_path = tmp_path / "bench.csv"
+        rc = main(["bench", *FIELD_ARGS, "--n", "15", "--k", "6,9", "--reps", "2", "--seed", "1",
+                   "--csv", str(csv_path)])
+        assert rc == 0
+        assert f"csv written to {csv_path}" in capsys.readouterr().out
+        rows = list(csv.DictReader(csv_path.read_text().splitlines()))
+        assert [(r["k"], r["ok"], r["mean_trials"]) for r in rows] == [
+            ("6", "2", "2237.5"), ("9", "2", "11598.5")
+        ]

@@ -29,7 +29,7 @@ class TestParams:
 
     def test_points_multipliers_and_tables_are_read_only(self, gf16, rng):
         p = grs.random_params(gf16, 15, 6, rng)
-        for table in (p.x, p.y, grs.generator_matrix(p), p.parity_checks_t, p.locator_rows):
+        for table in (p.x, p.y, p.generator, p.parity_checks_t, p.locator_rows):
             with pytest.raises(ValueError):
                 table.flat[0] = 1
 
@@ -43,7 +43,7 @@ class TestParams:
         errors = np.zeros((10, 15), dtype=np.int64)
         for e in errors:
             e[rng.choice(15, 4, replace=False)] = rng.integers(1, 16, 4)
-        cws = la.matmul(gf16, rng.integers(0, 16, (10, 6)), grs.generator_matrix(decoded))
+        cws = la.matmul(gf16, rng.integers(0, 16, (10, 6)), decoded.generator)
         words = np.vstack([gf16.add(cws, errors), rng.integers(0, 16, (10, 15))])
         msgs, ok = grs.decode_many(decoded, words)
         assert ok[:10].all() and not ok[10:].all()
@@ -57,15 +57,15 @@ class TestParams:
 class TestGenerator:
     def test_rs2_over_gf5(self, gf5):
         p = GrsParams(gf5, np.array([0, 1, 2, 3]), np.ones(4, dtype=np.int64), 2)
-        assert grs.generator_matrix(p).tolist() == [[1, 1, 1, 1], [0, 1, 2, 3]]
+        assert p.generator.tolist() == [[1, 1, 1, 1], [0, 1, 2, 3]]
 
     def test_multiplier_scales_columns(self, gf5):
         p = GrsParams(gf5, np.array([0, 1, 2, 3]), np.array([2, 1, 1, 1]), 2)
-        assert grs.generator_matrix(p).tolist() == [[2, 1, 1, 1], [0, 1, 2, 3]]
+        assert p.generator.tolist() == [[2, 1, 1, 1], [0, 1, 2, 3]]
 
     def test_vandermonde_full_rank(self, gf7, rng):
         p = grs.random_params(gf7, 6, 5, rng)
-        assert la.rank(gf7, grs.generator_matrix(p)) == 5
+        assert la.rank(gf7, p.generator) == 5
 
     def test_encode_matches_poly_eval(self, gf16, rng):
         p = grs.random_params(gf16, 15, 6, rng)
@@ -84,7 +84,7 @@ class TestGenerator:
 def all_codewords(f, p):
     """Every codeword, one per row, for tiny parameters."""
     msgs = np.array(list(itertools.product(range(f.q), repeat=p.k)), dtype=np.int64)
-    return la.matmul(f, msgs, grs.generator_matrix(p))
+    return la.matmul(f, msgs, p.generator)
 
 
 def brute_force_nearest(f, codewords, r):
@@ -241,7 +241,7 @@ class TestRecoverMultipliers:
         a = int(np.setdiff1d(f.elements(), p.x)[0])
         ya = f.mul(p.y, f.sub(p.x, a))
         sub = grs.code(GrsParams(f, p.x, ya, k - 1))
-        checks = grs.generator_matrix(grs.dual_params(GrsParams(f, p.x, np.ones(n), k)))
+        checks = grs.dual_params(GrsParams(f, p.x, np.ones(n), k)).generator
         kernel = la.right_kernel(f, star_rows(f, sub.gen, checks))
         assert kernel.shape[0] == 2 and all((row == 0).any() for row in kernel)
         y = grs.recover_multipliers(p.x, k, sub)

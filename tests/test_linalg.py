@@ -244,6 +244,38 @@ class TestIntersect:
             la.intersect_rowspaces(gf7, np.eye(2, dtype=np.int64), np.eye(3, dtype=np.int64))
 
 
+def reduce_row_loop(f, r, pivots, v):
+    """Reference: eliminate one pivot at a time."""
+    v = np.array(v, dtype=np.int64)
+    for i, pc in enumerate(pivots):
+        if v[pc]:
+            v = f.sub(v, f.mul(v[pc], r[i]))
+    return v
+
+
+class TestReduceRow:
+    @pytest.mark.parametrize("f", [GF(2, 4, 19), GF(5, 2, 32), GF(7)], ids=["GF16", "GF25", "GF7"])
+    @pytest.mark.parametrize("dim", [0, 1, 4, 7])
+    def test_matches_loop(self, f, dim, rng):
+        """Rows inside and outside the span and zero rows, one at a time and
+        as stacks of one and two axes, against the pivot-by-pivot loop; an
+        empty basis (dim 0) leaves every row as it is."""
+        n = 9
+        r, piv = la.rref(f, la.random_matrix(f, dim, n, rng))
+        inside = la.matmul(f, la.random_matrix(f, 6, len(piv), rng), r)
+        outside = la.random_matrix(f, 6, n, rng)
+        vs = np.vstack([inside, outside, np.zeros((2, n), dtype=np.int64)])
+        want = np.stack([reduce_row_loop(f, r, piv, v) for v in vs])
+        assert not want[:6].any() and want[6:12].any()
+        if not piv:
+            assert np.array_equal(want, vs)
+        for v, w in zip(vs, want):
+            assert np.array_equal(la.reduce_row(f, r, piv, v), w)
+        assert np.array_equal(la.reduce_row(f, r, piv, vs), want)
+        assert np.array_equal(la.reduce_row(f, r, tuple(piv), vs.reshape(2, 7, n)),
+                              want.reshape(2, 7, n))
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     st.integers(0, 2**32 - 1),

@@ -42,16 +42,16 @@ class TestKeygen:
         f, pk, sk = keypair16
         pi_inv = la.inverse(f, la.permutation_matrix(sk.perm))
         lhs = la.matmul(f, la.outer(f, sk.alpha, sk.beta), pi_inv)
-        assert np.array_equal(lhs, la.outer(f, sk.b, sk.a))
+        assert np.array_equal(lhs, la.outer(f, sk.alpha, sk.a))
 
     def test_p_inverse_closed_form(self, keypair16):
         """I - b^T a / (1 + <a,b>) really inverts I + b^T a."""
         f, pk, sk = keypair16
         n = sk.n
         eye = np.eye(n, dtype=np.int64)
-        p_mat = f.add(eye, la.outer(f, sk.b, sk.a))
-        denom_inv = f.inv(f.add(1, f.dot(sk.a, sk.b)))
-        closed = f.sub(eye, f.mul(denom_inv, la.outer(f, sk.b, sk.a)))
+        p_mat = f.add(eye, la.outer(f, sk.alpha, sk.a))
+        denom_inv = f.inv(f.add(1, f.dot(sk.a, sk.alpha)))
+        closed = f.sub(eye, f.mul(denom_inv, la.outer(f, sk.alpha, sk.a)))
         assert np.array_equal(la.inverse(f, p_mat), closed)
 
     def test_lam_outside_dual_and_pub_differs(self, keypair16):
@@ -73,7 +73,7 @@ class TestKeygen:
         """Every public generator row is p + <lam, p> a for some p in C."""
         f, pk, sk = keypair16
         c_code = grs.code(scheme.masked_params(sk))
-        p_mat = f.add(np.eye(sk.n, dtype=np.int64), la.outer(f, sk.b, sk.a))
+        p_mat = f.add(np.eye(sk.n, dtype=np.int64), la.outer(f, sk.alpha, sk.a))
         for g in pk.g_pub:
             p = la.vecmat(f, g, p_mat)
             assert c_code.contains(p)
@@ -85,12 +85,12 @@ class TestKeygen:
         c_code = grs.code(scheme.masked_params(sk))
         c_perp = c_code.dual()
         pub_perp = code_from_generator(f, pk.g_pub).dual()
-        p_mat = f.add(np.eye(sk.n, dtype=np.int64), la.outer(f, sk.b, sk.a))
+        p_mat = f.add(np.eye(sk.n, dtype=np.int64), la.outer(f, sk.alpha, sk.a))
         pt_inv = la.inverse(f, p_mat.T)
         for c in pub_perp.gen:
             p = la.vecmat(f, c, pt_inv)
             assert c_perp.contains(p)
-            assert np.array_equal(f.add(p, f.mul(f.dot(p, sk.a), sk.b)), c)
+            assert np.array_equal(f.add(p, f.mul(f.dot(p, sk.a), sk.alpha)), c)
 
     def test_pub_square_bound(self, keypair16):
         f, pk, sk = keypair16
