@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Digest of the seeded attack: trial counters and recovered keys, per key.
 
-Usage: python scripts/attack_digest.py [--campaign] [--keys GF16] [--keygen]
+Usage: python scripts/attack_digest.py [--campaign] [--keys GF16] [--keygen] [--decode]
 
 For each key it prints the outer trials, inner trials and restarts of
 ``recover_key`` and a sha256 over the recovered (x, y, a0, lam0), then one
@@ -15,6 +15,14 @@ same digest make the same draws and the same decisions.
 at keygen seeds 0-109 of each of 7 points (GF(16) (15, 6) and (15, 9),
 GF(25) (16, 6), GF(7) (7, 2) and (7, 5), GF(3) (3, 1), GF(4) (4, 2)): two
 trees that print the same value generate the same keys.
+
+--decode prints instead one sha256 over the outputs of ``grs.decode_many``
+on seeded words at 14 points over GF(16), GF(25), GF(7), GF(9) and GF(17),
+t = 0 included (codewords plus errors of every weight from 0 to n-k+1, and
+random words), and over both decryptors' sorted candidate sets on 40 seeded
+ciphertexts at each of the benchmark's three points (the ciphertexts of the
+acceptance campaigns; ciphertext 6 of key 3020 is a genuine tie): two trees
+that print the same value decode and decrypt alike.
 """
 
 import argparse
@@ -23,7 +31,7 @@ import hashlib
 import numpy as np
 
 from grs_squarebreak import attack as atk
-from grs_squarebreak import scheme
+from grs_squarebreak import grs, linalg, scheme
 from grs_squarebreak.gf import GF
 
 FIELDS = {"GF16": (2, 4, 19), "GF25": (5, 2, 32)}
@@ -45,6 +53,24 @@ KEYGEN_POINTS = [
     ((7,), 7, 2), ((7,), 7, 5), ((3,), 3, 1), ((2, 2, 7), 4, 2),
 ]
 KEYGEN_SEEDS = range(110)
+# (field, n, k) of the decode digest: low rate, dual and t = 0 (k = n-1) over
+# characteristic 2, odd prime and odd extension fields
+DECODE_POINTS = [
+    ((2, 4, 19), 15, 6), ((2, 4, 19), 15, 9), ((2, 4, 19), 15, 14),
+    ((5, 2, 32), 16, 6), ((5, 2, 32), 16, 15),
+    ((7,), 7, 2), ((7,), 7, 5), ((7,), 7, 6),
+    ((3, 2, 10), 5, 1), ((3, 2, 10), 8, 3), ((3, 2, 10), 9, 8),
+    ((17,), 16, 6), ((17,), 17, 5), ((17,), 17, 16),
+]
+WORDS_PER_WEIGHT = 20
+RANDOM_WORDS = 40
+# (field, n, k, keygen seed, attack seed): one key at each benchmark point
+DECRYPT_KEYS = [
+    ("GF16", 15, 6, 1000, 2000),
+    ("GF16", 15, 9, 3020, 4000),
+    ("GF25", 16, 6, 5002, 6002),
+]
+DECRYPT_CIPHERTEXTS = 40
 
 
 def digest_line(field: str, n: int, k: int, keygen_seed: int, attack_seed: int) -> str:
@@ -72,12 +98,64 @@ def keygen_digest() -> str:
     return h.hexdigest()
 
 
+def decode_words(h, point: int) -> int:
+    """Feed h the seeded words of DECODE_POINTS[point] and their
+    ``decode_many`` outputs; returns the number of words."""
+    field, n, k = DECODE_POINTS[point]
+    f = GF(*field)
+    rng = np.random.default_rng([7, point])
+    p = grs.random_params(f, n, k, rng)
+    words = [rng.integers(0, f.q, (RANDOM_WORDS, n))]
+    for weight in range(n - k + 2):
+        errors = np.zeros((WORDS_PER_WEIGHT, n), dtype=np.int64)
+        for e in errors:
+            e[rng.choice(n, weight, replace=False)] = rng.integers(1, f.q, weight)
+        codewords = linalg.matmul(f, rng.integers(0, f.q, (WORDS_PER_WEIGHT, k)), p.generator)
+        words.append(f.add(codewords, errors))
+    words = np.vstack(words)
+    msgs, ok = grs.decode_many(p, words)
+    for part in (words, msgs, ok):
+        h.update(np.asarray(part, dtype=np.int64).tobytes())
+    return len(words)
+
+
+def decrypt_line(h, field: str, n: int, k: int, keygen_seed: int, attack_seed: int) -> str:
+    """Feed h both decryptors' sorted candidate sets on the key's seeded
+    ciphertexts; returns a line with the number of tied ciphertexts."""
+    f = GF(*FIELDS[field])
+    pk, sk = scheme.keygen(f, n, k, np.random.default_rng(keygen_seed))
+    rk, _st = atk.recover_key(pk, atk.AttackConfig(seed=attack_seed))
+    rng = np.random.default_rng(attack_seed + 7000)  # as in the acceptance campaigns
+    tied = 0
+    for _ in range(DECRYPT_CIPHERTEXTS):
+        z = scheme.encrypt(pk, rng.integers(0, f.q, k, dtype=np.int64), rng)
+        routes = (scheme.decrypt_candidates(sk, z), atk.pair_candidates(rk, pk, z))
+        for cands in routes:
+            for weight, plain in sorted(cands, key=lambda c: (c[0], c[1].tolist())):
+                h.update(np.append(plain, weight).astype(np.int64).tobytes())
+            h.update(b"|")
+        tied += any(len(cands) > 1 for cands in routes)
+    return (f"{field} ({n}, {k}) {keygen_seed}/{attack_seed}: "
+            f"{DECRYPT_CIPHERTEXTS} ciphertexts, {tied} tied")
+
+
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--campaign", action="store_true", help="add the 40 campaign keys")
     ap.add_argument("--keys", choices=sorted(FIELDS), help="only the keys over this field")
     ap.add_argument("--keygen", action="store_true", help="digest the keygen outputs instead")
+    ap.add_argument("--decode", action="store_true",
+                    help="digest the decoder and decryptor outputs instead")
     args = ap.parse_args()
+
+    if args.decode:
+        h = hashlib.sha256()
+        words = sum(decode_words(h, point) for point in range(len(DECODE_POINTS)))
+        print(f"decode_many: {words} words at {len(DECODE_POINTS)} points")
+        for key in DECRYPT_KEYS:
+            print(decrypt_line(h, *key))
+        print(f"decode digest: {h.hexdigest()}")
+        return
 
     if args.keygen:
         count = len(KEYGEN_POINTS) * len(KEYGEN_SEEDS)

@@ -24,7 +24,8 @@ import numpy as np
 
 
 class FieldError(ValueError):
-    """Base class for field construction problems."""
+    """Base class for field problems: a field that cannot be built, or a
+    value that is not one of its elements."""
 
 
 class NonPrimeCharacteristic(FieldError):

@@ -6,13 +6,14 @@ column multipliers y and a dimension k: its codewords are
 
 This module provides the generator matrix, bounded-distance decoding up to
 floor((n-k)/2) errors (Berlekamp-Welch: a syndrome system for the error
-locator alone, then an erasure solve off its roots; ``decode_many`` solves
-the systems of a whole stack of words in lockstep, as the decryption sweep
-does for its q shifted words, and ``decode`` is its one-word form), the
-dual-code multiplier formula, and two reconstruction routines used by the
-attack.  A ``GrsParams`` is read-only and builds its key-fixed tables (the
-generator, the parity checks and the locator power rows) once, on first
-use, so decoding many words under one key pays for them once.
+locator alone, then the error values at its roots in closed form;
+``decode_many`` decodes a whole stack of words in lockstep, as the
+decryption sweep does for its q shifted words, and ``decode`` is its
+one-word form), the dual-code multiplier formula, and two reconstruction
+routines used by the attack.  A ``GrsParams`` is read-only and builds its
+key-fixed tables (the generator, the parity checks, the locator power rows
+and the interpolation matrix) once, on first use, so decoding many words
+under one key pays for them once.
 
 The reconstruction routines:
 
@@ -79,7 +80,7 @@ class GrsParams:
         """Unique-decoding radius floor((n-k)/2)."""
         return (self.n - self.k) // 2
 
-    # Key-fixed tables, built on first use (decoding needs all three, the
+    # Key-fixed tables, built on first use (decoding needs all four, the
     # attack and key generation only the generator).  Like x and y they are
     # read-only, so no caller can make them disagree with the code.
 
@@ -99,6 +100,15 @@ class GrsParams:
         """(t+1) x n matrix with row j equal to x^j: monic @ it evaluates
         degree-t locators at the points."""
         return linalg.frozen(_rows(self.field, np.ones(self.n, dtype=np.int64), self.x, self.t + 1))
+
+    @cached_property
+    def interpolation(self) -> np.ndarray:
+        """k x k inverse of the Vandermonde matrix x_j^i on the first k
+        points: the first k values of a word of RS_k(x, 1) times it give the
+        word's coefficients."""
+        f, k = self.field, self.k
+        vandermonde = _rows(f, np.ones(k, dtype=np.int64), self.x[:k], k)
+        return linalg.frozen(linalg.inverse(f, vandermonde))
 
     def __eq__(self, other):
         return (
@@ -149,24 +159,36 @@ def decode_many(p: GrsParams, words: np.ndarray) -> tuple[np.ndarray, np.ndarray
     msgs[i] is its message u (length k), or zero.  With s = r / y, the monic
     degree-t error locators E are the solutions of the n-k-t parity checks
     z x^j of RS_{k+t}(x, 1) on s E(x): an (n-k-t) x (t+1) Hankel system in
-    the n-k syndromes of s.  A codeword within t makes the system consistent
-    and is what every solution E leads to: the codeword agrees with r off
-    E's roots, at n-t >= k places or more, so one erasure solve there
-    returns it, and any codeword that solve finds lies within t.  An error
-    of weight w < t leaves E = locator * M free in a monic M of degree t-w,
-    so when the solution is unique the codeword's error has weight exactly t
-    and E is its locator: an E with fewer than t roots among x means there
-    is none, and no erasure solve is made.  The checks, the syndromes, the
-    Hankel solves and the locator values are shared over the stack; only the
-    words left after that take an erasure solve each.  The parity checks,
-    the locator power rows and the generator are tables of ``p``, built on
-    its first decode and reused by every later one.
+    the n-k syndromes syn of s.  A codeword within t makes the system
+    consistent and is what every solution E leads to.
+
+    When E has t roots x_j among x, the error values follow in closed form,
+    for all such words and roots at once: with Q_j = E / (X - x_j) (by
+    synthetic division), e_j = (sum_{l<t} Q_{j,l} syn_l) / (z_j Q_j(x_j)).
+    This e has the first t syndromes of s, and both sequences obey E's
+    recurrence, so e has all n-k of them: s - e is a word of RS_k(x, 1)
+    within t of s, and its first k values times ``p.interpolation`` give
+    the message.  Q_j(x_j) is the product of the x_j - x_i, never zero, so
+    no characteristic needs the formal derivative.
+
+    An error of weight w < t leaves E = locator * M free in a monic M of
+    degree t-w, so when the solution is unique the codeword's error has
+    weight exactly t and E is its locator: an E with fewer than t roots
+    means there is none.  Only a word whose system is consistent with rank
+    below t and whose E has fewer than t roots is left; it takes an erasure
+    solve off E's roots, at n-t >= k places or more, which finds the
+    codeword if there is one.  The checks, the syndromes, the Hankel solves,
+    the locator values and the error values are shared over the stack.  The
+    parity checks, the locator power rows, the interpolation matrix and the
+    generator are tables of ``p``, built on its first decode and reused by
+    every later one.
     """
     f, k, n, t = p.field, p.k, p.n, p.t
     r = np.asarray(words, dtype=np.int64)
     if r.ndim != 2 or r.shape[1] != n:
         raise DimensionMismatch(f"received words must have length n={n}")
-    syn = linalg.matmul(f, f.div(r, p.y), p.parity_checks_t)
+    s = f.div(r, p.y)
+    syn = linalg.matmul(f, s, p.parity_checks_t)
     hankel = syn[:, np.arange(n - k - t)[:, None] + np.arange(t + 1)[None, :]]
     sol, consistent, rank = linalg.batched_solve_right(
         f, hankel[:, :, :t], f.neg(hankel[:, :, t])
@@ -174,10 +196,27 @@ def decode_many(p: GrsParams, words: np.ndarray) -> tuple[np.ndarray, np.ndarray
     monic = np.hstack([sol, np.ones((r.shape[0], 1), dtype=np.int64)])
     loc = linalg.matmul(f, monic, p.locator_rows)
     roots = np.count_nonzero(loc == 0, axis=1)
-    g = p.generator
     msgs = np.zeros((r.shape[0], k), dtype=np.int64)
-    ok = np.zeros(r.shape[0], dtype=bool)
-    for i in np.nonzero(consistent & ((rank < t) | (roots == t)))[0]:
+    ok = consistent & (roots == t)
+
+    full = np.nonzero(ok)[0]
+    e_loc, e_syn, word = monic[full], syn[full], s[full]
+    pos = np.nonzero(loc[full] == 0)[1].reshape(full.size, t)  # the roots, row by row
+    xj = p.x[pos]
+    # Synthetic division E / (X - x_j) from the top coefficient down, with
+    # Horner's rule for Q_j(x_j) and the sum over syn riding along.
+    quot = at_root = num = np.zeros_like(xj)
+    for l in range(t, 0, -1):
+        quot = f.add(e_loc[:, l, None], f.mul(quot, xj))  # coefficient l-1 of Q_j
+        at_root = f.add(f.mul(at_root, xj), quot)
+        num = f.add(num, f.mul(quot, e_syn[:, l - 1, None]))
+    rows = np.arange(full.size)[:, None]
+    z = p.parity_checks_t[pos, 0]
+    word[rows, pos] = f.sub(word[rows, pos], f.div(num, f.mul(at_root, z)))
+    msgs[full] = linalg.matmul(f, word[:, :k], p.interpolation)
+
+    g = p.generator
+    for i in np.nonzero(consistent & (rank < t) & (roots < t))[0]:
         keep = loc[i] != 0
         msg = linalg.solve_left(f, g[:, keep], r[i, keep])
         if msg is not None:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import grs, linalg
-from .gf import GF
+from .gf import GF, FieldError
 from .linalg import DimensionMismatch
 
 
@@ -185,17 +185,26 @@ def random_error(f: GF, n: int, weight: int, rng: np.random.Generator) -> np.nda
     return e
 
 
+def _check_range(f: GF, v: np.ndarray, what: str) -> None:
+    """Refuse a vector with an entry that is not an element of f."""
+    if np.any((v < 0) | (v >= f.q)):
+        raise FieldError(f"{what} has entries outside [0, {f.q})")
+
+
 def encrypt(
     pk: PublicKey,
     msg: np.ndarray,
     rng: np.random.Generator | None = None,
     error: np.ndarray | None = None,
 ) -> np.ndarray:
-    """c = m G_pub + e with e of weight exactly t (or a caller-provided e)."""
+    """c = m G_pub + e with e of weight exactly t (or a caller-provided e).
+
+    Raises FieldError when m or a given e has an entry outside [0, q)."""
     f = pk.field
     msg = np.asarray(msg, dtype=np.int64)
     if msg.shape != (pk.k,):
         raise DimensionMismatch(f"message length must be k={pk.k}")
+    _check_range(f, msg, "message")
     if error is None:
         if rng is None:
             raise ValueError("encrypt needs an rng when no explicit error is given")
@@ -204,6 +213,7 @@ def encrypt(
         error = np.asarray(error, dtype=np.int64)
         if error.shape != (pk.n,):
             raise DimensionMismatch(f"error length must be n={pk.n}")
+        _check_range(f, error, "error")
     return f.add(linalg.vecmat(f, msg, pk.g_pub), error)
 
 
@@ -240,12 +250,14 @@ def sweep_decrypt(
     in ``code.generator``) to plaintexts by the k x k matrix
     ``to_plain``, and keeps those whose public codeword lies within t of c.
     Returns the distinct verified (error weight, plaintext) candidates, in
-    shift order; raises DecryptionFailure when there is none.
+    shift order; raises DecryptionFailure when there is none, and FieldError
+    when c has an entry outside [0, q).
     """
     f = key.field
     c = np.asarray(c, dtype=np.int64)
     if c.shape != (key.n,):
         raise DimensionMismatch(f"ciphertext length must be n={key.n}")
+    _check_range(f, c, "ciphertext")
     words = f.sub(c[None, :], f.mul(f.elements()[:, None], direction[None, :]))
     msgs, ok = grs.decode_many(code, words)
     plain = linalg.matmul(f, msgs[ok], to_plain)

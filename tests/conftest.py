@@ -21,6 +21,11 @@ def gf7():
 
 
 @pytest.fixture(scope="session")
+def gf9():
+    return GF(3, 2, 10)  # X^2 + 1
+
+
+@pytest.fixture(scope="session")
 def gf16():
     return GF(2, 4, 19)  # X^4 + X + 1
 

@@ -29,7 +29,7 @@ class TestParams:
 
     def test_points_multipliers_and_tables_are_read_only(self, gf16, rng):
         p = grs.random_params(gf16, 15, 6, rng)
-        for table in (p.x, p.y, p.generator, p.parity_checks_t, p.locator_rows):
+        for table in (p.x, p.y, p.generator, p.parity_checks_t, p.locator_rows, p.interpolation):
             with pytest.raises(ValueError):
                 table.flat[0] = 1
 
@@ -87,12 +87,43 @@ def all_codewords(f, p):
     return la.matmul(f, msgs, p.generator)
 
 
-def brute_force_nearest(f, codewords, r):
-    """Exhaustive nearest-codeword oracle: the first closest codeword and
-    its distance."""
-    dists = np.count_nonzero(f.sub(r[None, :], codewords), axis=1)
-    best = int(np.argmin(dists))
-    return codewords[best], int(dists[best])
+def brute_force_nearest(codewords, words, chunk=2048):
+    """Exhaustive nearest-codeword oracle for a stack of words over a field
+    of at most 256 elements: the first closest codeword of each and its
+    Hamming distance."""
+    best = np.zeros(len(words), dtype=np.int64)
+    dist = np.zeros(len(words), dtype=np.int64)
+    w8, c8 = words.astype(np.uint8), codewords.astype(np.uint8)
+    for i in range(0, len(words), chunk):
+        d = np.zeros((len(w8[i : i + chunk]), len(c8)), dtype=np.uint8)
+        for j in range(words.shape[1]):
+            d += w8[i : i + chunk, j, None] != c8[None, :, j]
+        best[i : i + chunk], dist[i : i + chunk] = d.argmin(axis=1), d.min(axis=1)
+    return codewords[best], dist
+
+
+def noisy_codewords(f, p, count, weight, rng):
+    """count random codewords of p, each plus an error of the given weight,
+    and their messages."""
+    msgs = rng.integers(0, f.q, (count, p.k))
+    errors = np.zeros((count, p.n), dtype=np.int64)
+    for e in errors:
+        e[rng.choice(p.n, weight, replace=False)] = rng.integers(1, f.q, weight)
+    return f.add(la.matmul(f, msgs, p.generator), errors), msgs
+
+
+def spy(monkeypatch, *names):
+    """Record each call of the named linalg functions, then run it."""
+    calls = []
+    for name in names:
+        real = getattr(la, name)
+
+        def wrapper(*args, name=name, real=real):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(la, name, wrapper)
+    return calls
 
 
 class TestDecode:
@@ -117,34 +148,97 @@ class TestDecode:
             assert np.array_equal(out[1], e)
 
     @pytest.mark.parametrize(
-        "x,y,k,t",
+        "field,x,y,k,t",
         [
-            ([0, 1, 2, 3], [1, 2, 1, 3], 2, 1),
-            ([0, 1, 2, 3, 4], [1, 2, 1, 3, 4], 1, 2),
-            ([0, 1, 2, 3, 4], [4, 1, 3, 2, 2], 2, 1),
-            ([4, 2, 0, 1], [1, 2, 1, 3], 3, 0),
+            ("gf5", [0, 1, 2, 3], [1, 2, 1, 3], 2, 1),
+            ("gf5", [0, 1, 2, 3, 4], [1, 2, 1, 3, 4], 1, 2),
+            ("gf5", [0, 1, 2, 3, 4], [4, 1, 3, 2, 2], 2, 1),
+            ("gf5", [4, 2, 0, 1], [1, 2, 1, 3], 3, 0),
+            ("gf9", [0, 1, 3, 5, 8], [1, 4, 2, 7, 3], 1, 2),
+            ("gf9", [0, 1, 3, 5, 8], [1, 4, 2, 7, 3], 2, 1),
+            ("gf9", [0, 1, 3, 5, 8], [1, 4, 2, 7, 3], 3, 1),
         ],
-        ids=["n4-k2", "n5-k1-t2", "n5-k2-spare-check", "n4-k3-t0"],
+        ids=["n4-k2", "n5-k1-t2", "n5-k2-spare-check", "n4-k3-t0",
+             "gf9-n5-k1", "gf9-n5-k2", "gf9-n5-k3"],
     )
-    def test_exhaustive_against_brute_force(self, gf5, x, y, k, t):
-        """Every received word over GF(5) against the oracle, one at a time
-        and all in one stacked call: t = 2, a spare parity check when n-k is
-        odd, and t = 0, where the locator system has no unknowns."""
-        p = GrsParams(gf5, np.array(x), np.array(y), k)
+    def test_exhaustive_against_brute_force(self, request, field, x, y, k, t):
+        """Every received word against the oracle, all in one stacked call:
+        over GF(5) t = 2, a spare parity check when n-k is odd, and t = 0,
+        where the locator system has no unknowns; over GF(9), an odd
+        extension field, k = 1..3.  Over GF(5) every word is also decoded
+        on its own."""
+        f = request.getfixturevalue(field)
+        p = GrsParams(f, np.array(x), np.array(y), k)
         assert p.t == t
-        codewords = all_codewords(gf5, p)
-        words = np.array(list(itertools.product(range(5), repeat=p.n)), dtype=np.int64)
+        codewords = all_codewords(f, p)
+        words = np.array(list(itertools.product(range(f.q), repeat=p.n)), dtype=np.int64)
         msgs, ok = grs.decode_many(p, words)
         assert msgs.shape == (len(words), k) and ok.shape == (len(words),)
-        for r, msg, found in zip(words, msgs, ok, strict=True):
-            nearest, dist = brute_force_nearest(gf5, codewords, r)
-            out = grs.decode(p, r)
-            if dist <= t:
-                assert out is not None and found
-                assert np.array_equal(out[0], nearest)
-                assert np.array_equal(grs.encode(p, msg), nearest)
-            else:
-                assert out is None and not found and not msg.any()
+        nearest, dist = brute_force_nearest(codewords, words)
+        within = dist <= t
+        assert np.array_equal(ok, within)
+        assert np.array_equal(la.matmul(f, msgs[within], p.generator), nearest[within])
+        assert not msgs[~within].any()
+        if field == "gf5":
+            for r, near, d in zip(words, nearest, dist, strict=True):
+                out = grs.decode(p, r)
+                if d <= t:
+                    assert out is not None and np.array_equal(out[0], near)
+                else:
+                    assert out is None
+
+    @pytest.mark.parametrize("k", [6, 9])
+    def test_weight_t_words_take_no_solve(self, gf16, monkeypatch, k):
+        """Words at distance exactly t decode in closed form: once the key's
+        tables are built, neither the scalar solve nor ``rref`` runs."""
+        p = grs.random_params(gf16, 15, k, np.random.default_rng(k))
+        words, msgs = noisy_codewords(gf16, p, 200, p.t, np.random.default_rng(k + 1))
+        grs.decode_many(p, words[:1])  # builds the key's tables
+        calls = spy(monkeypatch, "solve_left", "rref")
+        got, ok = grs.decode_many(p, words)
+        assert calls == []
+        assert ok.all() and np.array_equal(got, msgs)
+
+    @pytest.mark.parametrize("field,n,k", [("gf7", 7, 1), ("gf9", 9, 2), ("gf16", 15, 3)])
+    def test_degenerate_words_take_the_solve(self, request, monkeypatch, field, n, k):
+        """A codeword leaves the locator system all zero (rank 0 < t), and
+        its solution E = X^t has at most one root among the points: such
+        words, consistent with rank below t and fewer than t roots, are left
+        to the erasure solve, and every word agrees with the oracle."""
+        f = request.getfixturevalue(field)
+        rng = np.random.default_rng(n)
+        p = grs.random_params(f, n, k, rng)
+        assert p.t >= 2
+        words = np.vstack([noisy_codewords(f, p, 10, w, rng)[0] for w in range(p.t + 2)])
+        grs.decode_many(p, words[:1])  # builds the key's tables
+        calls = spy(monkeypatch, "solve_left")
+        msgs, ok = grs.decode_many(p, words)
+        assert len(calls) >= 10  # the 10 codewords at least
+        nearest, dist = brute_force_nearest(all_codewords(f, p), words)
+        assert np.array_equal(ok, dist <= p.t)
+        assert np.array_equal(la.matmul(f, msgs[ok], p.generator), nearest[ok])
+        assert not msgs[~ok].any()
+
+    def test_empty_stack(self, gf16):
+        p = grs.random_params(gf16, 15, 6, np.random.default_rng(0))
+        msgs, ok = grs.decode_many(p, np.zeros((0, 15), dtype=np.int64))
+        assert msgs.shape == (0, 6) and ok.shape == (0,)
+
+    def test_t0_in_closed_form(self, gf16, monkeypatch):
+        """At k = n-1 (t = 0) the error is zero: a word decodes exactly when
+        its one syndrome is zero, with no solve."""
+        p = grs.random_params(gf16, 15, 14, np.random.default_rng(1))
+        assert p.t == 0
+        rng = np.random.default_rng(2)
+        sent = rng.integers(0, 16, (20, 14))
+        words = np.vstack([la.matmul(gf16, sent, p.generator), rng.integers(0, 16, (200, 15))])
+        grs.decode_many(p, words[:1])  # builds the key's tables
+        calls = spy(monkeypatch, "solve_left", "rref")
+        msgs, ok = grs.decode_many(p, words)
+        assert calls == []
+        assert ok[:20].all() and np.array_equal(msgs[:20], sent)
+        member = [grs.code(p).contains(w) for w in words]
+        assert np.array_equal(ok, member) and not msgs[~ok].any()
 
     def test_beyond_radius_fails(self, gf16, rng):
         p = grs.random_params(gf16, 15, 13, rng)  # t = 1

@@ -5,8 +5,9 @@ import itertools
 import numpy as np
 import pytest
 
-from grs_squarebreak import grs, linalg as la, scheme
+from grs_squarebreak import attack, grs, linalg as la, scheme
 from grs_squarebreak.codes import code_from_generator
+from grs_squarebreak.gf import FieldError
 from grs_squarebreak.scheme import DecryptionFailure, InvalidDimensions
 
 
@@ -124,6 +125,21 @@ class TestEncrypt:
         assert not c.any()
 
 
+    @pytest.mark.parametrize("bad", [-1, 16])
+    def test_entries_outside_field_refused(self, keypair16, bad):
+        """A message or given error entry outside [0, 16) is refused, not
+        wrapped (-1 used to encrypt as 15) nor left to a bare IndexError."""
+        f, pk, sk = keypair16
+        msg = np.zeros(6, dtype=np.int64)
+        msg[0] = bad
+        with pytest.raises(FieldError, match=r"message has entries outside \[0, 16\)"):
+            scheme.encrypt(pk, msg, np.random.default_rng(0))
+        error = np.zeros(15, dtype=np.int64)
+        error[3] = bad
+        with pytest.raises(FieldError, match=r"error has entries outside \[0, 16\)"):
+            scheme.encrypt(pk, np.zeros(6, dtype=np.int64), error=error)
+
+
 class TestCanonicalChoice:
     """The pick among verified decryptions, on hand-built candidate lists."""
 
@@ -198,3 +214,16 @@ class TestDecrypt:
         f, pk, sk = keypair16
         with pytest.raises(Exception):
             scheme.decrypt(sk, np.zeros(14, dtype=np.int64))
+
+    @pytest.mark.parametrize("bad", [-1, 16])
+    def test_ciphertext_entries_outside_field_refused(self, keypair16, bad):
+        """Both routes share ``sweep_decrypt``, which refuses a ciphertext
+        entry outside [0, 16)."""
+        f, pk, sk = keypair16
+        rk = attack.RecoveredKey(sk.masked, sk.a, sk.lam, None)
+        c = scheme.encrypt(pk, np.arange(6, dtype=np.int64), np.random.default_rng(1))
+        c[5] = bad
+        with pytest.raises(FieldError, match=r"ciphertext has entries outside \[0, 16\)"):
+            scheme.decrypt(sk, c)
+        with pytest.raises(FieldError, match=r"ciphertext has entries outside \[0, 16\)"):
+            attack.decrypt_with_pair(rk, pk, c)

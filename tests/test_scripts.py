@@ -46,3 +46,17 @@ def test_keygen_digest(monkeypatch, capsys):
         "keygen digest of 770 keys at 7 points: "
         "561ddbdedbe6a45cb9b91d3832bb51beed09e6ddafa360814d6371967a2a4846\n"
     )
+
+
+def test_decode_digest(monkeypatch, capsys):
+    """``decode_many`` on 2480 seeded words at 14 points, and both
+    decryptors' candidate sets on 120 seeded ciphertexts, pinned: a change
+    that moves it decodes or decrypts differently."""
+    out = run_script("attack_digest.py", ["--decode"], monkeypatch, capsys)
+    assert out == (
+        "decode_many: 2480 words at 14 points\n"
+        "GF16 (15, 6) 1000/2000: 40 ciphertexts, 0 tied\n"
+        "GF16 (15, 9) 3020/4000: 40 ciphertexts, 5 tied\n"
+        "GF25 (16, 6) 5002/6002: 40 ciphertexts, 0 tied\n"
+        "decode digest: 5042a8a1d05742d3e79616d364aa5ee1faf1276a7b3ec7f5e769d4dcc8119ab3\n"
+    )
