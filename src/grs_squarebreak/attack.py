@@ -160,9 +160,9 @@ def kernel_sums(
     the kernels of triple i's nonzero forms, and forms[i] holds its forms
     M_p for a basis of W^perp, padded with zero forms.
     """
-    f, n, k = pub.field, pub.n, pub.k
+    f, k = pub.field, pub.k
     perp, _ = linalg.batched_right_kernel(f, star_rows(f, zs, pub.gen))
-    forms = linalg.matmul(f, perp.reshape(-1, n), squares.T).reshape(len(zs), perp.shape[1], k, k)
+    forms = linalg.matmul(f, perp, squares.T).reshape(*perp.shape[:2], k, k)
     nonzero = forms.any(axis=(2, 3))
     kern, _ = linalg.batched_right_kernel(f, forms[nonzero])
     kernels = np.zeros((*nonzero.shape, kern.shape[1], k), dtype=np.int64)
@@ -189,8 +189,8 @@ def _subcode_from(pub: LinearCode, front: tuple, i: int, stats: AttackStats) -> 
         lines = np.zeros((f.q + 1, k), dtype=np.int64)
         lines[:, a] = np.append(f.elements(), 1)
         lines[: f.q, b] = 1
-        images = f.sum(f.mul(forms[None, :, :, :], lines[:, None, None, :]), axis=-1)
-        values = f.sum(f.mul(images, lines[:, None, :]), axis=-1)  # v^T M_p v
+        images = linalg.matmul(f, forms, lines[:, None, :, None])  # M_p v
+        values = linalg.matmul(f, lines[:, None, None, :], images)[:, :, 0, 0]  # v^T M_p v
         candidates = [np.vstack([basis, v]) for v in lines[~values.any(axis=1)]]
     else:
         return None
@@ -261,7 +261,7 @@ def find_shared_subcode(
     while True:
         drawn = stats.outer_trials
         coeffs = linalg.random_matrix(f, _BATCH, 3 * k, rng).reshape(_BATCH, 3, k)
-        zbatch = f.sum(f.mul(coeffs[:, :, :, None], gen[None, None, :, :]), axis=2)
+        zbatch = linalg.matmul(f, coeffs, gen)
         ranks = triple_ranks(pub, zbatch)
         passing = np.nonzero(ranks <= threshold)[0]
         if passing.size:
@@ -355,7 +355,8 @@ def recover_key(
 
     Returns the recovered key together with trial statistics.  Raises
     NotApplicable when neither branch applies (``not_applicable_reason``)
-    and TrialBudgetExceeded when the configured trial cap runs out.
+    or the square of the attacked code rules the attack out, and
+    TrialBudgetExceeded when the configured trial cap runs out.
     """
     if cfg is None:
         cfg = AttackConfig()
@@ -383,7 +384,10 @@ def recover_key(
     if target_square_dim <= 2 * k_target - 1:
         # lam in C^perp: the public code *is* the hidden GRS code, so recover
         # it directly and use the identity masking pair.
-        params = grs.ss_recover(pub_code)
+        try:
+            params = grs.ss_recover(pub_code)
+        except grs.NotGrs as e:
+            raise NotApplicable(f"public code squares like a GRS code but is not one: {e}") from e
         a0 = np.zeros(n, dtype=np.int64)
         a0[0] = 1
         rk = RecoveredKey(params, a0, np.zeros(n, dtype=np.int64), None)

@@ -205,14 +205,6 @@ class GF:
     def div(self, a, b):
         return self.mul(a, self.inv(b))
 
-    def pow(self, a, e: int):
-        """a**e for a non-negative integer exponent, elementwise in a."""
-        a = np.asarray(a)
-        if e == 0:
-            return np.ones_like(a)
-        r = self._exp[(self._log[a] * (e % (self.q - 1))) % (self.q - 1)]
-        return np.where(a == 0, 0, r)
-
     # -- reductions -------------------------------------------------------
 
     def sum(self, arr, axis=-1):

@@ -147,7 +147,7 @@ def encode(p: GrsParams, msg: np.ndarray) -> np.ndarray:
     msg = np.asarray(msg, dtype=np.int64)
     if msg.shape != (p.k,):
         raise DimensionMismatch(f"message length must be k={p.k}")
-    return linalg.vecmat(p.field, msg, p.generator)
+    return linalg.matmul(p.field, msg, p.generator)
 
 
 def decode_many(p: GrsParams, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -218,7 +218,7 @@ def decode_many(p: GrsParams, words: np.ndarray) -> tuple[np.ndarray, np.ndarray
     g = p.generator
     for i in np.nonzero(consistent & (rank < t) & (roots < t))[0]:
         keep = loc[i] != 0
-        msg = linalg.solve_left(f, g[:, keep], r[i, keep])
+        msg = linalg.solve_right(f, g[:, keep].T, r[i, keep])
         if msg is not None:
             msgs[i], ok[i] = msg, True
     return msgs, ok
@@ -284,7 +284,7 @@ def recover_multipliers(x: np.ndarray, k: int, sub: LinearCode) -> np.ndarray | 
     if kernel.shape[0] > 1:
         mix = np.random.default_rng(0)  # deterministic local search
         for _ in range(256):
-            u = linalg.vecmat(f, mix.integers(0, f.q, kernel.shape[0]), kernel)
+            u = linalg.matmul(f, mix.integers(0, f.q, kernel.shape[0]), kernel)
             if not np.any(u == 0):
                 return f.inv(u)
     return None

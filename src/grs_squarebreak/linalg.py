@@ -5,9 +5,16 @@ of an accompanying :class:`~grs_squarebreak.gf.GF` instance; vectors are 1-D
 arrays.  Functions never mutate their inputs.  Row reduction uses the first
 nonzero pivot scanning top-to-bottom, left-to-right, so every canonical form
 here is deterministic.
+
+``matmul`` is the one product, with numpy's rules for ``@``: a 1-D left
+operand is a row and a 1-D right operand a column, that axis is dropped from
+the result, and the leading axes of stacked operands broadcast.  Its memory
+bound: output rows go in blocks of at most 2^22 products, or one row.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -134,41 +141,30 @@ def right_kernel(f: GF, a: np.ndarray) -> np.ndarray:
 
 
 def matmul(f: GF, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b by numpy's rules for ``@`` (see the module docstring)."""
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
-    if a.shape[1] != b.shape[0]:
+    lhs = a.reshape(1, -1) if a.ndim == 1 else a
+    rhs = b.reshape(-1, 1) if b.ndim == 1 else b
+    if min(a.ndim, b.ndim) < 1 or lhs.shape[-1] != rhs.shape[-2]:
         raise DimensionMismatch(f"cannot multiply {a.shape} by {b.shape}")
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
-    # Row blocks keep the broadcast temporary bounded for large n.
-    block = max(1, (1 << 22) // max(1, a.shape[1] * b.shape[1]))
-    for i in range(0, a.shape[0], block):
-        chunk = f.sum(f.mul(a[i : i + block, :, None], b[None, :, :]), axis=1)
-        out[i : i + block] = chunk
-    return out
-
-
-def matvec(f: GF, a: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """a @ v^T as a 1-D array."""
-    a = np.asarray(a, dtype=np.int64)
-    v = np.asarray(v, dtype=np.int64)
-    if a.shape[1] != v.shape[0]:
-        raise DimensionMismatch(f"cannot apply {a.shape} to length {v.shape[0]}")
-    return f.sum(f.mul(a, v[None, :]), axis=1)
-
-
-def vecmat(f: GF, v: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """v @ a as a 1-D array."""
-    a = np.asarray(a, dtype=np.int64)
-    v = np.asarray(v, dtype=np.int64)
-    if a.shape[0] != v.shape[0]:
-        raise DimensionMismatch(f"cannot apply length {v.shape[0]} to {a.shape}")
-    return f.sum(f.mul(v[:, None], a), axis=0)
-
-
-def outer(f: GF, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    u = np.asarray(u, dtype=np.int64)
-    v = np.asarray(v, dtype=np.int64)
-    return f.mul(u[:, None], v[None, :])
+    (rows, inner), cols = lhs.shape[-2:], rhs.shape[-1]
+    # One output row per row of lhs's broadcast stack: a 2-D rhs serves
+    # them all, a stacked one is gathered row by row.
+    lead, stack = lhs.shape[:-2], None
+    if rhs.ndim > 2:
+        lead = np.broadcast_shapes(lead, rhs.shape[:-2])
+        lhs = np.broadcast_to(lhs, (*lead, rows, inner))
+        stack = np.broadcast_to(rhs, (*lead, inner, cols)).reshape(math.prod(lead), inner, cols)
+    lhs = lhs if lhs.ndim == 2 else lhs.reshape(math.prod(lead) * rows, inner)
+    block = max(1, (1 << 22) // max(1, inner * cols))
+    parts = []
+    for i in range(0, max(1, len(lhs)), block):
+        right = rhs if stack is None else stack[np.arange(i, min(i + block, len(lhs))) // rows]
+        parts.append(f.sum(f.mul(lhs[i : i + block, :, None], right), axis=1))
+    out = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    return out if a.ndim == b.ndim == 2 else out.reshape(
+        lead + (rows,) * (a.ndim > 1) + (cols,) * (b.ndim > 1))
 
 
 def inverse(f: GF, a: np.ndarray) -> np.ndarray:
@@ -195,8 +191,7 @@ def solve_right(f: GF, a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     if pivots and pivots[-1] == ncols:
         return None
     x = np.zeros(ncols, dtype=np.int64)
-    for i, pc in enumerate(pivots):
-        x[pc] = r[i, ncols]
+    x[pivots] = r[:, ncols]
     return x
 
 
@@ -294,15 +289,6 @@ def batched_solve_right(
     return x[:, :ncols], consistent, rank
 
 
-def solve_left(f: GF, g: np.ndarray, c: np.ndarray) -> np.ndarray | None:
-    """Some u with u @ g = c, or None when c is outside the row space."""
-    g = as_matrix(g)
-    c = np.asarray(c, dtype=np.int64)
-    if g.shape[1] != c.shape[0]:
-        raise DimensionMismatch("vector length does not match matrix columns")
-    return solve_right(f, g.T, c)
-
-
 def intersect_rowspaces(f: GF, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Basis of rowspace(a) & rowspace(b), via duals:
     (A^perp + B^perp)^perp = A & B."""
@@ -324,7 +310,7 @@ def reduce_row(
     row space."""
     v = np.asarray(v, dtype=np.int64)
     coef = v[..., np.asarray(pivots, dtype=np.int64)]
-    return f.sub(v, f.sum(f.mul(coef[..., :, None], r), axis=-2))
+    return f.sub(v, matmul(f, coef, r))
 
 
 def random_matrix(f: GF, rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:

@@ -96,7 +96,7 @@ def masked_params(sk: SecretKey) -> grs.GrsParams:
 
 def mask(f: GF, gen: np.ndarray, a: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """The masking map p -> p + <lam, p> a applied to each row p of gen."""
-    return f.add(gen, linalg.outer(f, linalg.matvec(f, gen, lam), a))
+    return f.add(gen, f.mul(linalg.matmul(f, gen, lam)[:, None], a))
 
 
 def build_keypair(
@@ -124,7 +124,7 @@ def build_keypair(
     if denom == 0:
         raise InvalidDimensions("Q = Pi + alpha^T beta is singular")
     lam = f.mul(f.neg(f.inv(denom)), alpha)
-    q_mat = f.add(linalg.permutation_matrix(perm), linalg.outer(f, alpha, beta))
+    q_mat = f.add(linalg.permutation_matrix(perm), f.mul(alpha[:, None], beta))
     masked = grs.GrsParams(f, params.x[perm], params.y[perm], k)
     # Q^-1 = Pi^-1 (I + lam^T a), so G_sec Q^-1 = mask(G_C, a, lam).
     g_pub = linalg.matmul(f, linalg.inverse(f, s_mat), mask(f, masked.generator, a, lam))
@@ -169,7 +169,7 @@ def keygen(f: GF, n: int, k: int, rng: np.random.Generator) -> tuple[PublicKey, 
             pk, sk = build_keypair(f, params.x, params.y, s_mat, perm, alpha, beta)
         except InvalidDimensions:
             continue  # singular Q
-        if not linalg.matvec(f, g_c, sk.lam).any():
+        if not linalg.matmul(f, g_c, sk.lam).any():
             continue  # lam orthogonal to C: degenerate, public code equals C
         if not linalg.reduce_row(f, c_rref, c_pivots, sk.a).any():
             continue  # a in C: the public code p + <lam, p> a coincides with C
@@ -185,10 +185,14 @@ def random_error(f: GF, n: int, weight: int, rng: np.random.Generator) -> np.nda
     return e
 
 
-def _check_range(f: GF, v: np.ndarray, what: str) -> None:
-    """Refuse a vector with an entry that is not an element of f."""
+def _as_elements(f: GF, v, what: str) -> np.ndarray:
+    """v as an int64 array, refused unless it holds integers in [0, q)."""
+    v = np.asarray(v)
+    if not np.issubdtype(v.dtype, np.integer):
+        raise FieldError(f"{what} must hold integers, got dtype {v.dtype}")
     if np.any((v < 0) | (v >= f.q)):
         raise FieldError(f"{what} has entries outside [0, {f.q})")
+    return v.astype(np.int64, copy=False)
 
 
 def encrypt(
@@ -199,27 +203,26 @@ def encrypt(
 ) -> np.ndarray:
     """c = m G_pub + e with e of weight exactly t (or a caller-provided e).
 
-    Raises FieldError when m or a given e has an entry outside [0, q)."""
+    Raises FieldError when m or a given e is not an integer array with
+    entries in [0, q)."""
     f = pk.field
-    msg = np.asarray(msg, dtype=np.int64)
+    msg = _as_elements(f, msg, "message")
     if msg.shape != (pk.k,):
         raise DimensionMismatch(f"message length must be k={pk.k}")
-    _check_range(f, msg, "message")
     if error is None:
         if rng is None:
             raise ValueError("encrypt needs an rng when no explicit error is given")
         error = random_error(f, pk.n, pk.t, rng)
     else:
-        error = np.asarray(error, dtype=np.int64)
+        error = _as_elements(f, error, "error")
         if error.shape != (pk.n,):
             raise DimensionMismatch(f"error length must be n={pk.n}")
-        _check_range(f, error, "error")
-    return f.add(linalg.vecmat(f, msg, pk.g_pub), error)
+    return f.add(linalg.matmul(f, msg, pk.g_pub), error)
 
 
 def error_weight(f: GF, g_pub: np.ndarray, c: np.ndarray, msg: np.ndarray) -> int:
     """Hamming distance from c to the public codeword msg G_pub."""
-    return int(np.count_nonzero(f.sub(c, linalg.vecmat(f, msg, g_pub))))
+    return int(np.count_nonzero(f.sub(c, linalg.matmul(f, msg, g_pub))))
 
 
 def canonical_choice(candidates: list[tuple[int, np.ndarray]], t: int) -> np.ndarray:
@@ -251,13 +254,12 @@ def sweep_decrypt(
     ``to_plain``, and keeps those whose public codeword lies within t of c.
     Returns the distinct verified (error weight, plaintext) candidates, in
     shift order; raises DecryptionFailure when there is none, and FieldError
-    when c has an entry outside [0, q).
+    unless c is an integer array with entries in [0, q).
     """
     f = key.field
-    c = np.asarray(c, dtype=np.int64)
+    c = _as_elements(f, c, "ciphertext")
     if c.shape != (key.n,):
         raise DimensionMismatch(f"ciphertext length must be n={key.n}")
-    _check_range(f, c, "ciphertext")
     words = f.sub(c[None, :], f.mul(f.elements()[:, None], direction[None, :]))
     msgs, ok = grs.decode_many(code, words)
     plain = linalg.matmul(f, msgs[ok], to_plain)

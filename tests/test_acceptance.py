@@ -185,7 +185,7 @@ def test_criterion_5_scheme_round_trip():
     assert p.t == 1
     gen = p.generator
     codewords = [
-        la.vecmat(f, np.array(m, dtype=np.int64), gen)
+        la.matmul(f, np.array(m, dtype=np.int64), gen)
         for m in itertools.product(range(5), repeat=2)
     ]
     errors = [np.zeros(4, dtype=np.int64)]

@@ -465,6 +465,19 @@ class TestEndToEnd:
         with pytest.raises(NotApplicable, match="no distinguishing gap"):
             atk.recover_key(pk, AttackConfig(seed=0))
 
+    def test_non_grs_code_with_a_grs_square_is_not_applicable(self, gf16m):
+        """A GRS generator with column 3 zeroed has rank 6 and a square of
+        dimension 11 = 2k-1 without being GRS: the direct recovery fails,
+        and the attack reports NotApplicable chained from that NotGrs."""
+        f = gf16m
+        g = np.array(grs.random_params(f, 15, 6, np.random.default_rng(0)).generator)
+        g[:, 3] = 0
+        pub = code_from_generator(f, g)
+        assert (pub.k, pub.square().k) == (6, 11)
+        with pytest.raises(NotApplicable, match="squares like a GRS code") as info:
+            atk.recover_key(scheme.PublicKey(f, 15, 6, g), AttackConfig(seed=0))
+        assert isinstance(info.value.__cause__, grs.NotGrs)
+
     def test_degenerate_mask_falls_back_to_direct_recovery(self, gf16m):
         """lam in C-perp makes the public code itself GRS; the attack then
         skips the sampling loop and still decrypts."""
@@ -477,7 +490,7 @@ class TestEndToEnd:
         c_gen = params.generator[:, perm]
         c_perp = la.right_kernel(f, c_gen)
         while True:
-            alpha = la.vecmat(f, rng.integers(0, 16, c_perp.shape[0]), c_perp)
+            alpha = la.matmul(f, rng.integers(0, 16, c_perp.shape[0]), c_perp)
             beta = rng.integers(0, 16, n, dtype=np.int64)
             if not alpha.any() or not beta.any():
                 continue

@@ -451,6 +451,19 @@ class TestCliWorkflows:
         rc = main(["attack", "--pub", str(tmp_path / "p7"), "--out", str(tmp_path / "rk7")])
         assert rc == 3
 
+    def test_attack_non_grs_code_with_a_grs_square_exit_3(self, tmp_path, capsys):
+        """A public code whose square has dimension 2k-1 but which is not GRS
+        (a GRS generator with column 3 zeroed) exits 3 with the reason
+        instead of a traceback."""
+        f = GF(2, 4, 19)
+        g = np.array(grs.random_params(f, 15, 6, np.random.default_rng(0)).generator)
+        g[:, 3] = 0
+        pub = tmp_path / "zeroed.pub"
+        fileio.save_public_key(pub, scheme.PublicKey(f, 15, 6, g))
+        assert main(["attack", "--pub", str(pub), "--out", str(tmp_path / "rk")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("attack not applicable: public code squares like a GRS code")
+
     def test_bench_empty_grid(self, capsys):
         rc = main(["bench", *FIELD_ARGS, "--n", "15", "--k", "", "--reps", "2"])
         assert rc == 0

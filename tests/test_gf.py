@@ -151,12 +151,6 @@ class TestArithmetic:
         e16 = gf16.elements()
         assert e16[0] == 0 and e16[-1] == 15 and len(e16) == 16
 
-    def test_pow(self, gf16):
-        a = gf16.elements()
-        assert np.array_equal(gf16.pow(a, 1), a)
-        assert np.array_equal(gf16.pow(a, 2), gf16.mul(a, a))
-        assert np.array_equal(gf16.pow(a, 0), np.ones(16, dtype=np.int64))
-
 
 def schoolbook_add(a: int, b: int, p: int, m: int, sign: int = 1) -> int:
     """Independent reference for a + sign * b: digit by digit mod p."""

@@ -194,7 +194,7 @@ class TestDecode:
         p = grs.random_params(gf16, 15, k, np.random.default_rng(k))
         words, msgs = noisy_codewords(gf16, p, 200, p.t, np.random.default_rng(k + 1))
         grs.decode_many(p, words[:1])  # builds the key's tables
-        calls = spy(monkeypatch, "solve_left", "rref")
+        calls = spy(monkeypatch, "solve_right", "rref")
         got, ok = grs.decode_many(p, words)
         assert calls == []
         assert ok.all() and np.array_equal(got, msgs)
@@ -211,7 +211,7 @@ class TestDecode:
         assert p.t >= 2
         words = np.vstack([noisy_codewords(f, p, 10, w, rng)[0] for w in range(p.t + 2)])
         grs.decode_many(p, words[:1])  # builds the key's tables
-        calls = spy(monkeypatch, "solve_left")
+        calls = spy(monkeypatch, "solve_right")
         msgs, ok = grs.decode_many(p, words)
         assert len(calls) >= 10  # the 10 codewords at least
         nearest, dist = brute_force_nearest(all_codewords(f, p), words)
@@ -233,7 +233,7 @@ class TestDecode:
         sent = rng.integers(0, 16, (20, 14))
         words = np.vstack([la.matmul(gf16, sent, p.generator), rng.integers(0, 16, (200, 15))])
         grs.decode_many(p, words[:1])  # builds the key's tables
-        calls = spy(monkeypatch, "solve_left", "rref")
+        calls = spy(monkeypatch, "solve_right", "rref")
         msgs, ok = grs.decode_many(p, words)
         assert calls == []
         assert ok[:20].all() and np.array_equal(msgs[:20], sent)
@@ -349,10 +349,10 @@ class TestRecoverMultipliers:
         c = grs.code(p)
         # a random hyperplane section of the code
         lam = rng.integers(0, 16, 15)
-        weights = la.matvec(gf16, c.gen, lam)
+        weights = la.matmul(gf16, c.gen, lam)
         while not weights.any():
             lam = rng.integers(0, 16, 15)
-            weights = la.matvec(gf16, c.gen, lam)
+            weights = la.matmul(gf16, c.gen, lam)
         coeff_kernel = la.right_kernel(gf16, weights[None, :])
         sub = code_from_generator(gf16, la.matmul(gf16, coeff_kernel, c.gen))
         assert sub.k == 5

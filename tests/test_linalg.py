@@ -48,7 +48,7 @@ class TestRankKernel:
     def test_outer_product_rank_one(self, gf16, rng):
         u = rng.integers(1, 16, 7)
         v = rng.integers(1, 16, 9)
-        assert la.rank(gf16, la.outer(gf16, u, v)) == 1
+        assert la.rank(gf16, la.matmul(gf16, u[:, None], v[None, :])) == 1
 
     def test_even_weight_kernel(self, gf2):
         k = la.right_kernel(gf2, np.array([[1, 1]]))
@@ -111,32 +111,32 @@ class TestSolve:
     def test_identity(self, gf7):
         g = np.eye(3, dtype=np.int64)
         c = np.array([1, 5, 2])
-        assert np.array_equal(la.solve_left(gf7, g, c), c)
+        assert np.array_equal(la.solve_right(gf7, g.T, c), c)
 
     def test_first_row(self, gf16, rng):
         g = la.random_matrix(gf16, 4, 8, rng)
-        u = la.solve_left(gf16, g, g[0])
+        u = la.solve_right(gf16, g.T, g[0])
         assert u is not None
-        assert np.array_equal(la.vecmat(gf16, u, g), g[0])
+        assert np.array_equal(la.matmul(gf16, u, g), g[0])
 
     def test_outside_rowspace(self, gf7):
         g = np.array([[1, 0, 0], [0, 1, 0]])
         c = np.array([0, 0, 1])
         assert la.rank(gf7, np.vstack([g, c[None, :]])) > la.rank(gf7, g)
-        assert la.solve_left(gf7, g, c) is None
+        assert la.solve_right(gf7, g.T, c) is None
 
     def test_solve_right_consistency(self, gf16, rng):
         for _ in range(10):
             a = la.random_matrix(gf16, 6, 4, rng)
             xtrue = rng.integers(0, 16, 4)
-            b = la.matvec(gf16, a, xtrue)
+            b = la.matmul(gf16, a, xtrue)
             x = la.solve_right(gf16, a, b)
             assert x is not None
-            assert np.array_equal(la.matvec(gf16, a, x), b)
+            assert np.array_equal(la.matmul(gf16, a, x), b)
 
     def test_dimension_mismatch(self, gf7):
         with pytest.raises(DimensionMismatch):
-            la.solve_left(gf7, np.eye(2, dtype=np.int64), np.array([1, 2, 3]))
+            la.solve_right(gf7, np.eye(2, dtype=np.int64), np.array([1, 2, 3]))
 
     @pytest.mark.parametrize("f", [GF(7), GF(2, 4, 19)], ids=["GF7", "GF16"])
     def test_batched_solve_right_matches(self, f, rng):
@@ -153,7 +153,7 @@ class TestSolve:
                         m = la.matmul(f, la.random_matrix(f, rows, r, rng),
                                       la.random_matrix(f, r, cols, rng))
                     a += [m, m]
-                    b += [la.matvec(f, m, rng.integers(0, f.q, cols)), rng.integers(0, f.q, rows)]
+                    b += [la.matmul(f, m, rng.integers(0, f.q, cols)), rng.integers(0, f.q, rows)]
             x, consistent, ranks = la.batched_solve_right(f, np.stack(a), np.stack(b))
             assert x.shape == (len(a), cols)
             for i, (m, v) in enumerate(zip(a, b, strict=True)):
@@ -244,6 +244,88 @@ class TestIntersect:
             la.intersect_rowspaces(gf7, np.eye(2, dtype=np.int64), np.eye(3, dtype=np.int64))
 
 
+def matmul_loop(f, a, b):
+    """Reference: a @ b for 2-D a and b, one inner index at a time."""
+    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
+    for j in range(a.shape[1]):
+        out = f.add(out, f.mul(a[:, j, None], b[j]))
+    return out
+
+
+MATMUL_FIELDS = [GF(2, 4, 19), GF(5, 2, 32), GF(7)]
+MATMUL_IDS = ["GF16", "GF25", "GF7"]
+
+
+class TestMatmul:
+    @pytest.mark.parametrize("f", MATMUL_FIELDS, ids=MATMUL_IDS)
+    def test_vector_operands(self, f, rng):
+        """A 1-D left operand is a row, a 1-D right one a column, and that
+        axis is dropped: two vectors give a 0-d inner product."""
+        a = la.random_matrix(f, 4, 6, rng)
+        u, v, w = rng.integers(0, f.q, 4), rng.integers(0, f.q, 6), rng.integers(0, f.q, 6)
+        assert np.array_equal(la.matmul(f, a, v), matmul_loop(f, a, v[:, None])[:, 0])
+        assert np.array_equal(la.matmul(f, u, a), matmul_loop(f, u[None, :], a)[0])
+        dot = la.matmul(f, v, w)
+        assert dot.shape == () and dot == matmul_loop(f, v[None, :], w[:, None])[0, 0]
+
+    @pytest.mark.parametrize("f", MATMUL_FIELDS, ids=MATMUL_IDS)
+    def test_stacks(self, f, rng):
+        """A stack against a 2-D matrix or a vector, a matrix or a vector
+        against a stack, and two stacks whose leading axes broadcast."""
+        a = rng.integers(0, f.q, (5, 3, 4))
+        b = la.random_matrix(f, 4, 6, rng)
+        want = np.stack([matmul_loop(f, m, b) for m in a])
+        assert np.array_equal(la.matmul(f, a, b), want)
+        v = rng.integers(0, f.q, 4)
+        want_v = np.stack([matmul_loop(f, m, v[:, None])[:, 0] for m in a])
+        assert np.array_equal(la.matmul(f, a, v), want_v)
+        bs = rng.integers(0, f.q, (5, 4, 6))
+        c = la.random_matrix(f, 3, 4, rng)
+        assert np.array_equal(la.matmul(f, c, bs), np.stack([matmul_loop(f, c, m) for m in bs]))
+        want_row = np.stack([matmul_loop(f, v[None, :], m)[0] for m in bs])
+        assert np.array_equal(la.matmul(f, v, bs), want_row)
+        left = rng.integers(0, f.q, (2, 1, 3, 4))
+        got = la.matmul(f, left, bs)
+        assert got.shape == (2, 5, 3, 6)
+        for i in range(2):
+            for j in range(5):
+                assert np.array_equal(got[i, j], matmul_loop(f, left[i, 0], bs[j]))
+
+    @pytest.mark.parametrize("f", MATMUL_FIELDS, ids=MATMUL_IDS)
+    def test_empty_row_stack(self, f, rng):
+        k, n = 6, 15
+        got = la.matmul(f, np.zeros((0, 3, k), dtype=np.int64), la.random_matrix(f, k, n, rng))
+        assert got.shape == (0, 3, n)
+
+    def test_two_row_blocks(self, rng, monkeypatch):
+        """3000 x 40 @ 40 x 40 is 4.8M products, more than one block of at
+        most 2^22: the rows go in two blocks."""
+        f = GF(2, 4, 19)
+        calls = []
+        real_sum = f.sum
+
+        def counted_sum(arr, axis=-1):
+            calls.append(arr.shape)
+            return real_sum(arr, axis)
+
+        monkeypatch.setattr(f, "sum", counted_sum)
+        a = la.random_matrix(f, 3000, 40, rng)
+        b = la.random_matrix(f, 40, 40, rng)
+        got = la.matmul(f, a, b)
+        assert len(calls) == 2 and all(np.prod(shape) <= 1 << 22 for shape in calls)
+        assert np.array_equal(got, matmul_loop(f, a, b))
+
+    @pytest.mark.parametrize(
+        "a_shape,b_shape",
+        [((2, 3), (4, 2)), ((3,), (4, 2)), ((2, 3), (4,)), ((3,), (4,)), ((5, 2, 3), (4, 2)),
+         ((2, 3), (5, 4, 2)), ((5, 2, 3), (5, 4, 2))],
+        ids=["matrix", "row", "column", "vectors", "stack-matrix", "matrix-stack", "stacks"],
+    )
+    def test_inner_dimension_mismatch(self, gf7, a_shape, b_shape):
+        with pytest.raises(DimensionMismatch):
+            la.matmul(gf7, np.zeros(a_shape, dtype=np.int64), np.zeros(b_shape, dtype=np.int64))
+
+
 def reduce_row_loop(f, r, pivots, v):
     """Reference: eliminate one pivot at a time."""
     v = np.array(v, dtype=np.int64)
@@ -317,5 +399,5 @@ class TestRandomSampling:
         perm = np.array([2, 0, 1])
         p = la.permutation_matrix(perm)
         v = np.array([5, 6, 1])
-        out = la.vecmat(gf7, v, p)
+        out = la.matmul(gf7, v, p)
         assert np.array_equal(out[perm], v)

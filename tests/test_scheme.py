@@ -35,31 +35,31 @@ class TestKeygen:
 
     def test_rank_one_mask(self, keypair16):
         f, pk, sk = keypair16
-        r = la.outer(f, sk.alpha, sk.beta)
+        r = f.mul(sk.alpha[:, None], sk.beta)
         assert la.rank(f, r) == 1
         assert np.array_equal(f.add(la.permutation_matrix(sk.perm), r), sk.q_mat)
 
     def test_mask_vectors_factor_r_pi_inverse(self, keypair16):
         f, pk, sk = keypair16
         pi_inv = la.inverse(f, la.permutation_matrix(sk.perm))
-        lhs = la.matmul(f, la.outer(f, sk.alpha, sk.beta), pi_inv)
-        assert np.array_equal(lhs, la.outer(f, sk.alpha, sk.a))
+        lhs = la.matmul(f, f.mul(sk.alpha[:, None], sk.beta), pi_inv)
+        assert np.array_equal(lhs, f.mul(sk.alpha[:, None], sk.a))
 
     def test_p_inverse_closed_form(self, keypair16):
         """I - b^T a / (1 + <a,b>) really inverts I + b^T a."""
         f, pk, sk = keypair16
         n = sk.n
         eye = np.eye(n, dtype=np.int64)
-        p_mat = f.add(eye, la.outer(f, sk.alpha, sk.a))
+        p_mat = f.add(eye, f.mul(sk.alpha[:, None], sk.a))
         denom_inv = f.inv(f.add(1, f.dot(sk.a, sk.alpha)))
-        closed = f.sub(eye, f.mul(denom_inv, la.outer(f, sk.alpha, sk.a)))
+        closed = f.sub(eye, f.mul(denom_inv, f.mul(sk.alpha[:, None], sk.a)))
         assert np.array_equal(la.inverse(f, p_mat), closed)
 
     def test_lam_outside_dual_and_pub_differs(self, keypair16):
         f, pk, sk = keypair16
         c_params = scheme.masked_params(sk)
         c_code = grs.code(c_params)
-        assert la.matvec(f, c_code.gen, sk.lam).any()  # lam not a parity check
+        assert la.matmul(f, c_code.gen, sk.lam).any()  # lam not a parity check
         pub_code = code_from_generator(f, pk.g_pub)
         assert pub_code != c_code
 
@@ -74,9 +74,9 @@ class TestKeygen:
         """Every public generator row is p + <lam, p> a for some p in C."""
         f, pk, sk = keypair16
         c_code = grs.code(scheme.masked_params(sk))
-        p_mat = f.add(np.eye(sk.n, dtype=np.int64), la.outer(f, sk.alpha, sk.a))
+        p_mat = f.add(np.eye(sk.n, dtype=np.int64), f.mul(sk.alpha[:, None], sk.a))
         for g in pk.g_pub:
-            p = la.vecmat(f, g, p_mat)
+            p = la.matmul(f, g, p_mat)
             assert c_code.contains(p)
             assert np.array_equal(f.add(p, f.mul(f.dot(sk.lam, p), sk.a)), g)
 
@@ -86,10 +86,10 @@ class TestKeygen:
         c_code = grs.code(scheme.masked_params(sk))
         c_perp = c_code.dual()
         pub_perp = code_from_generator(f, pk.g_pub).dual()
-        p_mat = f.add(np.eye(sk.n, dtype=np.int64), la.outer(f, sk.alpha, sk.a))
+        p_mat = f.add(np.eye(sk.n, dtype=np.int64), f.mul(sk.alpha[:, None], sk.a))
         pt_inv = la.inverse(f, p_mat.T)
         for c in pub_perp.gen:
-            p = la.vecmat(f, c, pt_inv)
+            p = la.matmul(f, c, pt_inv)
             assert c_perp.contains(p)
             assert np.array_equal(f.add(p, f.mul(f.dot(p, sk.a), sk.alpha)), c)
 
@@ -110,14 +110,14 @@ class TestEncrypt:
         f, pk, sk = keypair16
         msg = rng.integers(0, 16, 6)
         c = scheme.encrypt(pk, msg, rng)
-        diff = f.sub(c, la.vecmat(f, msg, pk.g_pub))
+        diff = f.sub(c, la.matmul(f, msg, pk.g_pub))
         assert int(np.count_nonzero(diff)) == pk.t
 
     def test_zero_error_hook(self, keypair16):
         f, pk, sk = keypair16
         msg = np.arange(6, dtype=np.int64)
         c = scheme.encrypt(pk, msg, error=np.zeros(15, dtype=np.int64))
-        assert np.array_equal(c, la.vecmat(f, msg, pk.g_pub))
+        assert np.array_equal(c, la.matmul(f, msg, pk.g_pub))
 
     def test_zero_message_zero_error(self, keypair16):
         f, pk, sk = keypair16
@@ -138,6 +138,17 @@ class TestEncrypt:
         error[3] = bad
         with pytest.raises(FieldError, match=r"error has entries outside \[0, 16\)"):
             scheme.encrypt(pk, np.zeros(6, dtype=np.int64), error=error)
+
+    @pytest.mark.parametrize(
+        "first", [1.7, "1", 2**70], ids=["float", "string", "beyond-int64"]
+    )
+    def test_non_integer_message_refused(self, keypair16, first):
+        """A message must be an integer array: 1.7 used to be truncated to 1
+        without error, '1' parsed, and 2**70 raised OverflowError."""
+        f, pk, sk = keypair16
+        msg = [first, 0, 0, 0, 0, 0]
+        with pytest.raises(FieldError, match="message must hold integers"):
+            scheme.encrypt(pk, msg, np.random.default_rng(0))
 
 
 class TestCanonicalChoice:
@@ -227,3 +238,22 @@ class TestDecrypt:
             scheme.decrypt(sk, c)
         with pytest.raises(FieldError, match=r"ciphertext has entries outside \[0, 16\)"):
             attack.decrypt_with_pair(rk, pk, c)
+
+    @pytest.mark.parametrize("kind", ["float", "string", "beyond-int64"])
+    def test_non_integer_ciphertext_refused(self, keypair16, kind):
+        """Both routes refuse a ciphertext that is not an integer array: a
+        float one with a .5 entry used to be truncated, strings parsed, and
+        2**70 raised OverflowError."""
+        f, pk, sk = keypair16
+        rk = attack.RecoveredKey(sk.masked, sk.a, sk.lam, None)
+        c = scheme.encrypt(pk, np.arange(6, dtype=np.int64), np.random.default_rng(1)).tolist()
+        if kind == "float":
+            c = np.array(c, dtype=np.float64)
+            c[5] += 0.5
+        elif kind == "string":
+            c = [str(x) for x in c]
+        else:
+            c[5] = 2**70
+        for decrypt in (lambda: scheme.decrypt(sk, c), lambda: attack.decrypt_with_pair(rk, pk, c)):
+            with pytest.raises(FieldError, match="ciphertext must hold integers"):
+                decrypt()
