@@ -7,8 +7,10 @@ the hidden subcode span at most 2k+2 dimensions, against 3k-3 for generic
 triples.  Phase 1 draws random triples (about q^3) until one passes that
 rank test.  The public generator is in RREF, [I | A] on its pivot columns,
 so one member z_a nonzero on all of them makes its k products independent,
-and the test reduces to the rank of a 2k x (n-k) Schur complement built from
-A and the 2 x 2 minors of the triple on a pivot and a free column.  Phase 2
+and the test reduces to the rank of a Schur complement built from A and the
+2 x 2 minors of the triple on a pivot and a free column.  Three of its 2k
+rows always depend on the rest, since z_a * z_b, z_a * z_c and z_b * z_c
+each expand in two ways, so a (2k-3) x (n-k) matrix is ranked.  Phase 2
 solves for the subcode linearly, since it is totally isotropic for z * z'
 modulo the span of the triple's products, and keeps a candidate only if
 it obeys the square-code law dim = 2k-1.  Its front half (the forms of each
@@ -121,12 +123,27 @@ def triple_ranks(pub: LinearCode, zs: np.ndarray) -> np.ndarray:
     """Rank of the products z_i * g_j of each triple in a batch zs (b, 3, n),
     equal to ``batched_rank(star_rows(zs, pub.gen))``.
 
-    ``pub.gen`` is [I | A] on its pivot columns P.  When some member z_a is
-    nonzero on every column of P, its products z_a * g_j have rank k, and
-    eliminating the other members' products against them leaves the
-    2k x (n-k) Schur complement with entries
-    A[j, l] (z_a[p_j] z_i[l] - z_i[p_j] z_a[l]), so the rank is k plus its
-    rank.  The other triples are ranked in full.
+    ``pub.gen`` is [I | A] on its pivot columns P, so a codeword z is
+    sum_j z[p_j] g_j.  When some member z_a is nonzero on every column of P
+    (the first such, with the other members z_b and z_c after it in cyclic
+    order), its products z_a * g_j have rank k, and eliminating z_i * g_j
+    (i = b, c) against them leaves, with w_ij = z_i[p_j] / z_a[p_j], the
+    rows S_ij = z_i * g_j - w_ij z_a * g_j, zero on P and equal to
+    A[j, l] (z_i[l] - w_ij z_a[l]) on a free column l: the rank is k plus
+    the rank of these 2k rows.  Expanding z_a * z_b, z_a * z_c and z_b * z_c
+    in two ways gives
+
+        sum_j z_a[p_j] S_bj = 0,   sum_j z_a[p_j] S_cj = 0,
+        sum_j z_c[p_j] S_bj = sum_j z_b[p_j] S_cj.
+
+    So row k-1 of each block depends on the others, as z_a[p_{k-1}] != 0.
+    Substituted into the third relation, that leaves the weight
+    z_a[p_j] (w_cj - w_c,k-1) on S_bj and z_a[p_j] (w_bj - w_b,k-1) on S_cj
+    (j < k-1), and the first row with a nonzero weight is a combination of
+    the rest; with none, z_b and z_c are multiples of z_a and every S_ij is
+    zero.  A (2k-3) x (n-k) matrix is ranked, which is why the generic rank
+    at (16, 6) is k+9, not k+10.  Triples with no such z_a are ranked in
+    full.
     """
     f, k, gen = pub.field, pub.k, pub.gen
     piv = np.asarray(pub.pivots)
@@ -140,10 +157,18 @@ def triple_ranks(pub: LinearCode, zs: np.ndarray) -> np.ndarray:
         # z_a first, then the other two members.
         order = (np.argmax(full[schur], axis=1)[:, None] + np.arange(3)) % 3
         t = np.take_along_axis(zs[schur], order[:, :, None], axis=1)
-        tp, tn = t[:, :, piv, None], t[:, :, None, free]
-        minors = f.sub(f.mul(tp[:, :1], tn[:, 1:]), f.mul(tp[:, 1:], tn[:, :1]))
-        mats = f.mul(gen[:, free], minors).reshape(len(t), 2 * k, len(free))
-        ranks[schur] = k + linalg.batched_rank(f, mats)
+        b = len(t)
+        w = f.mul(t[:, 1:, piv], f.inv0(t[:, :1, piv]))  # w_bj, w_cj
+        # Rows j < k-1 of S_b and S_c; row k-1 depends on them.
+        zi, za = t[:, 1:, None, free], t[:, :1, None, free]
+        mats = f.mul(gen[:-1, free], f.sub(zi, f.mul(w[:, :, :-1, None], za)))
+        mats = mats.reshape(b, 2 * k - 2, len(free))
+        # The first row with a nonzero weight in the z_b * z_c relation is
+        # dropped (its slot takes the last row); with none, all rows are zero.
+        weighted = w[:, ::-1, :-1] != w[:, ::-1, -1:]
+        drop = np.argmax(weighted.reshape(b, 2 * k - 2), axis=1)
+        mats[np.arange(b), drop] = mats[:, -1]
+        ranks[schur] = k + linalg.batched_rank(f, mats[:, :-1])
     return ranks
 
 
@@ -257,11 +282,16 @@ def find_shared_subcode(
     threshold = 2 * k + 2
     gen = pub.gen
     squares = star_rows(f, gen, gen)
+    piv = list(pub.pivots)
+    free = np.delete(np.arange(n), piv)
 
     while True:
         drawn = stats.outer_trials
         coeffs = linalg.random_matrix(f, _BATCH, 3 * k, rng).reshape(_BATCH, 3, k)
-        zbatch = linalg.matmul(f, coeffs, gen)
+        # gen is [I | A]: on the pivot columns the codewords are their coefficients.
+        zbatch = np.empty((_BATCH, 3, n), dtype=np.int64)
+        zbatch[:, :, piv] = coeffs
+        zbatch[:, :, free] = linalg.matmul(f, coeffs, gen[:, free])
         ranks = triple_ranks(pub, zbatch)
         passing = np.nonzero(ranks <= threshold)[0]
         if passing.size:
@@ -332,15 +362,15 @@ def recover_valid_pair(
     p2 = next(row for row in pub.gen if not c.contains(row))
     d = f.sub(p2, p1)
     kernel = linalg.right_kernel(f, np.vstack([inter, d]))
-    lam0 = next(row for row in kernel if f.dot(row, p1) != 0)
-    return f.div(d, f.dot(lam0, p1)), lam0, inter
+    lam0 = next(row for row in kernel if linalg.matmul(f, row, p1) != 0)
+    return f.div(d, linalg.matmul(f, lam0, p1)), lam0, inter
 
 
 def pair_is_valid(pub: LinearCode, c: LinearCode, a0: np.ndarray, lam0: np.ndarray) -> bool:
     """Check <a0, lam0> != -1 and that the masking map ``scheme.mask``,
     p -> p + <lam0, p> a0, maps a basis of c into pub with full rank."""
     f = pub.field
-    if f.dot(a0, lam0) == int(f.neg(1)):
+    if linalg.matmul(f, a0, lam0) == f.neg(1):
         return False
     images = scheme.mask(f, c.gen, a0, lam0)
     if linalg.reduce_row(f, pub.gen, pub.pivots, images).any():

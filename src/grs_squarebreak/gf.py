@@ -225,13 +225,19 @@ class GF:
             arr = head
         return arr[0].copy()
 
-    def dot(self, u, v) -> int:
-        """Standard inner product of two vectors."""
-        return int(self.sum(self.mul(u, v), axis=-1))
-
     def elements(self) -> np.ndarray:
         """All q elements in increasing integer encoding, starting at 0."""
         return np.arange(self.q, dtype=np.int64)
+
+    def as_elements(self, v, what: str) -> np.ndarray:
+        """v as an int64 array, refused with FieldError unless it holds
+        integers in [0, q): the check on caller-supplied vectors."""
+        v = np.asarray(v)
+        if not np.issubdtype(v.dtype, np.integer):
+            raise FieldError(f"{what} must hold integers, got dtype {v.dtype}")
+        if np.any((v < 0) | (v >= self.q)):
+            raise FieldError(f"{what} has entries outside [0, {self.q})")
+        return v.astype(np.int64, copy=False)
 
     # -- identity ---------------------------------------------------------
 

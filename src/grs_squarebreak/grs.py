@@ -144,7 +144,8 @@ def code(p: GrsParams) -> LinearCode:
 
 
 def encode(p: GrsParams, msg: np.ndarray) -> np.ndarray:
-    msg = np.asarray(msg, dtype=np.int64)
+    """msg G; raises FieldError unless msg holds integers in [0, q)."""
+    msg = p.field.as_elements(msg, "message")
     if msg.shape != (p.k,):
         raise DimensionMismatch(f"message length must be k={p.k}")
     return linalg.matmul(p.field, msg, p.generator)
@@ -182,6 +183,10 @@ def decode_many(p: GrsParams, words: np.ndarray) -> tuple[np.ndarray, np.ndarray
     parity checks, the locator power rows, the interpolation matrix and the
     generator are tables of ``p``, built on its first decode and reused by
     every later one.
+
+    The words must hold field elements, integers in [0, q): they are not
+    checked here, since the decryption sweep calls this on every
+    ciphertext after checking it once (``decode`` checks its word).
     """
     f, k, n, t = p.field, p.k, p.n, p.t
     r = np.asarray(words, dtype=np.int64)
@@ -228,9 +233,10 @@ def decode(p: GrsParams, received: np.ndarray) -> tuple[np.ndarray, np.ndarray] 
     """Bounded-distance decoding of one word (see ``decode_many``).
 
     Returns (codeword, error) when some codeword lies within Hamming distance
-    t of the received word, else None.
+    t of the received word, else None.  Raises FieldError unless the word
+    holds integers in [0, q).
     """
-    r = np.asarray(received, dtype=np.int64)
+    r = p.field.as_elements(received, "received word")
     msgs, ok = decode_many(p, r[None, :])
     if not ok[0]:
         return None

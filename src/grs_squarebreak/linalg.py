@@ -86,42 +86,41 @@ def batched_rank(f: GF, mats: np.ndarray) -> np.ndarray:
     All matrices share one column schedule; each keeps its own pivot-row
     counter.  One pass over the columns with whole-batch vector operations is
     far cheaper than per-matrix elimination when thousands of small rank
-    tests are needed (the attack's rank test).  Only the live block is
-    touched: rows from the lowest counter down, columns right of the current
-    one.  A pivot row is lifted out rather than swapped up, since rows above
-    a counter are never read again, and its inverse goes into the row
-    factors rather than into the row.
+    tests are needed (the attack's rank test).  Every matrix is eliminated
+    at every column, in place on the live block: rows from the lowest
+    counter down, columns right of the current one, a plain slice of the
+    stack.  A matrix with no pivot in the column has zero factors on its
+    live rows, and its pivot move copies a row onto itself.  A pivot row is
+    lifted out rather than swapped up, since rows above a counter are never
+    read again, and its inverse goes into the row factors rather than into
+    the row.
     """
     m = np.array(mats, dtype=np.int64)
     if m.ndim != 3:
         raise DimensionMismatch(f"expected a stack of matrices, got shape {m.shape}")
     nmat, nrows, ncols = m.shape
     rowptr = np.zeros(nmat, dtype=np.int64)
-    if not nmat:
-        return rowptr
+    every = np.arange(nmat)
     rowidx = np.arange(nrows)
     for c in range(ncols):
-        lo = int(rowptr.min())
+        lo = int(rowptr.min(initial=nrows))
         if lo == nrows:
             break
-        col = m[:, lo:, c]
-        eligible = (rowidx[None, lo:] >= rowptr[:, None]) & (col != 0)
-        b = np.nonzero(eligible.any(axis=1))[0]
-        if not b.size:
-            continue
-        rp = rowptr[b]
-        pr = lo + np.argmax(eligible[b], axis=1)
-        piv_inv = f.inv0(m[b, pr, c])
-        piv_row = m[b, pr, c + 1 :]
+        eligible = (rowidx[None, lo:] >= rowptr[:, None]) & (m[:, lo:, c] != 0)
+        hit = eligible.any(axis=1)
+        pr = lo + np.argmax(eligible, axis=1)
+        rp = np.where(hit, rowptr, pr)
+        piv_inv = f.inv0(m[every, pr, c])
+        piv_row = m[every, pr, c + 1 :]
         # The row at the counter (zero in column c unless it is the pivot
         # row itself) takes the pivot row's slot; rows up to the counter are
-        # then dead, so their factors need not be masked.
-        m[b, pr, c:] = m[b, rp, c:]
-        fac = f.mul(m[b, lo:, c], piv_inv[:, None])
-        m[b, lo:, c + 1 :] = f.sub(
-            m[b, lo:, c + 1 :], f.mul(fac[:, :, None], piv_row[:, None, :])
-        )
-        rowptr[b] += 1
+        # then dead, so their factors need not be masked.  Without a pivot
+        # every live row is zero in column c, so it gets a zero factor.
+        m[every, pr, c:] = m[every, rp, c:]
+        fac = f.mul(m[:, lo:, c], piv_inv[:, None])
+        live = m[:, lo:, c + 1 :]
+        live[...] = f.sub(live, f.mul(fac[:, :, None], piv_row[:, None, :]))
+        rowptr += hit
     return rowptr
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import grs, linalg
-from .gf import GF, FieldError
+from .gf import GF
 from .linalg import DimensionMismatch
 
 
@@ -120,7 +120,7 @@ def build_keypair(
     alpha = np.asarray(alpha, dtype=np.int64)
     beta = np.asarray(beta, dtype=np.int64)
     a = beta[perm]
-    denom = int(f.add(1, f.dot(a, alpha)))
+    denom = int(f.add(1, linalg.matmul(f, a, alpha)))
     if denom == 0:
         raise InvalidDimensions("Q = Pi + alpha^T beta is singular")
     lam = f.mul(f.neg(f.inv(denom)), alpha)
@@ -185,16 +185,6 @@ def random_error(f: GF, n: int, weight: int, rng: np.random.Generator) -> np.nda
     return e
 
 
-def _as_elements(f: GF, v, what: str) -> np.ndarray:
-    """v as an int64 array, refused unless it holds integers in [0, q)."""
-    v = np.asarray(v)
-    if not np.issubdtype(v.dtype, np.integer):
-        raise FieldError(f"{what} must hold integers, got dtype {v.dtype}")
-    if np.any((v < 0) | (v >= f.q)):
-        raise FieldError(f"{what} has entries outside [0, {f.q})")
-    return v.astype(np.int64, copy=False)
-
-
 def encrypt(
     pk: PublicKey,
     msg: np.ndarray,
@@ -206,7 +196,7 @@ def encrypt(
     Raises FieldError when m or a given e is not an integer array with
     entries in [0, q)."""
     f = pk.field
-    msg = _as_elements(f, msg, "message")
+    msg = f.as_elements(msg, "message")
     if msg.shape != (pk.k,):
         raise DimensionMismatch(f"message length must be k={pk.k}")
     if error is None:
@@ -214,7 +204,7 @@ def encrypt(
             raise ValueError("encrypt needs an rng when no explicit error is given")
         error = random_error(f, pk.n, pk.t, rng)
     else:
-        error = _as_elements(f, error, "error")
+        error = f.as_elements(error, "error")
         if error.shape != (pk.n,):
             raise DimensionMismatch(f"error length must be n={pk.n}")
     return f.add(linalg.matmul(f, msg, pk.g_pub), error)
@@ -257,7 +247,7 @@ def sweep_decrypt(
     unless c is an integer array with entries in [0, q).
     """
     f = key.field
-    c = _as_elements(f, c, "ciphertext")
+    c = f.as_elements(c, "ciphertext")
     if c.shape != (key.n,):
         raise DimensionMismatch(f"ciphertext length must be n={key.n}")
     words = f.sub(c[None, :], f.mul(f.elements()[:, None], direction[None, :]))

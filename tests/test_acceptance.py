@@ -260,7 +260,7 @@ def test_criterion_9_pair_validity(low_rate_campaign, dual_campaign):
         f = run["pk"].field
         pub = code_from_generator(f, run["pk"].g_pub)
         rk = run["rk"]
-        assert f.dot(rk.a0, rk.lam0) != int(f.neg(1))
+        assert la.matmul(f, rk.a0, rk.lam0) != int(f.neg(1))
         assert atk.pair_is_valid(pub, grs.code(rk.grs), rk.a0, rk.lam0)
         total += 1
     _report(9, f"masking pair valid on {total}/{total} successful attacks")

@@ -207,6 +207,27 @@ class TestTripleRanks:
         assert self.schur_share(pub, zs) == 0
         assert atk.triple_ranks(pub, zs).tolist() == self.full_ranks(f, pub, zs)
 
+    def test_dependent_members(self, rank_point):
+        """Member b a multiple of z_a, z_c = z_a + z_b, both other members
+        multiples of z_a, and z_c with one ratio to z_a on the first and the
+        last pivot: the weights of the z_b * z_c relation then vanish in
+        part, everywhere (both blocks are zero), or on the first row."""
+        f, pub, _sub = rank_point
+        k = pub.k
+        rng = np.random.default_rng(4)
+        coeffs = rng.integers(0, f.q, (120, 3, k))
+        coeffs[:, 0] = rng.integers(1, f.q, (120, k))  # z_a is member 0
+        scale = rng.integers(0, f.q, (120, 2, 1))
+        coeffs[:30, 1] = f.mul(scale[:30, 0], coeffs[:30, 0])
+        coeffs[30:60, 2] = f.add(coeffs[30:60, 0], coeffs[30:60, 1])
+        coeffs[60:90, 1:] = f.mul(scale[60:90], coeffs[60:90, None, 0])
+        ratio = f.div(coeffs[90:, 2, k - 1], coeffs[90:, 0, k - 1])
+        coeffs[90:, 2, 0] = f.mul(ratio, coeffs[90:, 0, 0])
+        zs = triples(f, pub, coeffs)
+        ranks = atk.triple_ranks(pub, zs).tolist()
+        assert ranks == self.full_ranks(f, pub, zs)
+        assert set(ranks[60:90]) == {k}
+
 
 class TestFindSharedSubcode:
     def test_matches_secret_intersection(self, gf16m, low_rate_key):
@@ -352,7 +373,7 @@ class TestRecoverValidPair:
         pub = code_from_generator(f, pk.g_pub)
         c_code = grs.code(scheme.masked_params(sk))
         a0, lam0, inter = atk.recover_valid_pair(pub, c_code)
-        assert f.dot(a0, lam0) == 0  # orthogonal by construction, != -1
+        assert la.matmul(f, a0, lam0) == 0  # orthogonal by construction, != -1
         assert atk.pair_is_valid(pub, c_code, a0, lam0)
         assert la.rank(f, inter) == pk.k - 1
         assert all(pub.contains(row) and c_code.contains(row) for row in inter)
@@ -367,9 +388,9 @@ class TestRecoverValidPair:
         c = code_from_generator(f, np.stack([e[0], p1]))
         pub = code_from_generator(f, e[:2])
         kernel = la.right_kernel(f, np.stack([e[0], f.sub(e[1], p1)]))
-        assert f.dot(kernel[0], p1) == 0
+        assert la.matmul(f, kernel[0], p1) == 0
         a0, lam0, _ = atk.recover_valid_pair(pub, c)
-        assert f.dot(a0, lam0) == 0
+        assert la.matmul(f, a0, lam0) == 0
         assert atk.pair_is_valid(pub, c, a0, lam0)
 
     def test_precondition_rejects_wrong_code(self, gf16m, low_rate_key, rng):
@@ -431,7 +452,7 @@ class TestEndToEnd:
         pk, _sk = low_rate_key
         rk, _ = low_rate_attack
         pub = code_from_generator(f, pk.g_pub)
-        assert f.dot(rk.a0, rk.lam0) != int(f.neg(1))
+        assert la.matmul(f, rk.a0, rk.lam0) != int(f.neg(1))
         assert atk.pair_is_valid(pub, grs.code(rk.grs), rk.a0, rk.lam0)
 
     def test_dead_interval(self, gf16m):
@@ -515,7 +536,7 @@ class TestEndToEnd:
 
 class TestSeededCounters:
     """The draws and decisions of seeded attacks, pinned as (outer trials,
-    inner trials, restarts) on three benchmark keys: a change that moves
+    inner trials, restarts) on four benchmark keys: a change that moves
     them changes the algorithm."""
 
     @pytest.mark.parametrize(
@@ -523,9 +544,10 @@ class TestSeededCounters:
         [
             ((2, 4, 19), 15, 6, 1000, 2000, (1659, 12, 120)),
             ((2, 4, 19), 15, 9, 3020, 4000, (2392, 24, 178)),
+            ((5, 2, 32), 16, 6, 5000, 6000, (47504, 5, 85)),
             ((5, 2, 32), 16, 6, 5002, 6002, (15983, 1, 33)),
         ],
-        ids=["GF16-15-6", "GF16-15-9", "GF25-16-6"],
+        ids=["GF16-15-6", "GF16-15-9", "GF25-16-6-5000", "GF25-16-6"],
     )
     def test_counters_and_recovered_code(self, field, n, k, keygen_seed, attack_seed, counters):
         f = GF(*field)

@@ -7,6 +7,7 @@ import pytest
 
 from grs_squarebreak import grs, linalg as la
 from grs_squarebreak.codes import code_from_generator, random_code, star_rows
+from grs_squarebreak.gf import FieldError
 from grs_squarebreak.grs import GrsParams, InvalidParams, NotGrs
 
 
@@ -248,6 +249,16 @@ class TestDecode:
         e[pos] = rng.integers(1, 16, 2)
         out = grs.decode(p, gf16.add(cw, e))
         assert out is None or int(np.count_nonzero(out[1])) <= 1
+
+    @pytest.mark.parametrize("bad", [-1, 16, 1.7], ids=["negative", "q", "float"])
+    def test_non_elements_refused(self, gf16, rng, bad):
+        """encode and the one-word decode take only field elements: -1 used
+        to encode as 15, 1.7 as 1, and 16 raised a bare IndexError."""
+        p = grs.random_params(gf16, 15, 6, rng)
+        with pytest.raises(FieldError, match="message"):
+            grs.encode(p, [bad, 0, 0, 0, 0, 0])
+        with pytest.raises(FieldError, match="received word"):
+            grs.decode(p, [bad] + [0] * 14)
 
 
 class TestDualParams:

@@ -102,6 +102,34 @@ class TestBatchedRank:
         assert la.batched_rank(f, mats).tolist() == expected
 
     @pytest.mark.parametrize("f", RANK_FIELDS, ids=RANK_IDS)
+    @pytest.mark.parametrize("shape", [(5, 9), (9, 5)], ids=["wide", "tall"])
+    def test_counters_finish_apart(self, f, shape, rng):
+        """Matrices whose rank is reached in the first columns (full row rank
+        for the wide shape) share a stack with matrices that are zero there
+        and still live in the last columns, all-zero matrices and random
+        ones."""
+        rows, cols = shape
+        r, lead = min(shape), max(cols - rows, 2)
+        early = [np.hstack([la.random_invertible(f, rows, rng)[:, :r],
+                            la.random_matrix(f, rows, cols - r, rng)]) for _ in range(8)]
+        late = [np.hstack([np.zeros((rows, lead), dtype=np.int64),
+                           la.random_invertible(f, rows, rng)[:, : cols - lead]]) for _ in range(8)]
+        zero = [np.zeros(shape, dtype=np.int64)] * 4
+        rand = [la.random_matrix(f, rows, cols, rng) for _ in range(4)]
+        mats = np.stack(early + late + zero + rand)
+        mats = mats[rng.permutation(len(mats))]
+        expected = [la.rank(f, m) for m in mats]
+        assert expected.count(r) >= 8 and expected.count(cols - lead) >= 8
+        assert expected.count(0) == 4
+        assert la.batched_rank(f, mats).tolist() == expected
+
+    @pytest.mark.parametrize("f", RANK_FIELDS, ids=RANK_IDS)
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 7), (7, 3), (6, 6)])
+    def test_single_matrix(self, f, shape, rng):
+        for m in (np.zeros(shape, dtype=np.int64), la.random_matrix(f, *shape, rng)):
+            assert la.batched_rank(f, m[None]).tolist() == [la.rank(f, m)]
+
+    @pytest.mark.parametrize("f", RANK_FIELDS, ids=RANK_IDS)
     def test_empty_stack(self, f):
         ranks = la.batched_rank(f, np.zeros((0, 3, 4), dtype=np.int64))
         assert ranks.shape == (0,)

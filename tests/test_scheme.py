@@ -51,7 +51,7 @@ class TestKeygen:
         n = sk.n
         eye = np.eye(n, dtype=np.int64)
         p_mat = f.add(eye, f.mul(sk.alpha[:, None], sk.a))
-        denom_inv = f.inv(f.add(1, f.dot(sk.a, sk.alpha)))
+        denom_inv = f.inv(f.add(1, la.matmul(f, sk.a, sk.alpha)))
         closed = f.sub(eye, f.mul(denom_inv, f.mul(sk.alpha[:, None], sk.a)))
         assert np.array_equal(la.inverse(f, p_mat), closed)
 
@@ -78,7 +78,7 @@ class TestKeygen:
         for g in pk.g_pub:
             p = la.matmul(f, g, p_mat)
             assert c_code.contains(p)
-            assert np.array_equal(f.add(p, f.mul(f.dot(sk.lam, p), sk.a)), g)
+            assert np.array_equal(f.add(p, f.mul(la.matmul(f, sk.lam, p), sk.a)), g)
 
     def test_masking_structure_dual(self, keypair16):
         """Every dual public codeword is p + <p, a> b for some p in C-perp."""
@@ -91,7 +91,7 @@ class TestKeygen:
         for c in pub_perp.gen:
             p = la.matmul(f, c, pt_inv)
             assert c_perp.contains(p)
-            assert np.array_equal(f.add(p, f.mul(f.dot(p, sk.a), sk.alpha)), c)
+            assert np.array_equal(f.add(p, f.mul(la.matmul(f, p, sk.a), sk.alpha)), c)
 
     def test_pub_square_bound(self, keypair16):
         f, pk, sk = keypair16
@@ -195,7 +195,7 @@ class TestDecrypt:
         msg = rng.integers(0, 16, 6)
         e = np.zeros(15, dtype=np.int64)
         e[0] = 1
-        while f.dot(e, sk.alpha) != 0:
+        while la.matmul(f, e, sk.alpha) != 0:
             e = np.roll(e, 1)
             if e[0] == 1 and np.count_nonzero(e) == 1 and e.argmax() == 0:
                 pytest.skip("alpha has full support for this key")
