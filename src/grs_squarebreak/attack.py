@@ -7,12 +7,13 @@ the hidden subcode span at most 2k+2 dimensions, against 3k-3 for generic
 triples.  Phase 1 draws random triples (about q^3) until one passes that
 rank test.  The public generator is in RREF, [I | A] on its pivot columns,
 so one member z_a nonzero on all of them makes its k products independent,
-and the test reduces to the rank of a Schur complement built from A and the
-2 x 2 minors of the triple on a pivot and a free column.  Three of its 2k
-rows always depend on the rest, since z_a * z_b, z_a * z_c and z_b * z_c
-each expand in two ways, so a (2k-3) x (n-k) matrix is ranked.  Phase 2
-solves for the subcode linearly, since it is totally isotropic for z * z'
-modulo the span of the triple's products, and keeps a candidate only if
+and the test reduces to the rank of a Schur complement: the 2k rows
+z_i * g_j - w_ij z_a * g_j of the other two members z_i, with
+w_ij = z_i[p_j] / z_a[p_j] at pivot column p_j, zero on the pivots.  Three
+of its rows always depend on the rest, since z_a * z_b, z_a * z_c and
+z_b * z_c each expand in two ways, so a (2k-3) x (n-k) matrix is ranked.
+Phase 2 solves for the subcode linearly, since it is totally isotropic for
+z * z' modulo the span of the triple's products, and keeps a candidate only if
 it obeys the square-code law dim = 2k-1.  Its front half (the forms of each
 triple and the sum of their kernels) runs in lockstep over every triple of a
 batch that passes the rank test, so the false passes, frequent when n is

@@ -5,15 +5,15 @@ column multipliers y and a dimension k: its codewords are
 (y_1 p(x_1), ..., y_n p(x_n)) for polynomials p of degree < k.
 
 This module provides the generator matrix, bounded-distance decoding up to
-floor((n-k)/2) errors (Berlekamp-Welch: a syndrome system for the error
-locator alone, then the error values at its roots in closed form;
-``decode_many`` decodes a whole stack of words in lockstep, as the
-decryption sweep does for its q shifted words, and ``decode`` is its
-one-word form), the dual-code multiplier formula, and two reconstruction
-routines used by the attack.  A ``GrsParams`` is read-only and builds its
-key-fixed tables (the generator, the parity checks, the locator power rows
-and the interpolation matrix) once, on first use, so decoding many words
-under one key pays for them once.
+floor((n-k)/2) errors (Berlekamp-Welch: the least-degree error locator from
+a syndrome system, the error values at its roots in closed form, and a
+syndrome check of the result; ``decode_many`` decodes a whole stack of
+words in lockstep, as the decryption sweep does for its q shifted words,
+and ``decode`` is its one-word form), the dual-code multiplier formula, and
+two reconstruction routines used by the attack.  A ``GrsParams`` is
+read-only and builds its key-fixed tables (the generator, the parity
+checks, the locator power rows and the interpolation matrix) once, on first
+use, so decoding many words under one key pays for them once.
 
 The reconstruction routines:
 
@@ -80,9 +80,10 @@ class GrsParams:
         """Unique-decoding radius floor((n-k)/2)."""
         return (self.n - self.k) // 2
 
-    # Key-fixed tables, built on first use (decoding needs all four, the
-    # attack and key generation only the generator).  Like x and y they are
-    # read-only, so no caller can make them disagree with the code.
+    # Key-fixed tables, built on first use (``decode_many`` reads the last
+    # three, ``decode`` also the generator to re-encode, the attack and key
+    # generation only the generator).  Like x and y they are read-only, so
+    # no caller can make them disagree with the code.
 
     @cached_property
     def generator(self) -> np.ndarray:
@@ -157,32 +158,27 @@ def decode_many(p: GrsParams, words: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
     Returns (msgs, ok): ok[i] tells whether a codeword u G lies within
     Hamming distance t = floor((n-k)/2) of words[i] (it is then unique), and
-    msgs[i] is its message u (length k), or zero.  With s = r / y, the monic
-    degree-t error locators E are the solutions of the n-k-t parity checks
-    z x^j of RS_{k+t}(x, 1) on s E(x): an (n-k-t) x (t+1) Hankel system in
-    the n-k syndromes syn of s.  A codeword within t makes the system
-    consistent and is what every solution E leads to.
+    msgs[i] is its message u (length k), or zero.  With s = r / y, the
+    error locators E of degree at most t are the solutions of the n-k-t
+    parity checks z x^j of RS_{k+t}(x, 1) on s E(x): an (n-k-t) x (t+1)
+    Hankel system in the n-k syndromes syn of s.  Each word takes its least
+    degree monic solution E: after one RREF on the system's first t columns,
+    E has a 1 at the first column d without a pivot (or at t) and minus RREF
+    column d at the pivots before it.  If a codeword lies within t, with
+    error e, every solution vanishes on e's support (e E lies in RS_{k+t}
+    and has weight at most t < n-k-t+1), so E is e's locator, with d roots.
 
-    When E has t roots x_j among x, the error values follow in closed form,
-    for all such words and roots at once: with Q_j = E / (X - x_j) (by
-    synthetic division), e_j = (sum_{l<t} Q_{j,l} syn_l) / (z_j Q_j(x_j)).
-    This e has the first t syndromes of s, and both sequences obey E's
-    recurrence, so e has all n-k of them: s - e is a word of RS_k(x, 1)
-    within t of s, and its first k values times ``p.interpolation`` give
-    the message.  Q_j(x_j) is the product of the x_j - x_i, never zero, so
-    no characteristic needs the formal derivative.
-
-    An error of weight w < t leaves E = locator * M free in a monic M of
-    degree t-w, so when the solution is unique the codeword's error has
-    weight exactly t and E is its locator: an E with fewer than t roots
-    means there is none.  Only a word whose system is consistent with rank
-    below t and whose E has fewer than t roots is left; it takes an erasure
-    solve off E's roots, at n-t >= k places or more, which finds the
-    codeword if there is one.  The checks, the syndromes, the Hankel solves,
-    the locator values and the error values are shared over the stack.  The
-    parity checks, the locator power rows, the interpolation matrix and the
-    generator are tables of ``p``, built on its first decode and reused by
-    every later one.
+    For every word whose E has d roots x_j, the error values follow in
+    closed form: with Q_j = E / (X - x_j) (by synthetic division),
+    e_j = (sum_{l<t} Q_{j,l} syn_l) / (z_j Q_j(x_j)).  Q_j(x_j) is the
+    product of the x_j - x_i, never zero, so no characteristic needs the
+    formal derivative.  The word is accepted only when e has all n-k
+    syndromes of s; that rejects every word with no codeword within t,
+    whatever its E.  Then s - e is a word of RS_k(x, 1), and its first k
+    values times ``p.interpolation`` give the message.  Every step is one
+    operation over the whole stack, with the parity checks, the locator
+    power rows and the interpolation matrix as tables of ``p``, built on
+    its first decode.
 
     The words must hold field elements, integers in [0, q): they are not
     checked here, since the decryption sweep calls this on every
@@ -194,38 +190,36 @@ def decode_many(p: GrsParams, words: np.ndarray) -> tuple[np.ndarray, np.ndarray
         raise DimensionMismatch(f"received words must have length n={n}")
     s = f.div(r, p.y)
     syn = linalg.matmul(f, s, p.parity_checks_t)
-    hankel = syn[:, np.arange(n - k - t)[:, None] + np.arange(t + 1)[None, :]]
-    sol, consistent, rank = linalg.batched_solve_right(
-        f, hankel[:, :, :t], f.neg(hankel[:, :, t])
-    )
-    monic = np.hstack([sol, np.ones((r.shape[0], 1), dtype=np.int64)])
-    loc = linalg.matmul(f, monic, p.locator_rows)
-    roots = np.count_nonzero(loc == 0, axis=1)
-    msgs = np.zeros((r.shape[0], k), dtype=np.int64)
-    ok = consistent & (roots == t)
+    rows = n - k - t
+    hankel = syn[:, np.arange(rows)[:, None] + np.arange(t + 1)[None, :]]
+    red, rank, pivcol = linalg.batched_rref(f, hankel, t)
+    # Columns 0..d-1 pivot in rows 0..d-1 and pivots rise strictly, so d
+    # counts the live rows whose pivot column is their own index.
+    d = np.count_nonzero((np.arange(rows) < rank[:, None]) & (pivcol == np.arange(rows)), axis=1)
+    every = np.arange(r.shape[0])
+    monic = np.zeros((r.shape[0], t + 1), dtype=np.int64)
+    monic[:, :t] = np.where(np.arange(t) < d[:, None], f.neg(red[every, :t, d]), 0)
+    monic[every, d] = 1
+    root = linalg.matmul(f, monic, p.locator_rows) == 0
+    keep = np.nonzero(np.count_nonzero(root, axis=1) == d)[0]
 
-    full = np.nonzero(ok)[0]
-    e_loc, e_syn, word = monic[full], syn[full], s[full]
-    pos = np.nonzero(loc[full] == 0)[1].reshape(full.size, t)  # the roots, row by row
-    xj = p.x[pos]
+    w, j = np.nonzero(root[keep])  # each root: its word in keep, its position
+    xj, e_loc, e_syn = p.x[j], monic[keep[w]], syn[keep[w]]
     # Synthetic division E / (X - x_j) from the top coefficient down, with
     # Horner's rule for Q_j(x_j) and the sum over syn riding along.
     quot = at_root = num = np.zeros_like(xj)
     for l in range(t, 0, -1):
-        quot = f.add(e_loc[:, l, None], f.mul(quot, xj))  # coefficient l-1 of Q_j
+        quot = f.add(e_loc[:, l], f.mul(quot, xj))  # coefficient l-1 of Q_j
         at_root = f.add(f.mul(at_root, xj), quot)
-        num = f.add(num, f.mul(quot, e_syn[:, l - 1, None]))
-    rows = np.arange(full.size)[:, None]
-    z = p.parity_checks_t[pos, 0]
-    word[rows, pos] = f.sub(word[rows, pos], f.div(num, f.mul(at_root, z)))
-    msgs[full] = linalg.matmul(f, word[:, :k], p.interpolation)
-
-    g = p.generator
-    for i in np.nonzero(consistent & (rank < t) & (roots < t))[0]:
-        keep = loc[i] != 0
-        msg = linalg.solve_right(f, g[:, keep].T, r[i, keep])
-        if msg is not None:
-            msgs[i], ok[i] = msg, True
+        num = f.add(num, f.mul(quot, e_syn[:, l - 1]))
+    err = np.zeros((keep.size, n), dtype=np.int64)
+    err[w, j] = f.div(num, f.mul(at_root, p.parity_checks_t[j, 0]))
+    good = np.all(linalg.matmul(f, err, p.parity_checks_t) == syn[keep], axis=1)
+    keep = keep[good]
+    msgs = np.zeros((r.shape[0], k), dtype=np.int64)
+    msgs[keep] = linalg.matmul(f, f.sub(s[keep, :k], err[good, :k]), p.interpolation)
+    ok = np.zeros(r.shape[0], dtype=bool)
+    ok[keep] = True
     return msgs, ok
 
 

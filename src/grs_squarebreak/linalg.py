@@ -178,22 +178,6 @@ def inverse(f: GF, a: np.ndarray) -> np.ndarray:
     return r[:, n:]
 
 
-def solve_right(f: GF, a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
-    """Some x with a @ x^T = b, or None; free variables are set to zero."""
-    a = as_matrix(a)
-    b = np.asarray(b, dtype=np.int64)
-    if b.shape[0] != a.shape[0]:
-        raise DimensionMismatch("right-hand side length mismatch")
-    aug = np.hstack([a, b[:, None]])
-    r, pivots = rref(f, aug)
-    ncols = a.shape[1]
-    if pivots and pivots[-1] == ncols:
-        return None
-    x = np.zeros(ncols, dtype=np.int64)
-    x[pivots] = r[:, ncols]
-    return x
-
-
 def batched_rref(
     f: GF, mats: np.ndarray, ncols: int | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -261,31 +245,6 @@ def batched_right_kernel(f: GF, mats: np.ndarray) -> tuple[np.ndarray, np.ndarra
     kern[mat, np.arange(d), free] = 1
     kern[np.arange(d) >= nullity[:, None]] = 0
     return kern[:, :, :ncols], nullity
-
-
-def batched_solve_right(
-    f: GF, a: np.ndarray, b: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Solve a stack of systems a[i] @ x^T = b[i] in lockstep.
-
-    Returns (x, consistent, rank): where consistent[i], x[i] is the solution
-    ``solve_right`` returns (free variables zero; it is the only solution
-    supported on the pivot columns, so any elimination order finds it), and
-    rank[i] is the rank of a[i].  One ``batched_rref`` of the augmented
-    matrices, pivoting on a's columns.
-    """
-    a = np.asarray(a, dtype=np.int64)
-    b = np.asarray(b, dtype=np.int64)
-    if a.ndim != 3 or b.shape != a.shape[:2]:
-        raise DimensionMismatch(f"cannot solve a stack {a.shape} against {b.shape}")
-    nmat, nrows, ncols = a.shape
-    m, rank, pivcol = batched_rref(f, np.concatenate([a, b[:, :, None]], axis=2), ncols)
-    live = np.arange(nrows)[None, :] < rank[:, None]
-    consistent = ~np.any(~live & (m[:, :, ncols] != 0), axis=1)
-    x = np.zeros((nmat, ncols + 1), dtype=np.int64)
-    # Rows past the rank point at the spare last column, dropped below.
-    np.put_along_axis(x, np.where(live, pivcol, ncols), np.where(live, m[:, :, ncols], 0), axis=1)
-    return x[:, :ncols], consistent, rank
 
 
 def intersect_rowspaces(f: GF, a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -433,11 +433,22 @@ class TestEndToEnd:
             got = atk.decrypt_with_pair(rk, pk, z)
             assert np.array_equal(got, msg) or genuine_tie(pk, z, got)
 
-    @pytest.mark.parametrize("field", [(17,), (5, 2, 32)], ids=["GF17", "GF25"])
-    def test_odd_characteristic_recovers_and_decrypts(self, field):
+    @pytest.mark.parametrize(
+        "field,n,k,branch",
+        [
+            ((17,), 16, 6, Branch.LOW_RATE),
+            ((5, 2, 32), 16, 6, Branch.LOW_RATE),
+            ((17,), 17, 11, Branch.HIGH_RATE_DUAL),
+        ],
+        ids=["GF17", "GF25", "GF17-17-11"],
+    )
+    def test_odd_characteristic_recovers_and_decrypts(self, field, n, k, branch):
+        """Both branches in odd characteristic; elsewhere only GF(16) keys
+        run the dual one."""
         f = GF(*field)
-        pk, sk = scheme.keygen(f, 16, 6, np.random.default_rng(90))
-        rk, _st = atk.recover_key(pk, AttackConfig(seed=91))
+        pk, sk = scheme.keygen(f, n, k, np.random.default_rng(90))
+        rk, st = atk.recover_key(pk, AttackConfig(seed=91))
+        assert st.branch == branch
         assert grs.code(rk.grs) == grs.code(scheme.masked_params(sk))
         rng = np.random.default_rng(92)
         for _ in range(10):

@@ -191,30 +191,30 @@ class TestDecode:
     @pytest.mark.parametrize("k", [6, 9])
     def test_weight_t_words_take_no_solve(self, gf16, monkeypatch, k):
         """Words at distance exactly t decode in closed form: once the key's
-        tables are built, neither the scalar solve nor ``rref`` runs."""
+        tables are built, no scalar ``rref`` runs."""
         p = grs.random_params(gf16, 15, k, np.random.default_rng(k))
         words, msgs = noisy_codewords(gf16, p, 200, p.t, np.random.default_rng(k + 1))
         grs.decode_many(p, words[:1])  # builds the key's tables
-        calls = spy(monkeypatch, "solve_right", "rref")
+        calls = spy(monkeypatch, "rref")
         got, ok = grs.decode_many(p, words)
         assert calls == []
         assert ok.all() and np.array_equal(got, msgs)
 
     @pytest.mark.parametrize("field,n,k", [("gf7", 7, 1), ("gf9", 9, 2), ("gf16", 15, 3)])
-    def test_degenerate_words_take_the_solve(self, request, monkeypatch, field, n, k):
+    def test_degenerate_words_decode_in_closed_form(self, request, monkeypatch, field, n, k):
         """A codeword leaves the locator system all zero (rank 0 < t), and
-        its solution E = X^t has at most one root among the points: such
-        words, consistent with rank below t and fewer than t roots, are left
-        to the erasure solve, and every word agrees with the oracle."""
+        a word at distance w < t leaves it rank w: each takes its least
+        degree locator, of degree w, with no scalar ``rref``, and every word
+        agrees with the oracle."""
         f = request.getfixturevalue(field)
         rng = np.random.default_rng(n)
         p = grs.random_params(f, n, k, rng)
         assert p.t >= 2
         words = np.vstack([noisy_codewords(f, p, 10, w, rng)[0] for w in range(p.t + 2)])
         grs.decode_many(p, words[:1])  # builds the key's tables
-        calls = spy(monkeypatch, "solve_right")
+        calls = spy(monkeypatch, "rref")
         msgs, ok = grs.decode_many(p, words)
-        assert len(calls) >= 10  # the 10 codewords at least
+        assert calls == []
         nearest, dist = brute_force_nearest(all_codewords(f, p), words)
         assert np.array_equal(ok, dist <= p.t)
         assert np.array_equal(la.matmul(f, msgs[ok], p.generator), nearest[ok])
@@ -234,7 +234,7 @@ class TestDecode:
         sent = rng.integers(0, 16, (20, 14))
         words = np.vstack([la.matmul(gf16, sent, p.generator), rng.integers(0, 16, (200, 15))])
         grs.decode_many(p, words[:1])  # builds the key's tables
-        calls = spy(monkeypatch, "solve_right", "rref")
+        calls = spy(monkeypatch, "rref")
         msgs, ok = grs.decode_many(p, words)
         assert calls == []
         assert ok[:20].all() and np.array_equal(msgs[:20], sent)

@@ -135,68 +135,6 @@ class TestBatchedRank:
         assert ranks.shape == (0,)
 
 
-class TestSolve:
-    def test_identity(self, gf7):
-        g = np.eye(3, dtype=np.int64)
-        c = np.array([1, 5, 2])
-        assert np.array_equal(la.solve_right(gf7, g.T, c), c)
-
-    def test_first_row(self, gf16, rng):
-        g = la.random_matrix(gf16, 4, 8, rng)
-        u = la.solve_right(gf16, g.T, g[0])
-        assert u is not None
-        assert np.array_equal(la.matmul(gf16, u, g), g[0])
-
-    def test_outside_rowspace(self, gf7):
-        g = np.array([[1, 0, 0], [0, 1, 0]])
-        c = np.array([0, 0, 1])
-        assert la.rank(gf7, np.vstack([g, c[None, :]])) > la.rank(gf7, g)
-        assert la.solve_right(gf7, g.T, c) is None
-
-    def test_solve_right_consistency(self, gf16, rng):
-        for _ in range(10):
-            a = la.random_matrix(gf16, 6, 4, rng)
-            xtrue = rng.integers(0, 16, 4)
-            b = la.matmul(gf16, a, xtrue)
-            x = la.solve_right(gf16, a, b)
-            assert x is not None
-            assert np.array_equal(la.matmul(gf16, a, x), b)
-
-    def test_dimension_mismatch(self, gf7):
-        with pytest.raises(DimensionMismatch):
-            la.solve_right(gf7, np.eye(2, dtype=np.int64), np.array([1, 2, 3]))
-
-    @pytest.mark.parametrize("f", [GF(7), GF(2, 4, 19)], ids=["GF7", "GF16"])
-    def test_batched_solve_right_matches(self, f, rng):
-        """Each system of a stack against solve_right: planted coefficient
-        blocks of every rank, each with a consistent right-hand side and a
-        random one (inconsistent unless the block has full row rank), a
-        block with no columns, and an empty stack."""
-        for rows, cols in ((5, 4), (3, 5), (4, 4), (4, 0)):
-            a, b = [], []
-            for r in range(min(rows, cols) + 1):
-                for _ in range(4):
-                    m = np.zeros((rows, cols), dtype=np.int64)
-                    if r:
-                        m = la.matmul(f, la.random_matrix(f, rows, r, rng),
-                                      la.random_matrix(f, r, cols, rng))
-                    a += [m, m]
-                    b += [la.matmul(f, m, rng.integers(0, f.q, cols)), rng.integers(0, f.q, rows)]
-            x, consistent, ranks = la.batched_solve_right(f, np.stack(a), np.stack(b))
-            assert x.shape == (len(a), cols)
-            for i, (m, v) in enumerate(zip(a, b, strict=True)):
-                want = la.solve_right(f, m, v)
-                assert consistent[i] == (want is not None)
-                assert ranks[i] == la.rank(f, m)
-                if want is not None:
-                    assert np.array_equal(x[i], want)
-            assert set(consistent.tolist()) == {True, False}
-        x, consistent, ranks = la.batched_solve_right(
-            f, np.zeros((0, 3, 2), dtype=np.int64), np.zeros((0, 3), dtype=np.int64)
-        )
-        assert x.shape == (0, 2) and consistent.shape == ranks.shape == (0,)
-
-
 class TestBatchedKernel:
     """The lockstep Gauss-Jordan (``batched_rref``) and its kernel view
     against ``rref`` and ``right_kernel``, matrix by matrix."""
@@ -229,14 +167,25 @@ class TestBatchedKernel:
 
     @pytest.mark.parametrize("f", [GF(2, 4, 19), GF(5, 2, 32), GF(7)], ids=["GF16", "GF25", "GF7"])
     def test_rref_matches(self, f, rng):
-        for rows, cols in self.SHAPES:
-            mats = self.planted_stack(f, rows, cols, rng)
-            red, ranks, pivcol = la.batched_rref(f, mats)
-            for m, r, d, piv in zip(mats, red, ranks, pivcol, strict=True):
-                want, want_piv = la.rref(f, m)
-                assert np.array_equal(r[:d], want)
-                assert piv[:d].tolist() == want_piv
-                assert not r[d:].any()
+        """Pivoting on every column, and on the first ncols < width only
+        (a random block to the right of the planted one): on the pivoting
+        columns the pivot rows are ``rref`` of the planted block and the rows
+        past its rank are zero.  Includes a block with no pivoting column
+        and an empty stack."""
+        for rows, cols in (*self.SHAPES, (4, 0)):
+            for extra in (0, 2):
+                left = self.planted_stack(f, rows, cols, rng)
+                mats = np.concatenate([left, rng.integers(0, f.q, (len(left), rows, extra))], axis=2)
+                red, ranks, pivcol = la.batched_rref(f, mats, cols if extra else None)
+                for m, r, d, piv in zip(left, red, ranks, pivcol, strict=True):
+                    want, want_piv = la.rref(f, m)
+                    assert np.array_equal(r[:d, :cols], want)
+                    assert piv[:d].tolist() == want_piv
+                    assert not r[d:, :cols].any()
+                    if not extra:
+                        assert not r[d:].any()
+        red, ranks, pivcol = la.batched_rref(f, np.zeros((0, 3, 4), dtype=np.int64), 2)
+        assert red.shape == (0, 3, 4) and ranks.shape == (0,) and pivcol.shape == (0, 3)
 
     def test_empty_stack(self, gf7):
         kern, nullity = la.batched_right_kernel(gf7, np.zeros((0, 3, 4), dtype=np.int64))
