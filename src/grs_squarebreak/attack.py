@@ -74,7 +74,9 @@ _MIN_DIM = 6
 @dataclass
 class AttackConfig:
     max_outer_trials: int | None = None  # default: 100 * q^3
-    seed: int | None = None
+    # Anything np.random.default_rng takes: an int, or a Generator, which the
+    # attack then draws from in place, continuing its stream.
+    seed: int | np.random.Generator | None = None
 
 
 @dataclass
@@ -380,7 +382,7 @@ def pair_is_valid(pub: LinearCode, c: LinearCode, a0: np.ndarray, lam0: np.ndarr
 
 
 def recover_key(
-    pub: PublicKey, cfg: AttackConfig | None = None, rng: np.random.Generator | None = None
+    pub: PublicKey, cfg: AttackConfig | None = None
 ) -> tuple[RecoveredKey, AttackStats]:
     """Full key recovery from the public key alone.
 
@@ -391,8 +393,7 @@ def recover_key(
     """
     if cfg is None:
         cfg = AttackConfig()
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(cfg.seed)
     f, n, k = pub.field, pub.n, pub.k
     pub_code = code_from_generator(f, pub.g_pub)
     if pub_code.k != k:

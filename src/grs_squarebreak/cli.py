@@ -92,7 +92,7 @@ def cmd_keygen(args) -> int:
 
 def cmd_encrypt(args) -> int:
     pk = fileio.load_public_key(args.key)
-    _, msg = fileio.load_vector(args.msg, pk.k, pk.field)
+    msg = fileio.load_vector(args.msg, pk.k, pk.field)
     rng = np.random.default_rng(args.seed)
     c = scheme.encrypt(pk, msg, rng)
     if args.out:
@@ -110,7 +110,7 @@ def cmd_decrypt(args) -> int:
         pk = fileio.load_public_key(args.pub)
         rk = fileio.load_recovered_key(args.recovered)
         _match_public_key("recovered key", rk.grs, pk)
-        _, c = fileio.load_vector(args.ct, pk.n, pk.field)
+        c = fileio.load_vector(args.ct, pk.n, pk.field)
         cands = attack_mod.pair_candidates(rk, pk, c)
         n, k, f, t = pk.n, pk.k, pk.field, pk.t
     else:
@@ -118,7 +118,7 @@ def cmd_decrypt(args) -> int:
             print("decrypt: need --key (or --recovered with --pub)", file=sys.stderr)
             return EXIT_USAGE
         _, sk = fileio.load_secret_key(args.key)
-        _, c = fileio.load_vector(args.ct, sk.n, sk.field)
+        c = fileio.load_vector(args.ct, sk.n, sk.field)
         cands = scheme.decrypt_candidates(sk, c)
         n, k, f, t = sk.n, sk.k, sk.field, sk.t
     msg = scheme.canonical_choice(cands, t)
@@ -160,7 +160,7 @@ def cmd_attack(args) -> int:
     except attack_mod.TrialBudgetExceeded as e:
         print(f"attack gave up: {e}", file=sys.stderr)
         return EXIT_BUDGET
-    fileio.save_recovered_key(args.out, pk.field, pk.n, pk.k, rk)
+    fileio.save_recovered_key(args.out, rk)
     print(
         f"recovered key written to {args.out}\n"
         f"branch: {st.branch.value}  outer trials: {st.outer_trials}  "
@@ -208,7 +208,7 @@ def cmd_bench(args) -> int:
                 pk, _sk = scheme.keygen(f, n, k, rng)
                 try:
                     _rk, st = attack_mod.recover_key(
-                        pk, attack_mod.AttackConfig(max_outer_trials=args.trials), rng
+                        pk, attack_mod.AttackConfig(max_outer_trials=args.trials, seed=rng)
                     )
                 except (attack_mod.NotApplicable, attack_mod.TrialBudgetExceeded):
                     continue

@@ -13,7 +13,6 @@ and diff-able and round-trips bit-exactly.
 
 from __future__ import annotations
 
-import io
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -39,28 +38,20 @@ class ParsedFile:
     sections: dict[str, np.ndarray]
 
 
-def dump(stream, f: GF, n: int, k: int, sections: dict[str, np.ndarray]) -> None:
-    stream.write(MAGIC + "\n")
-    stream.write(f"field p={f.p} m={f.m} poly={f.modulus}\n")
-    stream.write(f"n={n} k={k}\n")
+def dumps(f: GF, n: int, k: int, sections: dict[str, np.ndarray]) -> str:
+    lines = [MAGIC, f"field p={f.p} m={f.m} poly={f.modulus}", f"n={n} k={k}"]
     for name, arr in sections.items():
         arr = np.asarray(arr, dtype=np.int64)
         if arr.ndim == 1:
             arr = arr.reshape(1, -1)
-        stream.write(f"@{name} {arr.shape[0]} {arr.shape[1]}\n")
-        for row in arr:
-            stream.write(" ".join(str(int(v)) for v in row) + "\n")
-
-
-def dumps(f: GF, n: int, k: int, sections: dict[str, np.ndarray]) -> str:
-    buf = io.StringIO()
-    dump(buf, f, n, k, sections)
-    return buf.getvalue()
+        lines.append(f"@{name} {arr.shape[0]} {arr.shape[1]}")
+        lines.extend(" ".join(str(int(v)) for v in row) for row in arr)
+    return "\n".join(lines) + "\n"
 
 
 def write_file(path, f: GF, n: int, k: int, sections: dict[str, np.ndarray]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        dump(fh, f, n, k, sections)
+        fh.write(dumps(f, n, k, sections))
 
 
 def _kv(token: str, key: str) -> int:
@@ -222,28 +213,22 @@ def save_vector(path, f: GF, n: int, k: int, v: np.ndarray) -> None:
     write_file(path, f, n, k, {"vec": np.asarray(v, dtype=np.int64).reshape(1, -1)})
 
 
-def load_vector(
-    path, length: int | None = None, field: GF | None = None
-) -> tuple[ParsedFile, np.ndarray]:
+def load_vector(path, length: int, field: GF) -> np.ndarray:
     pf = read_file(path)
-    if "vec" not in pf.sections:
-        raise FileFormatError("missing section @vec")
-    v = pf.sections["vec"]
-    if v.shape[0] != 1 or (length is not None and v.shape[1] != length):
-        raise FileFormatError(f"@vec has shape {v.shape}, expected (1, {length})")
-    if field is not None and pf.field != field:
+    v = _section(pf, "vec", (1, length))[0]
+    if pf.field != field:
         raise FileFormatError(f"@vec is over {pf.field!r}, expected {field!r}")
-    return pf, v[0]
+    return v
 
 
-def save_recovered_key(path, f: GF, n: int, k: int, rk: RecoveredKey) -> None:
+def save_recovered_key(path, rk: RecoveredKey) -> None:
     sections = {
         "x": rk.grs.x,
         "y": rk.grs.y,
         "a0": rk.a0,
         "lambda0": rk.lam0,
     }
-    write_file(path, f, n, k, sections)
+    write_file(path, rk.grs.field, rk.grs.n, rk.grs.k, sections)
 
 
 def load_recovered_key(path) -> RecoveredKey:

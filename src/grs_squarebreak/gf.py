@@ -14,7 +14,8 @@ one product with the matrix of g^L, which is then squared.  The modulus is
 checked by dividing it by every monic polynomial of degree at most m/2 at
 once.  Fields of at most 1024 elements multiply, and in odd characteristic
 add and subtract, by one gather from a q x q table; odd extension fields
-sum by a tree of pairwise adds.
+sum by a tree of pairwise adds.  Prime fields (m = 1) take the same paths,
+with one digit: only their sums are plain integer arithmetic mod p.
 Nothing here is constant-time or suitable for production cryptography.
 """
 
@@ -58,8 +59,8 @@ def _is_prime(n: int) -> bool:
 class GF:
     """The finite field GF(p^m) defined by a monic irreducible modulus.
 
-    For m == 1 the modulus argument is ignored and arithmetic is plain
-    integer arithmetic mod p.  Instances are immutable and safe to share.
+    For m == 1 the modulus argument is ignored.  Instances are immutable
+    and safe to share.
     """
 
     def __init__(self, p: int, m: int = 1, modulus: int = 0):
@@ -151,8 +152,6 @@ class GF:
             return np.bitwise_xor(a, b)
         if self._add_table is not None:
             return self._add_table[np.asarray(a), np.asarray(b)]
-        if self.m == 1:
-            return (np.asarray(a) + b) % self.p
         return self._digitwise(a, b, lambda x, y: (x + y) % self.p)
 
     def sub(self, a, b):
@@ -160,8 +159,6 @@ class GF:
             return np.bitwise_xor(a, b)
         if self._sub_table is not None:
             return self._sub_table[np.asarray(a), np.asarray(b)]
-        if self.m == 1:
-            return (np.asarray(a) - b) % self.p
         return self._digitwise(a, b, lambda x, y: (x - y) % self.p)
 
     def neg(self, a):
@@ -184,8 +181,6 @@ class GF:
     def mul(self, a, b):
         if self._mul_table is not None:
             return self._mul_table[np.asarray(a), np.asarray(b)]
-        if self.m == 1:
-            return (np.asarray(a) * b) % self.p
         a = np.asarray(a)
         b = np.asarray(b)
         prod = self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]

@@ -94,7 +94,8 @@ class GrsParams:
     def parity_checks_t(self) -> np.ndarray:
         """n x (n-k) transposed parity checks of RS_k(x, 1): column l is
         z * x^l, z_i = 1 / prod_{j != i} (x_i - x_j)."""
-        return linalg.frozen(_parity_checks(self.field, self.x, self.n - self.k).T)
+        ones = np.ones(self.n, dtype=np.int64)
+        return linalg.frozen(dual_params(GrsParams(self.field, self.x, ones, self.k)).generator.T)
 
     @cached_property
     def locator_rows(self) -> np.ndarray:
@@ -248,12 +249,6 @@ def _pairwise_products(f: GF, x: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _parity_checks(f: GF, x: np.ndarray, m: int) -> np.ndarray:
-    """m x n matrix with row l equal to z * x^l, z_i = 1 / prod_{j != i}
-    (x_i - x_j): a generator of the dual of RS_{n-m}(x, 1)."""
-    return _rows(f, f.inv(_pairwise_products(f, x)), x, m)
-
-
 def dual_params(p: GrsParams) -> GrsParams:
     """Describing pair of the dual code: GRS_k(x, y)^perp = GRS_{n-k}(x, z)
     with z_i = 1 / (y_i prod_{j != i} (x_i - x_j))."""
@@ -275,7 +270,8 @@ def recover_multipliers(x: np.ndarray, k: int, sub: LinearCode) -> np.ndarray | 
     n = x.shape[0]
     if sub.n != n or not (1 <= k < n) or sub.k > k or np.unique(x).size != n:
         raise InvalidParams("points, subcode and dimension are inconsistent")
-    kernel = linalg.right_kernel(f, star_rows(f, sub.gen, _parity_checks(f, x, n - k)))
+    checks = dual_params(GrsParams(f, x, np.ones(n, dtype=np.int64), k)).generator
+    kernel = linalg.right_kernel(f, star_rows(f, sub.gen, checks))
     if kernel.shape[0] == 0:
         return None
     for row in kernel:
@@ -287,17 +283,6 @@ def recover_multipliers(x: np.ndarray, k: int, sub: LinearCode) -> np.ndarray | 
             u = linalg.matmul(f, mix.integers(0, f.q, kernel.shape[0]), kernel)
             if not np.any(u == 0):
                 return f.inv(u)
-    return None
-
-
-def _grs_from_points(c: LinearCode, x: np.ndarray) -> GrsParams | None:
-    """Finish a reconstruction: solve multipliers for given points, verify."""
-    y = recover_multipliers(x, c.k, c)
-    if y is None:
-        return None
-    params = GrsParams(c.field, x, y, c.k)
-    if code(params) == c:
-        return params
     return None
 
 
@@ -340,8 +325,11 @@ def _recover_via_ratios(c: LinearCode) -> GrsParams | None:
             x[np.asarray(piv[2:], dtype=np.int64)] = xi
         if np.unique(x).size != n:
             continue
-        params = _grs_from_points(c, x)
-        if params is not None:
+        y = recover_multipliers(x, k, c)
+        if y is None:
+            continue
+        params = GrsParams(f, x, y, k)
+        if code(params) == c:
             return params
     return None
 

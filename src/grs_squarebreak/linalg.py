@@ -51,8 +51,6 @@ def rref(f: GF, a: np.ndarray) -> tuple[np.ndarray, list[int]]:
     columns; R has len(pivots) rows.
     """
     m = np.array(a, dtype=np.int64)
-    if m.ndim != 2:
-        m = m.reshape(1, -1)
     nrows, ncols = m.shape
     pivots: list[int] = []
     r = 0
@@ -129,9 +127,8 @@ def right_kernel(f: GF, a: np.ndarray) -> np.ndarray:
 
     Returns a (cols - rank) x cols matrix; 0 rows when a has full column rank.
     """
-    a = np.asarray(a, dtype=np.int64)
-    ncols = a.shape[1] if a.ndim == 2 else a.shape[0]
-    r, pivots = rref(f, a.reshape(-1, ncols))
+    r, pivots = rref(f, a)
+    ncols = r.shape[1]
     free = [c for c in range(ncols) if c not in pivots]
     k = np.zeros((len(free), ncols), dtype=np.int64)
     k[range(len(free)), free] = 1
@@ -284,12 +281,3 @@ def random_invertible(f: GF, k: int, rng: np.random.Generator) -> np.ndarray:
         if rank(f, m) == k:
             return m
     raise RuntimeError("rejection sampling failed to find an invertible matrix")
-
-
-def permutation_matrix(perm: np.ndarray) -> np.ndarray:
-    """Matrix P with P[i, perm[i]] = 1, so (v @ P)[perm[i]] = v[i]."""
-    perm = np.asarray(perm, dtype=np.int64)
-    n = perm.shape[0]
-    p = np.zeros((n, n), dtype=np.int64)
-    p[np.arange(n), perm] = 1
-    return p

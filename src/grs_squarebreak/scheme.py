@@ -124,7 +124,7 @@ def build_keypair(
     if denom == 0:
         raise InvalidDimensions("Q = Pi + alpha^T beta is singular")
     lam = f.mul(f.neg(f.inv(denom)), alpha)
-    q_mat = f.add(linalg.permutation_matrix(perm), f.mul(alpha[:, None], beta))
+    q_mat = f.add(np.eye(n, dtype=np.int64)[perm], f.mul(alpha[:, None], beta))
     masked = grs.GrsParams(f, params.x[perm], params.y[perm], k)
     # Q^-1 = Pi^-1 (I + lam^T a), so G_sec Q^-1 = mask(G_C, a, lam).
     g_pub = linalg.matmul(f, linalg.inverse(f, s_mat), mask(f, masked.generator, a, lam))

@@ -12,7 +12,7 @@ from grs_squarebreak.attack import (
     NotApplicable,
     TrialBudgetExceeded,
 )
-from grs_squarebreak.codes import code_from_generator, star_rows
+from grs_squarebreak.codes import code_from_generator, random_code, star_rows
 from grs_squarebreak.gf import GF
 from grs_squarebreak.scheme import DecryptionFailure
 
@@ -365,6 +365,17 @@ class TestRecoverSecretGrs:
         with pytest.raises(grs.NotGrs):
             atk.recover_secret_grs(code_from_generator(f, g), 6)
 
+    @pytest.mark.parametrize("k,dim", [(7, 5), (9, 8)], ids=["dim-below-k-1", "2k-1-above-n"])
+    def test_subcode_of_the_wrong_dimension_rejected(self, gf16m, low_rate_key, rng, k, dim):
+        """Only a (k-1)-dimensional subcode of a code with 2k-1 <= n can come
+        from GRS_k: the true 5-dimensional subcode is refused at k = 7, and
+        an 8-dimensional code at k = 9 (2k-1 = 17 > n = 15)."""
+        f = gf16m
+        pk, sk = low_rate_key
+        sub = true_shared_subcode(f, pk, sk) if dim == 5 else random_code(f, dim, 15, rng)
+        with pytest.raises(grs.NotGrs, match=f"subcode of dimension {dim} cannot come from k={k}"):
+            atk.recover_secret_grs(sub, k)
+
 
 class TestRecoverValidPair:
     def test_constructed_pair_is_valid(self, gf16m, low_rate_key):
@@ -400,6 +411,27 @@ class TestRecoverValidPair:
         other = code_from_generator(f, la.random_matrix(f, 6, 15, rng))
         with pytest.raises(atk.PreconditionViolated):
             atk.recover_valid_pair(pub, other)
+
+    def test_precondition_rejects_the_public_code_itself(self, gf16m, low_rate_key):
+        pub = code_from_generator(gf16m, low_rate_key[0].g_pub)
+        with pytest.raises(atk.PreconditionViolated, match="need c != pub"):
+            atk.recover_valid_pair(pub, pub)
+
+    @pytest.mark.parametrize("f", [GF(7), GF(5, 2, 32)], ids=["GF7", "GF25"])
+    def test_pair_with_product_minus_one_is_invalid(self, f, rng):
+        """With c = pub and lam0 a parity check of pub the masking map fixes
+        c, so the pair passes every image check; it is still invalid at
+        <a0, lam0> = -1, where the map is singular, and valid at +1."""
+        pub = random_code(f, 3, 7, rng)
+        lam0 = pub.dual().gen[0]
+        j = np.flatnonzero(lam0)[0]
+        a0 = np.zeros(7, dtype=np.int64)
+        a0[j] = f.inv(lam0[j])
+        assert la.matmul(f, a0, lam0) == 1
+        assert atk.pair_is_valid(pub, pub, a0, lam0)
+        a0[j] = f.neg(a0[j])
+        assert la.matmul(f, a0, lam0) == f.neg(1)
+        assert not atk.pair_is_valid(pub, pub, a0, lam0)
 
 
 class TestEndToEnd:
@@ -471,6 +503,13 @@ class TestEndToEnd:
             pk, _sk = scheme.keygen(gf16m, 15, k, np.random.default_rng(k))
             with pytest.raises(NotApplicable, match="dead interval"):
                 atk.recover_key(pk)
+
+    def test_rank_deficient_public_generator_refused(self, gf16m, low_rate_key):
+        pk, _sk = low_rate_key
+        g = np.array(pk.g_pub)
+        g[5] = g[4]
+        with pytest.raises(atk.PreconditionViolated, match="public generator is not full rank"):
+            atk.recover_key(scheme.PublicKey(gf16m, 15, 6, g))
 
     def test_budget_exceeded(self, gf16m, low_rate_key):
         pk, _sk = low_rate_key
@@ -758,7 +797,7 @@ class TestDecryptWithPair:
 
             monkeypatch.setattr(module, name, wrapper)
 
-        for module, name in ((grs, "_rows"), (grs, "_parity_checks"), (scheme, "mask")):
+        for module, name in ((grs, "_rows"), (grs, "dual_params"), (scheme, "mask")):
             counted(module, name)
         pk, sk = scheme.keygen(gf16m, 15, 6, np.random.default_rng(50))
         rk = atk.RecoveredKey(scheme.masked_params(sk), sk.a, sk.lam, None)
@@ -769,7 +808,7 @@ class TestDecryptWithPair:
             scheme.decrypt(sk, z)
             atk.decrypt_with_pair(rk, pk, z)
             if round_ == 0:
-                assert set(calls) == {"_rows", "_parity_checks", "mask"}
+                assert set(calls) == {"_rows", "dual_params", "mask"}
                 calls.clear()
         assert calls == {}
 

@@ -1,6 +1,7 @@
 """CLI workflows and the wire format: round trips, determinism, exit codes."""
 
 import csv
+import re
 
 import numpy as np
 import pytest
@@ -31,12 +32,7 @@ class TestFileFormat:
     def test_public_key_round_trip(self, keydir):
         _, pub, _ = keydir
         pk = fileio.load_public_key(pub)
-        text1 = pub.read_text()
-        import io
-
-        buf = io.StringIO()
-        fileio.dump(buf, pk.field, pk.n, pk.k, {"Gpub": pk.g_pub})
-        assert buf.getvalue() == text1
+        assert fileio.dumps(pk.field, pk.n, pk.k, {"Gpub": pk.g_pub}) == pub.read_text()
 
     def test_secret_key_round_trip(self, keydir, tmp_path):
         _, _, sec = keydir
@@ -56,8 +52,9 @@ class TestFileFormat:
         v = np.array([3, 1, 4, 1, 5, 9], dtype=np.int64)
         path = tmp_path / "v.txt"
         fileio.save_vector(path, gf16, 15, 6, v)
-        pf, back = fileio.load_vector(path, 6)
+        back = fileio.load_vector(path, 6, gf16)
         assert np.array_equal(back, v)
+        pf = fileio.read_file(path)
         assert (pf.n, pf.k) == (15, 6)
         fileio.save_vector(tmp_path / "v2.txt", gf16, 15, 6, back)
         assert (tmp_path / "v2.txt").read_text() == path.read_text()
@@ -70,13 +67,13 @@ class TestFileFormat:
             None,
         )
         path = tmp_path / "rk.txt"
-        fileio.save_recovered_key(path, gf16, 15, 6, rk)
+        fileio.save_recovered_key(path, rk)
         back = fileio.load_recovered_key(path)
         assert back.grs == rk.grs
         assert np.array_equal(back.a0, rk.a0)
         assert np.array_equal(back.lam0, rk.lam0)
         path2 = tmp_path / "rk2.txt"
-        fileio.save_recovered_key(path2, gf16, 15, 6, back)
+        fileio.save_recovered_key(path2, back)
         assert path2.read_text() == path.read_text()
 
     def test_truncated_file_rejected(self, keydir):
@@ -149,7 +146,7 @@ class TestFileFormat:
         tmp_path, pub, sec = keydir
         pk, sk = fileio.load_secret_key(sec)
         rk = atk.RecoveredKey(scheme.masked_params(sk), sk.a, sk.lam, None)
-        fileio.save_recovered_key(tmp_path / "rk", pk.field, pk.n, pk.k, rk)
+        fileio.save_recovered_key(tmp_path / "rk", rk)
         fileio.write_file(tmp_path / "code", pk.field, pk.n, pk.k, {"G": pk.g_pub})
         ct = tmp_path / "zero.ct"
         fileio.save_vector(ct, pk.field, pk.n, pk.k, np.zeros(pk.n, dtype=np.int64))
@@ -166,6 +163,45 @@ class TestFileFormat:
         }[target]
         assert main(argv) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "section,edit,message",
+        [
+            ("S", "drop", "missing section @S"),
+            ("x", "shorten", "section @x has shape (1, 14), expected (1, 15)"),
+            ("perm", "repeat", "@perm is not a permutation of 0..n-1"),
+        ],
+        ids=["missing", "mis-shaped", "perm-repeated"],
+    )
+    def test_secret_key_sections_checked(self, keydir, section, edit, message):
+        """A secret key file with a section dropped, a section one entry
+        short, or a repeated @perm entry is refused with the reason."""
+        _, _, sec = keydir
+        pf = fileio.read_file(sec)
+        if edit == "drop":
+            del pf.sections[section]
+        elif edit == "shorten":
+            pf.sections[section] = pf.sections[section][:, :-1]
+        else:
+            pf.sections[section][0, 1] = pf.sections[section][0, 0]
+        fileio.write_file(sec, pf.field, pf.n, pf.k, pf.sections)
+        with pytest.raises(FileFormatError, match=re.escape(message)):
+            fileio.load_secret_key(sec)
+
+    def test_vector_file_without_vec_rejected(self, keydir):
+        _, pub, _ = keydir
+        with pytest.raises(FileFormatError, match="missing section @vec"):
+            fileio.load_vector(pub, 15, GF(2, 4, 19))
+
+    def test_code_file_without_generator_exit_1(self, tmp_path, gf16, capsys):
+        """A code file holding neither @G nor @Gpub is refused, and
+        distinguish exits 1 on it."""
+        path = tmp_path / "code.txt"
+        fileio.save_vector(path, gf16, 15, 6, np.zeros(15, dtype=np.int64))
+        with pytest.raises(FileFormatError, match="no @G or @Gpub section found"):
+            fileio.load_code_matrix(fileio.read_file(path))
+        assert main(["distinguish", "--code", str(path)]) == 1
+        assert "error: no @G or @Gpub section found" in capsys.readouterr().err
 
     def test_tampered_secret_rejected(self, keydir):
         tmp_path, _, sec = keydir
@@ -251,8 +287,34 @@ class TestCliWorkflows:
             ["decrypt", "--key", str(sec), "--ct", str(tmp_path / "c.txt"),
              "--out", str(tmp_path / "out.txt")]
         ) == 0
-        _, back = fileio.load_vector(tmp_path / "out.txt", 6)
+        back = fileio.load_vector(tmp_path / "out.txt", 6, pk.field)
         assert np.array_equal(back, msg)
+
+    def test_encrypt_and_decrypt_write_stdout_without_out(self, keydir, capsys):
+        """Without --out, encrypt and decrypt print the file that --out
+        would have written."""
+        tmp_path, pub, sec = keydir
+        pk = fileio.load_public_key(pub)
+        msg, ct = tmp_path / "m.txt", tmp_path / "c.txt"
+        fileio.save_vector(msg, pk.field, pk.n, pk.k, np.array([1, 2, 3, 4, 5, 6]))
+        assert main(["encrypt", "--key", str(pub), "--msg", str(msg), "--out", str(ct),
+                     "--seed", "9"]) == 0
+        capsys.readouterr()
+        assert main(["encrypt", "--key", str(pub), "--msg", str(msg), "--seed", "9"]) == 0
+        assert capsys.readouterr().out == ct.read_text()
+        assert main(["decrypt", "--key", str(sec), "--ct", str(ct)]) == 0
+        assert capsys.readouterr().out == msg.read_text()
+
+    @pytest.mark.parametrize(
+        "route,message",
+        [(["--recovered", "rk.txt"], "--recovered needs --pub"), ([], "need --key")],
+        ids=["recovered-without-pub", "no-key"],
+    )
+    def test_decrypt_without_a_key_is_usage_error(self, tmp_path, capsys, route, message):
+        """decrypt needs --key, or --recovered with --pub: it exits 1 before
+        reading any file."""
+        assert main(["decrypt", *route, "--ct", str(tmp_path / "c.txt")]) == 1
+        assert message in capsys.readouterr().err
 
     def test_zero_message_round_trip(self, keydir):
         tmp_path, pub, sec = keydir
@@ -262,7 +324,7 @@ class TestCliWorkflows:
               "--out", str(tmp_path / "zc.txt")])
         main(["decrypt", "--key", str(sec), "--ct", str(tmp_path / "zc.txt"),
               "--out", str(tmp_path / "zo.txt")])
-        _, back = fileio.load_vector(tmp_path / "zo.txt", 6)
+        back = fileio.load_vector(tmp_path / "zo.txt", 6, pk.field)
         assert not back.any()
 
     def test_decrypt_failure_exit_2(self, keydir, capsys):
@@ -270,7 +332,7 @@ class TestCliWorkflows:
         tmp_path, pub, sec = keydir
         pk, sk = fileio.load_secret_key(sec)
         rk = atk.RecoveredKey(scheme.masked_params(sk), sk.a, sk.lam, None)
-        fileio.save_recovered_key(tmp_path / "rk.txt", pk.field, pk.n, pk.k, rk)
+        fileio.save_recovered_key(tmp_path / "rk.txt", rk)
         ct = tmp_path / "rand.ct"
         fileio.save_vector(ct, pk.field, pk.n, pk.k, np.random.default_rng(5).integers(0, 16, 15))
         assert main(["decrypt", "--key", str(sec), "--ct", str(ct)]) == 2
@@ -288,8 +350,8 @@ class TestCliWorkflows:
               "--out-pub", str(pub), "--out-sec", str(sec)])
         pk, sk = fileio.load_secret_key(sec)
         rk = tmp_path / "rk9"
-        fileio.save_recovered_key(rk, pk.field, pk.n, pk.k,
-                                  atk.RecoveredKey(scheme.masked_params(sk), sk.a, sk.lam, None))
+        fileio.save_recovered_key(
+            rk, atk.RecoveredKey(scheme.masked_params(sk), sk.a, sk.lam, None))
         ct, out = tmp_path / "tie.ct", tmp_path / "tie.out"
         fileio.save_vector(ct, pk.field, pk.n, pk.k,
                            np.array([14, 2, 9, 4, 14, 10, 6, 0, 5, 1, 8, 9, 15, 13, 12]))
@@ -297,7 +359,7 @@ class TestCliWorkflows:
         for route in (["--key", str(sec)], ["--recovered", str(rk), "--pub", str(pub)]):
             assert main(["decrypt", *route, "--ct", str(ct), "--out", str(out)]) == 0
             assert "2 plaintexts lie within distance t=3" in capsys.readouterr().err
-            _, back = fileio.load_vector(out, 9)
+            back = fileio.load_vector(out, 9, pk.field)
             assert back.tolist() == [4, 7, 15, 10, 14, 7, 12, 12, 4]  # sent: [6, 4, 11, ...]
 
     def test_decrypt_refuses_a_pair_that_misses_the_public_code(self, tmp_path, capsys):
@@ -309,7 +371,7 @@ class TestCliWorkflows:
               "--out-pub", str(pub), "--out-sec", str(sec)])
         pk, sk = fileio.load_secret_key(sec)
         rk = tmp_path / "rk9"
-        fileio.save_recovered_key(rk, pk.field, pk.n, pk.k, atk.RecoveredKey(
+        fileio.save_recovered_key(rk, atk.RecoveredKey(
             scheme.masked_params(sk), sk.a, np.zeros_like(sk.lam), None))
         ct = tmp_path / "c.ct"
         fileio.save_vector(ct, pk.field, pk.n, pk.k,
@@ -330,7 +392,7 @@ class TestCliWorkflows:
         f = GF(*field)
         zeros = np.zeros(n, dtype=np.int64)
         rk = atk.RecoveredKey(grs.random_params(f, n, k, np.random.default_rng(3)), zeros, zeros, None)
-        fileio.save_recovered_key(tmp_path / "rk.txt", f, n, k, rk)
+        fileio.save_recovered_key(tmp_path / "rk.txt", rk)
         ct = tmp_path / "zero.ct"
         fileio.save_vector(ct, GF(2, 4, 19), 15, 6, np.zeros(15, dtype=np.int64))
         assert main(["decrypt", "--recovered", str(tmp_path / "rk.txt"), "--pub", str(pub),
@@ -391,6 +453,17 @@ class TestCliWorkflows:
         assert main(["distinguish", "--code", str(tmp_path / "code.txt")]) == 0
         out = capsys.readouterr().out
         assert "square_dim=11 generic_dim=15 verdict=NonGeneric" in out
+
+    def test_distinguish_reports_the_dual_above_half_rate(self, tmp_path, gf16, rng, capsys):
+        """At k > n/2 the square of a GRS code saturates at n; the dual's
+        square carries the signal."""
+        p = grs.random_params(gf16, 15, 9, rng)
+        fileio.write_file(tmp_path / "code.txt", gf16, 15, 9, {"G": p.generator})
+        assert main(["distinguish", "--code", str(tmp_path / "code.txt")]) == 0
+        assert capsys.readouterr().out == (
+            "square_dim=15 generic_dim=15 verdict=Generic"
+            " dual_square_dim=11 dual_generic_dim=15 dual_verdict=NonGeneric\n"
+        )
 
     def test_distinguish_random_code(self, tmp_path, gf16, rng, capsys):
         from grs_squarebreak.codes import random_code

@@ -1,7 +1,10 @@
 """The text format on arbitrary input: every file parses or is refused with
 a format or field error, and whatever parses writes back unchanged."""
 
+import re
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -78,3 +81,27 @@ def well_formed(draw):
 def test_dumps_then_loads_round_trips(case):
     f, n, k, sections = case
     assert_same(fileio.loads(fileio.dumps(f, n, k, sections)), fileio.ParsedFile(f, n, k, sections))
+
+
+HEADER = f"{fileio.MAGIC}\nfield p=2 m=4 poly=19\nn=3 k=1\n"
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        (f"{fileio.MAGIC}\nfield q=2 m=4 poly=19\nn=3 k=1\n", "expected 'p=<int>', got 'q=2'"),
+        (f"{fileio.MAGIC}\nfield p=2 m=4 poly=19\nn=3 k=one\n", "bad integer in 'k=one'"),
+        (HEADER + "1 2 3\n", "expected a section header, got '1 2 3'"),
+        (HEADER + "@vec 1\n", "bad section header '@vec 1'"),
+        (HEADER + "@vec 1 3\n1 2 3\n@vec 1 3\n1 2 3\n", "duplicate section @vec"),
+        (HEADER + "@vec one 3\n1 2 3\n", "bad section shape in '@vec one 3'"),
+        (HEADER + "@vec -1 3\n", "bad section shape in '@vec -1 3'"),
+        (HEADER + "@vec 1 3\n1 x 3\n", "non-integer entry in section @vec"),
+    ],
+    ids=["header-key", "header-int", "no-section-header", "section-header", "duplicate",
+         "shape-int", "shape-negative", "entry"],
+)
+def test_loads_refusals(text, message):
+    """Each malformed line is refused by name, with the offending token."""
+    with pytest.raises(FileFormatError, match=re.escape(message)):
+        fileio.loads(text)

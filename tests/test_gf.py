@@ -187,6 +187,25 @@ class TestAddSub:
         assert f.sub(a, b).tolist() == [schoolbook_add(x, y, 3, 7, -1) for x, y in zip(a, b)]
         assert f.neg(a).tolist() == [schoolbook_add(0, x, 3, 7, -1) for x in a]
 
+    @pytest.mark.parametrize("p", [1031, 65521])
+    def test_prime_field_above_table_bound(self, p, rng):
+        """Prime fields of more than 1024 elements have no tables: they add
+        digit-wise with one digit, multiply through log/antilog tables and
+        sum as integers mod p."""
+        f = GF(p)
+        assert f._mul_table is None and f._add_table is None
+        a = rng.integers(0, p, 500)
+        b = rng.integers(0, p, 500)
+        pairs = [(int(x), int(y)) for x, y in zip(a, b)]
+        assert f.add(a, b).tolist() == [schoolbook_add(x, y, p, 1) for x, y in pairs]
+        assert f.sub(a, b).tolist() == [schoolbook_add(x, y, p, 1, -1) for x, y in pairs]
+        assert f.neg(a).tolist() == [schoolbook_add(0, x, p, 1, -1) for x, _ in pairs]
+        assert f.mul(a, b).tolist() == [slow_poly_mul_mod(x, y, p, 1, 0) for x, y in pairs]
+        nz = a[a != 0]
+        assert f.inv(nz).tolist() == [pow(int(x), p - 2, p) for x in nz]
+        rows = a.reshape(20, 25)
+        assert f.sum(rows, axis=1).tolist() == schoolbook_sum(rows, 1, p, 1).tolist()
+
 
 def schoolbook_sum(arr: np.ndarray, axis: int, p: int, m: int) -> np.ndarray:
     """Independent reference for a field sum along an axis: each base-p

@@ -365,16 +365,3 @@ class TestRandomSampling:
         m1 = la.random_invertible(gf16, 4, np.random.default_rng(99))
         m2 = la.random_invertible(gf16, 4, np.random.default_rng(99))
         assert np.array_equal(m1, m2)
-
-    def test_permutation_matrix(self, gf7, rng):
-        p = la.permutation_matrix(rng.permutation(6))
-        assert np.array_equal(p.sum(axis=0), np.ones(6))
-        assert np.array_equal(p.sum(axis=1), np.ones(6))
-        assert la.rank(gf7, p) == 6
-
-    def test_permutation_action(self, gf7):
-        perm = np.array([2, 0, 1])
-        p = la.permutation_matrix(perm)
-        v = np.array([5, 6, 1])
-        out = la.matmul(gf7, v, p)
-        assert np.array_equal(out[perm], v)

@@ -19,6 +19,14 @@ def keypair16():
     return f, pk, sk
 
 
+def permutation(perm: np.ndarray) -> np.ndarray:
+    """Pi with Pi[i, perm[i]] = 1, built independently of keygen."""
+    n = len(perm)
+    pi = np.zeros((n, n), dtype=np.int64)
+    pi[np.arange(n), perm] = 1
+    return pi
+
+
 class TestKeygen:
     def test_dimension_validation(self, gf16, rng):
         with pytest.raises(InvalidDimensions):
@@ -37,13 +45,29 @@ class TestKeygen:
         f, pk, sk = keypair16
         r = f.mul(sk.alpha[:, None], sk.beta)
         assert la.rank(f, r) == 1
-        assert np.array_equal(f.add(la.permutation_matrix(sk.perm), r), sk.q_mat)
+        assert np.array_equal(f.add(permutation(sk.perm), r), sk.q_mat)
 
     def test_mask_vectors_factor_r_pi_inverse(self, keypair16):
         f, pk, sk = keypair16
-        pi_inv = la.inverse(f, la.permutation_matrix(sk.perm))
+        pi_inv = la.inverse(f, permutation(sk.perm))
         lhs = la.matmul(f, f.mul(sk.alpha[:, None], sk.beta), pi_inv)
         assert np.array_equal(lhs, f.mul(sk.alpha[:, None], sk.a))
+
+    def test_permutation_matrix(self, keypair16):
+        """Q - alpha^T beta is Pi: unit row and column sums, full rank."""
+        f, pk, sk = keypair16
+        pi = f.sub(sk.q_mat, f.mul(sk.alpha[:, None], sk.beta))
+        assert np.array_equal(pi, permutation(sk.perm))
+        assert np.array_equal(pi.sum(axis=0), np.ones(sk.n))
+        assert np.array_equal(pi.sum(axis=1), np.ones(sk.n))
+        assert la.rank(f, pi) == sk.n
+
+    def test_permutation_action(self, keypair16, rng):
+        """(v Pi)[perm] = v for Pi = Q - alpha^T beta."""
+        f, pk, sk = keypair16
+        pi = f.sub(sk.q_mat, f.mul(sk.alpha[:, None], sk.beta))
+        v = rng.integers(0, f.q, sk.n)
+        assert np.array_equal(la.matmul(f, v, pi)[sk.perm], v)
 
     def test_p_inverse_closed_form(self, keypair16):
         """I - b^T a / (1 + <a,b>) really inverts I + b^T a."""
@@ -112,6 +136,21 @@ class TestEncrypt:
         c = scheme.encrypt(pk, msg, rng)
         diff = f.sub(c, la.matmul(f, msg, pk.g_pub))
         assert int(np.count_nonzero(diff)) == pk.t
+
+    @pytest.mark.parametrize(
+        "msg_len,error_len,message",
+        [
+            (5, None, "message length must be k=6"),
+            (6, 14, "error length must be n=15"),
+            (6, None, "encrypt needs an rng when no explicit error is given"),
+        ],
+        ids=["message-length", "error-length", "no-rng"],
+    )
+    def test_malformed_input_refused(self, keypair16, msg_len, error_len, message):
+        f, pk, sk = keypair16
+        error = None if error_len is None else np.zeros(error_len, dtype=np.int64)
+        with pytest.raises(ValueError, match=message):
+            scheme.encrypt(pk, np.zeros(msg_len, dtype=np.int64), error=error)
 
     def test_zero_error_hook(self, keypair16):
         f, pk, sk = keypair16

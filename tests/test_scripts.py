@@ -66,3 +66,14 @@ def test_decode_digest(monkeypatch, capsys):
         "GF25 (16, 6) 5002/6002: 40 ciphertexts, 0 tied\n"
         "decode digest: 5042a8a1d05742d3e79616d364aa5ee1faf1276a7b3ec7f5e769d4dcc8119ab3\n"
     )
+
+
+def test_campaign_digest(monkeypatch, capsys):
+    """The counters and recovered keys of the 5 benchmark keys and the 40
+    acceptance-campaign keys, pinned by one sha256 over their lines."""
+    out = run_script("attack_digest.py", ["--campaign"], monkeypatch, capsys)
+    lines = out.splitlines()
+    assert len(lines) == 46
+    assert lines[-1] == (
+        "digest of 45 keys: 297abeedf24f1d268de316d7aa91a5f73670114b9b0c1f4e73c371dc59b5e9de"
+    )
