@@ -12,6 +12,8 @@ z_i * g_j - w_ij z_a * g_j of the other two members z_i, with
 w_ij = z_i[p_j] / z_a[p_j] at pivot column p_j, zero on the pivots.  Three
 of its rows always depend on the rest, since z_a * z_b, z_a * z_c and
 z_b * z_c each expand in two ways, so a (2k-3) x (n-k) matrix is ranked.
+Without such a member, a sum of two or three members that is one takes a
+member's place: the span of the products stays the same.
 Phase 2 solves for the subcode linearly, since it is totally isotropic for
 z * z' modulo the span of the triple's products, and keeps a candidate only if
 it obeys the square-code law dim = 2k-1.  Its front half (the forms of each
@@ -145,21 +147,30 @@ def triple_ranks(pub: LinearCode, zs: np.ndarray) -> np.ndarray:
     (j < k-1), and the first row with a nonzero weight is a combination of
     the rest; with none, z_b and z_c are multiples of z_a and every S_ij is
     zero.  A (2k-3) x (n-k) matrix is ranked, which is why the generic rank
-    at (16, 6) is k+9, not k+10.  Triples with no such z_a are ranked in
-    full.
+    at (16, 6) is k+9, not k+10.  A triple with no such z_a trades member 0,
+    in a copy of zs, for the first of z0 + z1, z0 + z2, z0 + z1 + z2 that is
+    one, which spans the same products; the rare rest are ranked in full.
     """
     f, k, gen = pub.field, pub.k, pub.gen
     piv = np.asarray(pub.pivots)
     free = np.delete(np.arange(pub.n), piv)
+    zs = np.array(zs)
     full = (zs[:, :, piv] != 0).all(axis=2)
+    lack = np.nonzero(~full.any(axis=1))[0]
+    s01 = f.add(zs[lack, 0], zs[lack, 1])
+    sums = np.stack([s01, f.add(zs[lack, 0], zs[lack, 2]), f.add(s01, zs[lack, 2])], axis=1)
+    sum_full = (sums[:, :, piv] != 0).all(axis=2)
+    hit = sum_full.any(axis=1)
+    zs[lack[hit], 0] = sums[hit, np.argmax(sum_full[hit], axis=1)]
+    full[lack[hit], 0] = True
     schur = full.any(axis=1)
     ranks = np.empty(len(zs), dtype=np.int64)
     if not schur.all():
         ranks[~schur] = linalg.batched_rank(f, star_rows(f, zs[~schur], gen))
     if schur.any():
         # z_a first, then the other two members.
-        order = (np.argmax(full[schur], axis=1)[:, None] + np.arange(3)) % 3
-        t = np.take_along_axis(zs[schur], order[:, :, None], axis=1)
+        sel = np.nonzero(schur)[0]
+        t = zs[sel[:, None], (np.argmax(full[sel], axis=1)[:, None] + np.arange(3)) % 3]
         b = len(t)
         w = f.mul(t[:, 1:, piv], f.inv0(t[:, :1, piv]))  # w_bj, w_cj
         # Rows j < k-1 of S_b and S_c; row k-1 depends on them.

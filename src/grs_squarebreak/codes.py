@@ -71,9 +71,22 @@ class LinearCode:
 
     def square(self) -> "LinearCode":
         """The star product of the code with itself, spanned by the
-        k(k+1)/2 products g_i * g_j with i <= j (the product commutes)."""
+        k(k+1)/2 products g_i * g_j with i <= j (the product commutes).
+        They are formed and ranked in blocks of at most n rows on top of
+        the running RREF, so no more than 2n rows are held at once, and
+        diagonal by diagonal (j - i = 0, 1, ...), so a generic code spans
+        all n coordinates in its first blocks, where the ranking stops."""
+        f, n = self.field, self.n
         i, j = np.triu_indices(self.k)
-        return code_from_generator(self.field, self.field.mul(self.gen[i], self.gen[j]))
+        by_diagonal = np.argsort(j - i, kind="stable")
+        i, j = i[by_diagonal], j[by_diagonal]
+        r, pivots = self.gen[:0], []
+        for s in range(0, len(i), n):
+            block = f.mul(self.gen[i[s : s + n]], self.gen[j[s : s + n]])
+            r, pivots = linalg.rref(f, np.vstack([r, block]))
+            if len(pivots) == n:
+                break
+        return LinearCode(f, r, tuple(pivots))
 
 
 def star_rows(f: GF, a: np.ndarray, b: np.ndarray) -> np.ndarray:

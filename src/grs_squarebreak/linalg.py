@@ -9,7 +9,9 @@ here is deterministic.
 ``matmul`` is the one product, with numpy's rules for ``@``: a 1-D left
 operand is a row and a 1-D right operand a column, that axis is dropped from
 the result, and the leading axes of stacked operands broadcast.  Its memory
-bound: output rows go in blocks of at most 2^22 products, or one row.
+bound: output rows go in blocks of at most 2^22 products, or one row.  A
+block of at least 4q rows against one right operand reads its products off
+a table of the multiples of the right operand's rows.
 """
 
 from __future__ import annotations
@@ -81,45 +83,27 @@ def rank(f: GF, a: np.ndarray) -> int:
 def batched_rank(f: GF, mats: np.ndarray) -> np.ndarray:
     """Ranks of a stack of equally-shaped matrices, eliminated in lockstep.
 
-    All matrices share one column schedule; each keeps its own pivot-row
-    counter.  One pass over the columns with whole-batch vector operations is
-    far cheaper than per-matrix elimination when thousands of small rank
-    tests are needed (the attack's rank test).  Every matrix is eliminated
-    at every column, in place on the live block: rows from the lowest
-    counter down, columns right of the current one, a plain slice of the
-    stack.  A matrix with no pivot in the column has zero factors on its
-    live rows, and its pivot move copies a row onto itself.  A pivot row is
-    lifted out rather than swapped up, since rows above a counter are never
-    read again, and its inverse goes into the row factors rather than into
-    the row.
+    Row by row: each row, once reduced by the pivot rows above it, is zero
+    or pivots on its first nonzero column, which it then clears from the
+    rows below (a zero row has inverse 0 and clears nothing), so the rank
+    is the number of nonzero rows left.  One pass with whole-stack vector
+    operations is far cheaper than per-matrix elimination when thousands
+    of small rank tests are needed (the attack's rank test).
     """
     m = np.array(mats, dtype=np.int64)
     if m.ndim != 3:
         raise DimensionMismatch(f"expected a stack of matrices, got shape {m.shape}")
     nmat, nrows, ncols = m.shape
-    rowptr = np.zeros(nmat, dtype=np.int64)
     every = np.arange(nmat)
-    rowidx = np.arange(nrows)
-    for c in range(ncols):
-        lo = int(rowptr.min(initial=nrows))
-        if lo == nrows:
-            break
-        eligible = (rowidx[None, lo:] >= rowptr[:, None]) & (m[:, lo:, c] != 0)
-        hit = eligible.any(axis=1)
-        pr = lo + np.argmax(eligible, axis=1)
-        rp = np.where(hit, rowptr, pr)
-        piv_inv = f.inv0(m[every, pr, c])
-        piv_row = m[every, pr, c + 1 :]
-        # The row at the counter (zero in column c unless it is the pivot
-        # row itself) takes the pivot row's slot; rows up to the counter are
-        # then dead, so their factors need not be masked.  Without a pivot
-        # every live row is zero in column c, so it gets a zero factor.
-        m[every, pr, c:] = m[every, rp, c:]
-        fac = f.mul(m[:, lo:, c], piv_inv[:, None])
-        live = m[:, lo:, c + 1 :]
-        live[...] = f.sub(live, f.mul(fac[:, :, None], piv_row[:, None, :]))
-        rowptr += hit
-    return rowptr
+    for r in range(nrows - 1 if ncols else 0):
+        row = m[:, r]
+        nz = row != 0
+        lo = int(np.argmax(nz.any(axis=0)))  # row r is zero left of lo in every matrix
+        c = np.argmax(nz[:, lo:], axis=1)
+        below = m[:, r + 1 :, lo:]
+        fac = f.mul(below[every, :, c], f.inv0(row[every, lo + c])[:, None])
+        below[...] = f.sub(below, f.mul(fac[:, :, None], row[:, None, lo:]))
+    return (m != 0).any(axis=2).sum(axis=1)
 
 
 def right_kernel(f: GF, a: np.ndarray) -> np.ndarray:
@@ -154,10 +138,21 @@ def matmul(f: GF, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         stack = np.broadcast_to(rhs, (*lead, inner, cols)).reshape(math.prod(lead), inner, cols)
     lhs = lhs if lhs.ndim == 2 else lhs.reshape(math.prod(lead) * rows, inner)
     block = max(1, (1 << 22) // max(1, inner * cols))
+    # Against one rhs and at least 4q rows per block, products come from a
+    # table of x * rhs[m] for every field element x, built once at a quarter
+    # of the block's products or less: one row gather per lhs entry replaces
+    # one table lookup per product.
+    table = None
+    if stack is None and 4 * f.q <= min(block, len(lhs)):
+        table = f.mul(f.elements()[:, None, None], rhs)
     parts = []
     for i in range(0, max(1, len(lhs)), block):
-        right = rhs if stack is None else stack[np.arange(i, min(i + block, len(lhs))) // rows]
-        parts.append(f.sum(f.mul(lhs[i : i + block, :, None], right), axis=1))
+        if table is not None:
+            prods = table[lhs[i : i + block], np.arange(inner)]
+        else:
+            right = rhs if stack is None else stack[np.arange(i, min(i + block, len(lhs))) // rows]
+            prods = f.mul(lhs[i : i + block, :, None], right)
+        parts.append(f.sum(prods, axis=1))
     out = parts[0] if len(parts) == 1 else np.concatenate(parts)
     return out if a.ndim == b.ndim == 2 else out.reshape(
         lead + (rows,) * (a.ndim > 1) + (cols,) * (b.ndim > 1))

@@ -207,6 +207,37 @@ class TestTripleRanks:
         assert self.schur_share(pub, zs) == 0
         assert atk.triple_ranks(pub, zs).tolist() == self.full_ranks(f, pub, zs)
 
+    def test_member_sum_replaces_the_fallback(self, rank_point, monkeypatch):
+        """Member i is zero on pivot i (i < 3) and nonzero on the others, so
+        no member is nonzero on every pivot; where z0 + z1 vanishes on a
+        pivot, z1 is scaled there by 2 (not 1, so the sum is nonzero), which
+        makes z0 + z1 pivot-complete.  No triple is ranked in full, and the
+        caller's stack is left as it was."""
+        f, pub, _sub = rank_point
+        k = pub.k
+        rng = np.random.default_rng(5)
+        coeffs = rng.integers(1, f.q, (60, 3, k))
+        coeffs[:, [0, 1, 2], [0, 1, 2]] = 0
+        clash = f.add(coeffs[:, 0], coeffs[:, 1]) == 0
+        coeffs[:, 1][clash] = f.mul(coeffs[:, 1][clash], 2)
+        zs = triples(f, pub, coeffs)
+        before = zs.copy()
+        assert self.schur_share(pub, zs) == 0
+        assert (f.add(zs[:, 0], zs[:, 1])[:, list(pub.pivots)] != 0).all()
+        shapes = []
+        real_rank = la.batched_rank
+
+        def spy(f, mats):
+            shapes.append(np.shape(mats))
+            return real_rank(f, mats)
+
+        monkeypatch.setattr(atk.linalg, "batched_rank", spy)
+        ranks = atk.triple_ranks(pub, zs).tolist()
+        monkeypatch.undo()
+        assert ranks == self.full_ranks(f, pub, zs)
+        assert shapes and all(s[1] == 2 * k - 3 for s in shapes)
+        assert np.array_equal(zs, before)
+
     def test_dependent_members(self, rank_point):
         """Member b a multiple of z_a, z_c = z_a + z_b, both other members
         multiples of z_a, and z_c with one ratio to z_a on the first and the

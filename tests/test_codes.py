@@ -1,5 +1,7 @@
 """Codes, duality, star products and the square-code distinguisher."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -128,6 +130,45 @@ class TestSquare:
         for k in range(1, 8):
             c = random_code(f, k, 15, rng)
             assert c.square() == c.star(c)
+
+    @pytest.mark.parametrize(
+        "f", [GF(2, 4, 19), GF(5, 2, 32), GF(17)], ids=["GF16", "GF25", "GF17"]
+    )
+    def test_blocks_equal_the_one_shot_rref(self, f, rng):
+        """Random and GRS codes of length 15 with k up to 12, so k(k+1)/2
+        exceeds n from k = 5 on and the products fill several blocks; a GRS
+        code of k < 8 never spans n and is ranked block after block."""
+        for k in range(1, 13):
+            for c in (random_code(f, k, 15, rng), grs.code(grs.random_params(f, 15, k, rng))):
+                i, j = np.triu_indices(k)
+                r, pivots = la.rref(f, f.mul(c.gen[i], c.gen[j]))
+                sq = c.square()
+                assert np.array_equal(sq.gen, r) and sq.pivots == tuple(pivots)
+
+    @pytest.mark.parametrize(
+        "gen, dim, limit",
+        [
+            (np.random.default_rng(0).integers(0, 2, (200, 400)), 400, 32),
+            # Zero on half the coordinates: the square never spans n, so all
+            # 30 blocks of the 7140 products are ranked.
+            (np.hstack([np.random.default_rng(1).integers(0, 2, (120, 120)),
+                        np.zeros((120, 120), dtype=np.int64)]), 120, 8),
+        ],
+        ids=["random-200x400", "half-support-120x240"],
+    )
+    def test_memory_is_bounded_by_n(self, gen, dim, limit):
+        """Peak traced memory of ``square`` on GF(2) codes with thousands of
+        products stays within ``limit`` MiB; one matrix of all the products
+        peaks at 217 MiB and 39 MiB."""
+        c = code_from_generator(GF(2), gen)
+        tracemalloc.start()
+        try:
+            sq = c.square()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sq.k == dim
+        assert peak < limit * 2**20
 
     def test_k1_square_dim1(self, gf16, rng):
         p = grs.random_params(gf16, 15, 1, rng)

@@ -124,10 +124,47 @@ class TestBatchedRank:
         assert la.batched_rank(f, mats).tolist() == expected
 
     @pytest.mark.parametrize("f", RANK_FIELDS, ids=RANK_IDS)
-    @pytest.mark.parametrize("shape", [(1, 1), (3, 7), (7, 3), (6, 6)])
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 7), (7, 3), (6, 6), (3, 0)])
     def test_single_matrix(self, f, shape, rng):
         for m in (np.zeros(shape, dtype=np.int64), la.random_matrix(f, *shape, rng)):
             assert la.batched_rank(f, m[None]).tolist() == [la.rank(f, m)]
+
+    @pytest.mark.parametrize("f", RANK_FIELDS, ids=RANK_IDS)
+    def test_row_dependent_only_after_reduction(self, f, rng):
+        """Rows 0 and 1 pivot on columns 0 and 1; row 2 = row 0 + row 1 is
+        nonzero on both and only vanishes once both pivot rows have been
+        subtracted.  A fourth, random row keeps its pivot."""
+        mats = []
+        for _ in range(12):
+            r0 = np.concatenate([[1], la.random_matrix(f, 1, 5, rng)[0]])
+            r1 = np.concatenate([[0, 1], la.random_matrix(f, 1, 4, rng)[0]])
+            mats.append(np.stack([r0, r1, f.add(r0, r1), la.random_matrix(f, 1, 6, rng)[0]]))
+        mats = np.stack(mats)
+        expected = [la.rank(f, m) for m in mats]
+        assert all(e == la.rank(f, m[[0, 1, 3]]) for e, m in zip(expected, mats))
+        assert la.batched_rank(f, mats).tolist() == expected
+        assert la.batched_rank(f, mats[:, :3]).tolist() == [2] * 12
+
+    @pytest.mark.parametrize("f", RANK_FIELDS, ids=RANK_IDS)
+    def test_rows_zero_from_the_start(self, f, rng):
+        """Zero rows first, in the middle and last, and whole zero matrices,
+        in one stack with random matrices."""
+        mats = la.random_matrix(f, 16 * 5, 6, rng).reshape(16, 5, 6)
+        mats[0:4, 0] = 0
+        mats[4:8, 2] = 0
+        mats[8:12, 4] = 0
+        mats[12:14, :3] = 0
+        mats[14] = 0
+        expected = [la.rank(f, m) for m in mats]
+        assert expected[14] == 0 and max(expected[:14]) == 5 - 1
+        assert la.batched_rank(f, mats).tolist() == expected
+
+    @pytest.mark.parametrize("f", RANK_FIELDS, ids=RANK_IDS)
+    def test_input_not_mutated(self, f, rng):
+        mats = la.random_matrix(f, 8 * 4, 5, rng).reshape(8, 4, 5)
+        before = mats.copy()
+        la.batched_rank(f, mats)
+        assert np.array_equal(mats, before)
 
     @pytest.mark.parametrize("f", RANK_FIELDS, ids=RANK_IDS)
     def test_empty_stack(self, f):
@@ -291,6 +328,35 @@ class TestMatmul:
         got = la.matmul(f, a, b)
         assert len(calls) == 2 and all(np.prod(shape) <= 1 << 22 for shape in calls)
         assert np.array_equal(got, matmul_loop(f, a, b))
+
+    @pytest.mark.parametrize("f", MATMUL_FIELDS, ids=MATMUL_IDS)
+    @pytest.mark.parametrize("extra", [-1, 0, 3], ids=["below-4q", "at-4q", "above-4q"])
+    def test_multiples_table(self, f, extra, rng, monkeypatch):
+        """Against one right operand, 4q rows or more read their products off
+        the table of multiples, one ``f.mul`` on q x inner x cols elements;
+        fewer rows multiply entry by entry.  The rows of a stacked left
+        operand count together, and a vector right operand is one column."""
+        rows = 4 * f.q + extra
+        a = rng.integers(0, f.q, (rows, 5))
+        b = la.random_matrix(f, 5, 3, rng)
+        v = rng.integers(0, f.q, 5)
+        sizes = []
+        real_mul = f.mul
+
+        def counted_mul(x, y):
+            sizes.append(np.broadcast(np.asarray(x), np.asarray(y)).size)
+            return real_mul(x, y)
+
+        monkeypatch.setattr(f, "mul", counted_mul)
+        got = la.matmul(f, a, b)
+        got_stack = la.matmul(f, a.reshape(rows, 1, 5), b)
+        got_v = la.matmul(f, a, v)
+        monkeypatch.undo()
+        assert np.array_equal(got, matmul_loop(f, a, b))
+        assert np.array_equal(got_stack[:, 0], got)
+        assert np.array_equal(got_v, matmul_loop(f, a, v[:, None])[:, 0])
+        per_call = [f.q * 5 * 3, f.q * 5 * 3, f.q * 5] if extra >= 0 else [rows * 5 * 3] * 2 + [rows * 5]
+        assert sizes == per_call
 
     @pytest.mark.parametrize(
         "a_shape,b_shape",
