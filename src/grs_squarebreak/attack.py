@@ -5,8 +5,10 @@ C & <lam>^perp of a GRS code C: exactly the public codewords fixed by the
 rank-one masking.  Squares betray it: star products z * g_j with all z_i in
 the hidden subcode span at most 2k+2 dimensions, against 3k-3 for generic
 triples.  Phase 1 draws random triples (about q^3) until one passes that
-rank test.  The public generator is in RREF, [I | A] on its pivot columns,
-so one member z_a nonzero on all of them makes its k products independent,
+rank test.  The public generator is in RREF, so in the column order
+[pivots | free], in which phase 1 draws and ranks, it is exactly [I | A]: a
+drawn codeword is its coefficients followed by their product with A.  One
+member z_a nonzero on every pivot column makes its k products independent,
 and the test reduces to the rank of a Schur complement: the 2k rows
 z_i * g_j - w_ij z_a * g_j of the other two members z_i, with
 w_ij = z_i[p_j] / z_a[p_j] at pivot column p_j, zero on the pivots.  Three
@@ -124,12 +126,21 @@ def not_applicable_reason(n: int, k: int) -> str:
 _BATCH = 256
 
 
+def _pivots_first(code: LinearCode) -> np.ndarray:
+    """The column order [pivots | free] of ``code``, in which its RREF
+    generator reads [I | A]."""
+    piv = np.asarray(code.pivots, dtype=np.int64)
+    return np.concatenate([piv, np.delete(np.arange(code.n), piv)])
+
+
 def triple_ranks(pub: LinearCode, zs: np.ndarray) -> np.ndarray:
     """Rank of the products z_i * g_j of each triple in a batch zs (b, 3, n),
     equal to ``batched_rank(star_rows(zs, pub.gen))``.
 
     ``pub.gen`` is [I | A] on its pivot columns P, so a codeword z is
-    sum_j z[p_j] g_j.  When some member z_a is nonzero on every column of P
+    sum_j z[p_j] g_j.  The members are read, in a copy, in the column order
+    [P | free], where the generator is exactly [I | A], so pivot and free
+    columns are slices.  When some member z_a is nonzero on every column of P
     (the first such, with the other members z_b and z_c after it in cyclic
     order), its products z_a * g_j have rank k, and eliminating z_i * g_j
     (i = b, c) against them leaves, with w_ij = z_i[p_j] / z_a[p_j], the
@@ -147,19 +158,19 @@ def triple_ranks(pub: LinearCode, zs: np.ndarray) -> np.ndarray:
     (j < k-1), and the first row with a nonzero weight is a combination of
     the rest; with none, z_b and z_c are multiples of z_a and every S_ij is
     zero.  A (2k-3) x (n-k) matrix is ranked, which is why the generic rank
-    at (16, 6) is k+9, not k+10.  A triple with no such z_a trades member 0,
-    in a copy of zs, for the first of z0 + z1, z0 + z2, z0 + z1 + z2 that is
+    at (16, 6) is k+9, not k+10.  A triple with no such z_a trades member 0
+    (in the copy) for the first of z0 + z1, z0 + z2, z0 + z1 + z2 that is
     one, which spans the same products; the rare rest are ranked in full.
     """
-    f, k, gen = pub.field, pub.k, pub.gen
-    piv = np.asarray(pub.pivots)
-    free = np.delete(np.arange(pub.n), piv)
-    zs = np.array(zs)
-    full = (zs[:, :, piv] != 0).all(axis=2)
+    f, k = pub.field, pub.k
+    order = _pivots_first(pub)
+    zs = np.asarray(zs)[:, :, order]
+    gen = pub.gen[:, order]
+    full = (zs[:, :, :k] != 0).all(axis=2)
     lack = np.nonzero(~full.any(axis=1))[0]
     s01 = f.add(zs[lack, 0], zs[lack, 1])
     sums = np.stack([s01, f.add(zs[lack, 0], zs[lack, 2]), f.add(s01, zs[lack, 2])], axis=1)
-    sum_full = (sums[:, :, piv] != 0).all(axis=2)
+    sum_full = (sums[:, :, :k] != 0).all(axis=2)
     hit = sum_full.any(axis=1)
     zs[lack[hit], 0] = sums[hit, np.argmax(sum_full[hit], axis=1)]
     full[lack[hit], 0] = True
@@ -172,11 +183,11 @@ def triple_ranks(pub: LinearCode, zs: np.ndarray) -> np.ndarray:
         sel = np.nonzero(schur)[0]
         t = zs[sel[:, None], (np.argmax(full[sel], axis=1)[:, None] + np.arange(3)) % 3]
         b = len(t)
-        w = f.mul(t[:, 1:, piv], f.inv0(t[:, :1, piv]))  # w_bj, w_cj
+        w = f.mul(t[:, 1:, :k], f.inv0(t[:, :1, :k]))  # w_bj, w_cj
         # Rows j < k-1 of S_b and S_c; row k-1 depends on them.
-        zi, za = t[:, 1:, None, free], t[:, :1, None, free]
-        mats = f.mul(gen[:-1, free], f.sub(zi, f.mul(w[:, :, :-1, None], za)))
-        mats = mats.reshape(b, 2 * k - 2, len(free))
+        zi, za = t[:, 1:, None, k:], t[:, :1, None, k:]
+        mats = f.mul(gen[:-1, k:], f.sub(zi, f.mul(w[:, :, :-1, None], za)))
+        mats = mats.reshape(b, 2 * k - 2, pub.n - k)
         # The first row with a nonzero weight in the z_b * z_c relation is
         # dropped (its slot takes the last row); with none, all rows are zero.
         weighted = w[:, ::-1, :-1] != w[:, ::-1, -1:]
@@ -270,10 +281,16 @@ def find_shared_subcode(
     Phase 1 draws triples z_1, z_2, z_3 from pub, in batches of ``_BATCH``,
     until the span of all z_i * g_j (ranked by ``triple_ranks``) has
     dimension <= 2k+2 and the triple is independent; each draw is an outer
-    trial.  Within one call the batch size only sets how far ahead the rng
-    is read; but a call that returns drops the rest of its batch, so when
-    ``recover_key`` rejects the subcode and calls again, the batch size also
-    decides which triples that restart skips.  At desk scale the generic
+    trial.  Phases 1 and 2 work on pub with its columns in the order
+    [pivots | free], where its generator is [I | A], so a triple is drawn as
+    its coefficients and their product with A.  Ranks and independence do
+    not depend on the order, nor does the span of the forms G diag(p) G^T of
+    ``kernel_sums``, which live in coefficient space; ``_subcode_from`` maps
+    candidates through pub's own generator.  Within one call the batch size
+    only sets how far ahead the rng is read; but a call that returns drops
+    the rest of its batch, so when ``recover_key`` rejects the subcode and
+    calls again, the batch size also decides which triples that restart
+    skips.  At desk scale the generic
     span saturates at n with a margin of very few dimensions over the
     threshold, so false triples pass too; phase 2 finds no subcode for them,
     which counts a restart.
@@ -294,23 +311,18 @@ def find_shared_subcode(
         stats = AttackStats()
     budget = cfg.max_outer_trials if cfg.max_outer_trials is not None else 100 * f.q**3
     threshold = 2 * k + 2
-    gen = pub.gen
-    squares = star_rows(f, gen, gen)
-    piv = list(pub.pivots)
-    free = np.delete(np.arange(n), piv)
+    ordered = LinearCode(f, pub.gen[:, _pivots_first(pub)], tuple(range(k)))
+    squares = star_rows(f, ordered.gen, ordered.gen)
 
     while True:
         drawn = stats.outer_trials
         coeffs = linalg.random_matrix(f, _BATCH, 3 * k, rng).reshape(_BATCH, 3, k)
-        # gen is [I | A]: on the pivot columns the codewords are their coefficients.
-        zbatch = np.empty((_BATCH, 3, n), dtype=np.int64)
-        zbatch[:, :, piv] = coeffs
-        zbatch[:, :, free] = linalg.matmul(f, coeffs, gen[:, free])
-        ranks = triple_ranks(pub, zbatch)
+        zbatch = np.concatenate([coeffs, linalg.matmul(f, coeffs, ordered.gen[:, k:])], axis=2)
+        ranks = triple_ranks(ordered, zbatch)
         passing = np.nonzero(ranks <= threshold)[0]
         if passing.size:
             independent = linalg.batched_rank(f, zbatch[passing]) == 3
-            front = kernel_sums(pub, zbatch[passing], squares)
+            front = kernel_sums(ordered, zbatch[passing], squares)
         for i, idx in enumerate(passing):
             stats.outer_trials = drawn + int(idx) + 1
             if stats.outer_trials > budget:

@@ -14,8 +14,16 @@ one product with the matrix of g^L, which is then squared.  The modulus is
 checked by dividing it by every monic polynomial of degree at most m/2 at
 once.  Fields of at most 1024 elements multiply, and in odd characteristic
 add and subtract, by one gather from a q x q table; odd extension fields
-sum by a tree of pairwise adds.  Prime fields (m = 1) take the same paths,
-with one digit: only their sums are plain integer arithmetic mod p.
+sum by a tree of pairwise adds.  Two operands of fewer than 512 elements
+each, as in most of the decoders' calls, are looked up by a 2-D gather at
+[a, b]; when either has 512 or more (the attack's stacks), by one ``take``
+at a*q + b from the flattened table, which costs two more ufunc calls but
+far less per element.  So operands must be field elements: a flat index
+is checked only as a whole, and an operand outside [0, q) can read another
+entry instead of raising.  Input from outside the library is range-checked
+before it gets here, by ``as_elements`` or by the key-file reader.  Prime
+fields (m = 1) take the same paths, with one digit: only their sums are
+plain integer arithmetic mod p.
 Nothing here is constant-time or suitable for production cryptography.
 """
 
@@ -43,6 +51,7 @@ class DegreeMismatch(FieldError):
 
 _MAX_Q = 1 << 16
 _MAX_M = 16  # 2^m > _MAX_Q beyond this
+_FLAT_MIN = 512  # operand size from which table lookups take the flat path
 
 
 def _is_prime(n: int) -> bool:
@@ -147,18 +156,26 @@ class GF:
 
     # -- elementwise arithmetic ------------------------------------------
 
+    def _lookup(self, table, a, b):
+        # The flat index is formed in int64: a*q can overflow a narrower dtype.
+        a = np.asarray(a)
+        b = np.asarray(b)
+        if a.size < _FLAT_MIN and b.size < _FLAT_MIN:
+            return table[a, b]
+        return table.take(np.multiply(a, self.q, dtype=np.int64) + b)
+
     def add(self, a, b):
         if self.p == 2:
             return np.bitwise_xor(a, b)
         if self._add_table is not None:
-            return self._add_table[np.asarray(a), np.asarray(b)]
+            return self._lookup(self._add_table, a, b)
         return self._digitwise(a, b, lambda x, y: (x + y) % self.p)
 
     def sub(self, a, b):
         if self.p == 2:
             return np.bitwise_xor(a, b)
         if self._sub_table is not None:
-            return self._sub_table[np.asarray(a), np.asarray(b)]
+            return self._lookup(self._sub_table, a, b)
         return self._digitwise(a, b, lambda x, y: (x - y) % self.p)
 
     def neg(self, a):
@@ -180,7 +197,7 @@ class GF:
 
     def mul(self, a, b):
         if self._mul_table is not None:
-            return self._mul_table[np.asarray(a), np.asarray(b)]
+            return self._lookup(self._mul_table, a, b)
         a = np.asarray(a)
         b = np.asarray(b)
         prod = self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]

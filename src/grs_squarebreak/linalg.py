@@ -11,7 +11,9 @@ operand is a row and a 1-D right operand a column, that axis is dropped from
 the result, and the leading axes of stacked operands broadcast.  Its memory
 bound: output rows go in blocks of at most 2^22 products, or one row.  A
 block of at least 4q rows against one right operand reads its products off
-a table of the multiples of the right operand's rows.
+a table of the multiples of the right operand's rows, gathered term-major:
+the products of term m for every row form one contiguous (rows, cols) slab,
+and the sum adds slabs.
 """
 
 from __future__ import annotations
@@ -139,20 +141,22 @@ def matmul(f: GF, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     lhs = lhs if lhs.ndim == 2 else lhs.reshape(math.prod(lead) * rows, inner)
     block = max(1, (1 << 22) // max(1, inner * cols))
     # Against one rhs and at least 4q rows per block, products come from a
-    # table of x * rhs[m] for every field element x, built once at a quarter
-    # of the block's products or less: one row gather per lhs entry replaces
-    # one table lookup per product.
+    # table whose row m*q + x is x * rhs[m], built once at a quarter of the
+    # block's products or less: one row gather per lhs entry replaces one
+    # table lookup per product.  The gather is term-major, (inner, rows,
+    # cols), so the sum reduces whole contiguous (rows, cols) slabs.
     table = None
     if stack is None and 4 * f.q <= min(block, len(lhs)):
-        table = f.mul(f.elements()[:, None, None], rhs)
+        table = f.mul(rhs[:, None, :], f.elements()[:, None]).reshape(inner * f.q, cols)
+        offsets = (np.arange(inner) * f.q)[:, None]
     parts = []
     for i in range(0, max(1, len(lhs)), block):
         if table is not None:
-            prods = table[lhs[i : i + block], np.arange(inner)]
+            prods = table.take(lhs[i : i + block].T + offsets, axis=0)
+            parts.append(f.sum(prods, axis=0))
         else:
             right = rhs if stack is None else stack[np.arange(i, min(i + block, len(lhs))) // rows]
-            prods = f.mul(lhs[i : i + block, :, None], right)
-        parts.append(f.sum(prods, axis=1))
+            parts.append(f.sum(f.mul(lhs[i : i + block, :, None], right), axis=1))
     out = parts[0] if len(parts) == 1 else np.concatenate(parts)
     return out if a.ndim == b.ndim == 2 else out.reshape(
         lead + (rows,) * (a.ndim > 1) + (cols,) * (b.ndim > 1))

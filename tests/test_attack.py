@@ -127,9 +127,13 @@ class TestRankTestBounds:
 
 
 # (field, n, k, keygen seed, attacked side): the code each point's rank test
-# runs on, the public code or (for the rate-9/15 key) its dual.
+# runs on, the public code or (for the rate-9/15 key) its dual.  The GF(16)
+# key of seed 69 is the public code with RREF pivots (0, 1, 2, 3, 4, 6), not
+# 0..k-1 as at every other point: ``triple_ranks`` must reorder its columns.
+PIVOT_GAP_SEED = 69
 RANK_POINTS = [
     ((2, 4, 19), 15, 6, 42, "primal"),
+    ((2, 4, 19), 15, 6, PIVOT_GAP_SEED, "primal"),
     ((2, 4, 19), 15, 9, 5, "dual"),
     ((5, 2, 32), 16, 6, 5, "primal"),
     ((17,), 16, 6, 3, "primal"),
@@ -140,7 +144,7 @@ RANK_POINTS = [
 @pytest.fixture(
     scope="module",
     params=RANK_POINTS,
-    ids=["GF16-15-6", "GF16-15-9-dual", "GF25-16-6", "GF17-16-6", "GF32-31-9"],
+    ids=["GF16-15-6", "GF16-15-6-gap", "GF16-15-9-dual", "GF25-16-6", "GF17-16-6", "GF32-31-9"],
 )
 def rank_point(request):
     field, n, k, seed, side = request.param
@@ -150,6 +154,7 @@ def rank_point(request):
     hidden = scheme.masked_params(sk)
     if side == "dual":
         target, hidden = target.dual(), grs.dual_params(hidden)
+    assert (target.pivots == tuple(range(target.k))) == (seed != PIVOT_GAP_SEED)
     sub = code_from_generator(f, la.intersect_rowspaces(f, target.gen, grs.code(hidden).gen))
     assert sub.k == target.k - 1
     return f, target, sub
@@ -268,6 +273,20 @@ class TestFindSharedSubcode:
         found = atk.find_shared_subcode(pub, AttackConfig(), np.random.default_rng(21))
         assert found == true_shared_subcode(f, pk, sk)
 
+    def test_pivots_not_leading(self, gf16m):
+        """The search draws, ranks and solves in the column order
+        [pivots | free] and maps the subcode back through the public
+        generator.  The counters are pinned: the order changes no draw or
+        decision."""
+        f = gf16m
+        pk, sk = scheme.keygen(f, 15, 6, np.random.default_rng(PIVOT_GAP_SEED))
+        pub = code_from_generator(f, pk.g_pub)
+        assert pub.pivots != tuple(range(6))
+        stats = AttackStats()
+        found = atk.find_shared_subcode(pub, AttackConfig(), np.random.default_rng(21), stats)
+        assert found == true_shared_subcode(f, pk, sk)
+        assert (stats.outer_trials, stats.inner_trials, stats.restarts) == (739, 11, 51)
+
     def test_not_applicable_for_small_k(self, gf16m, rng):
         pub = code_from_generator(gf16m, la.random_matrix(gf16m, 4, 15, rng))
         with pytest.raises(NotApplicable):
@@ -286,6 +305,7 @@ class TestFindSharedSubcode:
 # leaves a single form there; two forms at (16, 6), more at length 31.
 SOLVE_POINTS = [
     ((2, 4, 19), 15, 6, 42),
+    ((2, 4, 19), 15, 6, PIVOT_GAP_SEED),
     ((5, 2, 32), 16, 6, 5),
     ((17,), 16, 6, 3),
     ((2, 5, 37), 31, 9, 2),
@@ -296,7 +316,7 @@ SOLVE_POINTS = [
 @pytest.fixture(
     scope="module",
     params=SOLVE_POINTS,
-    ids=["GF16-15-6", "GF25-16-6", "GF17-16-6", "GF32-31-9", "GF32-31-12"],
+    ids=["GF16-15-6", "GF16-15-6-gap", "GF25-16-6", "GF17-16-6", "GF32-31-9", "GF32-31-12"],
 )
 def solve_point(request):
     field, n, k, seed = request.param

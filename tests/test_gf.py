@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grs_squarebreak import linalg as la
+from grs_squarebreak import gf as gf_module, linalg as la
 from grs_squarebreak.gf import (
     GF,
     DegreeMismatch,
@@ -279,14 +279,54 @@ def test_frobenius_char2(data, f):
     assert lhs == rhs
 
 
-def test_vectorized_matches_scalar(gf16, rng):
-    a = rng.integers(0, 16, 40)
-    b = rng.integers(0, 16, 40)
-    prods = gf16.mul(a, b)
-    sums = gf16.add(a, b)
-    for i in range(40):
-        assert prods[i] == gf16.mul(int(a[i]), int(b[i]))
-        assert sums[i] == gf16.add(int(a[i]), int(b[i]))
+GATHER_FIELDS = [GF(2), GF(7), GF(3, 2, 10), GF(2, 4, 19), GF(5, 2, 32)]
+BIG = gf_module._FLAT_MIN + 100  # one operand this size takes the flat path
+
+
+def gather_operands(case, q, rng):
+    """Operands a, b for ``case``, and whether they reach the flat path."""
+
+    def draw(*shape):
+        return rng.integers(0, q, shape)
+
+    if case == "small":
+        return draw(40), draw(40), False
+    if case == "broadcast-small":
+        return draw(4, 1, 5), draw(1, 3, 5), False
+    if case == "large":
+        return draw(BIG), draw(BIG), True
+    if case == "broadcast-large":
+        return draw(BIG, 1), draw(1, 3), True
+    if case == "0d-left":
+        return np.asarray(rng.integers(0, q)), draw(BIG), True
+    if case == "0d-right":
+        return draw(2, BIG), int(rng.integers(0, q)), True
+    if case == "uint8":
+        return draw(BIG).astype(np.uint8), draw(BIG).astype(np.uint8), True
+    if case == "sliced":
+        return draw(3 * BIG)[::3], draw(2 * BIG)[1::2], True
+    assert case == "moveaxis"
+    return np.moveaxis(draw(BIG, 2, 3), 0, -1), draw(1, 3, BIG)[:, :, ::-1], True
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["small", "broadcast-small", "large", "broadcast-large", "0d-left", "0d-right",
+     "uint8", "sliced", "moveaxis"],
+)
+@pytest.mark.parametrize("f", GATHER_FIELDS, ids=["GF2", "GF7", "GF9", "GF16", "GF25"])
+def test_vectorized_matches_scalar(f, case, rng):
+    """Table lookups on arrays (the flat path from ``_FLAT_MIN`` elements on,
+    the 2-D gather below) equal, element for element, the lookups on 0-d
+    operands, which always take the 2-D gather."""
+    a, b, flat = gather_operands(case, f.q, rng)
+    assert (max(np.size(a), np.size(b)) >= gf_module._FLAT_MIN) == flat
+    pairs = np.broadcast_arrays(a, b)
+    for op in (f.mul, f.add, f.sub):
+        got = op(a, b)
+        assert got.shape == pairs[0].shape
+        want = [op(int(x), int(y)) for x, y in zip(pairs[0].flat, pairs[1].flat)]
+        assert got.ravel().tolist() == want
 
 
 def test_dot_and_sum(gf16, gf5):
