@@ -24,10 +24,24 @@ entry instead of raising.  Input from outside the library is range-checked
 before it gets here, by ``as_elements`` or by the key-file reader.  Prime
 fields (m = 1) take the same paths, with one digit: only their sums are
 plain integer arithmetic mod p.
+
+Each field is built once per process while it is in use: ``GF(p, m,
+modulus)`` returns the instance already alive for that triple (modulus 0
+when m = 1), held in a weak-valued dictionary, so a run that reads a key's
+public, secret and recovered files builds its field once, not once per
+file.  There is no size knob: an entry goes when the last user of its field
+does, and the next call builds it again.  Validation and the build run only
+on a miss, so a refused modulus raises on every call.  Since one instance
+is shared by every caller, its tables are read-only numpy arrays, and
+pickle and copy return the live instance.
+
 Nothing here is constant-time or suitable for production cryptography.
 """
 
 from __future__ import annotations
+
+import operator
+import weakref
 
 import numpy as np
 
@@ -52,6 +66,7 @@ class DegreeMismatch(FieldError):
 _MAX_Q = 1 << 16
 _MAX_M = 16  # 2^m > _MAX_Q beyond this
 _FLAT_MIN = 512  # operand size from which table lookups take the flat path
+_FIELDS = weakref.WeakValueDictionary()  # (p, m, modulus) -> the live GF
 
 
 def _is_prime(n: int) -> bool:
@@ -68,11 +83,27 @@ def _is_prime(n: int) -> bool:
 class GF:
     """The finite field GF(p^m) defined by a monic irreducible modulus.
 
-    For m == 1 the modulus argument is ignored.  Instances are immutable
-    and safe to share.
+    For m == 1 the modulus argument is ignored.  Instances are interned:
+    while one is alive, ``GF`` returns it for the same (p, m, modulus)
+    instead of building the tables again, and the weak reference lets it go
+    with its last user.  Because every caller shares the one instance, its
+    log, antilog, inverse and q x q tables are read-only: a write through
+    one caller would change every other caller's arithmetic.
     """
 
-    def __init__(self, p: int, m: int = 1, modulus: int = 0):
+    def __new__(cls, p: int, m: int = 1, modulus: int = 0):
+        # Plain ints, so that the first caller's argument types (numpy ints,
+        # or floats equal to them) do not pass to every later caller.
+        p, m, modulus = map(operator.index, (p, m, modulus))
+        key = (p, m, modulus if m > 1 else 0)
+        f = _FIELDS.get(key)
+        if f is None:
+            f = super().__new__(cls)
+            f._build(p, m, modulus)
+            _FIELDS[key] = f
+        return f
+
+    def _build(self, p: int, m: int, modulus: int) -> None:
         # Bounds first: trial division and p**m are unbounded on untrusted input.
         if p > _MAX_Q:
             raise FieldError(f"characteristic p={p} exceeds supported bound {_MAX_Q}")
@@ -153,6 +184,9 @@ class GF:
             if p != 2:
                 self._add_table = self.add(elems[:, None], elems[None, :])
                 self._sub_table = self.sub(elems[:, None], elems[None, :])
+        for table in (exp, log, inv, self._mul_table, self._add_table, self._sub_table):
+            if table is not None:
+                table.flags.writeable = False
 
     # -- elementwise arithmetic ------------------------------------------
 
@@ -261,6 +295,10 @@ class GF:
 
     def __hash__(self):
         return hash((self.p, self.m, self.modulus))
+
+    def __reduce__(self):
+        # pickle and copy hand back the live instance of the field.
+        return GF, (self.p, self.m, self.modulus)
 
     def __repr__(self):
         if self.m == 1:

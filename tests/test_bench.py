@@ -11,7 +11,7 @@ import pytest
 RUN = Path(__file__).resolve().parent.parent / "bench" / "run.py"
 
 
-@pytest.mark.parametrize("workload", ["decrypt-gf16", "attack-gf16"])
+@pytest.mark.parametrize("workload", ["decrypt-gf16", "attack-gf16", "attack-gf25"])
 def test_one_second_run(tmp_path, workload):
     """One second of the workload: every output checked correct and no
     operation failed.  It writes its result files under tmp_path."""

@@ -2,12 +2,14 @@
 
 import csv
 import re
+import weakref
 
 import numpy as np
 import pytest
 
 from grs_squarebreak import attack as atk
 from grs_squarebreak import fileio, grs, scheme
+from grs_squarebreak import gf as gf_module
 from grs_squarebreak.cli import main
 from grs_squarebreak.fileio import FileFormatError
 from grs_squarebreak.gf import GF
@@ -75,6 +77,42 @@ class TestFileFormat:
         path2 = tmp_path / "rk2.txt"
         fileio.save_recovered_key(path2, back)
         assert path2.read_text() == path.read_text()
+
+    def test_one_key_shares_one_field(self, keydir):
+        """A key's public, secret, recovered and vector files read through
+        fileio hand back one field object, not one per file."""
+        tmp_path, pub, sec = keydir
+        pk, sk = fileio.load_secret_key(sec)
+        fileio.save_recovered_key(tmp_path / "rk.txt",
+                                  atk.RecoveredKey(scheme.masked_params(sk), sk.a, sk.lam, None))
+        fileio.save_vector(tmp_path / "v.txt", pk.field, pk.n, pk.k, np.zeros(15, dtype=np.int64))
+        fields = [pk.field, sk.field, fileio.load_public_key(pub).field,
+                  fileio.load_recovered_key(tmp_path / "rk.txt").grs.field,
+                  fileio.read_file(tmp_path / "v.txt").field]
+        assert all(f is fields[0] for f in fields)
+
+    def test_decrypt_recovered_builds_the_field_once(self, keydir, monkeypatch, capsys):
+        """decrypt --recovered --pub --ct reads three files over one field and
+        builds its tables once: counted against an empty table of live
+        fields, so that the fields other tests hold do not count."""
+        tmp_path, pub, sec = keydir
+        pk, sk = fileio.load_secret_key(sec)
+        fileio.save_recovered_key(tmp_path / "rk.txt",
+                                  atk.RecoveredKey(scheme.masked_params(sk), sk.a, sk.lam, None))
+        z = scheme.encrypt(pk, np.arange(6), np.random.default_rng(3))
+        fileio.save_vector(tmp_path / "z.ct", pk.field, pk.n, pk.k, z)
+        builds = []
+        real = GF._build
+
+        def counted(self, *args):
+            builds.append(args)
+            real(self, *args)
+
+        monkeypatch.setattr(gf_module, "_FIELDS", weakref.WeakValueDictionary())
+        monkeypatch.setattr(GF, "_build", counted)
+        assert main(["decrypt", "--recovered", str(tmp_path / "rk.txt"), "--pub", str(pub),
+                     "--ct", str(tmp_path / "z.ct")]) == 0
+        assert builds == [(2, 4, 19)]
 
     def test_truncated_file_rejected(self, keydir):
         tmp_path, pub, _ = keydir

@@ -1,5 +1,8 @@
 """Field arithmetic tests, checked against exhaustive table oracles."""
 
+import copy
+import gc
+import pickle
 import time
 
 import numpy as np
@@ -95,6 +98,77 @@ class TestConstruction:
         assert GF(2, 4, 19) == GF(2, 4, 19)
         assert GF(2, 4, 19) != GF(2, 4, 25)
         assert hash(GF(5)) == hash(GF(5))
+
+
+class TestInterning:
+    """One instance per live field: key files, the CLI and the benchmark
+    call GF again for every file they read."""
+
+    def test_same_field_is_one_instance(self):
+        assert GF(2, 4, 19) is GF(2, 4, 19)
+        assert GF(7, 1, 12345) is GF(7)
+        assert GF(2, 4, 19) is not GF(2, 4, 25)
+        f = GF(np.int64(5), np.int64(2), np.int64(32))
+        assert f is GF(5, 2, 32) and type(f.p) is int and type(f.modulus) is int
+        with pytest.raises(TypeError):
+            GF(5.0, 2, 32)
+
+    @pytest.mark.parametrize(
+        "args", [(2, 4, 19), (5, 2, 32), (2, 11, 2053)], ids=["GF16", "GF25", "GF2048"]
+    )
+    def test_tables_are_read_only(self, args):
+        """A write through one caller would change every caller's field."""
+        f = GF(*args)
+        tables = [f._exp, f._log, f._inv, f._mul_table, f._add_table, f._sub_table]
+        assert tables[3] is not None or f.q > 1024
+        for table in tables:
+            if table is not None:
+                with pytest.raises(ValueError, match="read-only"):
+                    table.flat[1] = 0
+
+    def test_refused_modulus_raises_on_every_call(self):
+        """Nothing of a refused build is kept, not even while the first
+        refusal's traceback, and the half-built instance in it, is alive."""
+        with pytest.raises(ReducibleModulus) as first:
+            GF(2, 2, 6)
+        for _ in range(2):
+            with pytest.raises(ReducibleModulus):
+                GF(2, 2, 6)
+        assert (2, 2, 6) not in gf_module._FIELDS
+        assert first.type is ReducibleModulus
+
+    def test_pickle_and_copy_return_the_live_instance(self):
+        f = GF(3, 2, 10)
+        assert pickle.loads(pickle.dumps(f)) is f
+        assert copy.copy(f) is f
+        assert copy.deepcopy(f) is f
+        assert copy.deepcopy([f, f])[1] is f
+
+    def test_rebuilt_after_its_last_reference_goes(self, monkeypatch):
+        builds = []
+        real = GF._build
+
+        def counted(self, *args):
+            builds.append(args)
+            real(self, *args)
+
+        monkeypatch.setattr(GF, "_build", counted)
+        gc.collect()
+        assert (2, 5, 41) not in gf_module._FIELDS
+        f = GF(2, 5, 41)  # X^5 + X^3 + 1, used by no other test
+        assert GF(2, 5, 41) is f and len(builds) == 1
+        del f
+        gc.collect()
+        assert (2, 5, 41) not in gf_module._FIELDS
+        assert GF(2, 5, 41).q == 32 and len(builds) == 2
+
+    def test_patched_method_is_shared_and_undone_cleanly(self, gf16, monkeypatch):
+        """A method patched on the class reaches every caller's field, and
+        monkeypatch's undo leaves the shared instance as it was."""
+        monkeypatch.setattr(GF, "mul", lambda self, a, b: 0)
+        assert GF(2, 4, 19).mul(3, 5) == 0
+        monkeypatch.undo()
+        assert "mul" not in vars(gf16) and gf16.mul(3, 5) == 15
 
 
 class TestArithmetic:

@@ -316,16 +316,20 @@ class TestMatmul:
         most 2^22: the rows go in two blocks."""
         f = GF(2, 4, 19)
         calls = []
-        real_sum = f.sum
+        real_sum = GF.sum
 
-        def counted_sum(arr, axis=-1):
+        def counted_sum(self, arr, axis=-1):
             calls.append(arr.shape)
-            return real_sum(arr, axis)
+            return real_sum(self, arr, axis)
 
-        monkeypatch.setattr(f, "sum", counted_sum)
+        # Patch the class: f is the one shared GF(16), and the class patch
+        # is what monkeypatch undoes exactly.
+        monkeypatch.setattr(GF, "sum", counted_sum)
         a = la.random_matrix(f, 3000, 40, rng)
         b = la.random_matrix(f, 40, 40, rng)
         got = la.matmul(f, a, b)
+        monkeypatch.undo()
+        assert "sum" not in vars(f)  # the shared field is left as it was
         assert len(calls) == 2 and all(np.prod(shape) <= 1 << 22 for shape in calls)
         assert np.array_equal(got, matmul_loop(f, a, b))
 
@@ -341,17 +345,18 @@ class TestMatmul:
         b = la.random_matrix(f, 5, 3, rng)
         v = rng.integers(0, f.q, 5)
         sizes = []
-        real_mul = f.mul
+        real_mul = GF.mul
 
-        def counted_mul(x, y):
+        def counted_mul(self, x, y):
             sizes.append(np.broadcast(np.asarray(x), np.asarray(y)).size)
-            return real_mul(x, y)
+            return real_mul(self, x, y)
 
-        monkeypatch.setattr(f, "mul", counted_mul)
+        monkeypatch.setattr(GF, "mul", counted_mul)
         got = la.matmul(f, a, b)
         got_stack = la.matmul(f, a.reshape(rows, 1, 5), b)
         got_v = la.matmul(f, a, v)
         monkeypatch.undo()
+        assert "mul" not in vars(f)  # the shared field is left as it was
         assert np.array_equal(got, matmul_loop(f, a, b))
         assert np.array_equal(got_stack[:, 0], got)
         assert np.array_equal(got_v, matmul_loop(f, a, v[:, None])[:, 0])
