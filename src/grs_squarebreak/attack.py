@@ -217,10 +217,12 @@ def kernel_sums(
     kern, _ = linalg.batched_right_kernel(f, forms[nonzero])
     kernels = np.zeros((*nonzero.shape, kern.shape[1], k), dtype=np.int64)
     kernels[nonzero] = kern
-    sums, dims, pivots = linalg.batched_rref(
-        f, kernels.reshape(len(zs), kernels.shape[1] * kernels.shape[2], k)
-    )
-    return sums, dims, pivots, forms
+    stacked = kernels.reshape(len(zs), kernels.shape[1] * kernels.shape[2], k)
+    red, pivcol = linalg.batched_rref(f, stacked)
+    order = np.argsort(pivcol, axis=1, kind="stable")  # pivot rows first, zero rows last
+    sums = np.take_along_axis(red, order[:, :, None], axis=1)
+    pivots = np.take_along_axis(pivcol, order, axis=1)
+    return sums, np.count_nonzero(pivcol < k, axis=1), pivots, forms
 
 
 def _subcode_from(pub: LinearCode, front: tuple, i: int, stats: AttackStats) -> LinearCode | None:

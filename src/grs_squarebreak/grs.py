@@ -5,15 +5,15 @@ column multipliers y and a dimension k: its codewords are
 (y_1 p(x_1), ..., y_n p(x_n)) for polynomials p of degree < k.
 
 This module provides the generator matrix, bounded-distance decoding up to
-floor((n-k)/2) errors (Berlekamp-Welch: the least-degree error locator from
-a syndrome system, the error values at its roots in closed form, and a
-syndrome check of the result; ``decode_many`` decodes a whole stack of
-words in lockstep, as the decryption sweep does for its q shifted words,
-and ``decode`` is its one-word form), the dual-code multiplier formula, and
-two reconstruction routines used by the attack.  A ``GrsParams`` is
-read-only and builds its key-fixed tables (the generator, the parity
-checks, the locator power rows and the interpolation matrix) once, on first
-use, so decoding many words under one key pays for them once.
+floor((n-k)/2) errors (Berlekamp-Welch: the least-degree error locator E
+from a syndrome system, the error values e_j = W(x_j) / (z_j E'(x_j)),
+with E'(x_j) != 0 in any characteristic as E's roots are distinct, and a
+syndrome check; ``decode_many`` decodes a stack of words in lockstep, as
+the decryption sweep does for its q shifted words, ``decode`` one word),
+the dual-code multiplier formula, and two reconstruction routines used by
+the attack.  A ``GrsParams`` is read-only and builds its key-fixed tables
+(the generator, 1/y, the parity checks, the locator power rows and the
+interpolation matrix) once, on first use, for every decode under its key.
 
 The reconstruction routines:
 
@@ -80,15 +80,20 @@ class GrsParams:
         """Unique-decoding radius floor((n-k)/2)."""
         return (self.n - self.k) // 2
 
-    # Key-fixed tables, built on first use (``decode_many`` reads the last
-    # three, ``decode`` also the generator to re-encode, the attack and key
-    # generation only the generator).  Like x and y they are read-only, so
+    # Key-fixed tables, built on first use (``decode_many`` reads all but
+    # the first, ``decode`` also the generator to re-encode, the attack and
+    # key generation only the generator).  Like x and y they are read-only, so
     # no caller can make them disagree with the code.
 
     @cached_property
     def generator(self) -> np.ndarray:
         """k x n matrix with row i equal to y * x^i (componentwise powers)."""
         return linalg.frozen(_rows(self.field, self.y, self.x, self.k))
+
+    @cached_property
+    def y_inv(self) -> np.ndarray:
+        """1 / y, componentwise."""
+        return linalg.frozen(self.field.inv(self.y))
 
     @cached_property
     def parity_checks_t(self) -> np.ndarray:
@@ -170,16 +175,16 @@ def decode_many(p: GrsParams, words: np.ndarray) -> tuple[np.ndarray, np.ndarray
     and has weight at most t < n-k-t+1), so E is e's locator, with d roots.
 
     For every word whose E has d roots x_j, the error values follow in
-    closed form: with Q_j = E / (X - x_j) (by synthetic division),
-    e_j = (sum_{l<t} Q_{j,l} syn_l) / (z_j Q_j(x_j)).  Q_j(x_j) is the
-    product of the x_j - x_i, never zero, so no characteristic needs the
-    formal derivative.  The word is accepted only when e has all n-k
-    syndromes of s; that rejects every word with no codeword within t,
-    whatever its E.  Then s - e is a word of RS_k(x, 1), and its first k
-    values times ``p.interpolation`` give the message.  Every step is one
-    operation over the whole stack, with the parity checks, the locator
-    power rows and the interpolation matrix as tables of ``p``, built on
-    its first decode.
+    closed form, e_j = W(x_j) / (z_j E'(x_j)) with W_p = sum_l E_{l+p+1}
+    syn_l and E'_p = (p+1) E_{p+1}, the formal derivative: for Q_j =
+    E / (X - x_j) they are sum_{l<t} Q_{j,l} syn_l and Q_j(x_j).  E has d
+    distinct roots, so E'(x_j), the product of the x_j - x_i over the
+    others, is never zero, even where some (p+1) E_{p+1} vanishes mod p.
+    The word is accepted only when e has all n-k syndromes of s; that
+    rejects every word with no codeword within t, whatever its E.  Then
+    s - e is a word of RS_k(x, 1), and its first k values times
+    ``p.interpolation`` give the message.  Every step is one operation over
+    the whole stack, on tables of ``p`` built on its first decode.
 
     The words must hold field elements, integers in [0, q): they are not
     checked here, since the decryption sweep calls this on every
@@ -189,32 +194,28 @@ def decode_many(p: GrsParams, words: np.ndarray) -> tuple[np.ndarray, np.ndarray
     r = np.asarray(words, dtype=np.int64)
     if r.ndim != 2 or r.shape[1] != n:
         raise DimensionMismatch(f"received words must have length n={n}")
-    s = f.div(r, p.y)
+    s = f.mul(r, p.y_inv)
     syn = linalg.matmul(f, s, p.parity_checks_t)
-    rows = n - k - t
-    hankel = syn[:, np.arange(rows)[:, None] + np.arange(t + 1)[None, :]]
-    red, rank, pivcol = linalg.batched_rref(f, hankel, t)
-    # Columns 0..d-1 pivot in rows 0..d-1 and pivots rise strictly, so d
-    # counts the live rows whose pivot column is their own index.
-    d = np.count_nonzero((np.arange(rows) < rank[:, None]) & (pivcol == np.arange(rows)), axis=1)
+    hankel = syn[:, np.arange(n - k - t)[:, None] + np.arange(t + 1)[None, :]]
+    red, pivcol = linalg.batched_rref(f, hankel, t)
+    # d: the first column without a pivot, as sorted pivots match their index
+    # until d.  E takes minus column d from every row; past the pivots < d, 0.
+    d = np.count_nonzero(np.sort(pivcol, axis=1)[:, :t] == np.arange(t), axis=1)
     every = np.arange(r.shape[0])
     monic = np.zeros((r.shape[0], t + 1), dtype=np.int64)
-    monic[:, :t] = np.where(np.arange(t) < d[:, None], f.neg(red[every, :t, d]), 0)
+    monic[every[:, None], pivcol] = f.neg(red[every, :, d])
     monic[every, d] = 1
     root = linalg.matmul(f, monic, p.locator_rows) == 0
     keep = np.nonzero(np.count_nonzero(root, axis=1) == d)[0]
 
-    w, j = np.nonzero(root[keep])  # each root: its word in keep, its position
-    xj, e_loc, e_syn = p.x[j], monic[keep[w]], syn[keep[w]]
-    # Synthetic division E / (X - x_j) from the top coefficient down, with
-    # Horner's rule for Q_j(x_j) and the sum over syn riding along.
-    quot = at_root = num = np.zeros_like(xj)
-    for l in range(t, 0, -1):
-        quot = f.add(e_loc[:, l], f.mul(quot, xj))  # coefficient l-1 of Q_j
-        at_root = f.add(f.mul(at_root, xj), quot)
-        num = f.add(num, f.mul(quot, e_syn[:, l - 1]))
-    err = np.zeros((keep.size, n), dtype=np.int64)
-    err[w, j] = f.div(num, f.mul(at_root, p.parity_checks_t[j, 0]))
+    # W from the products E_i syn_l by a 0/1 matrix, then W and E' at every point.
+    select = np.arange(t + 1)[:, None, None] == np.add.outer(np.arange(t), np.arange(1, t + 1))
+    terms = f.mul(monic[keep, :, None], syn[keep, None, :t]).reshape(keep.size, (t + 1) * t)
+    coef_w = linalg.matmul(f, terms, select.reshape((t + 1) * t, t))
+    coef_d = f.mul(np.arange(1, t + 1) % f.p, monic[keep, 1:])
+    vals = linalg.matmul(f, np.concatenate([coef_w, coef_d]), p.locator_rows[:t])
+    at_w, at_d = vals[: keep.size], vals[keep.size :]
+    err = np.where(root[keep], f.mul(at_w, f.inv0(f.mul(at_d, p.parity_checks_t[:, 0]))), 0)
     good = np.all(linalg.matmul(f, err, p.parity_checks_t) == syn[keep], axis=1)
     keep = keep[good]
     msgs = np.zeros((r.shape[0], k), dtype=np.int64)

@@ -4,16 +4,18 @@ Matrices are plain 2-D numpy int64 arrays whose entries are field elements
 of an accompanying :class:`~grs_squarebreak.gf.GF` instance; vectors are 1-D
 arrays.  Functions never mutate their inputs.  Row reduction uses the first
 nonzero pivot scanning top-to-bottom, left-to-right, so every canonical form
-here is deterministic.
+here is deterministic.  The lockstep eliminations of stacks go row by row,
+rows in place; ``batched_rref`` marks a zero row with the pivot ``ncols``.
 
 ``matmul`` is the one product, with numpy's rules for ``@``: a 1-D left
 operand is a row and a 1-D right operand a column, that axis is dropped from
 the result, and the leading axes of stacked operands broadcast.  Its memory
-bound: output rows go in blocks of at most 2^22 products, or one row.  A
-block of at least 4q rows against one right operand reads its products off
-a table of the multiples of the right operand's rows, gathered term-major:
-the products of term m for every row form one contiguous (rows, cols) slab,
-and the sum adds slabs.
+bound: output rows go in blocks of at most 2^22 products, or one row.  Two
+2-D operands with fewer rows than 4q, as in the decoders, are one ``mul``
+and one ``sum``.  A block of at least 4q rows against one right operand
+reads its products off a table of the multiples of the right operand's
+rows, gathered term-major: the products of term m for every row form one
+contiguous (rows, cols) slab, and the sum adds slabs.
 """
 
 from __future__ import annotations
@@ -131,6 +133,8 @@ def matmul(f: GF, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if min(a.ndim, b.ndim) < 1 or lhs.shape[-1] != rhs.shape[-2]:
         raise DimensionMismatch(f"cannot multiply {a.shape} by {b.shape}")
     (rows, inner), cols = lhs.shape[-2:], rhs.shape[-1]
+    if a.ndim == b.ndim == 2 and rows < 4 * f.q and rows * inner * cols <= 1 << 22:
+        return f.sum(f.mul(a[:, :, None], b), axis=1)  # one block, direct
     # One output row per row of lhs's broadcast stack: a 2-D rhs serves
     # them all, a stacked one is gathered row by row.
     lead, stack = lhs.shape[:-2], None
@@ -158,8 +162,7 @@ def matmul(f: GF, a: np.ndarray, b: np.ndarray) -> np.ndarray:
             right = rhs if stack is None else stack[np.arange(i, min(i + block, len(lhs))) // rows]
             parts.append(f.sum(f.mul(lhs[i : i + block, :, None], right), axis=1))
     out = parts[0] if len(parts) == 1 else np.concatenate(parts)
-    return out if a.ndim == b.ndim == 2 else out.reshape(
-        lead + (rows,) * (a.ndim > 1) + (cols,) * (b.ndim > 1))
+    return out.reshape(lead + (rows,) * (a.ndim > 1) + (cols,) * (b.ndim > 1))
 
 
 def inverse(f: GF, a: np.ndarray) -> np.ndarray:
@@ -176,43 +179,39 @@ def inverse(f: GF, a: np.ndarray) -> np.ndarray:
 
 def batched_rref(
     f: GF, mats: np.ndarray, ncols: int | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Jordan elimination of a stack of equally-shaped matrices in
     lockstep, pivoting on their first ``ncols`` columns (default: all).
 
-    Returns (m, rank, pivcol): row r < rank[i] of m[i] is a pivot row with
-    its pivot in column pivcol[i, r], and the rows below are zero on the
-    pivoting columns.  With every column pivoting, m[i, :rank[i]] and
-    pivcol[i, :rank[i]] are ``rref(f, mats[i])``, as the RREF is unique.
-    One shared column schedule, each matrix with its own pivot-row counter,
-    so a stack of many small matrices costs a few whole-stack operations
-    per column.
+    Row by row, rows in place: each row, reduced by the pivot rows before
+    it, is scaled to 1 at its first nonzero column among the first ``ncols``
+    (by inv0(0) = 0, to zero, when there is none), which is then cleared
+    from every other row.  Returns (m, pivcol): row r of m[i] pivots on
+    column pivcol[i, r], or is zero when that is ``ncols``; sorted by pivot,
+    the pivot rows are ``rref(f, mats[i])`` on the pivoting columns.  Each
+    row costs a few whole-stack operations, or one check when it has no
+    pivot in any matrix (as past the rank of every matrix).
     """
     m = np.array(mats, dtype=np.int64)
     if m.ndim != 3:
         raise DimensionMismatch(f"expected a stack of matrices, got shape {m.shape}")
-    nmat, nrows, width = m.shape
-    if ncols is None:
-        ncols = width
-    rank = np.zeros(nmat, dtype=np.int64)
-    pivcol = np.zeros((nmat, nrows), dtype=np.int64)
-    rowidx = np.arange(nrows)
-    for c in range(ncols):
-        eligible = (rowidx[None, :] >= rank[:, None]) & (m[:, :, c] != 0)
-        bi = np.nonzero(eligible.any(axis=1))[0]
-        if not bi.size:
+    ncols = m.shape[2] if ncols is None else ncols
+    every = np.arange(len(m))
+    for r in range(m.shape[1]):
+        row = m[:, r]
+        nz = row[:, :ncols] != 0
+        if not nz.any():  # no pivot in any matrix: the row only goes to zero
+            row[...] = 0
             continue
-        rp = rank[bi]
-        pr = np.argmax(eligible[bi], axis=1)
-        piv = f.mul(m[bi, pr, c:], f.inv0(m[bi, pr, c])[:, None])
-        m[bi, pr, c:] = m[bi, rp, c:]
-        fac = m[bi, :, c]
-        fac[np.arange(bi.size), rp] = 0
-        m[bi, :, c:] = f.sub(m[bi, :, c:], f.mul(fac[:, :, None], piv[:, None, :]))
-        m[bi, rp, c:] = piv
-        pivcol[bi, rp] = c
-        rank[bi] += 1
-    return m, rank, pivcol
+        c = np.argmax(nz, axis=1)
+        row[...] = f.mul(row, f.inv0(row[every, c])[:, None])
+        fac = m[every, :, c]
+        fac[:, r] = 0
+        m[...] = f.sub(m, f.mul(fac[:, :, None], row[:, None, :]))
+    # A pivot row stays zero left of its pivot (later pivot rows reach it
+    # there by a factor 0): the pivot is its first nonzero column, or ncols.
+    nz = np.concatenate([m[:, :, :ncols] != 0, np.ones((*m.shape[:2], 1), dtype=bool)], axis=2)
+    return m, np.argmax(nz, axis=2)
 
 
 def batched_right_kernel(f: GF, mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -220,22 +219,20 @@ def batched_right_kernel(f: GF, mats: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
     Returns (kern, nullity): kern has shape (nmat, d, ncols) with d the
     largest nullity in the stack; kern[i, :nullity[i]] is, row for row,
-    ``right_kernel(f, mats[i])``, and the rows below are zero.
+    ``right_kernel(f, mats[i])``, and the rows below are zero.  A zero
+    row's pivot ``ncols`` points at a spare last column, dropped at the end.
     """
-    m, rank, pivcol = batched_rref(f, mats)
+    m, pivcol = batched_rref(f, mats)
     nmat, nrows, ncols = m.shape
-    nullity = ncols - rank
+    nullity = ncols - np.count_nonzero(pivcol < ncols, axis=1)
     d = int(nullity.max(initial=0))
     mat = np.arange(nmat)[:, None]
-    # Rows past the rank point at the spare last column, dropped below.
-    at = np.where(np.arange(nrows) < rank[:, None], pivcol, ncols)
-    ispiv = np.zeros((nmat, ncols + 1), dtype=bool)
-    ispiv[mat, at] = True
-    free = np.argsort(ispiv[:, :ncols], axis=1, kind="stable")[:, :d]  # free columns first
+    ispiv = (pivcol[:, :, None] == np.arange(ncols)).any(axis=1)
+    free = np.argsort(ispiv, axis=1, kind="stable")[:, :d]  # free columns first
     # Kernel row j: 1 at free column free[j], -R[r, free[j]] at each pivot.
     kern = np.zeros((nmat, d, ncols + 1), dtype=np.int64)
     rows = np.arange(nrows)[None, :, None]
-    kern[mat[:, :, None], np.arange(d)[:, None], at[:, None, :]] = f.neg(
+    kern[mat[:, :, None], np.arange(d)[:, None], pivcol[:, None, :]] = f.neg(
         m[mat[:, :, None], rows, free[:, None, :]]
     ).transpose(0, 2, 1)
     kern[mat, np.arange(d), free] = 1

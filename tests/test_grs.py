@@ -7,7 +7,7 @@ import pytest
 
 from grs_squarebreak import grs, linalg as la
 from grs_squarebreak.codes import code_from_generator, random_code, star_rows
-from grs_squarebreak.gf import FieldError
+from grs_squarebreak.gf import GF, FieldError
 from grs_squarebreak.grs import GrsParams, InvalidParams, NotGrs
 
 
@@ -217,6 +217,29 @@ class TestDecode:
         assert calls == []
         nearest, dist = brute_force_nearest(all_codewords(f, p), words)
         assert np.array_equal(ok, dist <= p.t)
+        assert np.array_equal(la.matmul(f, msgs[ok], p.generator), nearest[ok])
+        assert not msgs[~ok].any()
+
+    @pytest.mark.parametrize(
+        "field,n,k",
+        [((3, 2, 10), 9, 3), ((3, 2, 10), 9, 1), ((3, 3, 34), 26, 2), ((2, 3, 11), 8, 2)],
+        ids=["gf9-n9-k3", "gf9-n9-k1", "gf27-n26-k2", "gf8-n8-k2"],
+    )
+    def test_radius_past_the_characteristic(self, field, n, k):
+        """At t >= p a locator of degree p or more has a formal derivative
+        whose coefficient p E_p vanishes: the error values, read through
+        E', still agree with the oracle on noisy codewords of every weight
+        from 0 to t+1 and on random words."""
+        f = GF(*field)
+        rng = np.random.default_rng(n + k)
+        p = grs.random_params(f, n, k, rng)
+        assert p.t >= f.p
+        words = np.vstack([noisy_codewords(f, p, 20, w, rng)[0] for w in range(p.t + 2)]
+                          + [rng.integers(0, f.q, (40, n))])
+        msgs, ok = grs.decode_many(p, words)
+        nearest, dist = brute_force_nearest(all_codewords(f, p), words)
+        assert np.array_equal(ok, dist <= p.t)
+        assert ok[: 20 * (p.t + 1)].all()
         assert np.array_equal(la.matmul(f, msgs[ok], p.generator), nearest[ok])
         assert not msgs[~ok].any()
 

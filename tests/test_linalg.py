@@ -205,24 +205,26 @@ class TestBatchedKernel:
     @pytest.mark.parametrize("f", [GF(2, 4, 19), GF(5, 2, 32), GF(7)], ids=["GF16", "GF25", "GF7"])
     def test_rref_matches(self, f, rng):
         """Pivoting on every column, and on the first ncols < width only
-        (a random block to the right of the planted one): on the pivoting
-        columns the pivot rows are ``rref`` of the planted block and the rows
-        past its rank are zero.  Includes a block with no pivoting column
-        and an empty stack."""
+        (a random block to the right of the planted one): rows stay in
+        place, the pivot rows sorted by pivot column are ``rref`` of the
+        planted block on the pivoting columns, and every row marked with
+        the sentinel pivot ncols is zero, the extra columns included.
+        Includes a block with no pivoting column and an empty stack."""
         for rows, cols in (*self.SHAPES, (4, 0)):
             for extra in (0, 2):
                 left = self.planted_stack(f, rows, cols, rng)
                 mats = np.concatenate([left, rng.integers(0, f.q, (len(left), rows, extra))], axis=2)
-                red, ranks, pivcol = la.batched_rref(f, mats, cols if extra else None)
-                for m, r, d, piv in zip(left, red, ranks, pivcol, strict=True):
+                red, pivcol = la.batched_rref(f, mats, cols if extra else None)
+                assert red.shape == mats.shape and pivcol.shape == mats.shape[:2]
+                for m, r, piv in zip(left, red, pivcol, strict=True):
                     want, want_piv = la.rref(f, m)
-                    assert np.array_equal(r[:d, :cols], want)
-                    assert piv[:d].tolist() == want_piv
-                    assert not r[d:, :cols].any()
-                    if not extra:
-                        assert not r[d:].any()
-        red, ranks, pivcol = la.batched_rref(f, np.zeros((0, 3, 4), dtype=np.int64), 2)
-        assert red.shape == (0, 3, 4) and ranks.shape == (0,) and pivcol.shape == (0, 3)
+                    live = piv < cols
+                    order = np.argsort(piv[live], kind="stable")
+                    assert piv[live][order].tolist() == want_piv
+                    assert np.array_equal(r[live][order][:, :cols], want)
+                    assert not r[~live].any()
+        red, pivcol = la.batched_rref(f, np.zeros((0, 3, 4), dtype=np.int64), 2)
+        assert red.shape == (0, 3, 4) and pivcol.shape == (0, 3)
 
     def test_empty_stack(self, gf7):
         kern, nullity = la.batched_right_kernel(gf7, np.zeros((0, 3, 4), dtype=np.int64))
@@ -372,6 +374,37 @@ class TestMatmul:
     def test_inner_dimension_mismatch(self, gf7, a_shape, b_shape):
         with pytest.raises(DimensionMismatch):
             la.matmul(gf7, np.zeros(a_shape, dtype=np.int64), np.zeros(b_shape, dtype=np.int64))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.sampled_from(MATMUL_FIELDS))
+def test_one_block_matches_the_other_paths(data, f):
+    """Two 2-D operands with fewer than 4q rows are multiplied in one block;
+    the result equals the direct blocked path (a stack of one on either
+    side), the table of multiples (the rows repeated to 4q or more), the
+    reference loop, and, row by row and column by column, the 1-D forms.
+    Covers 0 rows, 0 inner, and 4q-1 and 4q rows, either side of the
+    one-block bound."""
+    q4 = 4 * f.q
+    rows = data.draw(st.sampled_from([0, 1, q4 - 1, q4]) | st.integers(0, q4), label="rows")
+    inner = data.draw(st.integers(0, 6), label="inner")
+    cols = data.draw(st.integers(0, 5), label="cols")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    a = rng.integers(0, f.q, (rows, inner))
+    b = rng.integers(0, f.q, (inner, cols))
+    got = la.matmul(f, a, b)
+    assert got.shape == (rows, cols)
+    assert np.array_equal(got, matmul_loop(f, a, b))
+    assert np.array_equal(la.matmul(f, a[None], b)[0], got)
+    assert np.array_equal(la.matmul(f, a, b[None])[0], got)
+    tall = np.tile(a, (q4 // max(rows, 1) + 1, 1))
+    assert np.array_equal(la.matmul(f, tall, b)[:rows], got)
+    stack = np.stack([a, rng.integers(0, f.q, (rows, inner))])
+    assert np.array_equal(la.matmul(f, stack, b)[0], got)
+    for i in range(min(rows, 3)):
+        assert np.array_equal(la.matmul(f, a[i], b), got[i])
+    for j in range(min(cols, 3)):
+        assert np.array_equal(la.matmul(f, a, b[:, j]), got[:, j])
 
 
 def reduce_row_loop(f, r, pivots, v):
