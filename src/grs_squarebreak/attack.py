@@ -241,8 +241,9 @@ def _subcode_from(pub: LinearCode, front: tuple, i: int, stats: AttackStats) -> 
         lines = np.zeros((f.q + 1, k), dtype=np.int64)
         lines[:, a] = np.append(f.elements(), 1)
         lines[: f.q, b] = 1
-        images = linalg.matmul(f, forms, lines[:, None, :, None])  # M_p v
-        values = linalg.matmul(f, lines[:, None, None, :], images)[:, :, 0, 0]  # v^T M_p v
+        # v^T M_p v, the sum of M_p[i, j] v_i v_j over all i and j, for every line and form.
+        outer = f.mul(lines[:, :, None], lines[:, None, :]).reshape(f.q + 1, k * k)
+        values = linalg.matmul(f, outer, forms.reshape(len(forms), k * k).T)
         candidates = [np.vstack([basis, v]) for v in lines[~values.any(axis=1)]]
     else:
         return None
@@ -263,8 +264,10 @@ def solve_subcode(pub: LinearCode, zs: np.ndarray, stats: AttackStats) -> Linear
     t(x) l_p(y) + l_p(x) t(y) + w_p t(x) t(y) with ker t the subcode; so the
     kernels of the nonzero M_p sum to the subcode, or, for a single rank-2
     form (n - dim W = 1), to a hyperplane of it that one isotropic line of a
-    complement completes.  Each candidate is an inner trial, kept only if it
-    has dimension k-1 and a square of dimension 2k-1.  This is the
+    complement completes.  That holds when the triple's products span 2k+2
+    dimensions: a subcode triple whose products span less can give another
+    sum, and is then rejected.  Each candidate is an inner trial, kept only
+    if it has dimension k-1 and a square of dimension 2k-1.  This is the
     one-triple case of the lockstep search in ``find_shared_subcode``.
     """
     f, gen = pub.field, pub.gen

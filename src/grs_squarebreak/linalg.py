@@ -8,11 +8,12 @@ here is deterministic.  The lockstep eliminations of stacks go row by row,
 rows in place; ``batched_rref`` marks a zero row with the pivot ``ncols``.
 
 ``matmul`` is the one product, with numpy's rules for ``@``: a 1-D left
-operand is a row and a 1-D right operand a column, that axis is dropped from
-the result, and the leading axes of stacked operands broadcast.  Its memory
-bound: output rows go in blocks of at most 2^22 products, or one row.  Two
-2-D operands with fewer rows than 4q, as in the decoders, are one ``mul``
-and one ``sum``.  A block of at least 4q rows against one right operand
+operand is a row and a 1-D right operand a column, and that axis is dropped
+from the result.  The left operand may be a stack, whose rows all share the
+right operand; the right operand is one vector or one matrix, and a stack
+there is refused.  Its memory bound: output rows go in blocks of at most
+2^22 products, or one row.  Two 2-D operands with fewer rows than 4q, as in
+the decoders, are one ``mul`` and one ``sum``.  A block of at least 4q rows
 reads its products off a table of the multiples of the right operand's
 rows, gathered term-major: the products of term m for every row form one
 contiguous (rows, cols) slab, and the sum adds slabs.
@@ -125,32 +126,26 @@ def right_kernel(f: GF, a: np.ndarray) -> np.ndarray:
 
 
 def matmul(f: GF, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b by numpy's rules for ``@`` (see the module docstring)."""
+    """a @ b by numpy's rules for ``@``, with a vector or a matrix on the
+    right (see the module docstring)."""
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
-    lhs = a.reshape(1, -1) if a.ndim == 1 else a
-    rhs = b.reshape(-1, 1) if b.ndim == 1 else b
-    if min(a.ndim, b.ndim) < 1 or lhs.shape[-1] != rhs.shape[-2]:
+    if b.ndim > 2:
+        raise DimensionMismatch(f"the right operand must be a vector or a matrix, not {b.shape}")
+    if min(a.ndim, b.ndim) < 1 or a.shape[-1] != len(b):
         raise DimensionMismatch(f"cannot multiply {a.shape} by {b.shape}")
-    (rows, inner), cols = lhs.shape[-2:], rhs.shape[-1]
+    rows, inner, cols = math.prod(a.shape[:-1]), len(b), math.prod(b.shape[1:])
     if a.ndim == b.ndim == 2 and rows < 4 * f.q and rows * inner * cols <= 1 << 22:
         return f.sum(f.mul(a[:, :, None], b), axis=1)  # one block, direct
-    # One output row per row of lhs's broadcast stack: a 2-D rhs serves
-    # them all, a stacked one is gathered row by row.
-    lead, stack = lhs.shape[:-2], None
-    if rhs.ndim > 2:
-        lead = np.broadcast_shapes(lead, rhs.shape[:-2])
-        lhs = np.broadcast_to(lhs, (*lead, rows, inner))
-        stack = np.broadcast_to(rhs, (*lead, inner, cols)).reshape(math.prod(lead), inner, cols)
-    lhs = lhs if lhs.ndim == 2 else lhs.reshape(math.prod(lead) * rows, inner)
+    lhs, rhs = a.reshape(rows, inner), b.reshape(inner, cols)
     block = max(1, (1 << 22) // max(1, inner * cols))
-    # Against one rhs and at least 4q rows per block, products come from a
-    # table whose row m*q + x is x * rhs[m], built once at a quarter of the
-    # block's products or less: one row gather per lhs entry replaces one
-    # table lookup per product.  The gather is term-major, (inner, rows,
-    # cols), so the sum reduces whole contiguous (rows, cols) slabs.
+    # At least 4q rows per block read their products off a table whose row
+    # m*q + x is x * rhs[m], built once at a quarter of the block's products
+    # or less: one row gather per lhs entry replaces one table lookup per
+    # product.  The gather is term-major, (inner, rows, cols), so the sum
+    # reduces whole contiguous (rows, cols) slabs.
     table = None
-    if stack is None and 4 * f.q <= min(block, len(lhs)):
+    if 4 * f.q <= min(block, len(lhs)):
         table = f.mul(rhs[:, None, :], f.elements()[:, None]).reshape(inner * f.q, cols)
         offsets = (np.arange(inner) * f.q)[:, None]
     parts = []
@@ -159,10 +154,9 @@ def matmul(f: GF, a: np.ndarray, b: np.ndarray) -> np.ndarray:
             prods = table.take(lhs[i : i + block].T + offsets, axis=0)
             parts.append(f.sum(prods, axis=0))
         else:
-            right = rhs if stack is None else stack[np.arange(i, min(i + block, len(lhs))) // rows]
-            parts.append(f.sum(f.mul(lhs[i : i + block, :, None], right), axis=1))
+            parts.append(f.sum(f.mul(lhs[i : i + block, :, None], rhs), axis=1))
     out = parts[0] if len(parts) == 1 else np.concatenate(parts)
-    return out.reshape(lead + (rows,) * (a.ndim > 1) + (cols,) * (b.ndim > 1))
+    return out.reshape(a.shape[:-1] + b.shape[1:])
 
 
 def inverse(f: GF, a: np.ndarray) -> np.ndarray:

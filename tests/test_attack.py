@@ -372,6 +372,28 @@ class TestSolveSubcode:
                 assert stats.inner_trials == 0
         assert rejected > 0
 
+    @pytest.mark.parametrize(
+        "field,seed", [((17,), 3), ((5, 2, 32), 5)], ids=["GF17-15-6", "GF25-15-6"]
+    )
+    def test_isotropic_line_in_odd_characteristic(self, field, seed):
+        """At (15, 6) an independent subcode triple whose products span 2k+2
+        leaves one rank-2 form, whose kernel is a hyperplane of the subcode
+        (dimension k-2); one isotropic line of a complement completes it.
+        In odd characteristic the cross terms of v^T M v do not cancel, so
+        a test on the diagonal terms alone finds the wrong lines."""
+        f = GF(*field)
+        pk, sk = scheme.keygen(f, 15, 6, np.random.default_rng(seed))
+        pub, sub = code_from_generator(f, pk.g_pub), true_shared_subcode(f, pk, sk)
+        k = pub.k
+        zs = triples(f, sub, np.random.default_rng(0).integers(0, f.q, (100, 3, sub.k)))
+        spans = la.batched_rank(f, star_rows(f, zs, pub.gen))
+        zs = zs[(la.batched_rank(f, zs) == 3) & (spans == 2 * k + 2)][:20]
+        assert len(zs) == 20
+        _sums, dims, _pivots, _forms = atk.kernel_sums(pub, zs, star_rows(f, pub.gen, pub.gen))
+        assert dims.tolist() == [k - 2] * 20
+        for zs_i in zs:
+            assert atk.solve_subcode(pub, zs_i, AttackStats()) == sub
+
 
 @pytest.mark.parametrize(
     "field,n,k,seed", [((2, 4, 19), 15, 6, 42), ((5, 2, 32), 16, 6, 5)], ids=["GF16", "GF25"]

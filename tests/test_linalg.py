@@ -286,8 +286,8 @@ class TestMatmul:
 
     @pytest.mark.parametrize("f", MATMUL_FIELDS, ids=MATMUL_IDS)
     def test_stacks(self, f, rng):
-        """A stack against a 2-D matrix or a vector, a matrix or a vector
-        against a stack, and two stacks whose leading axes broadcast."""
+        """A stack on the left shares the right matrix or vector; a stack on
+        the right is refused, whatever the left operand."""
         a = rng.integers(0, f.q, (5, 3, 4))
         b = la.random_matrix(f, 4, 6, rng)
         want = np.stack([matmul_loop(f, m, b) for m in a])
@@ -296,16 +296,9 @@ class TestMatmul:
         want_v = np.stack([matmul_loop(f, m, v[:, None])[:, 0] for m in a])
         assert np.array_equal(la.matmul(f, a, v), want_v)
         bs = rng.integers(0, f.q, (5, 4, 6))
-        c = la.random_matrix(f, 3, 4, rng)
-        assert np.array_equal(la.matmul(f, c, bs), np.stack([matmul_loop(f, c, m) for m in bs]))
-        want_row = np.stack([matmul_loop(f, v[None, :], m)[0] for m in bs])
-        assert np.array_equal(la.matmul(f, v, bs), want_row)
-        left = rng.integers(0, f.q, (2, 1, 3, 4))
-        got = la.matmul(f, left, bs)
-        assert got.shape == (2, 5, 3, 6)
-        for i in range(2):
-            for j in range(5):
-                assert np.array_equal(got[i, j], matmul_loop(f, left[i, 0], bs[j]))
+        for left in (la.random_matrix(f, 3, 4, rng), v, a):
+            with pytest.raises(DimensionMismatch, match="vector or a matrix"):
+                la.matmul(f, left, bs)
 
     @pytest.mark.parametrize("f", MATMUL_FIELDS, ids=MATMUL_IDS)
     def test_empty_row_stack(self, f, rng):
@@ -380,8 +373,8 @@ class TestMatmul:
 @given(st.data(), st.sampled_from(MATMUL_FIELDS))
 def test_one_block_matches_the_other_paths(data, f):
     """Two 2-D operands with fewer than 4q rows are multiplied in one block;
-    the result equals the direct blocked path (a stack of one on either
-    side), the table of multiples (the rows repeated to 4q or more), the
+    the result equals the direct blocked path (a stack of one on the left),
+    the table of multiples (the rows repeated to 4q or more), the
     reference loop, and, row by row and column by column, the 1-D forms.
     Covers 0 rows, 0 inner, and 4q-1 and 4q rows, either side of the
     one-block bound."""
@@ -396,7 +389,6 @@ def test_one_block_matches_the_other_paths(data, f):
     assert got.shape == (rows, cols)
     assert np.array_equal(got, matmul_loop(f, a, b))
     assert np.array_equal(la.matmul(f, a[None], b)[0], got)
-    assert np.array_equal(la.matmul(f, a, b[None])[0], got)
     tall = np.tile(a, (q4 // max(rows, 1) + 1, 1))
     assert np.array_equal(la.matmul(f, tall, b)[:rows], got)
     stack = np.stack([a, rng.integers(0, f.q, (rows, inner))])
