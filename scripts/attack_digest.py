@@ -92,8 +92,10 @@ def keygen_digest() -> str:
         f = GF(*field)
         for seed in KEYGEN_SEEDS:
             pk, sk = scheme.keygen(f, n, k, np.random.default_rng(seed))
+            # The digest also covers Q = Pi + alpha^T beta and G_sec, built from the key.
+            q_mat = f.add(np.eye(n, dtype=np.int64)[sk.perm], f.mul(sk.alpha[:, None], sk.beta))
             for part in (pk.g_pub, sk.grs.x, sk.grs.y, sk.s_mat, sk.perm, sk.alpha, sk.beta,
-                         sk.a, sk.lam, sk.q_mat, sk.g_sec, sk.masked.x, sk.masked.y):
+                         sk.a, sk.lam, q_mat, sk.grs.generator, sk.masked.x, sk.masked.y):
                 h.update(np.asarray(part, dtype=np.int64).tobytes())
     return h.hexdigest()
 

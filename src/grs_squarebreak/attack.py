@@ -197,32 +197,27 @@ def triple_ranks(pub: LinearCode, zs: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def kernel_sums(
-    pub: LinearCode, zs: np.ndarray, squares: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def kernel_sums(pub: LinearCode, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The front half of phase 2 for a stack of triples zs (b, 3, n) of
-    ``pub``, in lockstep; ``squares`` is ``star_rows(f, pub.gen, pub.gen)``.
+    ``pub``, in lockstep.
 
     With W the span of a triple's products z_i * g_j, each p in W^perp gives
     the symmetric form M_p = G diag(p) G^T, reading z * z' mod W in
-    coefficient space.  Returns (sums, dims, pivots, forms): sums[i, :dims[i]]
-    is the RREF basis, with pivot columns pivots[i, :dims[i]], of the sum of
-    the kernels of triple i's nonzero forms, and forms[i] holds its forms
-    M_p for a basis of W^perp, padded with zero forms.
+    coefficient space.  Returns (sums, forms): sums[i] is the
+    ``batched_rref`` table (k, k) of the sum of the kernels of triple i's
+    nonzero forms, whose nonzero rows are its RREF basis, and forms[i] holds
+    its forms M_p for a basis of W^perp, padded with zero forms.
     """
     f, k = pub.field, pub.k
     perp, _ = linalg.batched_right_kernel(f, star_rows(f, zs, pub.gen))
+    squares = star_rows(f, pub.gen, pub.gen)
     forms = linalg.matmul(f, perp, squares.T).reshape(*perp.shape[:2], k, k)
     nonzero = forms.any(axis=(2, 3))
     kern, _ = linalg.batched_right_kernel(f, forms[nonzero])
     kernels = np.zeros((*nonzero.shape, kern.shape[1], k), dtype=np.int64)
     kernels[nonzero] = kern
     stacked = kernels.reshape(len(zs), kernels.shape[1] * kernels.shape[2], k)
-    red, pivcol = linalg.batched_rref(f, stacked)
-    order = np.argsort(pivcol, axis=1, kind="stable")  # pivot rows first, zero rows last
-    sums = np.take_along_axis(red, order[:, :, None], axis=1)
-    pivots = np.take_along_axis(pivcol, order, axis=1)
-    return sums, np.count_nonzero(pivcol < k, axis=1), pivots, forms
+    return linalg.batched_rref(f, stacked), forms
 
 
 def _subcode_from(pub: LinearCode, front: tuple, i: int, stats: AttackStats) -> LinearCode | None:
@@ -231,13 +226,14 @@ def _subcode_from(pub: LinearCode, front: tuple, i: int, stats: AttackStats) -> 
     an inner trial; a kernel sum of dimension other than k-1 or k-2 yields
     none."""
     f, k, gen = pub.field, pub.k, pub.gen
-    sums, dims, pivcols, stacked_forms = front
-    basis, pivots, forms = sums[i, : dims[i]], pivcols[i, : dims[i]].tolist(), stacked_forms[i]
-    if len(pivots) == k - 1:
+    table, forms = front[0][i], front[1][i]
+    pivot = table.any(axis=1)
+    basis = table[pivot]
+    if len(basis) == k - 1:
         candidates = [basis]
-    elif len(pivots) == k - 2:
+    elif len(basis) == k - 2:
         # The q+1 lines of the complement spanned by the two free unit vectors.
-        a, b = (c for c in range(k) if c not in pivots)
+        a, b = np.nonzero(~pivot)[0]
         lines = np.zeros((f.q + 1, k), dtype=np.int64)
         lines[:, a] = np.append(f.elements(), 1)
         lines[: f.q, b] = 1
@@ -270,8 +266,7 @@ def solve_subcode(pub: LinearCode, zs: np.ndarray, stats: AttackStats) -> Linear
     if it has dimension k-1 and a square of dimension 2k-1.  This is the
     one-triple case of the lockstep search in ``find_shared_subcode``.
     """
-    f, gen = pub.field, pub.gen
-    return _subcode_from(pub, kernel_sums(pub, zs[None], star_rows(f, gen, gen)), 0, stats)
+    return _subcode_from(pub, kernel_sums(pub, zs[None]), 0, stats)
 
 
 def find_shared_subcode(
@@ -317,7 +312,6 @@ def find_shared_subcode(
     budget = cfg.max_outer_trials if cfg.max_outer_trials is not None else 100 * f.q**3
     threshold = 2 * k + 2
     ordered = LinearCode(f, pub.gen[:, _pivots_first(pub)], tuple(range(k)))
-    squares = star_rows(f, ordered.gen, ordered.gen)
 
     while True:
         drawn = stats.outer_trials
@@ -327,7 +321,7 @@ def find_shared_subcode(
         passing = np.nonzero(ranks <= threshold)[0]
         if passing.size:
             independent = linalg.batched_rank(f, zbatch[passing]) == 3
-            front = kernel_sums(ordered, zbatch[passing], squares)
+            front = kernel_sums(ordered, zbatch[passing])
         for i, idx in enumerate(passing):
             stats.outer_trials = drawn + int(idx) + 1
             if stats.outer_trials > budget:

@@ -99,9 +99,6 @@ def star_rows(f: GF, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def code_from_generator(f: GF, g) -> LinearCode:
     """Canonicalize a (possibly redundant) generator matrix into a code."""
-    g = np.asarray(g, dtype=np.int64)
-    if g.ndim == 1:
-        g = g.reshape(1, -1)
     r, pivots = linalg.rref(f, g)
     if not pivots:
         raise ZeroMatrix("generator spans only the zero vector")

@@ -197,13 +197,14 @@ def decode_many(p: GrsParams, words: np.ndarray) -> tuple[np.ndarray, np.ndarray
     s = f.mul(r, p.y_inv)
     syn = linalg.matmul(f, s, p.parity_checks_t)
     hankel = syn[:, np.arange(n - k - t)[:, None] + np.arange(t + 1)[None, :]]
-    red, pivcol = linalg.batched_rref(f, hankel, t)
-    # d: the first column without a pivot, as sorted pivots match their index
-    # until d.  E takes minus column d from every row; past the pivots < d, 0.
-    d = np.count_nonzero(np.sort(pivcol, axis=1)[:, :t] == np.arange(t), axis=1)
+    table = linalg.batched_rref(f, hankel, t)
+    # d: the first zero row of the table, where its diagonal (1 at a pivot)
+    # first reads 0, or t.  E is minus column d of the table (zero at the
+    # pivots past d) with a 1 at d.
+    d = np.logical_and.accumulate(np.diagonal(table, axis1=1, axis2=2), axis=1).sum(axis=1)
     every = np.arange(r.shape[0])
     monic = np.zeros((r.shape[0], t + 1), dtype=np.int64)
-    monic[every[:, None], pivcol] = f.neg(red[every, :, d])
+    monic[:, :t] = f.neg(table[every, :, d])
     monic[every, d] = 1
     root = linalg.matmul(f, monic, p.locator_rows) == 0
     keep = np.nonzero(np.count_nonzero(root, axis=1) == d)[0]

@@ -5,7 +5,8 @@ of an accompanying :class:`~grs_squarebreak.gf.GF` instance; vectors are 1-D
 arrays.  Functions never mutate their inputs.  Row reduction uses the first
 nonzero pivot scanning top-to-bottom, left-to-right, so every canonical form
 here is deterministic.  The lockstep eliminations of stacks go row by row,
-rows in place; ``batched_rref`` marks a zero row with the pivot ``ncols``.
+rows in place; ``batched_rref`` then returns each matrix's reduced rows
+indexed by pivot column, a zero row standing for a column without a pivot.
 
 ``matmul`` is the one product, with numpy's rules for ``@``: a 1-D left
 operand is a row and a 1-D right operand a column, and that axis is dropped
@@ -171,20 +172,19 @@ def inverse(f: GF, a: np.ndarray) -> np.ndarray:
     return r[:, n:]
 
 
-def batched_rref(
-    f: GF, mats: np.ndarray, ncols: int | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def batched_rref(f: GF, mats: np.ndarray, ncols: int | None = None) -> np.ndarray:
     """Gauss-Jordan elimination of a stack of equally-shaped matrices in
     lockstep, pivoting on their first ``ncols`` columns (default: all).
 
     Row by row, rows in place: each row, reduced by the pivot rows before
     it, is scaled to 1 at its first nonzero column among the first ``ncols``
     (by inv0(0) = 0, to zero, when there is none), which is then cleared
-    from every other row.  Returns (m, pivcol): row r of m[i] pivots on
-    column pivcol[i, r], or is zero when that is ``ncols``; sorted by pivot,
-    the pivot rows are ``rref(f, mats[i])`` on the pivoting columns.  Each
-    row costs a few whole-stack operations, or one check when it has no
-    pivot in any matrix (as past the rank of every matrix).
+    from every other row.  Each row costs a few whole-stack operations, or
+    one check when it has no pivot in any matrix (as past the rank of every
+    matrix).  Returns the (nmat, ncols, cols) table of the reduced rows by
+    pivot: row c of table i is the row of mats[i] that pivots on column c,
+    or zero when none does, so its nonzero rows, in order, are
+    ``rref(f, mats[i])`` on the pivoting columns.
     """
     m = np.array(mats, dtype=np.int64)
     if m.ndim != 3:
@@ -203,9 +203,12 @@ def batched_rref(
         fac[:, r] = 0
         m[...] = f.sub(m, f.mul(fac[:, :, None], row[:, None, :]))
     # A pivot row stays zero left of its pivot (later pivot rows reach it
-    # there by a factor 0): the pivot is its first nonzero column, or ncols.
+    # there by a factor 0), so its pivot is its first nonzero column; a row
+    # without one is zero, and goes to a spare last row, dropped at the end.
     nz = np.concatenate([m[:, :, :ncols] != 0, np.ones((*m.shape[:2], 1), dtype=bool)], axis=2)
-    return m, np.argmax(nz, axis=2)
+    table = np.zeros((len(m), ncols + 1, m.shape[2]), dtype=np.int64)
+    table[every[:, None], np.argmax(nz, axis=2)] = m
+    return table[:, :ncols]
 
 
 def batched_right_kernel(f: GF, mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -213,25 +216,18 @@ def batched_right_kernel(f: GF, mats: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
     Returns (kern, nullity): kern has shape (nmat, d, ncols) with d the
     largest nullity in the stack; kern[i, :nullity[i]] is, row for row,
-    ``right_kernel(f, mats[i])``, and the rows below are zero.  A zero
-    row's pivot ``ncols`` points at a spare last column, dropped at the end.
+    ``right_kernel(f, mats[i])``, and the rows below are zero.  With T the
+    ``batched_rref`` table, whose diagonal is 1 at a pivot column and 0 at a
+    free one, row j of I - T^T is the kernel row of a free column j and zero
+    at a pivot column j.
     """
-    m, pivcol = batched_rref(f, mats)
-    nmat, nrows, ncols = m.shape
-    nullity = ncols - np.count_nonzero(pivcol < ncols, axis=1)
-    d = int(nullity.max(initial=0))
-    mat = np.arange(nmat)[:, None]
-    ispiv = (pivcol[:, :, None] == np.arange(ncols)).any(axis=1)
-    free = np.argsort(ispiv, axis=1, kind="stable")[:, :d]  # free columns first
-    # Kernel row j: 1 at free column free[j], -R[r, free[j]] at each pivot.
-    kern = np.zeros((nmat, d, ncols + 1), dtype=np.int64)
-    rows = np.arange(nrows)[None, :, None]
-    kern[mat[:, :, None], np.arange(d)[:, None], pivcol[:, None, :]] = f.neg(
-        m[mat[:, :, None], rows, free[:, None, :]]
-    ).transpose(0, 2, 1)
-    kern[mat, np.arange(d), free] = 1
-    kern[np.arange(d) >= nullity[:, None]] = 0
-    return kern[:, :, :ncols], nullity
+    table = batched_rref(f, mats)
+    free = np.diagonal(table, axis1=1, axis2=2) == 0
+    nullity = np.count_nonzero(free, axis=1)
+    # Free columns first; a pivot column j after them gives e_j - e_j = 0.
+    order = np.argsort(~free, axis=1, kind="stable")[:, : nullity.max(initial=0)]
+    cols = np.take_along_axis(table, order[:, None, :], axis=2).transpose(0, 2, 1)
+    return f.sub(np.eye(table.shape[1], dtype=np.int64)[order], cols), nullity
 
 
 def intersect_rowspaces(f: GF, a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -63,12 +63,10 @@ class SecretKey:
     grs: grs.GrsParams  # the secret GRS code C_sec
     s_mat: np.ndarray  # k x k invertible scrambler
     perm: np.ndarray  # permutation as an index array; Pi[i, perm[i]] = 1
-    alpha: np.ndarray
+    alpha: np.ndarray  # Q = Pi + alpha^T beta
     beta: np.ndarray
-    q_mat: np.ndarray  # Q = Pi + alpha^T beta
     a: np.ndarray  # beta permuted so that R Pi^-1 = alpha^T a
     lam: np.ndarray  # -alpha / (1 + <a, alpha>)
-    g_sec: np.ndarray
     g_pub: np.ndarray
     masked: grs.GrsParams  # C = C_sec Pi^-1, the code decryption decodes in
 
@@ -124,13 +122,11 @@ def build_keypair(
     if denom == 0:
         raise InvalidDimensions("Q = Pi + alpha^T beta is singular")
     lam = f.mul(f.neg(f.inv(denom)), alpha)
-    q_mat = f.add(np.eye(n, dtype=np.int64)[perm], f.mul(alpha[:, None], beta))
     masked = grs.GrsParams(f, params.x[perm], params.y[perm], k)
     # Q^-1 = Pi^-1 (I + lam^T a), so G_sec Q^-1 = mask(G_C, a, lam).
     g_pub = linalg.matmul(f, linalg.inverse(f, s_mat), mask(f, masked.generator, a, lam))
     pk = PublicKey(f, n, k, g_pub)
-    sk = SecretKey(params, np.asarray(s_mat), perm, alpha, beta, q_mat, a, lam, params.generator,
-                   g_pub, masked)
+    sk = SecretKey(params, np.asarray(s_mat), perm, alpha, beta, a, lam, g_pub, masked)
     return pk, sk
 
 

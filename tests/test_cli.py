@@ -2,6 +2,7 @@
 
 import csv
 import re
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -49,6 +50,23 @@ class TestFileFormat:
         pk_derived, sk = fileio.load_secret_key(sec)
         assert np.array_equal(pk_direct.g_pub, pk_derived.g_pub)
         assert np.array_equal(sk.g_pub, pk_direct.g_pub)
+
+    def test_secret_key_load_memory_is_bounded_by_n(self, tmp_path):
+        """Peak traced memory of loading a GF(4096) n=2000 k=1 secret key,
+        a 55 KiB file, stays under 8 MiB: nothing n x n is built (one such
+        int64 matrix alone takes 30.5 MiB)."""
+        f = GF(2, 12, 4179)
+        _pk, sk = scheme.keygen(f, 2000, 1, np.random.default_rng(0))
+        sec = tmp_path / "sec.key"
+        fileio.save_secret_key(sec, sk)
+        tracemalloc.start()
+        try:
+            _pk, loaded = fileio.load_secret_key(sec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(loaded.g_pub, sk.g_pub)
+        assert peak < 8 * 2**20
 
     def test_vector_round_trip(self, tmp_path, gf16):
         v = np.array([3, 1, 4, 1, 5, 9], dtype=np.int64)
