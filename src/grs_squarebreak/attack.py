@@ -341,9 +341,11 @@ def recover_secret_grs(shared: LinearCode, k: int) -> grs.GrsParams:
     """Reconstruct the hidden GRS code from its recovered codim-1 subcode.
 
     The square of the subcode equals the full GRS code of dimension 2k-1 on
-    the same points; recover its describing pair, then solve the multiplier
-    system to drop back to dimension k.  Raises NotGrs when any step fails
-    verification (i.e. the subcode guess was wrong).
+    the same points; recover its describing pair, then read the multipliers
+    of dimension k off the RREF of the subcode plus x times it
+    (``grs.recover_multipliers``, which checks that they contain the
+    subcode).  Raises NotGrs when any step fails (i.e. the subcode guess was
+    wrong).
     """
     f, n = shared.field, shared.n
     if shared.k != k - 1 or 2 * k - 1 > n:
@@ -354,12 +356,8 @@ def recover_secret_grs(shared: LinearCode, k: int) -> grs.GrsParams:
     sq_params = grs.ss_recover(sq)
     y = grs.recover_multipliers(sq_params.x, k, shared)
     if y is None:
-        raise grs.NotGrs("no everywhere-nonzero multiplier vector")
-    params = grs.GrsParams(f, sq_params.x, y, k)
-    c = grs.code(params)
-    if linalg.reduce_row(f, c.gen, c.pivots, shared.gen).any():
-        raise grs.NotGrs("recovered code does not contain the subcode")
-    return params
+        raise grs.NotGrs("no GRS_k code on the square's points contains the subcode")
+    return grs.GrsParams(f, sq_params.x, y, k)
 
 
 def recover_valid_pair(

@@ -21,9 +21,9 @@ The reconstruction routines:
   pair (x, y) (Sidelnikov-Shestakov style, via cross-ratios of the
   systematic generator).  The pair is never unique; only code equality is
   promised.
-* ``recover_multipliers``: given candidate points x and a subcode, solve the
-  linear system for column multipliers y placing the subcode inside
-  GRS_k(x, y).
+* ``recover_multipliers``: given candidate points x and a subcode, read
+  column multipliers y placing the subcode inside GRS_k(x, y) off the RREF
+  of the subcode plus x times it.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from functools import cached_property
 import numpy as np
 
 from . import linalg
-from .codes import LinearCode, code_from_generator, star_rows
+from .codes import LinearCode, code_from_generator
 from .gf import GF
 from .linalg import DimensionMismatch
 
@@ -241,10 +241,10 @@ def decode(p: GrsParams, received: np.ndarray) -> tuple[np.ndarray, np.ndarray] 
     return cw, p.field.sub(r, cw)
 
 
-def _pairwise_products(f: GF, x: np.ndarray) -> np.ndarray:
-    """v_i = prod_{j != i} (x_i - x_j)."""
-    diffs = f.sub(x[:, None], x[None, :])
-    np.fill_diagonal(diffs, 1)
+def _pairwise_products(f: GF, x: np.ndarray, among: np.ndarray) -> np.ndarray:
+    """v_j = prod (x_j - x_i) over the indices i != j in among."""
+    diffs = f.sub(x[:, None], x[among][None, :])
+    diffs[among, np.arange(among.size)] = 1
     acc = diffs[:, 0]
     for col in diffs.T[1:]:
         acc = f.mul(acc, col)
@@ -255,41 +255,47 @@ def dual_params(p: GrsParams) -> GrsParams:
     """Describing pair of the dual code: GRS_k(x, y)^perp = GRS_{n-k}(x, z)
     with z_i = 1 / (y_i prod_{j != i} (x_i - x_j))."""
     f = p.field
-    z = f.inv(f.mul(p.y, _pairwise_products(f, p.x)))
+    z = f.inv(f.mul(p.y, _pairwise_products(f, p.x, np.arange(p.n))))
     return GrsParams(f, p.x.copy(), z, p.n - p.k)
 
 
 def recover_multipliers(x: np.ndarray, k: int, sub: LinearCode) -> np.ndarray | None:
-    """Column multipliers y (all nonzero) with sub a subcode of GRS_k(x, y).
+    """Column multipliers y, all nonzero and scaled to y[n-1] = 1, with sub a
+    subcode of GRS_k(x, y); None when there are none.
 
-    The reciprocals u_i = 1/y_i satisfy a linear system: for every generator
-    row c of sub and every parity check h of the plain evaluation code on x,
-    sum_i h_i c_i u_i = 0.  Returns None when the kernel of that system
-    contains no everywhere-nonzero vector.
+    y is read off one echelon form c.  When sub.k == k, c is sub.  Otherwise
+    c = sub + x * sub: for sub = y V with V a hyperplane of the polynomials
+    of degree < k it is GRS_{k+1}(x, y), and for V = h P_{<k-1} it is
+    GRS_k(x, y h), which still contains sub.  Row i of the RREF [I | A] of
+    GRS_m(x, y) is y L_i(x) / y[P_i], with L_i the Lagrange basis on the
+    pivot points P.  So row 0 gives y / y[P_0] on the free columns, and one
+    free column r gives y[P_i] = y[r] L_i(x_r) / A[i, r].  The y so read is
+    returned only if sub / y lies in RS_k(x, 1).
     """
     f = sub.field
     x = np.asarray(x, dtype=np.int64)
     n = x.shape[0]
     if sub.n != n or not (1 <= k < n) or sub.k > k or np.unique(x).size != n:
         raise InvalidParams("points, subcode and dimension are inconsistent")
-    checks = dual_params(GrsParams(f, x, np.ones(n, dtype=np.int64), k)).generator
-    kernel = linalg.right_kernel(f, star_rows(f, sub.gen, checks))
-    if kernel.shape[0] == 0:
+    c = sub if sub.k == k else code_from_generator(f, np.vstack([sub.gen, f.mul(sub.gen, x)]))
+    piv = np.asarray(c.pivots)
+    free = np.setdiff1d(np.arange(n), piv)
+    if free.size == 0 or not (c.gen[0, free].all() and c.gen[:, free[0]].all()):
         return None
-    for row in kernel:
-        if not np.any(row == 0):
-            return f.inv(row)
-    if kernel.shape[0] > 1:
-        mix = np.random.default_rng(0)  # deterministic local search
-        for _ in range(256):
-            u = linalg.matmul(f, mix.integers(0, f.q, kernel.shape[0]), kernel)
-            if not np.any(u == 0):
-                return f.inv(u)
-    return None
+    # ell[j] is prod_i (x_j - x_{P_i}) at a free j and prod_{l != i}
+    # (x_{P_i} - x_{P_l}) at P_i, so L_i(x_j) = ell[j] / ((x_j - x_{P_i}) ell[P_i]).
+    ell = _pairwise_products(f, x, piv)
+    r = free[0]
+    y = np.empty(n, dtype=np.int64)
+    y[free] = f.div(f.mul(c.gen[0, free], f.mul(f.sub(x[free], x[piv[0]]), ell[piv[0]])), ell[free])
+    y[piv] = f.div(f.mul(y[r], ell[r]), f.mul(c.gen[:, r], f.mul(f.sub(x[r], x[piv]), ell[piv])))
+    y = f.div(y, y[n - 1])
+    checks = GrsParams(f, x, np.ones(n, dtype=np.int64), k).parity_checks_t
+    return None if linalg.matmul(f, f.div(sub.gen, y), checks).any() else y
 
 
-def _recover_via_ratios(c: LinearCode) -> GrsParams | None:
-    """Core point recovery for 2 <= k <= n-2.
+def _cross_ratio_points(c: LinearCode):
+    """Candidate points x of a code with 2 <= k <= n-2.
 
     In systematic form [I | A] w.r.t. the pivot columns, every entry of A is
     nonzero for a genuine GRS code and row ratios A[0,j]/A[i,j] are Moebius
@@ -304,7 +310,7 @@ def _recover_via_ratios(c: LinearCode) -> GrsParams | None:
     rest = [j for j in range(n) if j not in piv]
     a = c.gen[:, rest]
     if np.any(a == 0):
-        return None
+        return
     u = f.div(a[0], a[1])
     w = f.div(u, u[0])
     va = f.div(a[0][None, :], a)  # va[i, j] = A[0,j] / A[i,j]
@@ -325,43 +331,26 @@ def _recover_via_ratios(c: LinearCode) -> GrsParams | None:
                 continue
             xi = f.div(f.sub(f.mul(rho, xr[1]), xr[0]), f.sub(rho, 1))
             x[np.asarray(piv[2:], dtype=np.int64)] = xi
-        if np.unique(x).size != n:
-            continue
-        y = recover_multipliers(x, k, c)
-        if y is None:
-            continue
-        params = GrsParams(f, x, y, k)
-        if code(params) == c:
-            return params
-    return None
+        if np.unique(x).size == n:
+            yield x
 
 
 def ss_recover(c: LinearCode) -> GrsParams:
     """Some describing pair (x, y) of a GRS code given only the code.
 
-    Raises NotGrs when no consistent pair survives verification (callers use
-    this as the signal that an attack guess was wrong).  The output is one
-    representative of the Moebius orbit of valid pairs, pinned at x[info_0]=0,
+    For k = 1 and k = n-1 any n distinct points describe a GRS code, and
+    otherwise its cross-ratios give candidates.  ``recover_multipliers``
+    reads y for each and keeps it only if c lies in GRS_k(x, y), which with
+    equal dimensions means equality.  Raises NotGrs when no candidate passes
+    (callers use this as the signal that an attack guess was wrong).  The
+    pair is never unique; for 2 <= k <= n-2 it is pinned at x[info_0]=0,
     x[info_1]=1.
     """
     f, n, k = c.field, c.n, c.k
     if n > f.q or k >= n:
         raise NotGrs(f"no GRS code with k={k}, n={n} over {f!r}")
-    if k == 1:
-        row = c.gen[0]
-        if np.any(row == 0):
-            raise NotGrs("a 1-dimensional GRS code has full support")
-        return GrsParams(f, f.elements()[:n], row.copy(), 1)
-    if k == n - 1:
-        # The dual is 1-dimensional: describe it as GRS_1 and dualize back.
-        h = linalg.right_kernel(f, c.gen)[0]
-        if np.any(h == 0):
-            raise NotGrs("dual generator has zero coordinates")
-        params = dual_params(GrsParams(f, f.elements()[:n], h, 1))
-        if code(params) == c:
-            return params
-        raise NotGrs("dual-route reconstruction failed verification")
-    params = _recover_via_ratios(c)
-    if params is None:
-        raise NotGrs("cross-ratio reconstruction failed verification")
-    return params
+    for x in [f.elements()[:n]] if k in (1, n - 1) else _cross_ratio_points(c):
+        y = recover_multipliers(x, k, c)
+        if y is not None:
+            return GrsParams(f, x, y, k)
+    raise NotGrs("no candidate points describe the code")

@@ -458,7 +458,7 @@ class TestRecoverSecretGrs:
         assert grs.code(params) == grs.code(scheme.masked_params(sk))
 
     def test_char2_sqrt_shortcut_agrees(self, gf16m, low_rate_key):
-        """The linearly solved multipliers square to multipliers of the
+        """The multipliers read off the subcode square to multipliers of the
         subcode's square: GRS_{2k-1}(x, y^2) is sub.square()."""
         f = gf16m
         pk, sk = low_rate_key
@@ -468,6 +468,14 @@ class TestRecoverSecretGrs:
         assert y_solve is not None
         squared = grs.GrsParams(f, sq_params.x, f.mul(y_solve, y_solve), 2 * sk.k - 1)
         assert grs.code(squared) == sub.square()
+
+    def test_reconstructs_hidden_code_at_paper_scale(self):
+        """GF(256), n = 255, k = 60: the shared subcode of keygen seed 0
+        gives back the hidden code."""
+        f = GF(2, 8, 285)
+        pk, sk = scheme.keygen(f, 255, 60, np.random.default_rng(0))
+        params = atk.recover_secret_grs(true_shared_subcode(f, pk, sk), sk.k)
+        assert grs.code(params) == grs.code(scheme.masked_params(sk))
 
     def test_wrong_subcode_rejected(self, gf16m, rng):
         f = gf16m

@@ -339,6 +339,22 @@ class TestSsRecover:
         with pytest.raises(NotGrs):
             grs.ss_recover(code_from_generator(gf7, np.eye(4, dtype=np.int64)))
 
+    def test_k1_with_a_zero_coordinate_rejected(self, gf16):
+        """A 1-dimensional code is GRS only with full support."""
+        row = np.arange(1, 11, dtype=np.int64)
+        row[5] = 0
+        with pytest.raises(NotGrs):
+            grs.ss_recover(code_from_generator(gf16, row[None, :]))
+
+    def test_k_equals_n_minus_1_with_a_zero_in_the_dual_rejected(self, gf16):
+        """An (n-1)-dimensional code is GRS only when its dual has full support."""
+        h = np.arange(1, 13, dtype=np.int64)
+        h[3] = 0
+        c = code_from_generator(gf16, la.right_kernel(gf16, h[None, :]))
+        assert c.k == 11 and c.dual() == code_from_generator(gf16, h[None, :])
+        with pytest.raises(NotGrs):
+            grs.ss_recover(c)
+
 
 class TestRecoverMultipliers:
     def test_full_code_as_subcode(self, gf16, gf7, rng):
@@ -362,8 +378,9 @@ class TestRecoverMultipliers:
         """Over GF(16) at n=15, with a the one point off the support, the
         subcode {y p(x) : p(a) = 0} of GRS_6(x, y) lies in GRS_6(x, y (x-a) / l(x))
         for every l of degree <= 1: a 2-dimensional multiplier kernel whose
-        RREF basis rows both have a zero, so only the local search finds one
-        of the two l nonzero on x, a constant or x - a."""
+        RREF basis rows both have a zero.  The subcode is GRS_5(x, y (x-a)),
+        so with x times it it spans GRS_6(x, y (x-a)), whose multipliers are
+        those of the constant l, nonzero on x."""
         f, n, k = gf16, 15, 6
         p = grs.random_params(f, n, k, np.random.default_rng(seed))
         a = int(np.setdiff1d(f.elements(), p.x)[0])
@@ -395,3 +412,32 @@ class TestRecoverMultipliers:
         big = grs.code(GrsParams(gf16, p.x, y, 6))
         for row in sub.gen:
             assert big.contains(row)
+
+    @pytest.mark.parametrize("field,n", [((5, 2, 32), 16), ((17,), 17)], ids=["GF25", "GF17"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_whole_code_and_hyperplane_give_the_true_multipliers(self, field, n, seed):
+        """In odd characteristic, the whole GRS_6 code and a random
+        codimension-1 subcode of it both give the true y, scaled to
+        y[n-1] = 1."""
+        f, k = GF(*field), 6
+        rng = np.random.default_rng(seed)
+        p = grs.random_params(f, n, k, rng)
+        c = grs.code(p)
+        sub = code_from_generator(f, la.matmul(f, la.random_matrix(f, k - 1, k, rng), c.gen))
+        assert sub.k == k - 1
+        want = f.div(p.y, p.y[n - 1])
+        for code in (c, sub):
+            assert np.array_equal(grs.recover_multipliers(p.x, k, code), want)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_subcode_on_permuted_points_refused(self, gf16, seed):
+        """On the points permuted, neither the code nor a codimension-1
+        subcode of it lies in any GRS_6(x, .): no multipliers come back."""
+        f, n, k = gf16, 15, 6
+        rng = np.random.default_rng(seed)
+        p = grs.random_params(f, n, k, rng)
+        c = grs.code(p)
+        sub = code_from_generator(f, c.gen[1:])
+        x = p.x[rng.permutation(n)]
+        assert grs.recover_multipliers(x, k, c) is None
+        assert grs.recover_multipliers(x, k, sub) is None
