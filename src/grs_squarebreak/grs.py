@@ -12,8 +12,8 @@ syndrome check; ``decode_many`` decodes a stack of words in lockstep, as
 the decryption sweep does for its q shifted words, ``decode`` one word),
 the dual-code multiplier formula, and two reconstruction routines used by
 the attack.  A ``GrsParams`` is read-only and builds its key-fixed tables
-(the generator, 1/y, the parity checks, the locator power rows and the
-interpolation matrix) once, on first use, for every decode under its key.
+(the generator, the dual's generator as parity checks, the locator power
+rows and the interpolation matrix) once, on first use, for every decode.
 
 The reconstruction routines:
 
@@ -80,10 +80,10 @@ class GrsParams:
         """Unique-decoding radius floor((n-k)/2)."""
         return (self.n - self.k) // 2
 
-    # Key-fixed tables, built on first use (``decode_many`` reads all but
-    # the first, ``decode`` also the generator to re-encode, the attack and
-    # key generation only the generator).  Like x and y they are read-only, so
-    # no caller can make them disagree with the code.
+    # Key-fixed tables, built on first use (``decode_many`` reads all four,
+    # ``decode`` and the attack and key generation only the generator).  Like
+    # x and y they are read-only, so no caller can make them disagree with
+    # the code.
 
     @cached_property
     def generator(self) -> np.ndarray:
@@ -91,16 +91,10 @@ class GrsParams:
         return linalg.frozen(_rows(self.field, self.y, self.x, self.k))
 
     @cached_property
-    def y_inv(self) -> np.ndarray:
-        """1 / y, componentwise."""
-        return linalg.frozen(self.field.inv(self.y))
-
-    @cached_property
     def parity_checks_t(self) -> np.ndarray:
-        """n x (n-k) transposed parity checks of RS_k(x, 1): column l is
-        z * x^l, z_i = 1 / prod_{j != i} (x_i - x_j)."""
-        ones = np.ones(self.n, dtype=np.int64)
-        return linalg.frozen(dual_params(GrsParams(self.field, self.x, ones, self.k)).generator.T)
+        """n x (n-k) transposed parity checks: the dual code's generator,
+        column l equal to z * x^l (see ``dual_params``)."""
+        return linalg.frozen(dual_params(self).generator.T)
 
     @cached_property
     def locator_rows(self) -> np.ndarray:
@@ -110,12 +104,9 @@ class GrsParams:
 
     @cached_property
     def interpolation(self) -> np.ndarray:
-        """k x k inverse of the Vandermonde matrix x_j^i on the first k
-        points: the first k values of a word of RS_k(x, 1) times it give the
-        word's coefficients."""
-        f, k = self.field, self.k
-        vandermonde = _rows(f, np.ones(k, dtype=np.int64), self.x[:k], k)
-        return linalg.frozen(linalg.inverse(f, vandermonde))
+        """k x k inverse of the generator on the first k points: a
+        codeword's first k values times it give the codeword's message."""
+        return linalg.frozen(linalg.inverse(self.field, self.generator[:, : self.k]))
 
     def __eq__(self, other):
         return (
@@ -164,15 +155,16 @@ def decode_many(p: GrsParams, words: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
     Returns (msgs, ok): ok[i] tells whether a codeword u G lies within
     Hamming distance t = floor((n-k)/2) of words[i] (it is then unique), and
-    msgs[i] is its message u (length k), or zero.  With s = r / y, the
-    error locators E of degree at most t are the solutions of the n-k-t
-    parity checks z x^j of RS_{k+t}(x, 1) on s E(x): an (n-k-t) x (t+1)
-    Hankel system in the n-k syndromes syn of s.  Each word takes its least
-    degree monic solution E: after one RREF on the system's first t columns,
-    E has a 1 at the first column d without a pivot (or at t) and minus RREF
-    column d at the pivots before it.  If a codeword lies within t, with
-    error e, every solution vanishes on e's support (e E lies in RS_{k+t}
-    and has weight at most t < n-k-t+1), so E is e's locator, with d roots.
+    msgs[i] is its message u (length k), or zero.  A word r is decoded in
+    its own coordinates: the error locators E of degree at most t solve the
+    first n-k-t rows z x^j of the dual's generator, the parity checks of
+    GRS_{k+t}(x, y), on r E(x), an (n-k-t) x (t+1) Hankel system in the n-k
+    syndromes syn of r.  Each word takes its least degree monic solution E:
+    after one RREF on the system's first t columns, E has a 1 at the first
+    column d without a pivot (or at t) and minus RREF column d at the pivots
+    before it.  If a codeword lies within t, with error e, every solution
+    vanishes on e's support (e E lies in GRS_{k+t}(x, y) and has weight at
+    most t < n-k-t+1), so E is e's locator, with d roots.
 
     For every word whose E has d roots x_j, the error values follow in
     closed form, e_j = W(x_j) / (z_j E'(x_j)) with W_p = sum_l E_{l+p+1}
@@ -180,11 +172,11 @@ def decode_many(p: GrsParams, words: np.ndarray) -> tuple[np.ndarray, np.ndarray
     E / (X - x_j) they are sum_{l<t} Q_{j,l} syn_l and Q_j(x_j).  E has d
     distinct roots, so E'(x_j), the product of the x_j - x_i over the
     others, is never zero, even where some (p+1) E_{p+1} vanishes mod p.
-    The word is accepted only when e has all n-k syndromes of s; that
+    The word is accepted only when e has all n-k syndromes of r; that
     rejects every word with no codeword within t, whatever its E.  Then
-    s - e is a word of RS_k(x, 1), and its first k values times
-    ``p.interpolation`` give the message.  Every step is one operation over
-    the whole stack, on tables of ``p`` built on its first decode.
+    r - e is a codeword, and its first k values times ``p.interpolation``
+    give the message.  Every step is one operation over the whole stack, on
+    tables of ``p`` built on its first decode.
 
     The words must hold field elements, integers in [0, q): they are not
     checked here, since the decryption sweep calls this on every
@@ -194,8 +186,7 @@ def decode_many(p: GrsParams, words: np.ndarray) -> tuple[np.ndarray, np.ndarray
     r = np.asarray(words, dtype=np.int64)
     if r.ndim != 2 or r.shape[1] != n:
         raise DimensionMismatch(f"received words must have length n={n}")
-    s = f.mul(r, p.y_inv)
-    syn = linalg.matmul(f, s, p.parity_checks_t)
+    syn = linalg.matmul(f, r, p.parity_checks_t)
     hankel = syn[:, np.arange(n - k - t)[:, None] + np.arange(t + 1)[None, :]]
     table = linalg.batched_rref(f, hankel, t)
     # d: the first zero row of the table, where its diagonal (1 at a pivot)
@@ -220,7 +211,7 @@ def decode_many(p: GrsParams, words: np.ndarray) -> tuple[np.ndarray, np.ndarray
     good = np.all(linalg.matmul(f, err, p.parity_checks_t) == syn[keep], axis=1)
     keep = keep[good]
     msgs = np.zeros((r.shape[0], k), dtype=np.int64)
-    msgs[keep] = linalg.matmul(f, f.sub(s[keep, :k], err[good, :k]), p.interpolation)
+    msgs[keep] = linalg.matmul(f, f.sub(r[keep, :k], err[good, :k]), p.interpolation)
     ok = np.zeros(r.shape[0], dtype=bool)
     ok[keep] = True
     return msgs, ok
@@ -270,7 +261,7 @@ def recover_multipliers(x: np.ndarray, k: int, sub: LinearCode) -> np.ndarray | 
     GRS_m(x, y) is y L_i(x) / y[P_i], with L_i the Lagrange basis on the
     pivot points P.  So row 0 gives y / y[P_0] on the free columns, and one
     free column r gives y[P_i] = y[r] L_i(x_r) / A[i, r].  The y so read is
-    returned only if sub / y lies in RS_k(x, 1).
+    returned only if sub meets every parity check of GRS_k(x, y).
     """
     f = sub.field
     x = np.asarray(x, dtype=np.int64)
@@ -290,8 +281,7 @@ def recover_multipliers(x: np.ndarray, k: int, sub: LinearCode) -> np.ndarray | 
     y[free] = f.div(f.mul(c.gen[0, free], f.mul(f.sub(x[free], x[piv[0]]), ell[piv[0]])), ell[free])
     y[piv] = f.div(f.mul(y[r], ell[r]), f.mul(c.gen[:, r], f.mul(f.sub(x[r], x[piv]), ell[piv])))
     y = f.div(y, y[n - 1])
-    checks = GrsParams(f, x, np.ones(n, dtype=np.int64), k).parity_checks_t
-    return None if linalg.matmul(f, f.div(sub.gen, y), checks).any() else y
+    return None if linalg.matmul(f, sub.gen, GrsParams(f, x, y, k).parity_checks_t).any() else y
 
 
 def _cross_ratio_points(c: LinearCode):

@@ -150,7 +150,7 @@ def keygen(f: GF, n: int, k: int, rng: np.random.Generator) -> tuple[PublicKey, 
     s_mat = linalg.random_invertible(f, k, rng)
     perm = rng.permutation(n).astype(np.int64)
     g_c = params.generator[:, perm]
-    c_rref, c_pivots = linalg.rref(f, g_c)
+    checks = grs.dual_params(params).generator[:, perm]  # C's parity checks
 
     def nonzero_vec() -> np.ndarray:
         while True:
@@ -167,7 +167,7 @@ def keygen(f: GF, n: int, k: int, rng: np.random.Generator) -> tuple[PublicKey, 
             continue  # singular Q
         if not linalg.matmul(f, g_c, sk.lam).any():
             continue  # lam orthogonal to C: degenerate, public code equals C
-        if not linalg.reduce_row(f, c_rref, c_pivots, sk.a).any():
+        if not linalg.matmul(f, checks, sk.a).any():
             continue  # a in C: the public code p + <lam, p> a coincides with C
         return pk, sk
     raise ResampleExhausted(f"no acceptable mask after {_MAX_RESAMPLE} samples")
@@ -228,15 +228,19 @@ def canonical_choice(candidates: list[tuple[int, np.ndarray]], t: int) -> np.nda
     return min(candidates, key=lambda c: (c[0] != t, c[0], tuple(c[1].tolist())))[1]
 
 
+# Entries, at most, in a sweep block's shifted words and in its Hankel stack.
+_SWEEP_BLOCK = 1 << 20
+
+
 def sweep_decrypt(
     key: PublicKey | SecretKey, c: np.ndarray, code: grs.GrsParams,
     direction: np.ndarray, to_plain: np.ndarray,
 ) -> list[tuple[int, np.ndarray]]:
     """The shift sweep shared by both decryptors.
 
-    Decodes c - s * direction in ``code`` for every s in GF(q), all q words
-    in one ``grs.decode_many`` call, maps the decoded messages (coefficients
-    in ``code.generator``) to plaintexts by the k x k matrix
+    Decodes c - s * direction in ``code`` for every s in GF(q), by blocks of
+    2^20 / ((t + 1) n) words (``grs.decode_many``), maps the decoded messages
+    (coefficients in ``code.generator``) to plaintexts by the k x k matrix
     ``to_plain``, and keeps those whose public codeword lies within t of c.
     Returns the distinct verified (error weight, plaintext) candidates, in
     shift order; raises DecryptionFailure when there is none, and FieldError
@@ -246,9 +250,13 @@ def sweep_decrypt(
     c = f.as_elements(c, "ciphertext")
     if c.shape != (key.n,):
         raise DimensionMismatch(f"ciphertext length must be n={key.n}")
-    words = f.sub(c[None, :], f.mul(f.elements()[:, None], direction[None, :]))
-    msgs, ok = grs.decode_many(code, words)
-    plain = linalg.matmul(f, msgs[ok], to_plain)
+    block = max(1, _SWEEP_BLOCK // ((key.t + 1) * key.n))
+    found = []
+    for start in range(0, f.q, block):
+        shifts = f.elements()[start : start + block]
+        msgs, ok = grs.decode_many(code, f.sub(c, f.mul(shifts[:, None], direction)))
+        found.append(msgs[ok])
+    plain = linalg.matmul(f, np.concatenate(found), to_plain)
     weights = np.count_nonzero(f.sub(c[None, :], linalg.matmul(f, plain, key.g_pub)), axis=1)
     candidates = {m.tobytes(): (int(w), m) for w, m in zip(weights, plain) if w <= key.t}
     if not candidates:

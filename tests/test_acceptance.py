@@ -5,7 +5,6 @@ lines; the whole suite is also part of the default ``pytest`` run.
 """
 
 import itertools
-import os
 import statistics
 
 import numpy as np
@@ -284,10 +283,6 @@ def test_criterion_10_oracle_equivalence(low_rate_campaign, dual_campaign):
     )
 
 
-@pytest.mark.skipif(
-    not os.environ.get("RUN_STRETCH"),
-    reason="optional stretch run; set RUN_STRETCH=1 to enable",
-)
 def test_criterion_11_stretch_gf32_dual():
     pk, sk = scheme.keygen(GF32, 31, 24, np.random.default_rng(9000))
     rk, st = atk.recover_key(pk, AttackConfig(seed=9001))

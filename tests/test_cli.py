@@ -68,6 +68,18 @@ class TestFileFormat:
         assert np.array_equal(loaded.g_pub, sk.g_pub)
         assert peak < 8 * 2**20
 
+    def test_blank_lines_between_sections(self, keydir):
+        """The reader skips blank lines between sections: a secret key with
+        one before every section header loads as the key itself."""
+        _, _, sec = keydir
+        text = sec.read_text()
+        spaced = sec.with_name("spaced.key")
+        spaced.write_text(text.replace("\n@", "\n\n@"))
+        assert spaced.read_text().count("\n\n@") == text.count("\n@") > 1
+        _pk, sk = fileio.load_secret_key(sec)
+        _pk, again = fileio.load_secret_key(spaced)
+        assert again.grs == sk.grs and np.array_equal(again.g_pub, sk.g_pub)
+
     def test_vector_round_trip(self, tmp_path, gf16):
         v = np.array([3, 1, 4, 1, 5, 9], dtype=np.int64)
         path = tmp_path / "v.txt"
@@ -601,13 +613,14 @@ class TestCliWorkflows:
 
     def test_bench_grid(self, tmp_path, capsys):
         """Two seeded replicas at each of (15, 6) and (15, 9) all succeed,
-        with pinned mean outer trials."""
+        with pinned mean outer trials; at (15, 7), in the dead interval,
+        both count as failures, with no trials."""
         csv_path = tmp_path / "bench.csv"
-        rc = main(["bench", *FIELD_ARGS, "--n", "15", "--k", "6,9", "--reps", "2", "--seed", "1",
+        rc = main(["bench", *FIELD_ARGS, "--n", "15", "--k", "6,9,7", "--reps", "2", "--seed", "1",
                    "--csv", str(csv_path)])
         assert rc == 0
         assert f"csv written to {csv_path}" in capsys.readouterr().out
         rows = list(csv.DictReader(csv_path.read_text().splitlines()))
         assert [(r["k"], r["ok"], r["mean_trials"]) for r in rows] == [
-            ("6", "2", "2237.5"), ("9", "2", "11598.5")
+            ("6", "2", "2237.5"), ("9", "2", "11598.5"), ("7", "0", "nan")
         ]

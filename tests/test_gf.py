@@ -57,11 +57,11 @@ class TestConstruction:
         with pytest.raises(NonPrimeCharacteristic):
             GF(6)
 
-    @pytest.mark.parametrize("p, m", [(2**61 - 1, 1), (3, 100000)])
+    @pytest.mark.parametrize("p, m", [(2**61 - 1, 1), (3, 100000), (3, 11)])
     def test_oversized_field_rejected_at_once(self, p, m):
         """The bounds on p and m come before the trial division of p and the
         power p**m, which would take unbounded time on a huge key-file
-        header."""
+        header; 3^11 passes both and is refused by the bound on q."""
         start = time.perf_counter()
         with pytest.raises(FieldError):
             GF(p, m)

@@ -28,6 +28,24 @@ class TestParams:
         with pytest.raises(InvalidParams):
             GrsParams(gf5, np.arange(4), np.ones(4, dtype=np.int64), 4)
 
+    def test_length_mismatch_rejected(self, gf5):
+        with pytest.raises(InvalidParams, match="same length"):
+            GrsParams(gf5, np.arange(4), np.ones(3, dtype=np.int64), 2)
+
+    @pytest.mark.parametrize(
+        "field,n,k", [("gf16", 15, 6), ("gf16", 15, 9), ("gf7", 6, 1), ("gf9", 9, 3)]
+    )
+    def test_tables_are_dual_generator_and_inverse(self, request, field, n, k):
+        """The parity checks are the dual code's generator, so the code
+        meets them, and the interpolation matrix inverts the generator on
+        the first k points."""
+        f = request.getfixturevalue(field)
+        p = grs.random_params(f, n, k, np.random.default_rng(n + k))
+        assert np.array_equal(p.parity_checks_t, grs.dual_params(p).generator.T)
+        assert not la.matmul(f, p.generator, p.parity_checks_t).any()
+        eye = la.matmul(f, p.generator[:, :k], p.interpolation)
+        assert np.array_equal(eye, np.eye(k, dtype=np.int64))
+
     def test_points_multipliers_and_tables_are_read_only(self, gf16, rng):
         p = grs.random_params(gf16, 15, 6, rng)
         for table in (p.x, p.y, p.generator, p.parity_checks_t, p.locator_rows, p.interpolation):
@@ -283,6 +301,15 @@ class TestDecode:
         with pytest.raises(FieldError, match="received word"):
             grs.decode(p, [bad] + [0] * 14)
 
+    def test_wrong_lengths_refused(self, gf16, rng):
+        p = grs.random_params(gf16, 15, 6, rng)
+        with pytest.raises(la.DimensionMismatch, match="message length"):
+            grs.encode(p, np.zeros(5, dtype=np.int64))
+        for words in (np.zeros(15, dtype=np.int64), np.zeros((2, 14), dtype=np.int64),
+                      np.zeros((1, 2, 15), dtype=np.int64)):
+            with pytest.raises(la.DimensionMismatch, match="length n=15"):
+                grs.decode_many(p, words)
+
 
 class TestDualParams:
     def test_matches_kernel_dual(self, gf16, gf7, rng):
@@ -428,6 +455,20 @@ class TestRecoverMultipliers:
         want = f.div(p.y, p.y[n - 1])
         for code in (c, sub):
             assert np.array_equal(grs.recover_multipliers(p.x, k, code), want)
+
+    @pytest.mark.parametrize(
+        "points,sub_shape,k",
+        [(14, (6, 15), 6), ("repeated", (6, 15), 6), (15, (3, 14), 6), (15, (6, 15), 5),
+         (15, (6, 15), 0), (15, (6, 15), 15)],
+        ids=["points-length", "repeated-points", "subcode-length", "subcode-too-big",
+             "k-zero", "k-n"],
+    )
+    def test_inconsistent_inputs_refused(self, gf16, points, sub_shape, k):
+        p = grs.random_params(gf16, 15, 6, np.random.default_rng(0))
+        sub = code_from_generator(gf16, p.generator[: sub_shape[0], : sub_shape[1]])
+        x = np.concatenate([p.x[:14], p.x[:1]]) if points == "repeated" else p.x[:points]
+        with pytest.raises(InvalidParams, match="inconsistent"):
+            grs.recover_multipliers(x, k, sub)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_subcode_on_permuted_points_refused(self, gf16, seed):

@@ -239,6 +239,18 @@ class TestInverse:
         with pytest.raises(SingularMatrix):
             la.inverse(gf7, np.array([[1, 2], [2, 4]]))
 
+    @pytest.mark.parametrize("a", [[[1, 2, 3], [4, 5, 6]], [1, 2]], ids=["non-square", "1-D"])
+    def test_non_square_raises(self, gf7, a):
+        with pytest.raises(DimensionMismatch):
+            la.inverse(gf7, np.array(a))
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (3,), (2, 2, 2, 2)])
+@pytest.mark.parametrize("fn", [la.batched_rank, la.batched_rref])
+def test_batched_eliminations_need_a_stack(gf7, fn, shape):
+    with pytest.raises(DimensionMismatch, match="stack of matrices"):
+        fn(gf7, np.ones(shape, dtype=np.int64))
+
 
 class TestIntersect:
     def test_self_intersection(self, gf16, rng):
@@ -454,6 +466,10 @@ class TestRandomSampling:
         for k in (1, 2, 5):
             m = la.random_invertible(gf2, k, rng)
             assert la.rank(gf2, m) == k
+
+    def test_invertible_needs_positive_size(self, gf2, rng):
+        with pytest.raises(DimensionMismatch, match="k must be >= 1"):
+            la.random_invertible(gf2, 0, rng)
 
     def test_invertible_reproducible(self, gf16):
         m1 = la.random_invertible(gf16, 4, np.random.default_rng(99))

@@ -1,13 +1,14 @@
 """Keygen invariants, encryption, and legitimate decryption."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from grs_squarebreak import attack, grs, linalg as la, scheme
 from grs_squarebreak.codes import code_from_generator
-from grs_squarebreak.gf import FieldError
+from grs_squarebreak.gf import GF, FieldError
 from grs_squarebreak.scheme import DecryptionFailure, InvalidDimensions
 
 
@@ -258,6 +259,24 @@ class TestDecrypt:
                     continue
                 # a decode may land on a different codeword, never the true one
                 assert not np.array_equal(out, msg)
+
+    def test_sweep_memory_is_bounded(self):
+        """Peak traced memory of one decryption at GF(4096) (60, 29) stays
+        under 48 MiB: the 4096 shifted words are decoded in blocks, not in
+        one stack (which peaks at about 85 MiB)."""
+        f = GF(2, 12, 4179)
+        pk, sk = scheme.keygen(f, 60, 29, np.random.default_rng(0))
+        rng = np.random.default_rng(1)
+        msg = rng.integers(0, f.q, 29)
+        z = scheme.encrypt(pk, msg, rng)
+        tracemalloc.start()
+        try:
+            got = scheme.decrypt(sk, z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got, msg)
+        assert peak < 48 * 2**20
 
     def test_malformed_length(self, keypair16):
         f, pk, sk = keypair16
