@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Digest of the seeded attack: trial counters and recovered keys, per key.
 
-Usage: python scripts/attack_digest.py [--campaign] [--keys GF16] [--keygen] [--decode]
+Usage: python scripts/attack_digest.py [--campaign] [--keys GF16] [--keygen] [--decode] [--fields]
 
 For each key it prints the outer trials, inner trials and restarts of
 ``recover_key`` and a sha256 over the recovered (x, y, a0, lam0), then one
@@ -23,6 +23,12 @@ random words), and over both decryptors' sorted candidate sets on 40 seeded
 ciphertexts at each of the benchmark's three points (the ciphertexts of the
 acceptance campaigns; ciphertext 6 of key 3020 is a genuine tie): two trees
 that print the same value decode and decrypt alike.
+
+--fields prints instead one sha256 over both decryptors' sorted candidate
+sets on 20 seeded ciphertexts at each of GF(27) (26, 10), GF(729) (16, 6)
+and GF(961) (20, 8), on seeded keys with their true masking pair: odd
+extension fields whose decoder sums run over more terms than one integer
+sum of spread digits holds (``GF.sum``).
 """
 
 import argparse
@@ -71,6 +77,9 @@ DECRYPT_KEYS = [
     ("GF25", 16, 6, 5002, 6002),
 ]
 DECRYPT_CIPHERTEXTS = 40
+# (field, n, k) of the fields digest, each with FIELD_CIPHERTEXTS ciphertexts
+FIELD_POINTS = [((3, 3, 34), 26, 10), ((3, 6, 734), 16, 6), ((31, 2, 962), 20, 8)]
+FIELD_CIPHERTEXTS = 20
 
 
 def digest_line(field: str, n: int, k: int, keygen_seed: int, attack_seed: int) -> str:
@@ -121,6 +130,21 @@ def decode_words(h, point: int) -> int:
     return len(words)
 
 
+def hash_candidates(h, pk, sk, rk, rng, count: int) -> int:
+    """Feed h both decryptors' sorted candidate sets on count seeded
+    ciphertexts; returns the number of tied ciphertexts."""
+    tied = 0
+    for _ in range(count):
+        z = scheme.encrypt(pk, rng.integers(0, pk.field.q, pk.k, dtype=np.int64), rng)
+        routes = (scheme.decrypt_candidates(sk, z), atk.pair_candidates(rk, pk, z))
+        for cands in routes:
+            for weight, plain in sorted(cands, key=lambda c: (c[0], c[1].tolist())):
+                h.update(np.append(plain, weight).astype(np.int64).tobytes())
+            h.update(b"|")
+        tied += any(len(cands) > 1 for cands in routes)
+    return tied
+
+
 def decrypt_line(h, field: str, n: int, k: int, keygen_seed: int, attack_seed: int) -> str:
     """Feed h both decryptors' sorted candidate sets on the key's seeded
     ciphertexts; returns a line with the number of tied ciphertexts."""
@@ -128,17 +152,22 @@ def decrypt_line(h, field: str, n: int, k: int, keygen_seed: int, attack_seed: i
     pk, sk = scheme.keygen(f, n, k, np.random.default_rng(keygen_seed))
     rk, _st = atk.recover_key(pk, atk.AttackConfig(seed=attack_seed))
     rng = np.random.default_rng(attack_seed + 7000)  # as in the acceptance campaigns
-    tied = 0
-    for _ in range(DECRYPT_CIPHERTEXTS):
-        z = scheme.encrypt(pk, rng.integers(0, f.q, k, dtype=np.int64), rng)
-        routes = (scheme.decrypt_candidates(sk, z), atk.pair_candidates(rk, pk, z))
-        for cands in routes:
-            for weight, plain in sorted(cands, key=lambda c: (c[0], c[1].tolist())):
-                h.update(np.append(plain, weight).astype(np.int64).tobytes())
-            h.update(b"|")
-        tied += any(len(cands) > 1 for cands in routes)
+    tied = hash_candidates(h, pk, sk, rk, rng, DECRYPT_CIPHERTEXTS)
     return (f"{field} ({n}, {k}) {keygen_seed}/{attack_seed}: "
             f"{DECRYPT_CIPHERTEXTS} ciphertexts, {tied} tied")
+
+
+def field_line(h, point: int) -> str:
+    """Feed h both decryptors' sorted candidate sets at FIELD_POINTS[point],
+    the pair route with the key's true masking pair; returns a line with the
+    number of tied ciphertexts."""
+    field, n, k = FIELD_POINTS[point]
+    f = GF(*field)
+    rng = np.random.default_rng([11, point])
+    pk, sk = scheme.keygen(f, n, k, rng)
+    rk = atk.RecoveredKey(scheme.masked_params(sk), sk.a, sk.lam, None)
+    tied = hash_candidates(h, pk, sk, rk, rng, FIELD_CIPHERTEXTS)
+    return f"GF{f.q} ({n}, {k}): {FIELD_CIPHERTEXTS} ciphertexts, {tied} tied"
 
 
 def main():
@@ -148,7 +177,16 @@ def main():
     ap.add_argument("--keygen", action="store_true", help="digest the keygen outputs instead")
     ap.add_argument("--decode", action="store_true",
                     help="digest the decoder and decryptor outputs instead")
+    ap.add_argument("--fields", action="store_true",
+                    help="digest both decryptors over GF(27), GF(729) and GF(961) instead")
     args = ap.parse_args()
+
+    if args.fields:
+        h = hashlib.sha256()
+        for point in range(len(FIELD_POINTS)):
+            print(field_line(h, point))
+        print(f"fields digest: {h.hexdigest()}")
+        return
 
     if args.decode:
         h = hashlib.sha256()

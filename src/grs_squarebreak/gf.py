@@ -13,8 +13,12 @@ matrix over GF(p): the antilog table of a candidate g doubles in length by
 one product with the matrix of g^L, which is then squared.  The modulus is
 checked by dividing it by every monic polynomial of degree at most m/2 at
 once.  Fields of at most 1024 elements multiply, and in odd characteristic
-add and subtract, by one gather from a q x q table; odd extension fields
-sum by a tree of pairwise adds.  Two operands of fewer than 512 elements
+add and subtract, by one gather from a q x q table.  Odd extension fields
+of that size sum as integers: one gather spreads each element's base-p
+digits some bits apart, one integer sum adds them with no carry between
+digits, and one gather reads each digit mod p (in rounds, when the terms
+are too many for one sum); larger odd extension fields sum by a tree of
+pairwise adds.  Two operands of fewer than 512 elements
 each, as in most of the decoders' calls, are looked up by a 2-D gather at
 [a, b]; when either has 512 or more (the attack's stacks), by one ``take``
 at a*q + b from the flattened table, which costs two more ufunc calls but
@@ -179,12 +183,28 @@ class GF:
         # One-gather arithmetic for small fields (xor needs no table): the
         # attack loops are dominated by it, so this is worth q^2 memory.
         self._mul_table = self._add_table = self._sub_table = None
+        self._spread = self._back = None
         if q <= 1024:
             self._mul_table = self.mul(elems[:, None], elems[None, :])
             if p != 2:
                 self._add_table = self.add(elems[:, None], elems[None, :])
                 self._sub_table = self.sub(elems[:, None], elems[None, :])
-        for table in (exp, log, inv, self._mul_table, self._add_table, self._sub_table):
+            if p != 2 and m > 1:
+                # Sums add spread[e], e's digits placed `width` bits apart, as
+                # integers: up to `_most` terms (at least two) fit each field
+                # with no carry into the next, and back[s] reads every field
+                # of s mod p.  back has 2^(width m) entries: at most 2^16,
+                # except 2^18 at GF(729).
+                width = max(16 // m, (2 * p - 2).bit_length())
+                self._most = ((1 << width) - 1) // (p - 1)
+                self._spread = (elems[:, None] // pw % p) @ (1 << width * np.arange(m))
+                digit = np.arange(1 << width) % p
+                back = digit
+                for i in range(1, m):
+                    back = np.add.outer(digit * p**i, back).ravel()
+                self._back = back
+        for table in (exp, log, inv, self._mul_table, self._add_table, self._sub_table,
+                      self._spread, self._back):
             if table is not None:
                 table.flags.writeable = False
 
@@ -254,12 +274,23 @@ class GF:
     # -- reductions -------------------------------------------------------
 
     def sum(self, arr, axis=-1):
+        """The field sum of arr along axis: xor in characteristic 2, an
+        integer sum mod p in prime fields, a sum of spread digits in odd
+        extension fields with add tables, and otherwise a tree of pairwise
+        adds."""
         arr = np.asarray(arr)
         if self.p == 2:
             return np.bitwise_xor.reduce(arr, axis=axis)
         if self.m == 1:
             return arr.sum(axis=axis) % self.p
-        # Pairwise halving: one add per level.
+        if self._back is not None:
+            # Chunks of at most _most terms, each mapped back to an element,
+            # until one chunk is left.
+            while arr.shape[axis] > self._most:
+                starts = np.arange(0, arr.shape[axis], self._most)
+                arr = self._back[np.add.reduceat(self._spread[arr], starts, axis=axis)]
+            return self._back[self._spread[arr].sum(axis=axis)]
+        # Above the table bound, pairwise halving: one add per level.
         arr = np.moveaxis(arr, axis, 0)
         if not len(arr):
             return np.zeros(arr.shape[1:], dtype=np.int64)

@@ -13,7 +13,8 @@ the decryption sweep does for its q shifted words, ``decode`` one word),
 the dual-code multiplier formula, and two reconstruction routines used by
 the attack.  A ``GrsParams`` is read-only and builds its key-fixed tables
 (the generator, the dual's generator as parity checks, the locator power
-rows and the interpolation matrix) once, on first use, for every decode.
+rows, the interpolation matrix, the Hankel index of the locator system and
+the 0/1 matrix that forms W) once, on first use, for every decode.
 
 The reconstruction routines:
 
@@ -80,7 +81,7 @@ class GrsParams:
         """Unique-decoding radius floor((n-k)/2)."""
         return (self.n - self.k) // 2
 
-    # Key-fixed tables, built on first use (``decode_many`` reads all four,
+    # Key-fixed tables, built on first use (``decode_many`` reads all six,
     # ``decode`` and the attack and key generation only the generator).  Like
     # x and y they are read-only, so no caller can make them disagree with
     # the code.
@@ -101,6 +102,20 @@ class GrsParams:
         """(t+1) x n matrix with row j equal to x^j: monic @ it evaluates
         degree-t locators at the points."""
         return linalg.frozen(_rows(self.field, np.ones(self.n, dtype=np.int64), self.x, self.t + 1))
+
+    @cached_property
+    def hankel_index(self) -> np.ndarray:
+        """(n-k-t) x (t+1) matrix with entry (j, l) equal to j + l: the n-k
+        syndromes taken at it form the locator system."""
+        return linalg.frozen(np.arange(self.n - self.k - self.t)[:, None] + np.arange(self.t + 1))
+
+    @cached_property
+    def w_select(self) -> np.ndarray:
+        """(t+1) t x t 0/1 matrix: the products E_i syn_l, flattened to row
+        i t + l, times it give W_p = sum_l E_{l+p+1} syn_l."""
+        t = self.t
+        select = np.arange(t + 1)[:, None, None] == np.add.outer(np.arange(t), np.arange(1, t + 1))
+        return linalg.frozen(select.reshape((t + 1) * t, t))
 
     @cached_property
     def interpolation(self) -> np.ndarray:
@@ -187,7 +202,7 @@ def decode_many(p: GrsParams, words: np.ndarray) -> tuple[np.ndarray, np.ndarray
     if r.ndim != 2 or r.shape[1] != n:
         raise DimensionMismatch(f"received words must have length n={n}")
     syn = linalg.matmul(f, r, p.parity_checks_t)
-    hankel = syn[:, np.arange(n - k - t)[:, None] + np.arange(t + 1)[None, :]]
+    hankel = syn[:, p.hankel_index]
     table = linalg.batched_rref(f, hankel, t)
     # d: the first zero row of the table, where its diagonal (1 at a pivot)
     # first reads 0, or t.  E is minus column d of the table (zero at the
@@ -201,9 +216,8 @@ def decode_many(p: GrsParams, words: np.ndarray) -> tuple[np.ndarray, np.ndarray
     keep = np.nonzero(np.count_nonzero(root, axis=1) == d)[0]
 
     # W from the products E_i syn_l by a 0/1 matrix, then W and E' at every point.
-    select = np.arange(t + 1)[:, None, None] == np.add.outer(np.arange(t), np.arange(1, t + 1))
     terms = f.mul(monic[keep, :, None], syn[keep, None, :t]).reshape(keep.size, (t + 1) * t)
-    coef_w = linalg.matmul(f, terms, select.reshape((t + 1) * t, t))
+    coef_w = linalg.matmul(f, terms, p.w_select)
     coef_d = f.mul(np.arange(1, t + 1) % f.p, monic[keep, 1:])
     vals = linalg.matmul(f, np.concatenate([coef_w, coef_d]), p.locator_rows[:t])
     at_w, at_d = vals[: keep.size], vals[keep.size :]

@@ -863,13 +863,16 @@ class TestDecryptWithPair:
 
     @pytest.mark.parametrize(
         "field,n,k",
-        [((17,), 16, 6), ((17,), 17, 9), ((13,), 12, 4), ((3, 2, 17), 8, 3), ((7,), 7, 2)],
-        ids=["GF17-16-6", "GF17-17-9", "GF13-12-4", "GF9-8-3", "GF7-7-2"],
+        [((17,), 16, 6), ((17,), 17, 9), ((13,), 12, 4), ((3, 2, 17), 8, 3), ((7,), 7, 2),
+         ((3, 6, 734), 16, 6), ((31, 2, 962), 20, 8)],
+        ids=["GF17-16-6", "GF17-17-9", "GF13-12-4", "GF9-8-3", "GF7-7-2",
+             "GF729-16-6", "GF961-20-8"],
     )
     def test_odd_characteristic_routes_agree(self, field, n, k):
         """Over odd-characteristic fields, prime and extension, both routes
         return one candidate set for every weight-t ciphertext, and it holds
-        the sent plaintext at weight t."""
+        the sent plaintext at weight t.  Over GF(729) and GF(961) the
+        decoder's field sums take chunk rounds."""
         f = GF(*field)
         for seed in range(3):
             pk, sk = scheme.keygen(f, n, k, np.random.default_rng(seed))

@@ -294,6 +294,14 @@ def schoolbook_sum(arr: np.ndarray, axis: int, p: int, m: int) -> np.ndarray:
 
 SUM_FIELDS = [GF(3, 2, 10), GF(5, 2, 32), GF(3, 3, 34), GF(3, 7, 2198)]
 SUM_IDS = ["GF9", "GF25", "GF27", "GF3^7"]
+# Every odd extension field with add tables (q <= 1024), each with its
+# smallest irreducible modulus, as (p, m, modulus).
+ODD_EXTENSIONS = [
+    (3, 2, 10), (3, 3, 34), (3, 4, 86), (3, 5, 250), (3, 6, 734),
+    (5, 2, 27), (5, 3, 131), (5, 4, 627), (7, 2, 50), (7, 3, 345),
+    (11, 2, 122), (13, 2, 171), (17, 2, 292), (19, 2, 362), (23, 2, 530),
+    (29, 2, 843), (31, 2, 962),
+]
 
 
 class TestSum:
@@ -307,6 +315,27 @@ class TestSum:
             got = f.sum(arr, axis=axis)
             assert np.shape(got) == shape[:axis] + shape[axis + 1 :]
             assert np.asarray(got).tolist() == schoolbook_sum(arr, axis, f.p, f.m).tolist()
+
+    @pytest.mark.parametrize(
+        "field", ODD_EXTENSIONS, ids=[f"GF{p**m}" for p, m, _ in ODD_EXTENSIONS]
+    )
+    def test_odd_extension_fields_with_tables(self, field, rng):
+        """Odd extension fields with add tables sum as integers: on every
+        axis, and on axes of ``_most``, ``_most + 1`` and ``3 _most + 2``
+        terms, where chunk rounds run.  Every digit of q - 1 is p - 1, so a
+        sum of more than ``_most`` of it carries unless chunked.  The two
+        tables are read-only and hold at most 2^18 entries."""
+        f = GF(*field)
+        most = f._most
+        for shape in [(2, 3, 4), (most, 2), (2, most + 1), (3 * most + 2,), (3, 3 * most + 2, 2)]:
+            for arr in (rng.integers(0, f.q, shape), np.full(shape, f.q - 1)):
+                for axis in range(len(shape)):
+                    got = f.sum(arr, axis=axis)
+                    assert np.asarray(got).tolist() == schoolbook_sum(arr, axis, f.p, f.m).tolist()
+        for table in (f._spread, f._back):
+            assert table.size <= 1 << 18
+            with pytest.raises(ValueError):
+                table[0] = 1
 
     @pytest.mark.parametrize("f", SUM_FIELDS, ids=SUM_IDS)
     def test_length_one_axis_returns_a_copy(self, f):

@@ -48,7 +48,8 @@ class TestParams:
 
     def test_points_multipliers_and_tables_are_read_only(self, gf16, rng):
         p = grs.random_params(gf16, 15, 6, rng)
-        for table in (p.x, p.y, p.generator, p.parity_checks_t, p.locator_rows, p.interpolation):
+        for table in (p.x, p.y, p.generator, p.parity_checks_t, p.locator_rows, p.interpolation,
+                      p.hankel_index, p.w_select):
             with pytest.raises(ValueError):
                 table.flat[0] = 1
 

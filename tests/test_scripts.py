@@ -68,6 +68,20 @@ def test_decode_digest(monkeypatch, capsys):
     )
 
 
+def test_fields_digest(monkeypatch, capsys):
+    """Both decryptors' candidate sets on 60 seeded ciphertexts over
+    GF(27), GF(729) and GF(961), where the decoder's field sums take more
+    than one integer round, pinned: a change that moves it decrypts
+    differently over odd extension fields."""
+    out = run_script("attack_digest.py", ["--fields"], monkeypatch, capsys)
+    assert out == (
+        "GF27 (26, 10): 20 ciphertexts, 0 tied\n"
+        "GF729 (16, 6): 20 ciphertexts, 0 tied\n"
+        "GF961 (20, 8): 20 ciphertexts, 0 tied\n"
+        "fields digest: e859599525aaa2e927f9758bd19e76613cb3d0ee62f2a1b86da2f5d84f922156\n"
+    )
+
+
 def test_campaign_digest(monkeypatch, capsys):
     """The counters and recovered keys of the 5 benchmark keys and the 40
     acceptance-campaign keys, pinned by one sha256 over their lines."""
