@@ -99,18 +99,22 @@ def star_rows(f: GF, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def code_from_generator(f: GF, g) -> LinearCode:
     """Canonicalize a (possibly redundant) generator matrix into a code."""
-    r, pivots = linalg.rref(f, g)
+    return _code(f, *linalg.rref(f, g))
+
+
+def _code(f: GF, r: np.ndarray, pivots: list[int]) -> LinearCode:
     if not pivots:
         raise ZeroMatrix("generator spans only the zero vector")
     return LinearCode(f, r, tuple(pivots))
 
 
 def random_code(f: GF, k: int, n: int, rng: np.random.Generator) -> LinearCode:
-    """Uniform k-dimensional code of length n (rank-k rejection sampling)."""
+    """Uniform k-dimensional code of length n (rank-k rejection sampling):
+    each draw's rank test is the elimination that canonicalizes it."""
     for _ in range(1000):
-        g = linalg.random_matrix(f, k, n, rng)
-        if linalg.rank(f, g) == k:
-            return code_from_generator(f, g)
+        r, pivots = linalg.rref(f, linalg.random_matrix(f, k, n, rng))
+        if len(pivots) == k:
+            return _code(f, r, pivots)
     raise RuntimeError("failed to sample a full-rank generator")
 
 

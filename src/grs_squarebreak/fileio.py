@@ -8,7 +8,10 @@ Every file starts with three header lines::
 
 followed by named sections, each ``@<name> <rows> <cols>`` and then the rows
 as space-separated integer-encoded field elements.  The format is grep-able
-and diff-able and round-trips bit-exactly.
+and diff-able and round-trips bit-exactly.  ``dumps`` joins each row's
+Python ints once; ``loads`` checks every row's length, then converts the
+whole section with one ``np.array`` call, which parses its tokens as
+``int`` does.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ def dumps(f: GF, n: int, k: int, sections: dict[str, np.ndarray]) -> str:
         if arr.ndim == 1:
             arr = arr.reshape(1, -1)
         lines.append(f"@{name} {arr.shape[0]} {arr.shape[1]}")
-        lines.extend(" ".join(str(int(v)) for v in row) for row in arr)
+        lines.extend(" ".join(map(str, row)) for row in arr.tolist())
     return "\n".join(lines) + "\n"
 
 
@@ -103,26 +106,43 @@ def loads(text: str) -> ParsedFile:
             raise FileFormatError(f"bad section shape in {line!r}")
         if len(lines) - i < rows:
             raise FileFormatError(f"section @{name} is truncated")
-        parsed = []
+        tokens: list[str] = []
         for r, row in enumerate(lines[i : i + rows]):
             vals = row.split()
             if len(vals) != cols:
+                _refuse_non_integer(name, tokens)  # one in an earlier row is named first
                 raise FileFormatError(
                     f"section @{name} row {r} has {len(vals)} entries, expected {cols}"
                 )
-            try:
-                parsed.append([int(v) for v in vals])
-            except ValueError as e:
-                raise FileFormatError(f"non-integer entry in section @{name}") from e
+            tokens.extend(vals)
         i += rows
+        data = _entries(name, tokens)
         try:
-            data = np.array(parsed, dtype=np.int64).reshape(rows, cols)
-        except (OverflowError, ValueError) as e:  # an entry, or the shape of an empty section
+            data = data.reshape(rows, cols)
+        except (OverflowError, ValueError) as e:  # the shape of an empty section
             raise FileFormatError(f"section @{name} has an entry or shape out of range") from e
         if name != "perm" and (np.any(data < 0) or np.any(data >= f.q)):
             raise FileFormatError(f"section @{name} has entries outside [0, {f.q})")
         sections[name] = data
     return ParsedFile(f, n, k, sections)
+
+
+def _entries(name: str, tokens: list[str]) -> np.ndarray:
+    """The tokens of section @name, parsed by ``int``, as one int64 array;
+    a token that is no integer is refused before one beyond int64."""
+    try:
+        return np.array(tokens, dtype=np.int64)
+    except (OverflowError, ValueError) as e:
+        _refuse_non_integer(name, tokens)
+        raise FileFormatError(f"section @{name} has an entry or shape out of range") from e
+
+
+def _refuse_non_integer(name: str, tokens: list[str]) -> None:
+    for v in tokens:
+        try:
+            int(v)
+        except ValueError as e:
+            raise FileFormatError(f"non-integer entry in section @{name}") from e
 
 
 def read_file(path) -> ParsedFile:

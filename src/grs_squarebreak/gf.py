@@ -18,7 +18,9 @@ of that size sum as integers: one gather spreads each element's base-p
 digits some bits apart, one integer sum adds them with no carry between
 digits, and one gather reads each digit mod p (in rounds, when the terms
 are too many for one sum); larger odd extension fields sum by a tree of
-pairwise adds.  Two operands of fewer than 512 elements
+pairwise adds.  Products along an axis and powers take one gather from
+the antilog table at a sum of logs (or at a log times the exponent), at
+every field size.  Two operands of fewer than 512 elements
 each, as in most of the decoders' calls, are looked up by a 2-D gather at
 [a, b]; when either has 512 or more (the attack's stacks), by one ``take``
 at a*q + b from the flattened table, which costs two more ufunc calls but
@@ -301,6 +303,21 @@ class GF:
                 head[0] = self.add(head[0], arr[-1])
             arr = head
         return arr[0].copy()
+
+    def prod(self, arr, axis=-1):
+        """The field product of arr along axis, 0 when a factor is 0 and 1
+        over an empty axis: one sum of logs, read back by one antilog
+        gather."""
+        arr = np.asarray(arr)
+        logs = self._log[arr].sum(axis=axis) % (self.q - 1)
+        return np.where((arr == 0).any(axis=axis), 0, self._exp[logs])
+
+    def pow(self, a, e):
+        """a^e elementwise for integers e >= 0, broadcast, with 0^0 = 1: the
+        antilog of e log(a)."""
+        a = np.asarray(a)
+        e = np.asarray(e)
+        return np.where((a == 0) & (e != 0), 0, self._exp[self._log[a] * e % (self.q - 1)])
 
     def elements(self) -> np.ndarray:
         """All q elements in increasing integer encoding, starting at 0."""

@@ -14,7 +14,9 @@ the dual-code multiplier formula, and two reconstruction routines used by
 the attack.  A ``GrsParams`` is read-only and builds its key-fixed tables
 (the generator, the dual's generator as parity checks, the locator power
 rows, the interpolation matrix, the Hankel index of the locator system and
-the 0/1 matrix that forms W) once, on first use, for every decode.
+the 0/1 matrix that forms W) once, on first use, for every decode.  Its
+power rows and the dual's multipliers are a fixed number of array steps on
+the field's log/antilog tables (``GF.pow``, ``GF.prod``).
 
 The reconstruction routines:
 
@@ -146,10 +148,7 @@ def random_params(f: GF, n: int, k: int, rng: np.random.Generator) -> GrsParams:
 
 def _rows(f: GF, first: np.ndarray, x: np.ndarray, m: int) -> np.ndarray:
     """m x n matrix with row j equal to first * x^j (componentwise powers)."""
-    rows = [np.asarray(first, dtype=np.int64)]
-    for _ in range(m - 1):
-        rows.append(f.mul(rows[-1], x))
-    return np.stack(rows)
+    return f.mul(first, f.pow(x, np.arange(m)[:, None]))
 
 
 def code(p: GrsParams) -> LinearCode:
@@ -250,10 +249,7 @@ def _pairwise_products(f: GF, x: np.ndarray, among: np.ndarray) -> np.ndarray:
     """v_j = prod (x_j - x_i) over the indices i != j in among."""
     diffs = f.sub(x[:, None], x[among][None, :])
     diffs[among, np.arange(among.size)] = 1
-    acc = diffs[:, 0]
-    for col in diffs.T[1:]:
-        acc = f.mul(acc, col)
-    return acc
+    return f.prod(diffs, axis=1)
 
 
 def dual_params(p: GrsParams) -> GrsParams:

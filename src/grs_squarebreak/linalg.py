@@ -162,14 +162,21 @@ def matmul(f: GF, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def inverse(f: GF, a: np.ndarray) -> np.ndarray:
     a = as_matrix(a)
-    n = a.shape[0]
-    if a.shape[1] != n:
+    if a.shape[1] != a.shape[0]:
         raise DimensionMismatch("inverse needs a square matrix")
-    aug = np.hstack([a, np.eye(n, dtype=np.int64)])
-    r, pivots = rref(f, aug)
-    if pivots != list(range(n)):
+    inv = _inverse_or_none(f, a)
+    if inv is None:
         raise SingularMatrix("matrix is not invertible")
-    return r[:, n:]
+    return inv
+
+
+def _inverse_or_none(f: GF, a: np.ndarray) -> np.ndarray | None:
+    """The inverse of a square matrix a, or None when a is singular: one
+    RREF of [a | I], which pivots on exactly the first n columns when a has
+    rank n."""
+    n = a.shape[0]
+    r, pivots = rref(f, np.hstack([a, np.eye(n, dtype=np.int64)]))
+    return r[:, n:] if pivots == list(range(n)) else None
 
 
 def batched_rref(f: GF, mats: np.ndarray, ncols: int | None = None) -> np.ndarray:
@@ -260,10 +267,17 @@ def random_matrix(f: GF, rows: int, cols: int, rng: np.random.Generator) -> np.n
 
 def random_invertible(f: GF, k: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform invertible k x k matrix by rejection sampling."""
+    return random_invertible_pair(f, k, rng)[0]
+
+
+def random_invertible_pair(f: GF, k: int, rng: np.random.Generator):
+    """``random_invertible``, with the same draws, and its inverse: each
+    draw's rank test is the elimination that inverts it."""
     if k < 1:
         raise DimensionMismatch("k must be >= 1")
     for _ in range(1000):
         m = random_matrix(f, k, k, rng)
-        if rank(f, m) == k:
-            return m
+        inv = _inverse_or_none(f, m)
+        if inv is not None:
+            return m, inv
     raise RuntimeError("rejection sampling failed to find an invertible matrix")

@@ -109,12 +109,19 @@ def build_keypair(
     """Assemble a keypair from explicit components (no honesty resampling).
 
     Raises InvalidDimensions when Q = Pi + alpha^T beta is singular.  Used by
-    keygen, by key-file loading, and by tests that need degenerate keys.
+    key-file loading, and by tests that need degenerate keys.
     """
     k = s_mat.shape[0]
     params = grs.GrsParams(f, np.asarray(x), np.asarray(y), k)
-    n = params.n
     perm = np.asarray(perm, dtype=np.int64)
+    masked = grs.GrsParams(f, params.x[perm], params.y[perm], k)
+    return _assemble(params, masked, perm, s_mat, linalg.inverse(f, s_mat), alpha, beta)
+
+
+def _assemble(params: grs.GrsParams, masked: grs.GrsParams, perm, s_mat, s_inv, alpha, beta):
+    """``build_keypair`` from its mask-independent parts: C_sec, C =
+    C_sec Pi^-1, Pi, S and S^-1."""
+    f = params.field
     alpha = np.asarray(alpha, dtype=np.int64)
     beta = np.asarray(beta, dtype=np.int64)
     a = beta[perm]
@@ -122,10 +129,9 @@ def build_keypair(
     if denom == 0:
         raise InvalidDimensions("Q = Pi + alpha^T beta is singular")
     lam = f.mul(f.neg(f.inv(denom)), alpha)
-    masked = grs.GrsParams(f, params.x[perm], params.y[perm], k)
     # Q^-1 = Pi^-1 (I + lam^T a), so G_sec Q^-1 = mask(G_C, a, lam).
-    g_pub = linalg.matmul(f, linalg.inverse(f, s_mat), mask(f, masked.generator, a, lam))
-    pk = PublicKey(f, n, k, g_pub)
+    g_pub = linalg.matmul(f, s_inv, mask(f, masked.generator, a, lam))
+    pk = PublicKey(f, params.n, params.k, g_pub)
     sk = SecretKey(params, np.asarray(s_mat), perm, alpha, beta, a, lam, g_pub, masked)
     return pk, sk
 
@@ -141,16 +147,17 @@ def keygen(f: GF, n: int, k: int, rng: np.random.Generator) -> tuple[PublicKey, 
     until Q is invertible, lam is not orthogonal to the permuted secret code,
     and the public code differs from it.  A bounded retry count turns
     pathological parameter choices into a loud error instead of a hang.
+    S and S^-1 come from one elimination per draw of S, and C, its generator
+    and its parity checks are built once, before the first mask draw.
     """
     if not (1 <= k < n):
         raise InvalidDimensions(f"need 1 <= k < n, got k={k}, n={n}")
     if n > f.q:
         raise InvalidDimensions(f"need n <= q, got n={n}, q={f.q}")
     params = grs.random_params(f, n, k, rng)
-    s_mat = linalg.random_invertible(f, k, rng)
+    s_mat, s_inv = linalg.random_invertible_pair(f, k, rng)
     perm = rng.permutation(n).astype(np.int64)
-    g_c = params.generator[:, perm]
-    checks = grs.dual_params(params).generator[:, perm]  # C's parity checks
+    masked = grs.GrsParams(f, params.x[perm], params.y[perm], k)
 
     def nonzero_vec() -> np.ndarray:
         while True:
@@ -162,12 +169,12 @@ def keygen(f: GF, n: int, k: int, rng: np.random.Generator) -> tuple[PublicKey, 
         alpha = nonzero_vec()
         beta = nonzero_vec()
         try:
-            pk, sk = build_keypair(f, params.x, params.y, s_mat, perm, alpha, beta)
+            pk, sk = _assemble(params, masked, perm, s_mat, s_inv, alpha, beta)
         except InvalidDimensions:
             continue  # singular Q
-        if not linalg.matmul(f, g_c, sk.lam).any():
+        if not linalg.matmul(f, masked.generator, sk.lam).any():
             continue  # lam orthogonal to C: degenerate, public code equals C
-        if not linalg.matmul(f, checks, sk.a).any():
+        if not linalg.matmul(f, sk.a, masked.parity_checks_t).any():
             continue  # a in C: the public code p + <lam, p> a coincides with C
         return pk, sk
     raise ResampleExhausted(f"no acceptable mask after {_MAX_RESAMPLE} samples")

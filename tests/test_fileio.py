@@ -1,14 +1,17 @@
 """The text format on arbitrary input: every file parses or is refused with
 a format or field error, and whatever parses writes back unchanged."""
 
+import hashlib
 import re
+import runpy
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grs_squarebreak import fileio
+from grs_squarebreak import fileio, scheme
 from grs_squarebreak.fileio import FileFormatError
 from grs_squarebreak.gf import GF, FieldError
 
@@ -97,11 +100,32 @@ HEADER = f"{fileio.MAGIC}\nfield p=2 m=4 poly=19\nn=3 k=1\n"
         (HEADER + "@vec one 3\n1 2 3\n", "bad section shape in '@vec one 3'"),
         (HEADER + "@vec -1 3\n", "bad section shape in '@vec -1 3'"),
         (HEADER + "@vec 1 3\n1 x 3\n", "non-integer entry in section @vec"),
+        (HEADER + "@vec 1 3\n1 9223372036854775808 3\n",
+         "section @vec has an entry or shape out of range"),
+        (HEADER + "@vec 1 3\n1 2\n", "section @vec row 0 has 2 entries, expected 3"),
+        (HEADER + "@vec 1 3\n1 16 3\n", "section @vec has entries outside [0, 16)"),
     ],
     ids=["header-key", "header-int", "no-section-header", "section-header", "duplicate",
-         "shape-int", "shape-negative", "entry"],
+         "shape-int", "shape-negative", "entry", "entry-int64", "row-length", "entry-field"],
 )
 def test_loads_refusals(text, message):
     """Each malformed line is refused by name, with the offending token."""
     with pytest.raises(FileFormatError, match=re.escape(message)):
         fileio.loads(text)
+
+
+def test_key_files_are_pinned(tmp_path):
+    """The public and secret key files of the 770 keys of
+    ``attack_digest.py --keygen``, hashed: a change to the writer that
+    moves a byte of them moves the hash."""
+    digest = runpy.run_path(str(Path(__file__).resolve().parents[1] / "scripts" / "attack_digest.py"))
+    h = hashlib.sha256()
+    for field, n, k in digest["KEYGEN_POINTS"]:
+        f = GF(*field)
+        for seed in digest["KEYGEN_SEEDS"]:
+            pk, sk = scheme.keygen(f, n, k, np.random.default_rng(seed))
+            fileio.save_public_key(tmp_path / "pub", pk)
+            fileio.save_secret_key(tmp_path / "sec", sk)
+            h.update((tmp_path / "pub").read_bytes())
+            h.update((tmp_path / "sec").read_bytes())
+    assert h.hexdigest() == "d331ba3991173f5ebeed9f715e62f1a3a598184f3e48b081d6be291423c80baa"

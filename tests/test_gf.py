@@ -352,6 +352,51 @@ class TestSum:
         assert la.matmul(f, u, v) == int(want)
 
 
+# Prime, binary, odd extension fields with tables, and GF(3^7) above the
+# 1024-element table bound, which multiplies off log/antilog tables only.
+PROD_FIELDS = [GF(2), GF(7), GF(2, 4, 19), GF(5, 2, 32), GF(3, 6, 734), GF(3, 7, 2198)]
+PROD_IDS = ["GF2", "GF7", "GF16", "GF25", "GF729", "GF3^7"]
+
+
+def schoolbook_prod(f, arr: np.ndarray, axis: int) -> np.ndarray:
+    """Reference product along an axis: one ``mul`` per factor, from 1."""
+    moved = np.moveaxis(arr, axis, -1)
+    out = np.ones(moved.shape[:-1], dtype=np.int64)
+    for idx in np.ndindex(out.shape):
+        for v in moved[idx]:
+            out[idx] = f.mul(out[idx], v)
+    return out
+
+
+class TestProdPow:
+    @pytest.mark.parametrize("f", PROD_FIELDS, ids=PROD_IDS)
+    @pytest.mark.parametrize(
+        "shape", [(0,), (1,), (7,), (3, 5), (0, 4), (1, 6), (2, 3, 4), (4, 1, 5), (3, 0, 2)]
+    )
+    def test_prod_on_every_axis_against_schoolbook(self, f, shape, rng):
+        """Zeros included: about one entry in four is 0, so some products
+        are 0 and some not; an empty axis gives 1."""
+        arr = np.where(rng.random(shape) < 0.25, 0, rng.integers(1, f.q, shape))
+        for axis in range(len(shape)):
+            got = f.prod(arr, axis=axis)
+            assert np.shape(got) == shape[:axis] + shape[axis + 1 :]
+            assert np.asarray(got).tolist() == schoolbook_prod(f, arr, axis).tolist()
+
+    @pytest.mark.parametrize("f", PROD_FIELDS, ids=PROD_IDS)
+    def test_pow_against_repeated_products(self, f, rng):
+        """Exponents 0 to 2q, past the order q - 1 of the group, on 0, 1
+        and sampled elements, broadcast both ways; 0^0 = 1."""
+        a = np.concatenate([[0, 1], rng.integers(2, f.q, 6)]) if f.q > 2 else np.array([0, 1])
+        exps = np.unique(np.concatenate([np.arange(4), [f.q - 2, f.q - 1, f.q, 2 * f.q]]))
+        want = np.ones((len(exps), len(a)), dtype=np.int64)
+        for i, e in enumerate(exps):
+            for _ in range(e):
+                want[i] = f.mul(want[i], a)
+        assert f.pow(a, exps[:, None]).tolist() == want.tolist()
+        assert f.pow(a[:, None], exps).tolist() == want.T.tolist()
+        assert f.pow(0, 0) == 1 and f.pow(0, 3) == 0
+
+
 FIELDS = [GF(2), GF(5), GF(7), GF(2, 4, 19), GF(3, 2, 10), GF(2, 5, 37)]
 
 

@@ -101,6 +101,43 @@ class TestGenerator:
         assert cw.tolist() == [int(v) for v in expect]
 
 
+# Binary, prime and odd extension fields, and GF(3^7) above the 1024-element
+# table bound.
+ROW_FIELDS = [GF(2), GF(7), GF(2, 4, 19), GF(5, 2, 32), GF(3, 6, 734), GF(3, 7, 2198)]
+ROW_IDS = ["GF2", "GF7", "GF16", "GF25", "GF729", "GF3^7"]
+
+
+class TestRowsAndPairwiseProducts:
+    """``_rows`` and ``_pairwise_products`` against the loops they replace:
+    one ``mul`` per row, and one per point."""
+
+    @pytest.mark.parametrize("f", ROW_FIELDS, ids=ROW_IDS)
+    def test_rows_equal_repeated_products(self, f, rng):
+        n = min(f.q, 16)
+        x = rng.integers(0, f.q, n)
+        x[0] = 0  # 0^0 = 1 in row 0
+        first = rng.integers(0, f.q, n)
+        for m in (0, 1, 2, n):
+            want = [first]
+            for _ in range(m - 1):
+                want.append(f.mul(want[-1], x))
+            assert grs._rows(f, first, x, m).tolist() == [r.tolist() for r in want[:m]]
+
+    @pytest.mark.parametrize("f", ROW_FIELDS, ids=ROW_IDS)
+    def test_pairwise_products_equal_a_loop(self, f, rng):
+        n = min(f.q, 16)
+        x = rng.permutation(f.q)[:n]
+        for among in (np.arange(n), np.sort(rng.permutation(n)[: n // 2]), np.arange(1)):
+            want = []
+            for j in range(n):
+                acc = 1
+                for i in among:
+                    if i != j:
+                        acc = f.mul(acc, f.sub(x[j], x[i]))
+                want.append(int(acc))
+            assert grs._pairwise_products(f, x, among).tolist() == want
+
+
 def all_codewords(f, p):
     """Every codeword, one per row, for tiny parameters."""
     msgs = np.array(list(itertools.product(range(f.q), repeat=p.k)), dtype=np.int64)
