@@ -116,25 +116,15 @@ def loads(text: str) -> ParsedFile:
                 )
             tokens.extend(vals)
         i += rows
-        data = _entries(name, tokens)
         try:
-            data = data.reshape(rows, cols)
-        except (OverflowError, ValueError) as e:  # the shape of an empty section
+            data = np.array(tokens, dtype=np.int64).reshape(rows, cols)
+        except (OverflowError, ValueError) as e:
+            _refuse_non_integer(name, tokens)  # a non-integer token is named first
             raise FileFormatError(f"section @{name} has an entry or shape out of range") from e
         if name != "perm" and (np.any(data < 0) or np.any(data >= f.q)):
             raise FileFormatError(f"section @{name} has entries outside [0, {f.q})")
         sections[name] = data
     return ParsedFile(f, n, k, sections)
-
-
-def _entries(name: str, tokens: list[str]) -> np.ndarray:
-    """The tokens of section @name, parsed by ``int``, as one int64 array;
-    a token that is no integer is refused before one beyond int64."""
-    try:
-        return np.array(tokens, dtype=np.int64)
-    except (OverflowError, ValueError) as e:
-        _refuse_non_integer(name, tokens)
-        raise FileFormatError(f"section @{name} has an entry or shape out of range") from e
 
 
 def _refuse_non_integer(name: str, tokens: list[str]) -> None:

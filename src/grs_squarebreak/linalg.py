@@ -265,14 +265,9 @@ def random_matrix(f: GF, rows: int, cols: int, rng: np.random.Generator) -> np.n
     return rng.integers(0, f.q, size=(rows, cols), dtype=np.int64)
 
 
-def random_invertible(f: GF, k: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform invertible k x k matrix by rejection sampling."""
-    return random_invertible_pair(f, k, rng)[0]
-
-
 def random_invertible_pair(f: GF, k: int, rng: np.random.Generator):
-    """``random_invertible``, with the same draws, and its inverse: each
-    draw's rank test is the elimination that inverts it."""
+    """Uniform invertible k x k matrix by rejection sampling, and its
+    inverse: each draw's rank test is the elimination that inverts it."""
     if k < 1:
         raise DimensionMismatch("k must be >= 1")
     for _ in range(1000):

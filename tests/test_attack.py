@@ -676,7 +676,7 @@ class TestEndToEnd:
         rng = np.random.default_rng(51)
         n, k = 15, 6
         params = grs.random_params(f, n, k, rng)
-        s_mat = la.random_invertible(f, k, rng)
+        s_mat = la.random_invertible_pair(f, k, rng)[0]
         perm = rng.permutation(n).astype(np.int64)
         c_gen = params.generator[:, perm]
         c_perp = la.right_kernel(f, c_gen)

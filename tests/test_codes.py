@@ -30,7 +30,7 @@ class TestCanonicalization:
         g = la.random_matrix(gf16, 3, 8, rng)
         while la.rank(gf16, g) != 3:
             g = la.random_matrix(gf16, 3, 8, rng)
-        s = la.random_invertible(gf16, 3, rng)
+        s = la.random_invertible_pair(gf16, 3, rng)[0]
         assert code_from_generator(gf16, g) == code_from_generator(gf16, la.matmul(gf16, s, g))
 
     def test_zero_matrix_rejected(self, gf7):

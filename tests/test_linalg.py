@@ -34,7 +34,7 @@ class TestRref:
 
     def test_invariant_under_row_scrambling(self, gf16, rng):
         g = la.random_matrix(gf16, 4, 9, rng)
-        s = la.random_invertible(gf16, 4, rng)
+        s = la.random_invertible_pair(gf16, 4, rng)[0]
         r1, _ = la.rref(gf16, g)
         r2, _ = la.rref(gf16, la.matmul(gf16, s, g))
         if la.rank(gf16, g) == 4:
@@ -110,10 +110,10 @@ class TestBatchedRank:
         ones."""
         rows, cols = shape
         r, lead = min(shape), max(cols - rows, 2)
-        early = [np.hstack([la.random_invertible(f, rows, rng)[:, :r],
+        early = [np.hstack([la.random_invertible_pair(f, rows, rng)[0][:, :r],
                             la.random_matrix(f, rows, cols - r, rng)]) for _ in range(8)]
         late = [np.hstack([np.zeros((rows, lead), dtype=np.int64),
-                           la.random_invertible(f, rows, rng)[:, : cols - lead]]) for _ in range(8)]
+                           la.random_invertible_pair(f, rows, rng)[0][:, : cols - lead]]) for _ in range(8)]
         zero = [np.zeros(shape, dtype=np.int64)] * 4
         rand = [la.random_matrix(f, rows, cols, rng) for _ in range(4)]
         mats = np.stack(early + late + zero + rand)
@@ -231,7 +231,7 @@ class TestBatchedKernel:
 
 class TestInverse:
     def test_round_trip(self, gf16, rng):
-        m = la.random_invertible(gf16, 5, rng)
+        m = la.random_invertible_pair(gf16, 5, rng)[0]
         mi = la.inverse(gf16, m)
         assert np.array_equal(la.matmul(gf16, m, mi), np.eye(5, dtype=np.int64))
 
@@ -464,14 +464,15 @@ def test_dimension_formula(seed, da, db, f):
 class TestRandomSampling:
     def test_invertible_always_full_rank(self, gf2, rng):
         for k in (1, 2, 5):
-            m = la.random_invertible(gf2, k, rng)
+            m, mi = la.random_invertible_pair(gf2, k, rng)
             assert la.rank(gf2, m) == k
+            assert np.array_equal(la.matmul(gf2, m, mi), np.eye(k, dtype=np.int64))
 
     def test_invertible_needs_positive_size(self, gf2, rng):
         with pytest.raises(DimensionMismatch, match="k must be >= 1"):
-            la.random_invertible(gf2, 0, rng)
+            la.random_invertible_pair(gf2, 0, rng)
 
     def test_invertible_reproducible(self, gf16):
-        m1 = la.random_invertible(gf16, 4, np.random.default_rng(99))
-        m2 = la.random_invertible(gf16, 4, np.random.default_rng(99))
+        m1 = la.random_invertible_pair(gf16, 4, np.random.default_rng(99))[0]
+        m2 = la.random_invertible_pair(gf16, 4, np.random.default_rng(99))[0]
         assert np.array_equal(m1, m2)
