@@ -1,0 +1,136 @@
+#!/usr/bin/env python3
+"""In-process A/B timing of two source trees on one benchmark workload.
+
+Usage: python scripts/ab.py TREE_A TREE_B --workload decrypt-gf16 [--rounds 20] [--cts 20] [--seed 1]
+
+Each tree is a checkout: its package is loaded from TREE/src under a name
+of its own, so both live in this one process.  The workload is read from
+this checkout's bench/run.py (``WORKLOADS`` and its key set-up), which is
+not changed.  Every round times, on each tree in turn (the tree that goes
+first alternates from round to round):
+
+* ``setup_s``: the workload's key set-up (keygen and the key-file round
+  trip), once;
+* ``recover_key_s``: ``attack.recover_key`` on each broken key, the mean;
+* ``decrypt_ms`` and ``decrypt_with_pair_ms``: ``scheme.decrypt`` and
+  ``attack.decrypt_with_pair`` on --cts seeded ciphertexts per decryption
+  key, the median per ciphertext.
+
+A round's ratio is B's time over A's.  The last line of standard output is
+one JSON object with, per metric, the median ratio over the rounds and its
+quartiles, and each tree's median time.  Timings of two trees taken
+minutes apart in two processes spread by tens of percent on a small shared
+machine; alternating rounds in one process resolve a few percent.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib.util
+import json
+import statistics
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "bench"))
+import run as bench  # noqa: E402
+
+MODULES = ("gf", "linalg", "codes", "grs", "scheme", "fileio", "attack")
+
+
+def load_tree(tree: Path, name: str) -> dict:
+    """The package of tree/src, imported as the top-level package ``name``."""
+    init = tree / "src" / "grs_squarebreak" / "__init__.py"
+    if not init.is_file():
+        raise SystemExit(f"error: no grs_squarebreak sources under {tree / 'src'}")
+    spec = importlib.util.spec_from_file_location(name, init, submodule_search_locations=[str(init.parent)])
+    pkg = importlib.util.module_from_spec(spec)
+    sys.modules[name] = pkg
+    spec.loader.exec_module(pkg)
+    return {m: importlib.import_module(f"{name}.{m}") for m in MODULES}
+
+
+def timed(fn, *args):
+    t0 = time.perf_counter()
+    out = fn(*args)
+    return out, time.perf_counter() - t0
+
+
+def ciphertexts(lib, pk, count: int, rng: np.random.Generator) -> list[np.ndarray]:
+    """count seeded ciphertexts under pk, each with an error of weight t."""
+    f, out = pk.field, []
+    for _ in range(count):
+        err = np.zeros(pk.n, dtype=np.int64)
+        err[rng.choice(pk.n, pk.t, replace=False)] = rng.integers(1, f.q, pk.t)
+        out.append(f.add(lib["linalg"].matmul(f, rng.integers(0, f.q, pk.k), pk.g_pub), err))
+    return out
+
+
+def one_round(lib, wl: bench.Workload, seed: int, cts: int) -> dict:
+    attack, scheme = lib["attack"], lib["scheme"]
+    (broken, seeded), setup_s = timed(bench.setup, lib, wl, seed)
+    targets, breaks = [], []
+    for key, (pk, sk) in zip(wl.broken, broken):
+        (rk, _stats), s = timed(attack.recover_key, pk, attack.AttackConfig(seed=key.attack_seed))
+        breaks.append(s)
+        targets.append((pk, sk, rk))
+    if wl.seeded_points is not None:
+        targets = [(pk, sk, attack.RecoveredKey(scheme.masked_params(sk), sk.a, sk.lam, None))
+                   for pk, sk in seeded]
+    rng = np.random.default_rng([seed, 1])
+    dec, pair = [], []
+    for pk, sk, rk in targets:
+        for c in ciphertexts(lib, pk, cts, rng):
+            dec.append(timed(scheme.decrypt, sk, c)[1])
+            pair.append(timed(attack.decrypt_with_pair, rk, pk, c)[1])
+    return {
+        "setup_s": setup_s,
+        "recover_key_s": statistics.mean(breaks),
+        "decrypt_ms": statistics.median(dec) * 1e3,
+        "decrypt_with_pair_ms": statistics.median(pair) * 1e3,
+    }
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("tree_a", type=Path)
+    ap.add_argument("tree_b", type=Path)
+    ap.add_argument("--workload", required=True, choices=sorted(bench.WORKLOADS))
+    ap.add_argument("--rounds", type=int, default=20)
+    ap.add_argument("--cts", type=int, default=20, help="ciphertexts per decryption key per round")
+    ap.add_argument("--seed", type=int, default=1)
+    args = ap.parse_args(argv)
+    if args.rounds < 1 or args.cts < 1:
+        ap.error("--rounds and --cts must be >= 1")
+    wl = bench.WORKLOADS[args.workload]
+    libs = {"a": load_tree(args.tree_a.resolve(), "ab_tree_a"),
+            "b": load_tree(args.tree_b.resolve(), "ab_tree_b")}
+    for lib in libs.values():  # fill lazily built tables and caches first
+        one_round(lib, wl, args.seed, 1)
+    times: dict[str, list[dict]] = {"a": [], "b": []}
+    for i in range(args.rounds):
+        for side in ("ab" if i % 2 == 0 else "ba"):
+            times[side].append(one_round(libs[side], wl, args.seed, args.cts))
+    metrics = {}
+    for name in times["a"][0]:
+        a = [r[name] for r in times["a"]]
+        b = [r[name] for r in times["b"]]
+        ratios = [y / x for x, y in zip(a, b)]
+        if len(ratios) == 1:
+            ratios *= 2  # quantiles needs two points
+        q1, med, q3 = statistics.quantiles(ratios, n=4, method="inclusive")
+        metrics[name] = {"ratio_median": med, "ratio_q1": q1, "ratio_q3": q3,
+                         "b_lower": sum(y < x for x, y in zip(a, b)),
+                         "a_median": statistics.median(a), "b_median": statistics.median(b)}
+    print(json.dumps({"workload": args.workload, "a": str(args.tree_a), "b": str(args.tree_b),
+                      "rounds": args.rounds, "cts": args.cts, "seed": args.seed,
+                      "metrics": metrics}))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

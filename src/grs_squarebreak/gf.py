@@ -13,12 +13,15 @@ matrix over GF(p): the antilog table of a candidate g doubles in length by
 one product with the matrix of g^L, which is then squared.  The modulus is
 checked by dividing it by every monic polynomial of degree at most m/2 at
 once.  Fields of at most 1024 elements multiply, and in odd characteristic
-add and subtract, by one gather from a q x q table.  Odd extension fields
-of that size sum as integers: one gather spreads each element's base-p
-digits some bits apart, one integer sum adds them with no carry between
-digits, and one gather reads each digit mod p (in rounds, when the terms
-are too many for one sum); larger odd extension fields sum by a tree of
-pairwise adds.  Products along an axis and powers take one gather from
+add and subtract, by one gather from a q x q table.  Larger prime fields
+add as integers mod p, and larger odd extension fields by Zech logarithms,
+a + b = g^(log a + zech[log b - log a]) with zech[i] = log(1 + g^i), and
+-a = g^((q-1)/2) a; their q x q tables are built that way too.  Odd
+extension fields with tables sum as integers: one gather spreads each
+element's base-p digits some bits apart, one integer sum adds them with no
+carry between digits, and one gather reads each digit mod p (in rounds,
+when the terms are too many for one sum); larger odd extension fields sum
+by a tree of pairwise adds.  Products along an axis and powers take one gather from
 the antilog table at a sum of logs (or at a log times the exponent), at
 every field size.  Two operands of fewer than 512 elements
 each, as in most of the decoders' calls, are looked up by a 2-D gather at
@@ -28,8 +31,8 @@ far less per element.  So operands must be field elements: a flat index
 is checked only as a whole, and an operand outside [0, q) can read another
 entry instead of raising.  Input from outside the library is range-checked
 before it gets here, by ``as_elements`` or by the key-file reader.  Prime
-fields (m = 1) take the same paths, with one digit: only their sums are
-plain integer arithmetic mod p.
+fields (m = 1) take the same paths, with one digit: only their sums, and
+above 1024 their adds, are plain integer arithmetic mod p.
 
 Each field is built once per process while it is in use: ``GF(p, m,
 modulus)`` returns the instance already alive for that triple (modulus 0
@@ -93,8 +96,8 @@ class GF:
     while one is alive, ``GF`` returns it for the same (p, m, modulus)
     instead of building the tables again, and the weak reference lets it go
     with its last user.  Because every caller shares the one instance, its
-    log, antilog, inverse and q x q tables are read-only: a write through
-    one caller would change every other caller's arithmetic.
+    log, antilog, inverse, Zech and q x q tables are read-only: a write
+    through one caller would change every other caller's arithmetic.
     """
 
     def __new__(cls, p: int, m: int = 1, modulus: int = 0):
@@ -182,6 +185,18 @@ class GF:
         inv[exp] = exp[-log[exp] % (q - 1)]
         self._inv = inv
         elems = np.arange(q, dtype=np.int64)
+        self._zech = self._zexp = self._neg = None
+        if p != 2 and m > 1:
+            # Zech logarithms: for nonzero a and b, a + b = g^(log a +
+            # zech[log b - log a]) with zech[i] = log(1 + g^i).  Both tables
+            # run twice around, so no index is reduced mod q-1; 1 + g^i is
+            # 0 at i = (q-1)/2, where zech points past them, into zeros.
+            one_plus = exp - exp % p + (exp + 1) % p  # only the constant digit moves
+            self._zech = np.tile(np.where(one_plus == 0, 2 * (q - 1), log[one_plus]), 2)
+            self._zexp = np.concatenate([exp, exp, np.zeros(q - 1, dtype=np.int64)])
+            # -1 = g^((q-1)/2) in odd characteristic: -a is one antilog read.
+            self._neg = np.zeros(q, dtype=np.int64)
+            self._neg[exp] = self._zexp[np.arange(q - 1) + (q - 1) // 2]
         # One-gather arithmetic for small fields (xor needs no table): the
         # attack loops are dominated by it, so this is worth q^2 memory.
         self._mul_table = self._add_table = self._sub_table = None
@@ -191,6 +206,8 @@ class GF:
             if p != 2:
                 self._add_table = self.add(elems[:, None], elems[None, :])
                 self._sub_table = self.sub(elems[:, None], elems[None, :])
+                # The tables now answer every add, sub and neg at this size.
+                self._zech = self._zexp = self._neg = None
             if p != 2 and m > 1:
                 # Sums add spread[e], e's digits placed `width` bits apart, as
                 # integers: up to `_most` terms (at least two) fit each field
@@ -206,7 +223,7 @@ class GF:
                     back = np.add.outer(digit * p**i, back).ravel()
                 self._back = back
         for table in (exp, log, inv, self._mul_table, self._add_table, self._sub_table,
-                      self._spread, self._back):
+                      self._spread, self._back, self._zech, self._zexp, self._neg):
             if table is not None:
                 table.flags.writeable = False
 
@@ -225,31 +242,30 @@ class GF:
             return np.bitwise_xor(a, b)
         if self._add_table is not None:
             return self._lookup(self._add_table, a, b)
-        return self._digitwise(a, b, lambda x, y: (x + y) % self.p)
+        if self.m == 1:
+            return np.add(a, b) % self.p
+        return self._zech_add(np.asarray(a), np.asarray(b))
 
     def sub(self, a, b):
         if self.p == 2:
             return np.bitwise_xor(a, b)
         if self._sub_table is not None:
             return self._lookup(self._sub_table, a, b)
-        return self._digitwise(a, b, lambda x, y: (x - y) % self.p)
+        if self.m == 1:
+            return np.subtract(a, b) % self.p
+        return self._zech_add(np.asarray(a), self._neg[b])
 
     def neg(self, a):
         if self.p == 2:
             return np.asarray(a)
+        if self._neg is not None:
+            return self._neg[a]
         return self.sub(0, a)  # row 0 of the sub table when there is one
 
-    def _digitwise(self, a, b, op):
-        a = np.asarray(a)
-        b = np.asarray(b)
-        out = np.zeros(np.broadcast(a, b).shape, dtype=np.int64)
-        scale = 1
-        for _ in range(self.m):
-            out += op(a % self.p, b % self.p) * scale
-            a = a // self.p
-            b = b // self.p
-            scale *= self.p
-        return out
+    def _zech_add(self, a, b):
+        la, lb = self._log[a], self._log[b]
+        s = self._zexp[la + self._zech[lb - la + (self.q - 1)]]
+        return np.where(a == 0, b, np.where(b == 0, a, s))
 
     def mul(self, a, b):
         if self._mul_table is not None:

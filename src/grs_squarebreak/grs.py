@@ -5,16 +5,18 @@ column multipliers y and a dimension k: its codewords are
 (y_1 p(x_1), ..., y_n p(x_n)) for polynomials p of degree < k.
 
 This module provides the generator matrix, bounded-distance decoding up to
-floor((n-k)/2) errors (Berlekamp-Welch: the least-degree error locator E
-from a syndrome system, the error values e_j = W(x_j) / (z_j E'(x_j)),
-with E'(x_j) != 0 in any characteristic as E's roots are distinct, and a
-syndrome check; ``decode_many`` decodes a stack of words in lockstep, as
-the decryption sweep does for its q shifted words, ``decode`` one word),
-the dual-code multiplier formula, and two reconstruction routines used by
-the attack.  A ``GrsParams`` is read-only and builds its key-fixed tables
-(the generator, the dual's generator as parity checks, the locator power
-rows, the interpolation matrix, the Hankel index of the locator system and
-the 0/1 matrix that forms W) once, on first use, for every decode.  Its
+floor((n-k)/2) errors (Berlekamp-Welch: an error locator E from a syndrome
+system, the error values e_j = W(x_j) / (z_j E'(x_j)), with E'(x_j) != 0
+in any characteristic as E's roots are distinct, and a syndrome check;
+``decode_many`` decodes a stack of words in lockstep, as the decryption
+sweep does for its q shifted words, ``decode`` one word; E is a multiple
+of the locator, from maximal minors, or from an elimination where they
+vanish or t is large), the dual-code multiplier formula, and two
+reconstruction routines used by the attack.  A ``GrsParams`` is read-only
+and builds its key-fixed tables (the generator, the dual's generator as
+parity checks, the locator power rows, the interpolation matrix, the
+Hankel index of the locator system and the 0/1 matrix that forms W) once,
+on first use, for every decode.  Its
 power rows and the dual's multipliers are a fixed number of array steps on
 the field's log/antilog tables (``GF.pow``, ``GF.prod``).
 
@@ -40,6 +42,13 @@ from . import linalg
 from .codes import LinearCode, code_from_generator
 from .gf import GF
 from .linalg import DimensionMismatch
+
+
+# Locators come from maximal minors (``decode_many``) while their (t+1) 2^t
+# products per word, times the bits of q, stay within this: a fit to the
+# measured crossover with the elimination (CHANGES.md), which admits every
+# t <= 4, and t = 5 below q = 256.
+_MINORS_BUDGET = 1600
 
 
 class InvalidParams(ValueError):
@@ -101,8 +110,8 @@ class GrsParams:
 
     @cached_property
     def locator_rows(self) -> np.ndarray:
-        """(t+1) x n matrix with row j equal to x^j: monic @ it evaluates
-        degree-t locators at the points."""
+        """(t+1) x n matrix with row j equal to x^j: a locator's
+        coefficients @ it evaluate it at the points."""
         return linalg.frozen(_rows(self.field, np.ones(self.n, dtype=np.int64), self.x, self.t + 1))
 
     @cached_property
@@ -173,12 +182,25 @@ def decode_many(p: GrsParams, words: np.ndarray) -> tuple[np.ndarray, np.ndarray
     its own coordinates: the error locators E of degree at most t solve the
     first n-k-t rows z x^j of the dual's generator, the parity checks of
     GRS_{k+t}(x, y), on r E(x), an (n-k-t) x (t+1) Hankel system in the n-k
-    syndromes syn of r.  Each word takes its least degree monic solution E:
-    after one RREF on the system's first t columns, E has a 1 at the first
-    column d without a pivot (or at t) and minus RREF column d at the pivots
-    before it.  If a codeword lies within t, with error e, every solution
-    vanishes on e's support (e E lies in GRS_{k+t}(x, y) and has weight at
-    most t < n-k-t+1), so E is e's locator, with d roots.
+    syndromes syn of r.  If a codeword lies within t, with error e, every
+    solution vanishes on e's support (e E lies in GRS_{k+t}(x, y) and has
+    weight at most t < n-k-t+1), and e's locator is one.
+
+    Each word's E is the vector of signed maximal minors of the first t rows
+    of its system (``linalg.batched_minors``), which those rows annihilate.
+    When e has weight t, those rows are V^T D U with V the invertible t x t
+    Vandermonde matrix of e's points, D the nonzero e_j z_j and U their
+    powers 0..t, so they have rank t and E is a nonzero multiple of e's
+    locator, of degree d = t; the scale cancels from the error values
+    below, so E needs no monic step.  A word whose minors all vanish (e of
+    weight below t, or no codeword within t and rank below t) takes instead
+    its least degree monic solution: after one ``linalg.batched_rref`` of
+    the stack of those words' systems, on their first t columns, E has a 1
+    at the first column d without a pivot (or at t) and minus RREF column d
+    at the pivots before it, and e's weight is d.  Every word takes that
+    elimination when ((t+1) 2^t) times the bits of q exceeds
+    ``_MINORS_BUDGET``: there the minors' (t+1) 2^t products per word cost
+    more than the elimination.
 
     For every word whose E has d roots x_j, the error values follow in
     closed form, e_j = W(x_j) / (z_j E'(x_j)) with W_p = sum_l E_{l+p+1}
@@ -202,22 +224,21 @@ def decode_many(p: GrsParams, words: np.ndarray) -> tuple[np.ndarray, np.ndarray
         raise DimensionMismatch(f"received words must have length n={n}")
     syn = linalg.matmul(f, r, p.parity_checks_t)
     hankel = syn[:, p.hankel_index]
-    table = linalg.batched_rref(f, hankel, t)
-    # d: the first zero row of the table, where its diagonal (1 at a pivot)
-    # first reads 0, or t.  E is minus column d of the table (zero at the
-    # pivots past d) with a 1 at d.
-    d = np.logical_and.accumulate(np.diagonal(table, axis1=1, axis2=2), axis=1).sum(axis=1)
-    every = np.arange(r.shape[0])
-    monic = np.zeros((r.shape[0], t + 1), dtype=np.int64)
-    monic[:, :t] = f.neg(table[every, :, d])
-    monic[every, d] = 1
-    root = linalg.matmul(f, monic, p.locator_rows) == 0
-    keep = np.nonzero(np.count_nonzero(root, axis=1) == d)[0]
+    if ((t + 1) << t) * f.q.bit_length() <= _MINORS_BUDGET:
+        locator = linalg.batched_minors(f, hankel[:, :t])
+        rest = np.nonzero(~locator.any(axis=1))[0]
+    else:
+        locator, rest = np.zeros((r.shape[0], t + 1), dtype=np.int64), np.arange(r.shape[0])
+    degree = np.full(r.shape[0], t)
+    if rest.size:
+        locator[rest], degree[rest] = _least_locator(f, hankel[rest], t)
+    root = linalg.matmul(f, locator, p.locator_rows) == 0
+    keep = np.nonzero(np.count_nonzero(root, axis=1) == degree)[0]
 
     # W from the products E_i syn_l by a 0/1 matrix, then W and E' at every point.
-    terms = f.mul(monic[keep, :, None], syn[keep, None, :t]).reshape(keep.size, (t + 1) * t)
+    terms = f.mul(locator[keep, :, None], syn[keep, None, :t]).reshape(keep.size, (t + 1) * t)
     coef_w = linalg.matmul(f, terms, p.w_select)
-    coef_d = f.mul(np.arange(1, t + 1) % f.p, monic[keep, 1:])
+    coef_d = f.mul(np.arange(1, t + 1) % f.p, locator[keep, 1:])
     vals = linalg.matmul(f, np.concatenate([coef_w, coef_d]), p.locator_rows[:t])
     at_w, at_d = vals[: keep.size], vals[keep.size :]
     err = np.where(root[keep], f.mul(at_w, f.inv0(f.mul(at_d, p.parity_checks_t[:, 0]))), 0)
@@ -228,6 +249,21 @@ def decode_many(p: GrsParams, words: np.ndarray) -> tuple[np.ndarray, np.ndarray
     ok = np.zeros(r.shape[0], dtype=bool)
     ok[keep] = True
     return msgs, ok
+
+
+def _least_locator(f: GF, hankel: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each Hankel system's least degree monic solution and its degree d,
+    from one RREF on the system's first t columns: 1 at the first column d
+    without a pivot (or at t), minus RREF column d at the pivots before it."""
+    table = linalg.batched_rref(f, hankel, t)
+    # d: the first zero row of the table, where its diagonal (1 at a pivot)
+    # first reads 0, or t.  Past d the pivots' entries of column d are zero.
+    d = np.logical_and.accumulate(np.diagonal(table, axis1=1, axis2=2), axis=1).sum(axis=1)
+    every = np.arange(len(hankel))
+    monic = np.zeros((len(hankel), t + 1), dtype=np.int64)
+    monic[:, :t] = f.neg(table[every, :, d])
+    monic[every, d] = 1
+    return monic, d
 
 
 def decode(p: GrsParams, received: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:

@@ -7,6 +7,8 @@ nonzero pivot scanning top-to-bottom, left-to-right, so every canonical form
 here is deterministic.  The lockstep eliminations of stacks go row by row,
 rows in place; ``batched_rref`` then returns each matrix's reduced rows
 indexed by pivot column, a zero row standing for a column without a pivot.
+``batched_minors`` gives the kernel of a stack of r x (r+1) matrices of
+rank r with no elimination, as their signed maximal minors.
 
 ``matmul`` is the one product, with numpy's rules for ``@``: a 1-D left
 operand is a row and a 1-D right operand a column, and that axis is dropped
@@ -22,6 +24,8 @@ contiguous (rows, cols) slab, and the sum adds slabs.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 
 import numpy as np
@@ -235,6 +239,59 @@ def batched_right_kernel(f: GF, mats: np.ndarray) -> tuple[np.ndarray, np.ndarra
     order = np.argsort(~free, axis=1, kind="stable")[:, : nullity.max(initial=0)]
     cols = np.take_along_axis(table, order[:, None, :], axis=2).transpose(0, 2, 1)
     return f.sub(np.eye(table.shape[1], dtype=np.int64)[order], cols), nullity
+
+
+def batched_minors(f: GF, mats: np.ndarray) -> np.ndarray:
+    """Signed maximal minors of a stack of r x (r+1) matrices: entry c of
+    row i is (-1)^c det(mats[i] without column c), the generalized cross
+    product, which every row of mats[i] annihilates.  It spans the right
+    kernel when mats[i] has rank r and is zero otherwise.
+
+    Laplace expansion along the rows: the minors of the first L rows on
+    every L-subset of columns are sums of entries of row L-1 times minors
+    of the first L-1 rows, four whole-stack operations per row, for
+    (r+1) 2^r products per matrix in all (see ``_laplace_plan``).
+    """
+    m = np.asarray(mats, dtype=np.int64)
+    if m.ndim != 3 or m.shape[2] != m.shape[1] + 1:
+        raise DimensionMismatch(f"expected a stack of r x (r+1) matrices, got shape {m.shape}")
+    plan = _laplace_plan(m.shape[1])
+    if not plan:
+        return np.ones((len(m), 1), dtype=np.int64)  # the empty determinant
+    signed = np.concatenate([m, f.neg(m)], axis=2)  # column j + r+1 holds -m[:, :, j]
+    minors = signed[:, 0, plan[0][0][:, 0]]  # level 1: entries times the empty minor 1
+    for row, (entries, rest) in enumerate(plan[1:], 1):
+        minors = f.sum(f.mul(signed[:, row, entries], minors[:, rest]), axis=2)
+    return minors
+
+
+@functools.lru_cache(maxsize=None)
+def _laplace_plan(r: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Read-only index tables of ``batched_minors`` for r x (r+1) matrices,
+    one pair (entries, rest) of (subsets, L) tables per level L = 1..r.
+
+    Level L lists the L-subsets S of the columns (the last level by the
+    column each leaves out).  S's minor on the first L rows is the sum over
+    positions p of [m | -m] at row L-1, column entries[S, p], times the
+    level L-1 minor at rest[S, p], of the subset S without S[p] (level 0 is
+    the empty minor 1).  The Laplace sign (-1)^(L-1+p), and on the last
+    level the sign (-1)^c of the minor leaving out column c, select the -m
+    half.
+    """
+    cols = r + 1
+    plan, levels = [], [()]
+    for size in range(1, r + 1):
+        if size == r:  # by the column left out, with that column's sign
+            subsets = [(tuple(j for j in range(cols) if j != c), c % 2) for c in range(cols)]
+        else:
+            subsets = [(s, 0) for s in itertools.combinations(range(cols), size)]
+        where = {s: i for i, s in enumerate(levels)}
+        entries = [[j + cols * ((size - 1 + p + sign) % 2) for p, j in enumerate(s)]
+                   for s, sign in subsets]
+        rest = [[where[s[:p] + s[p + 1 :]] for p in range(size)] for s, _ in subsets]
+        plan.append((frozen(entries), frozen(rest)))
+        levels = [s for s, _ in subsets]
+    return tuple(plan)
 
 
 def intersect_rowspaces(f: GF, a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -252,20 +252,27 @@ class TestAddSub:
         ]
 
     def test_sampled_pairs_above_table_bound(self, rng):
-        """GF(3^7) has more than 1024 elements, so it adds digit-wise."""
-        f = GF(3, 7, 2198)  # X^7 + X^2 + 2
-        assert f.q > 1024
-        a = rng.integers(0, f.q, 500)
-        b = rng.integers(0, f.q, 500)
-        assert f.add(a, b).tolist() == [schoolbook_add(x, y, 3, 7) for x, y in zip(a, b)]
-        assert f.sub(a, b).tolist() == [schoolbook_add(x, y, 3, 7, -1) for x, y in zip(a, b)]
-        assert f.neg(a).tolist() == [schoolbook_add(0, x, 3, 7, -1) for x in a]
+        """GF(3^7), GF(5^5) and GF(7^4) have more than 1024 elements, so
+        they add by Zech logarithms: sampled pairs, with zeros, a zero sum
+        and a negated element among them."""
+        # X^7 + X^2 + 2, X^5 + 4X + 1 and X^4 + X + 1
+        for f in (GF(3, 7, 2198), GF(5, 5, 3146), GF(7, 4, 2409)):
+            p, m = f.p, f.m
+            assert f.q > 1024 and f._add_table is None
+            a = rng.integers(0, f.q, 500)
+            b = rng.integers(0, f.q, 500)
+            a[:5], b[5:10], b[10] = 0, 0, f.neg(a[10])
+            pairs = [(int(x), int(y)) for x, y in zip(a, b)]
+            assert f.add(a, b).tolist() == [schoolbook_add(x, y, p, m) for x, y in pairs]
+            assert f.add(a[10], b[10]) == 0
+            assert f.sub(a, b).tolist() == [schoolbook_add(x, y, p, m, -1) for x, y in pairs]
+            assert f.neg(a).tolist() == [schoolbook_add(0, x, p, m, -1) for x, _ in pairs]
 
     @pytest.mark.parametrize("p", [1031, 65521])
     def test_prime_field_above_table_bound(self, p, rng):
         """Prime fields of more than 1024 elements have no tables: they add
-        digit-wise with one digit, multiply through log/antilog tables and
-        sum as integers mod p."""
+        and sum as integers mod p and multiply through log/antilog
+        tables."""
         f = GF(p)
         assert f._mul_table is None and f._add_table is None
         a = rng.integers(0, p, 500)

@@ -170,13 +170,14 @@ def noisy_codewords(f, p, count, weight, rng):
 
 
 def spy(monkeypatch, *names):
-    """Record each call of the named linalg functions, then run it."""
+    """Record each call of the named linalg functions, as (name, args), then
+    run it."""
     calls = []
     for name in names:
         real = getattr(la, name)
 
         def wrapper(*args, name=name, real=real):
-            calls.append(name)
+            calls.append((name, args))
             return real(*args)
 
         monkeypatch.setattr(la, name, wrapper)
@@ -214,22 +215,26 @@ class TestDecode:
             ("gf9", [0, 1, 3, 5, 8], [1, 4, 2, 7, 3], 1, 2),
             ("gf9", [0, 1, 3, 5, 8], [1, 4, 2, 7, 3], 2, 1),
             ("gf9", [0, 1, 3, 5, 8], [1, 4, 2, 7, 3], 3, 1),
+            ("gf7", [0, 1, 2, 3, 4, 5], [3, 1, 6, 2, 5, 4], 2, 2),
+            ("gf7", [0, 1, 2, 3, 4, 5, 6], [2, 5, 1, 1, 3, 6, 4], 1, 3),
         ],
         ids=["n4-k2", "n5-k1-t2", "n5-k2-spare-check", "n4-k3-t0",
-             "gf9-n5-k1", "gf9-n5-k2", "gf9-n5-k3"],
+             "gf9-n5-k1", "gf9-n5-k2", "gf9-n5-k3", "gf7-n6-k2-t2", "gf7-n7-k1-t3"],
     )
     def test_exhaustive_against_brute_force(self, request, field, x, y, k, t):
-        """Every received word against the oracle, all in one stacked call:
-        over GF(5) t = 2, a spare parity check when n-k is odd, and t = 0,
-        where the locator system has no unknowns; over GF(9), an odd
-        extension field, k = 1..3.  Over GF(5) every word is also decoded
-        on its own."""
+        """Every received word against the oracle, in stacked calls of at
+        most 2^16 words: over GF(5) t = 2, a spare parity check when n-k is
+        odd, and t = 0, where the locator system has no unknowns; over
+        GF(9), an odd extension field, k = 1..3; over GF(7), t = 2 and
+        t = 3, where errors of every weight up to t meet both locator
+        routes.  Over GF(5) every word is also decoded on its own."""
         f = request.getfixturevalue(field)
         p = GrsParams(f, np.array(x), np.array(y), k)
         assert p.t == t
         codewords = all_codewords(f, p)
-        words = np.array(list(itertools.product(range(f.q), repeat=p.n)), dtype=np.int64)
-        msgs, ok = grs.decode_many(p, words)
+        words = np.indices((f.q,) * p.n, dtype=np.uint8).reshape(p.n, -1).T  # every word
+        parts = [grs.decode_many(p, words[i : i + (1 << 16)]) for i in range(0, len(words), 1 << 16)]
+        msgs, ok = (np.concatenate(a) for a in zip(*parts, strict=True))
         assert msgs.shape == (len(words), k) and ok.shape == (len(words),)
         nearest, dist = brute_force_nearest(codewords, words)
         within = dist <= t
@@ -255,6 +260,44 @@ class TestDecode:
         got, ok = grs.decode_many(p, words)
         assert calls == []
         assert ok.all() and np.array_equal(got, msgs)
+
+    @pytest.mark.parametrize("field,n,k", [((2, 4, 19), 15, 6), ((2, 4, 19), 15, 9),
+                                           ((5, 2, 32), 16, 6)])
+    def test_weight_t_locators_by_minors(self, monkeypatch, field, n, k):
+        """Weight-t words take their locators from maximal minors, with no
+        elimination; words at distance w < t, whose minors all vanish,
+        reach ``batched_rref`` as one stack of their Hankel systems alone,
+        in order, and every word decodes to its message."""
+        f = GF(*field)
+        rng = np.random.default_rng(n + k)
+        p = grs.random_params(f, n, k, rng)
+        heavy, sent = noisy_codewords(f, p, 100, p.t, rng)
+        grs.decode_many(p, heavy[:1])  # builds the key's tables
+        calls = spy(monkeypatch, "batched_rref")
+        msgs, ok = grs.decode_many(p, heavy)
+        assert calls == []
+        assert ok.all() and np.array_equal(msgs, sent)
+        light, light_sent = zip(*(noisy_codewords(f, p, 10, w, rng) for w in range(p.t)),
+                                strict=True)
+        msgs, ok = grs.decode_many(p, np.vstack([heavy[:50], *light, heavy[50:]]))
+        assert ok.all()
+        assert np.array_equal(msgs, np.vstack([sent[:50], *light_sent, sent[50:]]))
+        [(_, (_, stack, ncols))] = calls
+        syn = la.matmul(f, np.vstack(light), p.parity_checks_t)
+        assert np.array_equal(stack, syn[:, p.hankel_index]) and ncols == p.t
+
+    def test_large_radius_takes_the_elimination(self, gf16, monkeypatch):
+        """Past the minors' budget (t = 6 over GF(16): 448 products per word)
+        every word takes its least degree locator from one elimination of
+        the whole stack."""
+        rng = np.random.default_rng(3)
+        p = grs.random_params(gf16, 15, 3, rng)
+        assert ((p.t + 1) << p.t) * gf16.q.bit_length() > grs._MINORS_BUDGET
+        words, sent = noisy_codewords(gf16, p, 40, p.t, rng)
+        calls = spy(monkeypatch, "batched_rref")
+        msgs, ok = grs.decode_many(p, words)
+        assert [(name, len(args[1])) for name, args in calls] == [("batched_rref", 40)]
+        assert ok.all() and np.array_equal(msgs, sent)
 
     @pytest.mark.parametrize("field,n,k", [("gf7", 7, 1), ("gf9", 9, 2), ("gf16", 15, 3)])
     def test_degenerate_words_decode_in_closed_form(self, request, monkeypatch, field, n, k):

@@ -1,5 +1,7 @@
 """Linear algebra over GF(q): canonical forms, kernels, solves, sampling."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -73,7 +75,7 @@ class TestRankKernel:
             assert la.batched_rank(f, mats).tolist() == expected
 
 
-# GF(3^7) lies above the table bound, so it adds digit-wise.
+# GF(3^7) lies above the table bound, so it adds by Zech logarithms.
 RANK_FIELDS = [GF(7), GF(2, 4, 19), GF(5, 2, 32), GF(3, 7, 2198)]
 RANK_IDS = ["GF7", "GF16", "GF25", "GF3^7"]
 
@@ -227,6 +229,67 @@ class TestBatchedKernel:
     def test_empty_stack(self, gf7):
         kern, nullity = la.batched_right_kernel(gf7, np.zeros((0, 3, 4), dtype=np.int64))
         assert kern.shape == (0, 0, 4) and nullity.shape == (0,)
+
+
+def leibniz_det(f, m):
+    """Independent reference: the sum over permutations of signed products."""
+    total = 0
+    for perm in itertools.permutations(range(len(m))):
+        term = 1
+        for i, j in enumerate(perm):
+            term = f.mul(term, m[i, j])
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        total = f.add(total, f.neg(term) if inversions % 2 else term)
+    return int(total)
+
+
+MINOR_FIELDS = [GF(2), GF(7), GF(2, 4, 19), GF(5, 2, 32), GF(3, 7, 2198)]
+MINOR_IDS = ["GF2", "GF7", "GF16", "GF25", "GF3^7"]
+
+
+class TestBatchedMinors:
+    """``batched_minors`` of r x (r+1) stacks against ``right_kernel`` and
+    against determinants by the Leibniz formula."""
+
+    @pytest.mark.parametrize("f", MINOR_FIELDS, ids=MINOR_IDS)
+    def test_spans_the_kernel_at_full_rank(self, f, rng):
+        """Every rank from 0 to r (three planted matrices each) and random
+        matrices: at rank r the minors are a nonzero multiple of the one
+        kernel row, below it they are zero."""
+        for r in range(7):
+            planted = TestBatchedKernel.planted_stack(f, r, r + 1, rng)
+            mats = np.concatenate([planted, rng.integers(0, f.q, (20, r, r + 1))])
+            minors = la.batched_minors(f, mats)
+            assert minors.shape == (len(mats), r + 1)
+            for m, v in zip(mats, minors, strict=True):
+                kern = la.right_kernel(f, m)
+                if len(kern) == 1:
+                    lead = np.nonzero(kern[0])[0][0]
+                    scale = f.div(v[lead], kern[0, lead])
+                    assert np.array_equal(f.mul(scale, kern[0]), v) and v.any()
+                else:
+                    assert not v.any()
+
+    @pytest.mark.parametrize("f", MINOR_FIELDS, ids=MINOR_IDS)
+    def test_signed_minors_equal_leibniz(self, f, rng):
+        for r in range(5):
+            mats = rng.integers(0, f.q, (6, r, r + 1))
+            minors = la.batched_minors(f, mats)
+            for m, v in zip(mats, minors, strict=True):
+                want = [leibniz_det(f, np.delete(m, c, axis=1)) for c in range(r + 1)]
+                assert v.tolist() == [x if c % 2 == 0 else int(f.neg(x)) for c, x in enumerate(want)]
+
+    def test_small_shapes(self, gf7):
+        """r = 0 gives the empty determinant 1, r = 1 the row's
+        perpendicular (m01, -m00), and an empty stack no rows."""
+        assert la.batched_minors(gf7, np.zeros((3, 0, 1), dtype=np.int64)).tolist() == [[1]] * 3
+        assert la.batched_minors(gf7, np.array([[[2, 5]], [[0, 3]]])).tolist() == [[5, 5], [3, 0]]
+        assert la.batched_minors(gf7, np.zeros((0, 3, 4), dtype=np.int64)).shape == (0, 4)
+
+    @pytest.mark.parametrize("shape", [(3, 4), (2, 3, 3), (2, 3, 5)])
+    def test_shape_refused(self, gf7, shape):
+        with pytest.raises(DimensionMismatch, match=r"r x \(r\+1\)"):
+            la.batched_minors(gf7, np.ones(shape, dtype=np.int64))
 
 
 class TestInverse:

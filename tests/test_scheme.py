@@ -278,6 +278,24 @@ class TestDecrypt:
         assert np.array_equal(got, msg)
         assert peak < 48 * 2**20
 
+    def test_sweep_memory_is_bounded_at_minors_radius(self):
+        """The same bound at GF(4096) (26, 18), t = 4, where the 4096
+        shifted words take their locators from maximal minors."""
+        f = GF(2, 12, 4179)
+        pk, sk = scheme.keygen(f, 26, 18, np.random.default_rng(0))
+        assert ((sk.t + 1) << sk.t) * f.q.bit_length() <= grs._MINORS_BUDGET
+        rng = np.random.default_rng(1)
+        msg = rng.integers(0, f.q, 18)
+        z = scheme.encrypt(pk, msg, rng)
+        tracemalloc.start()
+        try:
+            got = scheme.decrypt(sk, z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got, msg)
+        assert peak < 48 * 2**20
+
     def test_malformed_length(self, keypair16):
         f, pk, sk = keypair16
         with pytest.raises(Exception):
