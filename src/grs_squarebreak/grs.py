@@ -8,17 +8,19 @@ This module provides the generator matrix, bounded-distance decoding up to
 floor((n-k)/2) errors (Berlekamp-Welch: an error locator E from a syndrome
 system, the error values e_j = W(x_j) / (z_j E'(x_j)), with E'(x_j) != 0
 in any characteristic as E's roots are distinct, and a syndrome check;
-``decode_many`` decodes a stack of words in lockstep, as the decryption
-sweep does for its q shifted words, ``decode`` one word; E is a multiple
+``decode_many`` decodes a stack of words in lockstep, ``decode`` one word,
+and ``decode_line`` the decryption sweep's q words c - s d, whose
+syndromes and locator minors it takes along the line in s; E is a multiple
 of the locator, from maximal minors, or from an elimination where they
 vanish or t is large), the dual-code multiplier formula, and two
 reconstruction routines used by the attack.  A ``GrsParams`` is read-only
 and builds its key-fixed tables (the generator, the dual's generator as
-parity checks, the locator power rows, the interpolation matrix, the
-Hankel index of the locator system and the 0/1 matrix that forms W) once,
-on first use, for every decode.  Its
-power rows and the dual's multipliers are a fixed number of array steps on
-the field's log/antilog tables (``GF.pow``, ``GF.prod``).
+parity checks, the locator power rows, the rows that evaluate W and z E',
+the interpolation matrix, the Hankel index of the locator system, and the
+tables of multiples that the decoder's products read) once, on first use;
+only a decode builds the tables of multiples.  Its power rows and the
+dual's multipliers are a fixed number of array steps on the field's
+log/antilog tables (``GF.pow``, ``GF.prod``).
 
 The reconstruction routines:
 
@@ -34,7 +36,7 @@ The reconstruction routines:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -49,6 +51,10 @@ from .linalg import DimensionMismatch
 # measured crossover with the elimination (CHANGES.md), which admits every
 # t <= 4, and t = 5 below q = 256.
 _MINORS_BUDGET = 1600
+
+# Entries, at most, in a block of ``decode_line``'s words (their Hankel
+# stack has (t+1) n entries per word or fewer).
+_SWEEP_BLOCK = 1 << 20
 
 
 class InvalidParams(ValueError):
@@ -92,10 +98,10 @@ class GrsParams:
         """Unique-decoding radius floor((n-k)/2)."""
         return (self.n - self.k) // 2
 
-    # Key-fixed tables, built on first use (``decode_many`` reads all six,
-    # ``decode`` and the attack and key generation only the generator).  Like
-    # x and y they are read-only, so no caller can make them disagree with
-    # the code.
+    # Key-fixed tables, built on first use (a decode reads them all, key
+    # generation and the attack only the generator and the parity checks).
+    # Like x and y they are read-only, so no caller can make them disagree
+    # with the code.
 
     @cached_property
     def generator(self) -> np.ndarray:
@@ -121,12 +127,39 @@ class GrsParams:
         return linalg.frozen(np.arange(self.n - self.k - self.t)[:, None] + np.arange(self.t + 1))
 
     @cached_property
-    def w_select(self) -> np.ndarray:
-        """(t+1) t x t 0/1 matrix: the products E_i syn_l, flattened to row
-        i t + l, times it give W_p = sum_l E_{l+p+1} syn_l."""
+    def evaluator_rows(self) -> np.ndarray:
+        """(t+1) t x n matrix with row i t + l equal to x^(i-l-1) for i > l
+        and zero otherwise: the products E_i syn_l, flattened to row
+        i t + l, times it give the error evaluator W, W_p = sum_l
+        E_{l+p+1} syn_l, at the points."""
         t = self.t
-        select = np.arange(t + 1)[:, None, None] == np.add.outer(np.arange(t), np.arange(1, t + 1))
-        return linalg.frozen(select.reshape((t + 1) * t, t))
+        gap = np.arange(t + 1)[:, None, None] - np.arange(1, t + 1)[:, None]
+        rows = np.where(gap >= 0, self.field.pow(self.x, np.maximum(gap, 0)), 0)
+        return linalg.frozen(rows.reshape((t + 1) * t, self.n))
+
+    @cached_property
+    def derivative_rows(self) -> np.ndarray:
+        """(t+1) x n matrix with row i equal to i z x^(i-1) (row 0 zero), z
+        the dual's multipliers: a locator's coefficients @ it give z times
+        its formal derivative at the points."""
+        f, i = self.field, np.arange(self.t + 1)[:, None]
+        z_powers = f.mul(self.parity_checks_t[:, 0], f.pow(self.x, np.maximum(i - 1, 0)))
+        return linalg.frozen(f.mul(i % f.p, z_powers))
+
+    @cached_property
+    def multiples(self) -> dict[str, np.ndarray | None]:
+        """Read-only tables of the multiples of the rows of the five key
+        tables the decoder multiplies by, by name (``linalg.multiples``),
+        None where one would pass linalg's bound of 2^20 entries.  Only a
+        decode builds them, so key generation, key files and the attack's
+        many short-lived codes never pay for them."""
+        tables = {}
+        for name in ("parity_checks_t", "locator_rows", "evaluator_rows", "derivative_rows",
+                     "interpolation"):
+            table = tables[name] = linalg.multiples(self.field, getattr(self, name))
+            if table is not None:
+                table.flags.writeable = False
+        return tables
 
     @cached_property
     def interpolation(self) -> np.ndarray:
@@ -208,47 +241,140 @@ def decode_many(p: GrsParams, words: np.ndarray) -> tuple[np.ndarray, np.ndarray
     E / (X - x_j) they are sum_{l<t} Q_{j,l} syn_l and Q_j(x_j).  E has d
     distinct roots, so E'(x_j), the product of the x_j - x_i over the
     others, is never zero, even where some (p+1) E_{p+1} vanishes mod p.
-    The word is accepted only when e has all n-k syndromes of r; that
-    rejects every word with no codeword within t, whatever its E.  Then
-    r - e is a codeword, and its first k values times ``p.interpolation``
-    give the message.  Every step is one operation over the whole stack, on
-    tables of ``p`` built on its first decode.
+    W at every point is the products E_i syn_l times ``p.evaluator_rows``,
+    and z E' there is E times ``p.derivative_rows``.  The word is accepted
+    only when e has all n-k syndromes of r; that rejects every word with no
+    codeword within t, whatever its E.  Then r - e is a codeword, and its
+    first k values times ``p.interpolation`` give the message.  Every step
+    is one operation over the whole stack.  The products by key tables read
+    the tables' multiples (``p.multiples``, ``linalg.table_product``), one
+    row gather per entry instead of one lookup per product, where those
+    fit linalg's bound; they are built on ``p``'s first decode.
 
     The words must hold field elements, integers in [0, q): they are not
-    checked here, since the decryption sweep calls this on every
-    ciphertext after checking it once (``decode`` checks its word).
+    checked here (``decode`` checks its word, and the decryption sweep its
+    ciphertext before ``decode_line``).
     """
-    f, k, n, t = p.field, p.k, p.n, p.t
+    f, n, t = p.field, p.n, p.t
     r = np.asarray(words, dtype=np.int64)
     if r.ndim != 2 or r.shape[1] != n:
         raise DimensionMismatch(f"received words must have length n={n}")
-    syn = linalg.matmul(f, r, p.parity_checks_t)
-    hankel = syn[:, p.hankel_index]
-    if ((t + 1) << t) * f.q.bit_length() <= _MINORS_BUDGET:
-        locator = linalg.batched_minors(f, hankel[:, :t])
-        rest = np.nonzero(~locator.any(axis=1))[0]
+    syn = _times(p, r, "parity_checks_t")
+    if _by_minors(p):
+        locator = linalg.batched_minors(f, syn[:, p.hankel_index[:t]])
     else:
-        locator, rest = np.zeros((r.shape[0], t + 1), dtype=np.int64), np.arange(r.shape[0])
-    degree = np.full(r.shape[0], t)
-    if rest.size:
-        locator[rest], degree[rest] = _least_locator(f, hankel[rest], t)
-    root = linalg.matmul(f, locator, p.locator_rows) == 0
-    keep = np.nonzero(np.count_nonzero(root, axis=1) == degree)[0]
-
-    # W from the products E_i syn_l by a 0/1 matrix, then W and E' at every point.
-    terms = f.mul(locator[keep, :, None], syn[keep, None, :t]).reshape(keep.size, (t + 1) * t)
-    coef_w = linalg.matmul(f, terms, p.w_select)
-    coef_d = f.mul(np.arange(1, t + 1) % f.p, locator[keep, 1:])
-    vals = linalg.matmul(f, np.concatenate([coef_w, coef_d]), p.locator_rows[:t])
-    at_w, at_d = vals[: keep.size], vals[keep.size :]
-    err = np.where(root[keep], f.mul(at_w, f.inv0(f.mul(at_d, p.parity_checks_t[:, 0]))), 0)
-    good = np.all(linalg.matmul(f, err, p.parity_checks_t) == syn[keep], axis=1)
-    keep = keep[good]
-    msgs = np.zeros((r.shape[0], k), dtype=np.int64)
-    msgs[keep] = linalg.matmul(f, f.sub(r[keep, :k], err[good, :k]), p.interpolation)
-    ok = np.zeros(r.shape[0], dtype=bool)
+        locator = np.zeros((len(r), t + 1), dtype=np.int64)
+    keep, found = _decode(p, syn, locator, lambda i: r[i, : p.k])
+    msgs = np.zeros((len(r), p.k), dtype=np.int64)
+    msgs[keep] = found
+    ok = np.zeros(len(r), dtype=bool)
     ok[keep] = True
     return msgs, ok
+
+
+def decode_line(p: GrsParams, c: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """The messages of the words c - s d, for s in GF(q) in increasing
+    order, that lie within t of the code (see ``decode_many``): the
+    decryption sweep's q shifted words, decoded as one line.
+
+    The syndromes are affine in s, syn(c) - s syn(d), from one product of
+    [c; d] with the parity checks.  So each maximal minor of the first t
+    rows of the Hankel system is a polynomial in s of degree at most t
+    (each row is affine in s), and the minors at every s follow from their
+    values at the t+1 shifts 0..t by one product with a fixed Lagrange
+    matrix (``_lagrange``): the same values as the minors of each shifted
+    word, computed once per line.  The words go through ``decode_many``'s
+    body in blocks of at most 2^20 / ((t+1) n) words, which bounds the
+    memory whatever q is, and c - s d is formed only at the shifts it
+    accepts.  c and d must hold field elements (unchecked, as for
+    ``decode_many``).
+    """
+    f, k, t = p.field, p.k, p.t
+    syn_c, syn_d = _times(p, np.array((c, d)), "parity_checks_t")
+    minors = _line_minors(p, syn_c, syn_d) if _by_minors(p) else None
+    shifts = f.elements()
+    block = max(1, _SWEEP_BLOCK // ((t + 1) * p.n))
+    found = []
+    for start in range(0, f.q, block):
+        s = shifts[start : start + block]
+        syn = f.sub(syn_c, f.mul(s[:, None], syn_d))
+        if minors is None:
+            locator = np.zeros((len(s), t + 1), dtype=np.int64)
+        else:
+            locator = minors[:, start : start + block].T.copy()
+        found.append(_decode(p, syn, locator, lambda i: f.sub(c[:k], f.mul(s[i, None], d[:k])))[1])
+    return np.concatenate(found)
+
+
+def _line_minors(p: GrsParams, syn_c: np.ndarray, syn_d: np.ndarray) -> np.ndarray:
+    """(t+1) x q matrix whose column s holds the signed maximal minors of
+    the first t rows of the Hankel system of the syndromes syn_c - s syn_d:
+    those at s = 0..t, times the Lagrange matrix."""
+    f, t = p.field, p.t
+    samples = f.sub(syn_c, f.mul(f.elements()[: t + 1, None], syn_d))
+    sampled = linalg.batched_minors(f, samples[:, p.hankel_index[:t]]).T
+    lagrange, table = _lagrange(f, t)
+    if table is None:
+        return linalg.matmul(f, sampled, lagrange)
+    return linalg.table_product(f, sampled, table)
+
+
+def _by_minors(p: GrsParams) -> bool:
+    """Whether words take their locators from maximal minors: while their
+    (t+1) 2^t products per word, times the bits of q, are in budget."""
+    return ((p.t + 1) << p.t) * p.field.q.bit_length() <= _MINORS_BUDGET
+
+
+def _times(p: GrsParams, a: np.ndarray, name: str) -> np.ndarray:
+    """a @ the key table ``name`` of p, off its table of multiples when it
+    has one."""
+    table = p.multiples[name]
+    if table is None:
+        return linalg.matmul(p.field, a, getattr(p, name))
+    return linalg.table_product(p.field, a, table)
+
+
+def _decode(p: GrsParams, syn: np.ndarray, locator: np.ndarray,
+            heads) -> tuple[np.ndarray, np.ndarray]:
+    """The decoder body shared by ``decode_many`` and ``decode_line``, on a
+    stack of words given by their syndromes and their locators (a zero row
+    where a word takes its least degree locator instead; the rows are
+    overwritten).  heads(i) gives the first k values of the words at the
+    indices i.  Returns (keep, msgs): the indices of the words within t,
+    increasing, and their messages."""
+    f, k, t = p.field, p.k, p.t
+    degree = t
+    rest = (~locator.any(axis=1)).nonzero()[0]
+    if rest.size:
+        degree = np.full(len(syn), t)
+        locator[rest], degree[rest] = _least_locator(f, syn[rest][:, p.hankel_index], t)
+    root = _times(p, locator, "locator_rows") == 0
+    keep = (root.sum(axis=1) == degree).nonzero()[0]
+
+    # W and z E' at every point, from the products E_i syn_l and from E.
+    terms = f.mul(locator[keep, :, None], syn[keep, None, :t]).reshape(keep.size, (t + 1) * t)
+    at_w = _times(p, terms, "evaluator_rows")
+    at_d = _times(p, locator[keep], "derivative_rows")
+    err = np.where(root[keep], f.mul(at_w, f.inv0(at_d)), 0)
+    good = (_times(p, err, "parity_checks_t") == syn[keep]).all(axis=1)
+    keep = keep[good]
+    return keep, _times(p, f.sub(heads(keep), err[good, :k]), "interpolation")
+
+
+@lru_cache(maxsize=16)
+def _lagrange(f: GF, t: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """The (t+1) x q Lagrange matrix L of the nodes 0..t, read-only, with
+    its table of multiples (or None past linalg's bound): for polynomials
+    of degree at most t given by their values v at the nodes, v L holds
+    their values at every element.  With V the (t+1) x (t+1) matrix of the
+    nodes' powers (row j holds u^j) and P that of every element's, the
+    coefficients are v V^-1, so L = V^-1 P.  Built once per (field, t)."""
+    power = _rows(f, np.ones(f.q, dtype=np.int64), f.elements(), t + 1)
+    lagrange = linalg.frozen(linalg.matmul(f, linalg.inverse(f, power[:, : t + 1]), power))
+    table = linalg.multiples(f, lagrange)
+    if table is not None:
+        table.flags.writeable = False
+    return lagrange, table
 
 
 def _least_locator(f: GF, hankel: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray]:

@@ -15,11 +15,15 @@ operand is a row and a 1-D right operand a column, and that axis is dropped
 from the result.  The left operand may be a stack, whose rows all share the
 right operand; the right operand is one vector or one matrix, and a stack
 there is refused.  Its memory bound: output rows go in blocks of at most
-2^22 products, or one row.  Two 2-D operands with fewer rows than 4q, as in
-the decoders, are one ``mul`` and one ``sum``.  A block of at least 4q rows
-reads its products off a table of the multiples of the right operand's
-rows, gathered term-major: the products of term m for every row form one
-contiguous (rows, cols) slab, and the sum adds slabs.
+2^22 products, or one row.  Two 2-D operands with fewer rows than 4q are
+one ``mul`` and one ``sum``.  From 4q rows on, the products are read off a
+table of the multiples of the right operand's rows (``multiples``), built
+for the call when it has at most 2^20 entries, a quarter of a block.  The
+one gather-and-sum, ``table_product``, gathers term-major: the products of
+term m for every row form one contiguous (rows, cols) slab, and the sum
+adds slabs.  A caller that multiplies by the same matrix many times, as
+the decoder does by its key tables, keeps that matrix's table and calls
+``table_product`` at any number of rows.
 """
 
 from __future__ import annotations
@@ -144,24 +148,47 @@ def matmul(f: GF, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return f.sum(f.mul(a[:, :, None], b), axis=1)  # one block, direct
     lhs, rhs = a.reshape(rows, inner), b.reshape(inner, cols)
     block = max(1, (1 << 22) // max(1, inner * cols))
-    # At least 4q rows per block read their products off a table whose row
-    # m*q + x is x * rhs[m], built once at a quarter of the block's products
-    # or less: one row gather per lhs entry replaces one table lookup per
-    # product.  The gather is term-major, (inner, rows, cols), so the sum
-    # reduces whole contiguous (rows, cols) slabs.
-    table = None
-    if 4 * f.q <= min(block, len(lhs)):
-        table = f.mul(rhs[:, None, :], f.elements()[:, None]).reshape(inner * f.q, cols)
-        offsets = (np.arange(inner) * f.q)[:, None]
+    # At least 4q rows read their products off rhs's table of multiples,
+    # built once when it fits: then 4q rows are at most a block.
+    table = multiples(f, rhs) if len(lhs) >= 4 * f.q else None
     parts = []
     for i in range(0, max(1, len(lhs)), block):
         if table is not None:
-            prods = table.take(lhs[i : i + block].T + offsets, axis=0)
-            parts.append(f.sum(prods, axis=0))
+            parts.append(table_product(f, lhs[i : i + block], table))
         else:
             parts.append(f.sum(f.mul(lhs[i : i + block, :, None], rhs), axis=1))
     out = parts[0] if len(parts) == 1 else np.concatenate(parts)
     return out.reshape(a.shape[:-1] + b.shape[1:])
+
+
+# Entries, at most, of a table of multiples: a quarter of a block of
+# ``matmul`` products, so that its table pays off from 4q rows on.
+_TABLE_MAX = 1 << 20
+
+
+def multiples(f: GF, b: np.ndarray) -> np.ndarray | None:
+    """The table of multiples of the rows of an inner x cols matrix b, for
+    ``table_product``: row m q + x holds x * b[m].  None when it would have
+    more than 2^20 entries."""
+    inner, cols = b.shape
+    if f.q * inner * cols > _TABLE_MAX:
+        return None
+    return f.mul(b[:, None, :], f.elements()[:, None]).reshape(inner * f.q, cols)
+
+
+def table_product(f: GF, a: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """a @ b for a 2-D a, off b's table of multiples (``multiples``): one
+    row gather per entry of a replaces one table lookup per product.  The
+    gather is term-major, (inner, rows, cols), so the sum reduces whole
+    contiguous (rows, cols) slabs."""
+    return f.sum(table.take(a.T + _offsets(f.q, a.shape[1]), axis=0), axis=0)
+
+
+@functools.lru_cache(maxsize=64)
+def _offsets(q: int, inner: int) -> np.ndarray:
+    """Read-only column of the first rows m q of the terms m < inner in a
+    table of multiples."""
+    return frozen((np.arange(inner) * q)[:, None])
 
 
 def inverse(f: GF, a: np.ndarray) -> np.ndarray:

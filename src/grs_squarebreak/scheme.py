@@ -235,18 +235,16 @@ def canonical_choice(candidates: list[tuple[int, np.ndarray]], t: int) -> np.nda
     return min(candidates, key=lambda c: (c[0] != t, c[0], tuple(c[1].tolist())))[1]
 
 
-# Entries, at most, in a sweep block's shifted words and in its Hankel stack.
-_SWEEP_BLOCK = 1 << 20
-
-
 def sweep_decrypt(
     key: PublicKey | SecretKey, c: np.ndarray, code: grs.GrsParams,
     direction: np.ndarray, to_plain: np.ndarray,
 ) -> list[tuple[int, np.ndarray]]:
     """The shift sweep shared by both decryptors.
 
-    Decodes c - s * direction in ``code`` for every s in GF(q), by blocks of
-    2^20 / ((t + 1) n) words (``grs.decode_many``), maps the decoded messages
+    Decodes c - s * direction in ``code`` for every s in GF(q) as one line
+    (``grs.decode_line``: the syndromes and the locator minors of every
+    shift follow from two rows and from t+1 shifts, and the words are
+    decoded in blocks of 2^20 / ((t + 1) n)), maps the decoded messages
     (coefficients in ``code.generator``) to plaintexts by the k x k matrix
     ``to_plain``, and keeps those whose public codeword lies within t of c.
     Returns the distinct verified (error weight, plaintext) candidates, in
@@ -257,13 +255,7 @@ def sweep_decrypt(
     c = f.as_elements(c, "ciphertext")
     if c.shape != (key.n,):
         raise DimensionMismatch(f"ciphertext length must be n={key.n}")
-    block = max(1, _SWEEP_BLOCK // ((key.t + 1) * key.n))
-    found = []
-    for start in range(0, f.q, block):
-        shifts = f.elements()[start : start + block]
-        msgs, ok = grs.decode_many(code, f.sub(c, f.mul(shifts[:, None], direction)))
-        found.append(msgs[ok])
-    plain = linalg.matmul(f, np.concatenate(found), to_plain)
+    plain = linalg.matmul(f, grs.decode_line(code, c, direction), to_plain)
     weights = np.count_nonzero(f.sub(c[None, :], linalg.matmul(f, plain, key.g_pub)), axis=1)
     candidates = {m.tobytes(): (int(w), m) for w, m in zip(weights, plain) if w <= key.t}
     if not candidates:

@@ -10,7 +10,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 def test_tree_against_itself(tmp_path):
     """This tree against itself for two rounds of decrypt-gf16: one JSON
-    line with a positive median ratio and its quartiles for every metric."""
+    line with a positive median ratio and its quartiles for every metric,
+    the two p90s included."""
     done = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "ab.py"), str(ROOT), str(ROOT),
          "--workload", "decrypt-gf16", "--rounds", "2", "--cts", "2"],
@@ -19,7 +20,8 @@ def test_tree_against_itself(tmp_path):
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout.splitlines()[-1])
     assert result["workload"] == "decrypt-gf16" and result["rounds"] == 2
-    assert set(result["metrics"]) == {"setup_s", "recover_key_s", "decrypt_ms", "decrypt_with_pair_ms"}
+    assert set(result["metrics"]) == {"setup_s", "recover_key_s", "decrypt_ms", "decrypt_ms.p90",
+                                      "decrypt_with_pair_ms", "decrypt_with_pair_ms.p90"}
     for m in result["metrics"].values():
         assert 0 < m["ratio_q1"] <= m["ratio_median"] <= m["ratio_q3"]
         assert m["a_median"] > 0 and m["b_median"] > 0 and 0 <= m["b_lower"] <= 2

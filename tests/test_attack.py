@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from grs_squarebreak import attack as atk
-from grs_squarebreak import grs, linalg as la, scheme
+from grs_squarebreak import fileio, grs, linalg as la, scheme
 from grs_squarebreak.attack import (
     AttackConfig,
     AttackStats,
@@ -936,6 +936,24 @@ class TestDecryptWithPair:
                 assert set(calls) == {"_rows", "mask"}
                 calls.clear()
         assert calls == {}
+
+    def test_keys_key_files_and_the_attack_build_no_decoder_table(self, gf16m, monkeypatch, tmp_path):
+        """keygen, ``build_keypair`` (through the secret-key file reader) and
+        ``recover_key``, with its many short-lived codes, build no table of
+        multiples and no Lagrange matrix: only a decode does."""
+        def refuse(*_):
+            raise AssertionError("a decoder table was built outside decoding")
+
+        monkeypatch.setattr(grs.GrsParams, "multiples", property(refuse))
+        monkeypatch.setattr(grs, "_lagrange", refuse)
+        pk, sk = scheme.keygen(gf16m, 15, 6, np.random.default_rng(42))
+        fileio.save_secret_key(tmp_path / "sec", sk)
+        _, read = fileio.load_secret_key(tmp_path / "sec")
+        rk, _ = atk.recover_key(pk, AttackConfig(seed=7))
+        monkeypatch.undo()
+        z = scheme.encrypt(pk, np.arange(6, dtype=np.int64), np.random.default_rng(1))
+        for got in (scheme.decrypt(read, z), atk.decrypt_with_pair(rk, pk, z)):
+            assert np.array_equal(got, np.arange(6))
 
     def test_zero_error_ciphertext(self, gf16m, low_rate_key, low_rate_attack):
         pk, _sk = low_rate_key

@@ -47,11 +47,62 @@ class TestParams:
         assert np.array_equal(eye, np.eye(k, dtype=np.int64))
 
     def test_points_multipliers_and_tables_are_read_only(self, gf16, rng):
+        """Every key table, every table of multiples and the Lagrange
+        matrix of the shift line with its table."""
         p = grs.random_params(gf16, 15, 6, rng)
+        assert all(table is not None for table in p.multiples.values())
         for table in (p.x, p.y, p.generator, p.parity_checks_t, p.locator_rows, p.interpolation,
-                      p.hankel_index, p.w_select):
+                      p.hankel_index, p.evaluator_rows, p.derivative_rows,
+                      *p.multiples.values(), *grs._lagrange(gf16, p.t)):
             with pytest.raises(ValueError):
                 table.flat[0] = 1
+
+    @pytest.mark.parametrize("field,n,k", [((2, 4, 19), 15, 6), ((2, 4, 19), 15, 9),
+                                           ((5, 2, 32), 16, 6), ((3, 3, 34), 26, 8)])
+    def test_tables_of_multiples_hold_every_product(self, field, n, k):
+        """Row m q + x of each table of multiples is x times row m of its
+        key table, and the Lagrange matrix's table that of the matrix."""
+        f = GF(*field)
+        p = grs.random_params(f, n, k, np.random.default_rng(n * k))
+        fixed = {name: getattr(p, name) for name in p.multiples}
+        fixed["lagrange"], table = grs._lagrange(f, p.t)
+        for name, b in fixed.items():
+            got = table if name == "lagrange" else p.multiples[name]
+            want = np.array([[f.mul(x, row) for x in range(f.q)] for row in b]).reshape(-1, b.shape[1])
+            assert np.array_equal(got, want), name
+
+    def test_evaluator_and_derivative_rows(self, gf9):
+        """Against their definitions: E_i syn_l times the evaluator rows is
+        W at every point, and E times the derivative rows is z E'."""
+        p = grs.random_params(gf9, 9, 2, np.random.default_rng(4))
+        f, t, x, z = gf9, p.t, p.x, p.parity_checks_t[:, 0]
+        e, syn = np.random.default_rng(5).integers(0, 9, (2, t + 1))
+
+        def at(coef, point):
+            return f.sum(f.mul(coef, f.pow(point, np.arange(len(coef)))))
+
+        w = [f.sum(f.mul(e[i + 1 :], syn[: t - i])) for i in range(t)]
+        assert np.array_equal(la.matmul(f, f.mul(e[:, None], syn[:t]).ravel(), p.evaluator_rows),
+                              [at(w, point) for point in x])
+        deriv = f.mul(np.arange(1, t + 1) % f.p, e[1:])
+        assert np.array_equal(la.matmul(f, e, p.derivative_rows),
+                              [f.mul(zj, at(deriv, point)) for zj, point in zip(z, x, strict=True)])
+
+    def test_no_table_past_the_bound(self, gf16):
+        """No table of multiples has more than 2^20 entries: at GF(4096)
+        (60, 29) a decode builds none and multiplies directly, and the
+        Lagrange matrices of GF(4096) have no table.  At GF(16) a 16 x 4096
+        matrix has a table of exactly 2^20 entries; one more column, none."""
+        f = GF(2, 12, 4179)
+        p = grs.random_params(f, 60, 29, np.random.default_rng(0))
+        words, msgs = noisy_codewords(f, p, 3, p.t, np.random.default_rng(1))
+        got, ok = grs.decode_many(p, words)
+        assert ok.all() and np.array_equal(got, msgs)
+        assert all(table is None for table in p.multiples.values())
+        assert all(grs._lagrange(f, t)[1] is None for t in (0, 4))
+        b = np.ones((16, 4096), dtype=np.int64)
+        assert la.multiples(gf16, b).size == 1 << 20
+        assert la.multiples(gf16, np.ones((16, 4097), dtype=np.int64)) is None
 
     def test_caller_arrays_are_copied(self, gf16, rng):
         """Writing into the arrays a GrsParams was built from changes neither
@@ -341,6 +392,32 @@ class TestDecode:
         assert ok[: 20 * (p.t + 1)].all()
         assert np.array_equal(la.matmul(f, msgs[ok], p.generator), nearest[ok])
         assert not msgs[~ok].any()
+
+    @pytest.mark.parametrize(
+        "field,n,k",
+        [((2, 4, 19), 15, 6), ((2, 4, 19), 15, 9), ((2, 5, 37), 31, 24), ((17, 1, 0), 17, 8),
+         ((7, 1, 0), 7, 2), ((5, 2, 32), 16, 6), ((3, 3, 34), 26, 16), ((2, 4, 19), 15, 13)],
+        ids=["gf16-15-6", "gf16-15-9", "gf32-31-24", "gf17-17-8", "gf7-7-2", "gf25-16-6",
+             "gf27-26-16", "gf16-15-13-t1"],
+    )
+    def test_line_minors_equal_the_minors_of_every_shift(self, field, n, k):
+        """The minors of the line of syndromes syn_c - s syn_d, interpolated
+        from t+1 shifts, equal ``batched_minors`` on the Hankel systems of
+        all q shifts: in characteristic 2, odd prime and odd extension
+        fields, with syn_d zero and with rank-deficient samples too."""
+        f = GF(*field)
+        rng = np.random.default_rng(n + k)
+        p = grs.random_params(f, n, k, rng)
+        assert grs._by_minors(p)
+        lagrange, _ = grs._lagrange(f, p.t)
+        assert np.array_equal(lagrange[:, : p.t + 1], np.eye(p.t + 1, dtype=np.int64))
+        lines = [rng.integers(0, f.q, (2, n - k)) for _ in range(4)]
+        lines.append((lines[0][0], np.zeros(n - k, dtype=np.int64)))
+        lines.append((np.zeros(n - k, dtype=np.int64), lines[1][1]))
+        for syn_c, syn_d in lines:
+            syn = f.sub(syn_c, f.mul(f.elements()[:, None], syn_d))
+            want = la.batched_minors(f, syn[:, p.hankel_index[: p.t]])
+            assert np.array_equal(grs._line_minors(p, syn_c, syn_d).T, want)
 
     def test_empty_stack(self, gf16):
         p = grs.random_params(gf16, 15, 6, np.random.default_rng(0))

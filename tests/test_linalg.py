@@ -431,6 +431,18 @@ class TestMatmul:
         per_call = [f.q * 5 * 3, f.q * 5 * 3, f.q * 5] if extra >= 0 else [rows * 5 * 3] * 2 + [rows * 5]
         assert sizes == per_call
 
+    @pytest.mark.parametrize("f", MATMUL_FIELDS, ids=MATMUL_IDS)
+    @pytest.mark.parametrize("rows", [0, 1, 3, 40])
+    def test_table_product(self, f, rows, rng):
+        """A product off a table of multiples, at any number of rows, equals
+        the reference loop; the table is None past 2^20 entries."""
+        b = la.random_matrix(f, 7, 5, rng)
+        table = la.multiples(f, b)
+        assert table.shape == (7 * f.q, 5)
+        a = rng.integers(0, f.q, (rows, 7))
+        assert np.array_equal(la.table_product(f, a, table), matmul_loop(f, a, b))
+        assert la.multiples(f, np.zeros((1, (1 << 20) // f.q + 1), dtype=np.int64)) is None
+
     @pytest.mark.parametrize(
         "a_shape,b_shape",
         [((2, 3), (4, 2)), ((3,), (4, 2)), ((2, 3), (4,)), ((3,), (4,)), ((5, 2, 3), (4, 2)),

@@ -214,6 +214,18 @@ class TestCanonicalChoice:
         assert self.pick([(3, (2, 1)), (3, (1, 7)), (1, (0, 0)), (3, (1, 9))]) == (1, 7)
 
 
+def q_word_candidates(key, c, code, direction, to_plain):
+    """The reference sweep: ``grs.decode_many`` on all q shifted words
+    c - s direction at once, each decoded message mapped to a plaintext by
+    to_plain and kept when its public codeword lies within t of c; the
+    distinct (error weight, plaintext) pairs in shift order."""
+    f = key.field
+    msgs, ok = grs.decode_many(code, f.sub(c, f.mul(f.elements()[:, None], direction)))
+    plain = la.matmul(f, msgs[ok], to_plain)
+    weights = np.count_nonzero(f.sub(c, la.matmul(f, plain, key.g_pub)), axis=1)
+    return list({m.tobytes(): (int(w), m) for w, m in zip(weights, plain) if w <= key.t}.values())
+
+
 class TestDecrypt:
     def test_round_trip_many(self, keypair16):
         f, pk, sk = keypair16
@@ -295,6 +307,48 @@ class TestDecrypt:
             tracemalloc.stop()
         assert np.array_equal(got, msg)
         assert peak < 48 * 2**20
+
+    @pytest.mark.parametrize(
+        "field,n,k",
+        [((2, 4, 19), 15, 6), ((2, 4, 19), 15, 9), ((5, 2, 32), 16, 6), ((5, 2, 32), 16, 7),
+         ((17, 1, 0), 17, 8), ((7, 1, 0), 7, 2), ((3, 1, 0), 3, 1), ((2, 1, 0), 2, 1),
+         ((2, 4, 19), 15, 1)],
+        ids=["gf16-15-6", "gf16-15-9", "gf25-16-6", "gf25-16-7", "gf17-17-8", "gf7-7-2",
+             "gf3-3-1", "gf2-2-1-t0", "gf16-15-1-t7"],
+    )
+    def test_both_decryptors_match_the_q_word_sweep(self, field, n, k):
+        """The line decode (syndromes and minors along the shift line, tables
+        of multiples) returns, for both decryptors, the candidate list of
+        ``decode_many`` on all q shifted words followed by the plaintext map
+        and the weight check, in the same order: on ciphertexts with errors
+        of every weight 0..t, whose sent plaintext is always among the
+        candidates, and on random words, which include ties at GF(3) and
+        words with no candidate.  Past the minors' budget (t = 7
+        at GF(16)) every word takes the elimination."""
+        f = GF(*field)
+        pk, sk = scheme.keygen(f, n, k, np.random.default_rng(n + k))
+        rk = attack.RecoveredKey(sk.masked, sk.a, sk.lam, None)
+        rng = np.random.default_rng(n * k)
+        sent = [(rng.integers(0, f.q, k), w) for w in range(pk.t + 1) for _ in range(6)]
+        words = [(scheme.encrypt(pk, m, error=scheme.random_error(f, n, w, rng)), (w, m.tolist()))
+                 for m, w in sent]
+        words += [(c, None) for c in rng.integers(0, f.q, (12, n))]
+        ties = 0
+        for c, truth in words:
+            for route, code, direction, to_plain in (
+                (lambda: scheme.decrypt_candidates(sk, c), sk.masked, sk.a, sk.s_mat),
+                (lambda: attack.pair_candidates(rk, pk, c), rk.grs, rk.a0, attack._pair_map(rk, pk)),
+            ):
+                want = q_word_candidates(pk, c, code, direction, to_plain)
+                if not want:
+                    with pytest.raises(DecryptionFailure):
+                        route()
+                    continue
+                got = [(w, m.tolist()) for w, m in route()]
+                assert got == [(w, m.tolist()) for w, m in want]
+                assert truth is None or truth in got
+                ties += len(got) > 1
+        assert ties or f.q != 3
 
     def test_malformed_length(self, keypair16):
         f, pk, sk = keypair16
