@@ -44,8 +44,8 @@ from __future__ import annotations
 
 import enum
 import time
+import weakref
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -101,9 +101,11 @@ class RecoveredKey:
     # degenerate branch where the public code is itself GRS)
 
     def __post_init__(self):
-        # Read-only copies: pair_candidates keeps a map built from them.
+        # Read-only copies: pair_candidates keeps a map built from them, per
+        # public key, for as long as both the key and this pair are alive.
         object.__setattr__(self, "a0", linalg.frozen(self.a0))
         object.__setattr__(self, "lam0", linalg.frozen(self.lam0))
+        object.__setattr__(self, "_pair_maps", weakref.WeakKeyDictionary())
 
 
 def applicable_branch(n: int, k: int) -> Branch | None:
@@ -312,11 +314,13 @@ def find_shared_subcode(
     budget = cfg.max_outer_trials if cfg.max_outer_trials is not None else 100 * f.q**3
     threshold = 2 * k + 2
     ordered = LinearCode(f, pub.gen[:, _pivots_first(pub)], tuple(range(k)))
+    a = linalg.Fixed(f, ordered.gen[:, k:])
 
     while True:
         drawn = stats.outer_trials
         coeffs = linalg.random_matrix(f, _BATCH, 3 * k, rng).reshape(_BATCH, 3, k)
-        zbatch = np.concatenate([coeffs, linalg.matmul(f, coeffs, ordered.gen[:, k:])], axis=2)
+        free = a.product(coeffs.reshape(3 * _BATCH, k)).reshape(_BATCH, 3, n - k)
+        zbatch = np.concatenate([coeffs, free], axis=2)
         ranks = triple_ranks(ordered, zbatch)
         passing = np.nonzero(ranks <= threshold)[0]
         if passing.size:
@@ -473,18 +477,21 @@ def recover_key(
         stats.restarts += 1
 
 
-@lru_cache(maxsize=16)
 def _pair_map(rk: RecoveredKey, pub: PublicKey) -> np.ndarray:
     """The k x k matrix T with phi(G_C) = T G_pub, phi the masking map
     ``scheme.mask`` of the pair, read off one rref of
-    [G_pub^T | phi(G_C)^T].  Cached per (rk, pub) pair, both hashed by
-    identity; a refused pair raises, so it is refused again on every call."""
-    f, k = pub.field, pub.k
-    images = scheme.mask(f, rk.grs.generator, rk.a0, rk.lam0)
-    r, pivots = linalg.rref(f, np.hstack([pub.g_pub.T, images.T]))
-    if pivots != list(range(k)):
-        raise DecryptionFailure("the masking pair does not carry the recovered code into C_pub")
-    return linalg.frozen(r[:, k:].T)
+    [G_pub^T | phi(G_C)^T].  Kept on rk, weakly keyed by pub (hashed by
+    identity), so it goes with either key; a refused pair raises and keeps
+    nothing, so it is refused again on every call."""
+    t_map = rk._pair_maps.get(pub)
+    if t_map is None:
+        f, k = pub.field, pub.k
+        images = scheme.mask(f, rk.grs.generator, rk.a0, rk.lam0)
+        r, pivots = linalg.rref(f, np.hstack([pub.g_pub.T, images.T]))
+        if pivots != list(range(k)):
+            raise DecryptionFailure("the masking pair does not carry the recovered code into C_pub")
+        t_map = rk._pair_maps[pub] = linalg.frozen(r[:, k:].T)
+    return t_map
 
 
 def pair_candidates(rk: RecoveredKey, pub: PublicKey, z: np.ndarray) -> list[tuple[int, np.ndarray]]:

@@ -15,10 +15,11 @@ of the locator, from maximal minors, or from an elimination where they
 vanish or t is large), the dual-code multiplier formula, and two
 reconstruction routines used by the attack.  A ``GrsParams`` is read-only
 and builds its key-fixed tables (the generator, the dual's generator as
-parity checks, the locator power rows, the rows that evaluate W and z E',
-the interpolation matrix, the Hankel index of the locator system, and the
-tables of multiples that the decoder's products read) once, on first use;
-only a decode builds the tables of multiples.  Its power rows and the
+parity checks, the Hankel index of the locator system, and the matrices
+the decoder multiplies by: the parity checks, the locator power rows, the
+rows that evaluate W and z E', the interpolation matrix and the Lagrange
+matrix of the shift line, each a ``linalg.Fixed``) once, on first use;
+only a decode builds the decoder's matrices.  Its power rows and the
 dual's multipliers are a fixed number of array steps on the field's
 log/antilog tables (``GF.pow``, ``GF.prod``).
 
@@ -36,7 +37,7 @@ The reconstruction routines:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -101,7 +102,10 @@ class GrsParams:
     # Key-fixed tables, built on first use (a decode reads them all, key
     # generation and the attack only the generator and the parity checks).
     # Like x and y they are read-only, so no caller can make them disagree
-    # with the code.
+    # with the code.  The matrices the decoder multiplies by are
+    # ``linalg.Fixed``: each builds its table of multiples on its first
+    # product, so key generation, key files and the attack's many
+    # short-lived codes never pay for one.
 
     @cached_property
     def generator(self) -> np.ndarray:
@@ -115,10 +119,17 @@ class GrsParams:
         return linalg.frozen(dual_params(self).generator.T)
 
     @cached_property
-    def locator_rows(self) -> np.ndarray:
+    def _syndromes(self) -> linalg.Fixed:
+        """``parity_checks_t``, for the decoder: words @ it are their n-k
+        syndromes."""
+        return linalg.Fixed(self.field, self.parity_checks_t)
+
+    @cached_property
+    def locator_rows(self) -> linalg.Fixed:
         """(t+1) x n matrix with row j equal to x^j: a locator's
         coefficients @ it evaluate it at the points."""
-        return linalg.frozen(_rows(self.field, np.ones(self.n, dtype=np.int64), self.x, self.t + 1))
+        return linalg.Fixed(self.field, _rows(self.field, np.ones(self.n, dtype=np.int64), self.x,
+                                              self.t + 1))
 
     @cached_property
     def hankel_index(self) -> np.ndarray:
@@ -127,7 +138,7 @@ class GrsParams:
         return linalg.frozen(np.arange(self.n - self.k - self.t)[:, None] + np.arange(self.t + 1))
 
     @cached_property
-    def evaluator_rows(self) -> np.ndarray:
+    def evaluator_rows(self) -> linalg.Fixed:
         """(t+1) t x n matrix with row i t + l equal to x^(i-l-1) for i > l
         and zero otherwise: the products E_i syn_l, flattened to row
         i t + l, times it give the error evaluator W, W_p = sum_l
@@ -135,37 +146,34 @@ class GrsParams:
         t = self.t
         gap = np.arange(t + 1)[:, None, None] - np.arange(1, t + 1)[:, None]
         rows = np.where(gap >= 0, self.field.pow(self.x, np.maximum(gap, 0)), 0)
-        return linalg.frozen(rows.reshape((t + 1) * t, self.n))
+        return linalg.Fixed(self.field, rows.reshape((t + 1) * t, self.n))
 
     @cached_property
-    def derivative_rows(self) -> np.ndarray:
+    def derivative_rows(self) -> linalg.Fixed:
         """(t+1) x n matrix with row i equal to i z x^(i-1) (row 0 zero), z
         the dual's multipliers: a locator's coefficients @ it give z times
         its formal derivative at the points."""
         f, i = self.field, np.arange(self.t + 1)[:, None]
         z_powers = f.mul(self.parity_checks_t[:, 0], f.pow(self.x, np.maximum(i - 1, 0)))
-        return linalg.frozen(f.mul(i % f.p, z_powers))
+        return linalg.Fixed(f, f.mul(i % f.p, z_powers))
 
     @cached_property
-    def multiples(self) -> dict[str, np.ndarray | None]:
-        """Read-only tables of the multiples of the rows of the five key
-        tables the decoder multiplies by, by name (``linalg.multiples``),
-        None where one would pass linalg's bound of 2^20 entries.  Only a
-        decode builds them, so key generation, key files and the attack's
-        many short-lived codes never pay for them."""
-        tables = {}
-        for name in ("parity_checks_t", "locator_rows", "evaluator_rows", "derivative_rows",
-                     "interpolation"):
-            table = tables[name] = linalg.multiples(self.field, getattr(self, name))
-            if table is not None:
-                table.flags.writeable = False
-        return tables
-
-    @cached_property
-    def interpolation(self) -> np.ndarray:
+    def interpolation(self) -> linalg.Fixed:
         """k x k inverse of the generator on the first k points: a
         codeword's first k values times it give the codeword's message."""
-        return linalg.frozen(linalg.inverse(self.field, self.generator[:, : self.k]))
+        return linalg.Fixed(self.field, linalg.inverse(self.field, self.generator[:, : self.k]))
+
+    @cached_property
+    def _lagrange(self) -> linalg.Fixed:
+        """The (t+1) x q Lagrange matrix L of the nodes 0..t: for
+        polynomials of degree at most t given by their values v at the
+        nodes, v L holds their values at every element.  With V the
+        (t+1) x (t+1) matrix of the nodes' powers (row j holds u^j) and P
+        that of every element's, the coefficients are v V^-1, so L =
+        V^-1 P."""
+        f, t = self.field, self.t
+        power = _rows(f, np.ones(f.q, dtype=np.int64), f.elements(), t + 1)
+        return linalg.Fixed(f, linalg.matmul(f, linalg.inverse(f, power[:, : t + 1]), power))
 
     def __eq__(self, other):
         return (
@@ -246,10 +254,9 @@ def decode_many(p: GrsParams, words: np.ndarray) -> tuple[np.ndarray, np.ndarray
     only when e has all n-k syndromes of r; that rejects every word with no
     codeword within t, whatever its E.  Then r - e is a codeword, and its
     first k values times ``p.interpolation`` give the message.  Every step
-    is one operation over the whole stack.  The products by key tables read
-    the tables' multiples (``p.multiples``, ``linalg.table_product``), one
-    row gather per entry instead of one lookup per product, where those
-    fit linalg's bound; they are built on ``p``'s first decode.
+    is one operation over the whole stack.  The products by key tables are
+    ``linalg.Fixed`` products, off tables of multiples built on ``p``'s
+    first decode where they fit linalg's bound.
 
     The words must hold field elements, integers in [0, q): they are not
     checked here (``decode`` checks its word, and the decryption sweep its
@@ -259,7 +266,7 @@ def decode_many(p: GrsParams, words: np.ndarray) -> tuple[np.ndarray, np.ndarray
     r = np.asarray(words, dtype=np.int64)
     if r.ndim != 2 or r.shape[1] != n:
         raise DimensionMismatch(f"received words must have length n={n}")
-    syn = _times(p, r, "parity_checks_t")
+    syn = p._syndromes.product(r)
     if _by_minors(p):
         locator = linalg.batched_minors(f, syn[:, p.hankel_index[:t]])
     else:
@@ -281,16 +288,16 @@ def decode_line(p: GrsParams, c: np.ndarray, d: np.ndarray) -> np.ndarray:
     [c; d] with the parity checks.  So each maximal minor of the first t
     rows of the Hankel system is a polynomial in s of degree at most t
     (each row is affine in s), and the minors at every s follow from their
-    values at the t+1 shifts 0..t by one product with a fixed Lagrange
-    matrix (``_lagrange``): the same values as the minors of each shifted
-    word, computed once per line.  The words go through ``decode_many``'s
+    values at the t+1 shifts 0..t by one product with the key's Lagrange
+    matrix (``GrsParams._lagrange``): the same values as the minors of
+    each shifted word, computed once per line.  The words go through ``decode_many``'s
     body in blocks of at most 2^20 / ((t+1) n) words, which bounds the
     memory whatever q is, and c - s d is formed only at the shifts it
     accepts.  c and d must hold field elements (unchecked, as for
     ``decode_many``).
     """
     f, k, t = p.field, p.k, p.t
-    syn_c, syn_d = _times(p, np.array((c, d)), "parity_checks_t")
+    syn_c, syn_d = p._syndromes.product(np.array((c, d)))
     minors = _line_minors(p, syn_c, syn_d) if _by_minors(p) else None
     shifts = f.elements()
     block = max(1, _SWEEP_BLOCK // ((t + 1) * p.n))
@@ -312,26 +319,13 @@ def _line_minors(p: GrsParams, syn_c: np.ndarray, syn_d: np.ndarray) -> np.ndarr
     those at s = 0..t, times the Lagrange matrix."""
     f, t = p.field, p.t
     samples = f.sub(syn_c, f.mul(f.elements()[: t + 1, None], syn_d))
-    sampled = linalg.batched_minors(f, samples[:, p.hankel_index[:t]]).T
-    lagrange, table = _lagrange(f, t)
-    if table is None:
-        return linalg.matmul(f, sampled, lagrange)
-    return linalg.table_product(f, sampled, table)
+    return p._lagrange.product(linalg.batched_minors(f, samples[:, p.hankel_index[:t]]).T)
 
 
 def _by_minors(p: GrsParams) -> bool:
     """Whether words take their locators from maximal minors: while their
     (t+1) 2^t products per word, times the bits of q, are in budget."""
     return ((p.t + 1) << p.t) * p.field.q.bit_length() <= _MINORS_BUDGET
-
-
-def _times(p: GrsParams, a: np.ndarray, name: str) -> np.ndarray:
-    """a @ the key table ``name`` of p, off its table of multiples when it
-    has one."""
-    table = p.multiples[name]
-    if table is None:
-        return linalg.matmul(p.field, a, getattr(p, name))
-    return linalg.table_product(p.field, a, table)
 
 
 def _decode(p: GrsParams, syn: np.ndarray, locator: np.ndarray,
@@ -348,33 +342,17 @@ def _decode(p: GrsParams, syn: np.ndarray, locator: np.ndarray,
     if rest.size:
         degree = np.full(len(syn), t)
         locator[rest], degree[rest] = _least_locator(f, syn[rest][:, p.hankel_index], t)
-    root = _times(p, locator, "locator_rows") == 0
+    root = p.locator_rows.product(locator) == 0
     keep = (root.sum(axis=1) == degree).nonzero()[0]
 
     # W and z E' at every point, from the products E_i syn_l and from E.
     terms = f.mul(locator[keep, :, None], syn[keep, None, :t]).reshape(keep.size, (t + 1) * t)
-    at_w = _times(p, terms, "evaluator_rows")
-    at_d = _times(p, locator[keep], "derivative_rows")
+    at_w = p.evaluator_rows.product(terms)
+    at_d = p.derivative_rows.product(locator[keep])
     err = np.where(root[keep], f.mul(at_w, f.inv0(at_d)), 0)
-    good = (_times(p, err, "parity_checks_t") == syn[keep]).all(axis=1)
+    good = (p._syndromes.product(err) == syn[keep]).all(axis=1)
     keep = keep[good]
-    return keep, _times(p, f.sub(heads(keep), err[good, :k]), "interpolation")
-
-
-@lru_cache(maxsize=16)
-def _lagrange(f: GF, t: int) -> tuple[np.ndarray, np.ndarray | None]:
-    """The (t+1) x q Lagrange matrix L of the nodes 0..t, read-only, with
-    its table of multiples (or None past linalg's bound): for polynomials
-    of degree at most t given by their values v at the nodes, v L holds
-    their values at every element.  With V the (t+1) x (t+1) matrix of the
-    nodes' powers (row j holds u^j) and P that of every element's, the
-    coefficients are v V^-1, so L = V^-1 P.  Built once per (field, t)."""
-    power = _rows(f, np.ones(f.q, dtype=np.int64), f.elements(), t + 1)
-    lagrange = linalg.frozen(linalg.matmul(f, linalg.inverse(f, power[:, : t + 1]), power))
-    table = linalg.multiples(f, lagrange)
-    if table is not None:
-        table.flags.writeable = False
-    return lagrange, table
+    return keep, p.interpolation.product(f.sub(heads(keep), err[good, :k]))
 
 
 def _least_locator(f: GF, hankel: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray]:

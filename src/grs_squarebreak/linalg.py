@@ -15,15 +15,10 @@ operand is a row and a 1-D right operand a column, and that axis is dropped
 from the result.  The left operand may be a stack, whose rows all share the
 right operand; the right operand is one vector or one matrix, and a stack
 there is refused.  Its memory bound: output rows go in blocks of at most
-2^22 products, or one row.  Two 2-D operands with fewer rows than 4q are
-one ``mul`` and one ``sum``.  From 4q rows on, the products are read off a
-table of the multiples of the right operand's rows (``multiples``), built
-for the call when it has at most 2^20 entries, a quarter of a block.  The
-one gather-and-sum, ``table_product``, gathers term-major: the products of
-term m for every row form one contiguous (rows, cols) slab, and the sum
-adds slabs.  A caller that multiplies by the same matrix many times, as
-the decoder does by its key tables, keeps that matrix's table and calls
-``table_product`` at any number of rows.
+2^22 products, or one row.  A matrix that many products share, as the
+decoder's key tables or the attack's [I | A] generator, is a ``Fixed``:
+its first product builds the table of the multiples of its rows, when that
+has at most 2^20 entries, and every product then reads each term off it.
 """
 
 from __future__ import annotations
@@ -144,44 +139,47 @@ def matmul(f: GF, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if min(a.ndim, b.ndim) < 1 or a.shape[-1] != len(b):
         raise DimensionMismatch(f"cannot multiply {a.shape} by {b.shape}")
     rows, inner, cols = math.prod(a.shape[:-1]), len(b), math.prod(b.shape[1:])
-    if a.ndim == b.ndim == 2 and rows < 4 * f.q and rows * inner * cols <= 1 << 22:
+    if a.ndim == b.ndim == 2 and rows * inner * cols <= 1 << 22:
         return f.sum(f.mul(a[:, :, None], b), axis=1)  # one block, direct
     lhs, rhs = a.reshape(rows, inner), b.reshape(inner, cols)
     block = max(1, (1 << 22) // max(1, inner * cols))
-    # At least 4q rows read their products off rhs's table of multiples,
-    # built once when it fits: then 4q rows are at most a block.
-    table = multiples(f, rhs) if len(lhs) >= 4 * f.q else None
-    parts = []
-    for i in range(0, max(1, len(lhs)), block):
-        if table is not None:
-            parts.append(table_product(f, lhs[i : i + block], table))
-        else:
-            parts.append(f.sum(f.mul(lhs[i : i + block, :, None], rhs), axis=1))
+    parts = [f.sum(f.mul(lhs[i : i + block, :, None], rhs), axis=1)
+             for i in range(0, max(1, rows), block)]
     out = parts[0] if len(parts) == 1 else np.concatenate(parts)
     return out.reshape(a.shape[:-1] + b.shape[1:])
 
 
-# Entries, at most, of a table of multiples: a quarter of a block of
-# ``matmul`` products, so that its table pays off from 4q rows on.
-_TABLE_MAX = 1 << 20
+class Fixed:
+    """A read-only matrix b that many products share: ``product(a)`` is
+    ``matmul(f, a, b)`` for a 2-D a.  The first product builds the table of
+    the multiples of b's rows, row m q + x holding x * b[m], unless it
+    would have more than 2^20 entries (then every product is ``matmul``).
+    Off the table, a product takes one row gather per entry of a instead
+    of one lookup per product.  The gather is term-major, (inner, rows,
+    cols), so the sum adds whole contiguous (rows, cols) slabs; it is one
+    block, whose rows the caller bounds (the decoder by its sweep blocks)."""
 
+    def __init__(self, f: GF, b: np.ndarray):
+        self.field = f
+        self.matrix = frozen(as_matrix(b))
 
-def multiples(f: GF, b: np.ndarray) -> np.ndarray | None:
-    """The table of multiples of the rows of an inner x cols matrix b, for
-    ``table_product``: row m q + x holds x * b[m].  None when it would have
-    more than 2^20 entries."""
-    inner, cols = b.shape
-    if f.q * inner * cols > _TABLE_MAX:
-        return None
-    return f.mul(b[:, None, :], f.elements()[:, None]).reshape(inner * f.q, cols)
+    @functools.cached_property
+    def _table(self) -> np.ndarray | None:
+        f, b = self.field, self.matrix
+        if f.q * b.size > 1 << 20:
+            return None
+        table = f.mul(b[:, None, :], f.elements()[:, None]).reshape(len(b) * f.q, b.shape[1])
+        table.flags.writeable = False
+        return table
 
-
-def table_product(f: GF, a: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """a @ b for a 2-D a, off b's table of multiples (``multiples``): one
-    row gather per entry of a replaces one table lookup per product.  The
-    gather is term-major, (inner, rows, cols), so the sum reduces whole
-    contiguous (rows, cols) slabs."""
-    return f.sum(table.take(a.T + _offsets(f.q, a.shape[1]), axis=0), axis=0)
+    def product(self, a: np.ndarray) -> np.ndarray:
+        f, inner, table = self.field, len(self.matrix), self._table
+        a = np.asarray(a, dtype=np.int64)
+        if a.ndim != 2 or a.shape[1] != inner:
+            raise DimensionMismatch(f"cannot multiply {a.shape} by {self.matrix.shape}")
+        if table is None:
+            return matmul(f, a, self.matrix)
+        return f.sum(table.take(a.T + _offsets(f.q, inner), axis=0), axis=0)
 
 
 @functools.lru_cache(maxsize=64)

@@ -1,10 +1,13 @@
 """The key-recovery pipeline, tested against secret-key oracles."""
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from grs_squarebreak import attack as atk
-from grs_squarebreak import fileio, grs, linalg as la, scheme
+from grs_squarebreak import fileio, gf as gf_module, grs, linalg as la, scheme
 from grs_squarebreak.attack import (
     AttackConfig,
     AttackStats,
@@ -939,13 +942,16 @@ class TestDecryptWithPair:
 
     def test_keys_key_files_and_the_attack_build_no_decoder_table(self, gf16m, monkeypatch, tmp_path):
         """keygen, ``build_keypair`` (through the secret-key file reader) and
-        ``recover_key``, with its many short-lived codes, build no table of
-        multiples and no Lagrange matrix: only a decode does."""
+        ``recover_key``, with its many short-lived codes, build none of the
+        matrices a key's decoder multiplies by, so no table of their
+        multiples, and no Lagrange matrix: only a decode does.  (The attack
+        builds its own table, of its phase-1 generator.)"""
         def refuse(*_):
             raise AssertionError("a decoder table was built outside decoding")
 
-        monkeypatch.setattr(grs.GrsParams, "multiples", property(refuse))
-        monkeypatch.setattr(grs, "_lagrange", refuse)
+        for name in ("_syndromes", "locator_rows", "evaluator_rows", "derivative_rows",
+                     "interpolation", "_lagrange"):
+            monkeypatch.setattr(grs.GrsParams, name, property(refuse))
         pk, sk = scheme.keygen(gf16m, 15, 6, np.random.default_rng(42))
         fileio.save_secret_key(tmp_path / "sec", sk)
         _, read = fileio.load_secret_key(tmp_path / "sec")
@@ -954,6 +960,62 @@ class TestDecryptWithPair:
         z = scheme.encrypt(pk, np.arange(6, dtype=np.int64), np.random.default_rng(1))
         for got in (scheme.decrypt(read, z), atk.decrypt_with_pair(rk, pk, z)):
             assert np.array_equal(got, np.arange(6))
+
+    def test_dropped_keys_free_their_tables(self):
+        """A recovered key's maps and decoder tables go with the keys: after
+        4 GF(1024) (60, 52) key pairs have decrypted through the pair route
+        and been dropped, less than 4 MiB stays allocated, against about
+        9 MiB of decoder tables and maps per key while it is in use."""
+        f = GF(2, 10, 1033)
+        tracemalloc.start()
+        try:
+            for seed in range(4):
+                rng = np.random.default_rng(seed)
+                pk, sk = scheme.keygen(f, 60, 52, rng)
+                rk = atk.RecoveredKey(scheme.masked_params(sk), sk.a, sk.lam, None)
+                msg = rng.integers(0, f.q, 52)
+                assert np.array_equal(atk.decrypt_with_pair(rk, pk, scheme.encrypt(pk, msg, rng)), msg)
+            del pk, sk, rk
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < 4 * 2**20
+
+    def test_map_goes_with_its_public_key(self, gf16m):
+        """A recovered key that outlives the public-key objects it decrypted
+        under keeps no map for them: its maps are weakly keyed by the
+        public key."""
+        pk, sk = scheme.keygen(gf16m, 15, 6, np.random.default_rng(54))
+        rk = atk.RecoveredKey(scheme.masked_params(sk), sk.a, sk.lam, None)
+        z = scheme.encrypt(pk, np.arange(6), np.random.default_rng(55))
+        for _ in range(3):
+            pub = scheme.PublicKey(gf16m, 15, 6, pk.g_pub)
+            assert np.array_equal(atk.decrypt_with_pair(rk, pub, z), np.arange(6))
+            assert len(rk._pair_maps) == 1
+        del pub
+        gc.collect()
+        assert len(rk._pair_maps) == 0
+
+    def test_field_goes_with_its_last_key(self):
+        """Decryption keeps no field alive: after both decryptors have run
+        with a GF(1024) (40, 32) key, whose t = 4 takes the locator minors
+        and the Lagrange matrix of the shift line, and every reference to
+        the field has gone, it is no longer interned."""
+        gc.collect()
+        key = (2, 10, 1033)
+        assert key not in gf_module._FIELDS
+        rng = np.random.default_rng(3)
+        pk, sk = scheme.keygen(GF(*key), 40, 32, rng)
+        assert grs._by_minors(sk.masked)
+        rk = atk.RecoveredKey(scheme.masked_params(sk), sk.a, sk.lam, None)
+        msg = rng.integers(0, 1024, 32)
+        z = scheme.encrypt(pk, msg, rng)
+        assert np.array_equal(scheme.decrypt(sk, z), msg)
+        assert np.array_equal(atk.decrypt_with_pair(rk, pk, z), msg)
+        del pk, sk, rk
+        gc.collect()
+        assert key not in gf_module._FIELDS
 
     def test_zero_error_ciphertext(self, gf16m, low_rate_key, low_rate_attack):
         pk, _sk = low_rate_key

@@ -43,33 +43,34 @@ class TestParams:
         p = grs.random_params(f, n, k, np.random.default_rng(n + k))
         assert np.array_equal(p.parity_checks_t, grs.dual_params(p).generator.T)
         assert not la.matmul(f, p.generator, p.parity_checks_t).any()
-        eye = la.matmul(f, p.generator[:, :k], p.interpolation)
+        eye = la.matmul(f, p.generator[:, :k], p.interpolation.matrix)
         assert np.array_equal(eye, np.eye(k, dtype=np.int64))
 
     def test_points_multipliers_and_tables_are_read_only(self, gf16, rng):
-        """Every key table, every table of multiples and the Lagrange
-        matrix of the shift line with its table."""
+        """Every key table, and every matrix the decoder multiplies by, the
+        Lagrange matrix of the shift line included, with its table of
+        multiples."""
         p = grs.random_params(gf16, 15, 6, rng)
-        assert all(table is not None for table in p.multiples.values())
-        for table in (p.x, p.y, p.generator, p.parity_checks_t, p.locator_rows, p.interpolation,
-                      p.hankel_index, p.evaluator_rows, p.derivative_rows,
-                      *p.multiples.values(), *grs._lagrange(gf16, p.t)):
+        fixed = decoder_matrices(p)
+        assert all(m._table is not None for m in fixed)
+        for table in (p.x, p.y, p.generator, p.parity_checks_t, p.hankel_index,
+                      *(m.matrix for m in fixed), *(m._table for m in fixed)):
             with pytest.raises(ValueError):
                 table.flat[0] = 1
 
     @pytest.mark.parametrize("field,n,k", [((2, 4, 19), 15, 6), ((2, 4, 19), 15, 9),
                                            ((5, 2, 32), 16, 6), ((3, 3, 34), 26, 8)])
     def test_tables_of_multiples_hold_every_product(self, field, n, k):
-        """Row m q + x of each table of multiples is x times row m of its
-        key table, and the Lagrange matrix's table that of the matrix."""
+        """Row m q + x of the table of multiples of each matrix the decoder
+        multiplies by, the Lagrange matrix included, is x times row m of
+        the matrix; the parity checks' is that of ``parity_checks_t``."""
         f = GF(*field)
         p = grs.random_params(f, n, k, np.random.default_rng(n * k))
-        fixed = {name: getattr(p, name) for name in p.multiples}
-        fixed["lagrange"], table = grs._lagrange(f, p.t)
-        for name, b in fixed.items():
-            got = table if name == "lagrange" else p.multiples[name]
+        assert np.array_equal(p._syndromes.matrix, p.parity_checks_t)
+        for fixed in decoder_matrices(p):
+            b = fixed.matrix
             want = np.array([[f.mul(x, row) for x in range(f.q)] for row in b]).reshape(-1, b.shape[1])
-            assert np.array_equal(got, want), name
+            assert np.array_equal(fixed._table, want)
 
     def test_evaluator_and_derivative_rows(self, gf9):
         """Against their definitions: E_i syn_l times the evaluator rows is
@@ -82,27 +83,29 @@ class TestParams:
             return f.sum(f.mul(coef, f.pow(point, np.arange(len(coef)))))
 
         w = [f.sum(f.mul(e[i + 1 :], syn[: t - i])) for i in range(t)]
-        assert np.array_equal(la.matmul(f, f.mul(e[:, None], syn[:t]).ravel(), p.evaluator_rows),
+        terms = f.mul(e[:, None], syn[:t]).ravel()
+        assert np.array_equal(la.matmul(f, terms, p.evaluator_rows.matrix),
                               [at(w, point) for point in x])
         deriv = f.mul(np.arange(1, t + 1) % f.p, e[1:])
-        assert np.array_equal(la.matmul(f, e, p.derivative_rows),
+        assert np.array_equal(la.matmul(f, e, p.derivative_rows.matrix),
                               [f.mul(zj, at(deriv, point)) for zj, point in zip(z, x, strict=True)])
 
     def test_no_table_past_the_bound(self, gf16):
         """No table of multiples has more than 2^20 entries: at GF(4096)
         (60, 29) a decode builds none and multiplies directly, and the
-        Lagrange matrices of GF(4096) have no table.  At GF(16) a 16 x 4096
-        matrix has a table of exactly 2^20 entries; one more column, none."""
+        Lagrange matrices of GF(4096) (t = 0 and t = 4) have no table.  At
+        GF(16) a 16 x 4096 matrix has a table of exactly 2^20 entries; one
+        more column, none."""
         f = GF(2, 12, 4179)
         p = grs.random_params(f, 60, 29, np.random.default_rng(0))
         words, msgs = noisy_codewords(f, p, 3, p.t, np.random.default_rng(1))
         got, ok = grs.decode_many(p, words)
         assert ok.all() and np.array_equal(got, msgs)
-        assert all(table is None for table in p.multiples.values())
-        assert all(grs._lagrange(f, t)[1] is None for t in (0, 4))
-        b = np.ones((16, 4096), dtype=np.int64)
-        assert la.multiples(gf16, b).size == 1 << 20
-        assert la.multiples(gf16, np.ones((16, 4097), dtype=np.int64)) is None
+        assert all(fixed._table is None for fixed in decoder_matrices(p))
+        for k in (59, 51):
+            assert grs.random_params(f, 60, k, np.random.default_rng(k))._lagrange._table is None
+        assert la.Fixed(gf16, np.ones((16, 4096), dtype=np.int64))._table.size == 1 << 20
+        assert la.Fixed(gf16, np.ones((16, 4097), dtype=np.int64))._table is None
 
     def test_caller_arrays_are_copied(self, gf16, rng):
         """Writing into the arrays a GrsParams was built from changes neither
@@ -208,6 +211,14 @@ def brute_force_nearest(codewords, words, chunk=2048):
             d += w8[i : i + chunk, j, None] != c8[None, :, j]
         best[i : i + chunk], dist[i : i + chunk] = d.argmin(axis=1), d.min(axis=1)
     return codewords[best], dist
+
+
+def decoder_matrices(p):
+    """The matrices the decoder multiplies by, each a ``linalg.Fixed``: the
+    parity checks, the locator, evaluator and derivative rows, and the
+    interpolation and Lagrange matrices."""
+    return [p._syndromes, p.locator_rows, p.evaluator_rows, p.derivative_rows, p.interpolation,
+            p._lagrange]
 
 
 def noisy_codewords(f, p, count, weight, rng):
@@ -409,7 +420,7 @@ class TestDecode:
         rng = np.random.default_rng(n + k)
         p = grs.random_params(f, n, k, rng)
         assert grs._by_minors(p)
-        lagrange, _ = grs._lagrange(f, p.t)
+        lagrange = p._lagrange.matrix
         assert np.array_equal(lagrange[:, : p.t + 1], np.eye(p.t + 1, dtype=np.int64))
         lines = [rng.integers(0, f.q, (2, n - k)) for _ in range(4)]
         lines.append((lines[0][0], np.zeros(n - k, dtype=np.int64)))

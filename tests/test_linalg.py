@@ -404,10 +404,11 @@ class TestMatmul:
     @pytest.mark.parametrize("f", MATMUL_FIELDS, ids=MATMUL_IDS)
     @pytest.mark.parametrize("extra", [-1, 0, 3], ids=["below-4q", "at-4q", "above-4q"])
     def test_multiples_table(self, f, extra, rng, monkeypatch):
-        """Against one right operand, 4q rows or more read their products off
-        the table of multiples, one ``f.mul`` on q x inner x cols elements;
-        fewer rows multiply entry by entry.  The rows of a stacked left
-        operand count together, and a vector right operand is one column."""
+        """``matmul`` builds no table of multiples at any number of rows:
+        below, at and above 4q rows it multiplies entry by entry, one
+        ``f.mul`` on rows x inner x cols elements.  The rows of a stacked
+        left operand count together, and a vector right operand is one
+        column."""
         rows = 4 * f.q + extra
         a = rng.integers(0, f.q, (rows, 5))
         b = la.random_matrix(f, 5, 3, rng)
@@ -428,20 +429,29 @@ class TestMatmul:
         assert np.array_equal(got, matmul_loop(f, a, b))
         assert np.array_equal(got_stack[:, 0], got)
         assert np.array_equal(got_v, matmul_loop(f, a, v[:, None])[:, 0])
-        per_call = [f.q * 5 * 3, f.q * 5 * 3, f.q * 5] if extra >= 0 else [rows * 5 * 3] * 2 + [rows * 5]
-        assert sizes == per_call
+        assert sizes == [rows * 5 * 3] * 2 + [rows * 5]
 
     @pytest.mark.parametrize("f", MATMUL_FIELDS, ids=MATMUL_IDS)
     @pytest.mark.parametrize("rows", [0, 1, 3, 40])
     def test_table_product(self, f, rows, rng):
-        """A product off a table of multiples, at any number of rows, equals
-        the reference loop; the table is None past 2^20 entries."""
+        """A ``Fixed`` product off its table of multiples, at any number of
+        rows, equals the reference loop, also after a write into the
+        caller's matrix; the table is None past 2^20 entries, and the
+        product is then ``matmul``'s.  The left operand is one 2-D array."""
         b = la.random_matrix(f, 7, 5, rng)
-        table = la.multiples(f, b)
-        assert table.shape == (7 * f.q, 5)
+        fixed = la.Fixed(f, b)
+        want_b = b.copy()
+        b[:] = 0
         a = rng.integers(0, f.q, (rows, 7))
-        assert np.array_equal(la.table_product(f, a, table), matmul_loop(f, a, b))
-        assert la.multiples(f, np.zeros((1, (1 << 20) // f.q + 1), dtype=np.int64)) is None
+        assert np.array_equal(fixed.product(a), matmul_loop(f, a, want_b))
+        assert fixed._table.shape == (7 * f.q, 5)
+        wide = rng.integers(0, f.q, (1, (1 << 20) // f.q + 1))
+        past = la.Fixed(f, wide)
+        assert past._table is None
+        assert np.array_equal(past.product(a[:, :1]), la.matmul(f, a[:, :1], wide))
+        for bad in (a[:, :6], a[:, :1], a.reshape(rows, 1, 7), np.zeros(7, dtype=np.int64)):
+            with pytest.raises(DimensionMismatch):
+                fixed.product(bad)
 
     @pytest.mark.parametrize(
         "a_shape,b_shape",
@@ -457,12 +467,11 @@ class TestMatmul:
 @settings(max_examples=60, deadline=None)
 @given(st.data(), st.sampled_from(MATMUL_FIELDS))
 def test_one_block_matches_the_other_paths(data, f):
-    """Two 2-D operands with fewer than 4q rows are multiplied in one block;
-    the result equals the direct blocked path (a stack of one on the left),
-    the table of multiples (the rows repeated to 4q or more), the
-    reference loop, and, row by row and column by column, the 1-D forms.
-    Covers 0 rows, 0 inner, and 4q-1 and 4q rows, either side of the
-    one-block bound."""
+    """Two 2-D operands are multiplied in one block, directly; the result
+    equals the blocked path (a stack of one on the left), the ``Fixed``
+    product off the table of multiples (on the rows repeated to 4q or
+    more), the reference loop, and, row by row and column by column, the
+    1-D forms.  Covers 0 rows, 0 inner, and 4q-1 and 4q rows."""
     q4 = 4 * f.q
     rows = data.draw(st.sampled_from([0, 1, q4 - 1, q4]) | st.integers(0, q4), label="rows")
     inner = data.draw(st.integers(0, 6), label="inner")
@@ -475,7 +484,7 @@ def test_one_block_matches_the_other_paths(data, f):
     assert np.array_equal(got, matmul_loop(f, a, b))
     assert np.array_equal(la.matmul(f, a[None], b)[0], got)
     tall = np.tile(a, (q4 // max(rows, 1) + 1, 1))
-    assert np.array_equal(la.matmul(f, tall, b)[:rows], got)
+    assert np.array_equal(la.Fixed(f, b).product(tall)[:rows], got)
     stack = np.stack([a, rng.integers(0, f.q, (rows, inner))])
     assert np.array_equal(la.matmul(f, stack, b)[0], got)
     for i in range(min(rows, 3)):
