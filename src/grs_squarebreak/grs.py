@@ -8,11 +8,12 @@ This module provides the generator matrix, bounded-distance decoding up to
 floor((n-k)/2) errors (Berlekamp-Welch: an error locator E from a syndrome
 system, the error values e_j = W(x_j) / (z_j E'(x_j)), with E'(x_j) != 0
 in any characteristic as E's roots are distinct, and a syndrome check;
-``decode_many`` decodes a stack of words in lockstep, ``decode`` one word,
-and ``decode_line`` the decryption sweep's q words c - s d, whose
-syndromes and locator minors it takes along the line in s; E is a multiple
-of the locator, from maximal minors, or from an elimination where they
-vanish or t is large), the dual-code multiplier formula, and two
+``decode_many`` decodes a stack of words in lockstep, each E the least
+degree locator from one elimination, ``decode`` one word, and
+``decode_line`` the decryption sweep's q words c - s d, whose syndromes
+and locator minors it takes along the line in s: E is a multiple of the
+locator from the maximal minors at t+1 shifts, or the elimination's where
+they vanish or t is large), the dual-code multiplier formula, and two
 reconstruction routines used by the attack.  A ``GrsParams`` is read-only
 and builds its key-fixed tables (the generator, the dual's generator as
 parity checks, the Hankel index of the locator system, and the matrices
@@ -47,7 +48,7 @@ from .gf import GF
 from .linalg import DimensionMismatch
 
 
-# Locators come from maximal minors (``decode_many``) while their (t+1) 2^t
+# Locators come from maximal minors (``_line_minors``) while their (t+1) 2^t
 # products per word, times the bits of q, stay within this: a fit to the
 # measured crossover with the elimination (CHANGES.md), which admits every
 # t <= 4, and t = 5 below q = 256.
@@ -227,21 +228,12 @@ def decode_many(p: GrsParams, words: np.ndarray) -> tuple[np.ndarray, np.ndarray
     solution vanishes on e's support (e E lies in GRS_{k+t}(x, y) and has
     weight at most t < n-k-t+1), and e's locator is one.
 
-    Each word's E is the vector of signed maximal minors of the first t rows
-    of its system (``linalg.batched_minors``), which those rows annihilate.
-    When e has weight t, those rows are V^T D U with V the invertible t x t
-    Vandermonde matrix of e's points, D the nonzero e_j z_j and U their
-    powers 0..t, so they have rank t and E is a nonzero multiple of e's
-    locator, of degree d = t; the scale cancels from the error values
-    below, so E needs no monic step.  A word whose minors all vanish (e of
-    weight below t, or no codeword within t and rank below t) takes instead
-    its least degree monic solution: after one ``linalg.batched_rref`` of
-    the stack of those words' systems, on their first t columns, E has a 1
-    at the first column d without a pivot (or at t) and minus RREF column d
-    at the pivots before it, and e's weight is d.  Every word takes that
-    elimination when ((t+1) 2^t) times the bits of q exceeds
-    ``_MINORS_BUDGET``: there the minors' (t+1) 2^t products per word cost
-    more than the elimination.
+    Each word's E is its least degree monic solution: after one
+    ``linalg.batched_rref`` of the stack of the words' systems, on their
+    first t columns, E has a 1 at the first column d without a pivot (or at
+    t) and minus RREF column d at the pivots before it, and e's weight is d.
+    (``decode_line`` takes most of its locators from maximal minors
+    instead; see ``_line_minors``.)
 
     For every word whose E has d roots x_j, the error values follow in
     closed form, e_j = W(x_j) / (z_j E'(x_j)) with W_p = sum_l E_{l+p+1}
@@ -262,16 +254,12 @@ def decode_many(p: GrsParams, words: np.ndarray) -> tuple[np.ndarray, np.ndarray
     checked here (``decode`` checks its word, and the decryption sweep its
     ciphertext before ``decode_line``).
     """
-    f, n, t = p.field, p.n, p.t
+    n, t = p.n, p.t
     r = np.asarray(words, dtype=np.int64)
     if r.ndim != 2 or r.shape[1] != n:
         raise DimensionMismatch(f"received words must have length n={n}")
     syn = p._syndromes.product(r)
-    if _by_minors(p):
-        locator = linalg.batched_minors(f, syn[:, p.hankel_index[:t]])
-    else:
-        locator = np.zeros((len(r), t + 1), dtype=np.int64)
-    keep, found = _decode(p, syn, locator, lambda i: r[i, : p.k])
+    keep, found = _decode(p, syn, np.zeros((len(r), t + 1), dtype=np.int64), lambda i: r[i, : p.k])
     msgs = np.zeros((len(r), p.k), dtype=np.int64)
     msgs[keep] = found
     ok = np.zeros(len(r), dtype=bool)
@@ -285,20 +273,16 @@ def decode_line(p: GrsParams, c: np.ndarray, d: np.ndarray) -> np.ndarray:
     decryption sweep's q shifted words, decoded as one line.
 
     The syndromes are affine in s, syn(c) - s syn(d), from one product of
-    [c; d] with the parity checks.  So each maximal minor of the first t
-    rows of the Hankel system is a polynomial in s of degree at most t
-    (each row is affine in s), and the minors at every s follow from their
-    values at the t+1 shifts 0..t by one product with the key's Lagrange
-    matrix (``GrsParams._lagrange``): the same values as the minors of
-    each shifted word, computed once per line.  The words go through ``decode_many``'s
-    body in blocks of at most 2^20 / ((t+1) n) words, which bounds the
-    memory whatever q is, and c - s d is formed only at the shifts it
-    accepts.  c and d must hold field elements (unchecked, as for
-    ``decode_many``).
+    [c; d] with the parity checks, and each shift's locator comes from the
+    maximal minors along the line (``_line_minors``), computed once per
+    line, or from the elimination.  The words go through ``_decode`` in
+    blocks of at most 2^20 / ((t+1) n) words, which bounds the memory
+    whatever q is, and c - s d is formed only at the shifts it accepts.  c
+    and d must hold field elements (unchecked, as for ``decode_many``).
     """
     f, k, t = p.field, p.k, p.t
     syn_c, syn_d = p._syndromes.product(np.array((c, d)))
-    minors = _line_minors(p, syn_c, syn_d) if _by_minors(p) else None
+    minors = _line_minors(p, syn_c, syn_d)
     shifts = f.elements()
     block = max(1, _SWEEP_BLOCK // ((t + 1) * p.n))
     found = []
@@ -313,19 +297,30 @@ def decode_line(p: GrsParams, c: np.ndarray, d: np.ndarray) -> np.ndarray:
     return np.concatenate(found)
 
 
-def _line_minors(p: GrsParams, syn_c: np.ndarray, syn_d: np.ndarray) -> np.ndarray:
+def _line_minors(p: GrsParams, syn_c: np.ndarray, syn_d: np.ndarray) -> np.ndarray | None:
     """(t+1) x q matrix whose column s holds the signed maximal minors of
-    the first t rows of the Hankel system of the syndromes syn_c - s syn_d:
-    those at s = 0..t, times the Lagrange matrix."""
+    the first t rows of the Hankel system of the syndromes syn_c - s syn_d,
+    which those rows annihilate; None when ((t+1) 2^t) times the bits of q
+    exceeds ``_MINORS_BUDGET``: there the minors' (t+1) 2^t products per
+    word cost more than the elimination, which every shift then takes.
+
+    When the word at s has an error e of weight t, those rows are V^T D U
+    with V the invertible t x t Vandermonde matrix of e's points, D the
+    nonzero e_j z_j and U their powers 0..t, so they have rank t and the
+    minors are a nonzero multiple of e's locator, of degree t; the scale
+    cancels from the error values, so they need no monic step.  A shift
+    whose minors all vanish (e of weight below t, or no codeword within t
+    and rank below t) takes its least degree locator in ``_decode``.  Each
+    row is affine in s, so each minor is a polynomial in s of degree at
+    most t: ``linalg.batched_minors`` expands them at the t+1 shifts 0..t
+    only, and one product with the key's Lagrange matrix
+    (``GrsParams._lagrange``) gives them at every s.
+    """
     f, t = p.field, p.t
+    if ((t + 1) << t) * f.q.bit_length() > _MINORS_BUDGET:
+        return None
     samples = f.sub(syn_c, f.mul(f.elements()[: t + 1, None], syn_d))
     return p._lagrange.product(linalg.batched_minors(f, samples[:, p.hankel_index[:t]]).T)
-
-
-def _by_minors(p: GrsParams) -> bool:
-    """Whether words take their locators from maximal minors: while their
-    (t+1) 2^t products per word, times the bits of q, are in budget."""
-    return ((p.t + 1) << p.t) * p.field.q.bit_length() <= _MINORS_BUDGET
 
 
 def _decode(p: GrsParams, syn: np.ndarray, locator: np.ndarray,

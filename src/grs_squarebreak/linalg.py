@@ -153,11 +153,13 @@ class Fixed:
     """A read-only matrix b that many products share: ``product(a)`` is
     ``matmul(f, a, b)`` for a 2-D a.  The first product builds the table of
     the multiples of b's rows, row m q + x holding x * b[m], unless it
-    would have more than 2^20 entries (then every product is ``matmul``).
-    Off the table, a product takes one row gather per entry of a instead
-    of one lookup per product.  The gather is term-major, (inner, rows,
-    cols), so the sum adds whole contiguous (rows, cols) slabs; it is one
-    block, whose rows the caller bounds (the decoder by its sweep blocks)."""
+    would have more than 2^20 entries (then every product is ``matmul``),
+    and with it the read-only column ``_offsets`` of the first rows m q of
+    the terms m < len(b).  Off the table, a product takes one row gather
+    per entry of a, at the entries plus the offsets, instead of one lookup
+    per product.  The gather is term-major, (inner, rows, cols), so the sum
+    adds whole contiguous (rows, cols) slabs; it is one block, whose rows
+    the caller bounds (the decoder by its sweep blocks)."""
 
     def __init__(self, f: GF, b: np.ndarray):
         self.field = f
@@ -170,23 +172,17 @@ class Fixed:
             return None
         table = f.mul(b[:, None, :], f.elements()[:, None]).reshape(len(b) * f.q, b.shape[1])
         table.flags.writeable = False
+        self._offsets = frozen((np.arange(len(b)) * f.q)[:, None])
         return table
 
     def product(self, a: np.ndarray) -> np.ndarray:
-        f, inner, table = self.field, len(self.matrix), self._table
+        f, table = self.field, self._table
         a = np.asarray(a, dtype=np.int64)
-        if a.ndim != 2 or a.shape[1] != inner:
+        if a.ndim != 2 or a.shape[1] != len(self.matrix):
             raise DimensionMismatch(f"cannot multiply {a.shape} by {self.matrix.shape}")
         if table is None:
             return matmul(f, a, self.matrix)
-        return f.sum(table.take(a.T + _offsets(f.q, inner), axis=0), axis=0)
-
-
-@functools.lru_cache(maxsize=64)
-def _offsets(q: int, inner: int) -> np.ndarray:
-    """Read-only column of the first rows m q of the terms m < inner in a
-    table of multiples."""
-    return frozen((np.arange(inner) * q)[:, None])
+        return f.sum(table.take(a.T + self._offsets, axis=0), axis=0)
 
 
 def inverse(f: GF, a: np.ndarray) -> np.ndarray:

@@ -49,12 +49,13 @@ class TestParams:
     def test_points_multipliers_and_tables_are_read_only(self, gf16, rng):
         """Every key table, and every matrix the decoder multiplies by, the
         Lagrange matrix of the shift line included, with its table of
-        multiples."""
+        multiples and that table's offsets."""
         p = grs.random_params(gf16, 15, 6, rng)
         fixed = decoder_matrices(p)
         assert all(m._table is not None for m in fixed)
         for table in (p.x, p.y, p.generator, p.parity_checks_t, p.hankel_index,
-                      *(m.matrix for m in fixed), *(m._table for m in fixed)):
+                      *(m.matrix for m in fixed), *(m._table for m in fixed),
+                      *(m._offsets for m in fixed)):
             with pytest.raises(ValueError):
                 table.flat[0] = 1
 
@@ -323,43 +324,66 @@ class TestDecode:
         assert calls == []
         assert ok.all() and np.array_equal(got, msgs)
 
-    @pytest.mark.parametrize("field,n,k", [((2, 4, 19), 15, 6), ((2, 4, 19), 15, 9),
-                                           ((5, 2, 32), 16, 6)])
-    def test_weight_t_locators_by_minors(self, monkeypatch, field, n, k):
-        """Weight-t words take their locators from maximal minors, with no
-        elimination; words at distance w < t, whose minors all vanish,
-        reach ``batched_rref`` as one stack of their Hankel systems alone,
-        in order, and every word decodes to its message."""
+    @pytest.mark.parametrize(
+        "field,n,k,seed,heavy",
+        [((2, 4, 19), 15, 3, 3, 40), ((2, 4, 19), 15, 6, 21, 100), ((2, 4, 19), 15, 9, 24, 100),
+         ((5, 2, 32), 16, 6, 22, 100)],
+        ids=["gf16-15-3", "gf16-15-6", "gf16-15-9", "gf25-16-6"],
+    )
+    def test_large_radius_takes_the_elimination(self, monkeypatch, field, n, k, seed, heavy):
+        """``decode_many`` takes every word's least degree locator from one
+        elimination of the whole stack, past the minors' budget (t = 6 over
+        GF(16): 448 products per word) and within it: words at distance t
+        and at every w < t reach ``batched_rref`` as one stack of their
+        Hankel systems, in order, and every word decodes to its message."""
+        f = GF(*field)
+        rng = np.random.default_rng(seed)
+        p = grs.random_params(f, n, k, rng)
+        past = ((p.t + 1) << p.t) * f.q.bit_length() > grs._MINORS_BUDGET
+        assert past == (k == 3)
+        words, sent = noisy_codewords(f, p, heavy, p.t, rng)
+        light, light_sent = zip(*(noisy_codewords(f, p, 10, w, rng) for w in range(p.t)),
+                                strict=True)
+        words = np.vstack([words[:heavy // 2], *light, words[heavy // 2 :]])
+        sent = np.vstack([sent[:heavy // 2], *light_sent, sent[heavy // 2 :]])
+        calls = spy(monkeypatch, "batched_rref")
+        msgs, ok = grs.decode_many(p, words)
+        assert ok.all() and np.array_equal(msgs, sent)
+        [(name, (_, stack, ncols))] = calls
+        syn = la.matmul(f, words, p.parity_checks_t)
+        assert name == "batched_rref" and ncols == p.t
+        assert np.array_equal(stack, syn[:, p.hankel_index])
+
+    @pytest.mark.parametrize("field,n,k", [((2, 4, 19), 15, 6), ((5, 2, 32), 16, 6),
+                                           ((2, 4, 19), 15, 3)],
+                             ids=["gf16-15-6", "gf25-16-6", "gf16-15-3-past-budget"])
+    def test_minors_run_on_the_shift_line_only(self, monkeypatch, field, n, k):
+        """Within the minors' budget ``decode_line`` calls ``batched_minors``
+        once per line, on the Hankel systems of the t+1 shifts 0..t, and
+        ``decode_many`` never calls it; past the budget neither does, and
+        ``_line_minors`` gives None."""
         f = GF(*field)
         rng = np.random.default_rng(n + k)
         p = grs.random_params(f, n, k, rng)
-        heavy, sent = noisy_codewords(f, p, 100, p.t, rng)
-        grs.decode_many(p, heavy[:1])  # builds the key's tables
-        calls = spy(monkeypatch, "batched_rref")
-        msgs, ok = grs.decode_many(p, heavy)
+        within = ((p.t + 1) << p.t) * f.q.bit_length() <= grs._MINORS_BUDGET
+        assert within == (k != 3)
+        words, sent = noisy_codewords(f, p, 20, p.t, rng)
+        d = rng.integers(0, f.q, n)
+        c = f.add(words[0], f.mul(3, d))  # the word at shift 3 is words[0]
+        calls = spy(monkeypatch, "batched_minors")
+        msgs, ok = grs.decode_many(p, words)
         assert calls == []
         assert ok.all() and np.array_equal(msgs, sent)
-        light, light_sent = zip(*(noisy_codewords(f, p, 10, w, rng) for w in range(p.t)),
-                                strict=True)
-        msgs, ok = grs.decode_many(p, np.vstack([heavy[:50], *light, heavy[50:]]))
-        assert ok.all()
-        assert np.array_equal(msgs, np.vstack([sent[:50], *light_sent, sent[50:]]))
-        [(_, (_, stack, ncols))] = calls
-        syn = la.matmul(f, np.vstack(light), p.parity_checks_t)
-        assert np.array_equal(stack, syn[:, p.hankel_index]) and ncols == p.t
-
-    def test_large_radius_takes_the_elimination(self, gf16, monkeypatch):
-        """Past the minors' budget (t = 6 over GF(16): 448 products per word)
-        every word takes its least degree locator from one elimination of
-        the whole stack."""
-        rng = np.random.default_rng(3)
-        p = grs.random_params(gf16, 15, 3, rng)
-        assert ((p.t + 1) << p.t) * gf16.q.bit_length() > grs._MINORS_BUDGET
-        words, sent = noisy_codewords(gf16, p, 40, p.t, rng)
-        calls = spy(monkeypatch, "batched_rref")
-        msgs, ok = grs.decode_many(p, words)
-        assert [(name, len(args[1])) for name, args in calls] == [("batched_rref", 40)]
-        assert ok.all() and np.array_equal(msgs, sent)
+        got = grs.decode_line(p, c, d)
+        assert any(np.array_equal(m, sent[0]) for m in got)
+        syn_c, syn_d = la.matmul(f, np.array((c, d)), p.parity_checks_t)
+        if not within:
+            assert calls == [] and grs._line_minors(p, syn_c, syn_d) is None
+            return
+        [(name, (_, stack))] = calls
+        syn = f.sub(syn_c, f.mul(f.elements()[: p.t + 1, None], syn_d))
+        assert name == "batched_minors" and stack.shape == (p.t + 1, p.t, p.t + 1)
+        assert np.array_equal(stack, syn[:, p.hankel_index[: p.t]])
 
     @pytest.mark.parametrize("field,n,k", [("gf7", 7, 1), ("gf9", 9, 2), ("gf16", 15, 3)])
     def test_degenerate_words_decode_in_closed_form(self, request, monkeypatch, field, n, k):
@@ -419,7 +443,7 @@ class TestDecode:
         f = GF(*field)
         rng = np.random.default_rng(n + k)
         p = grs.random_params(f, n, k, rng)
-        assert grs._by_minors(p)
+        assert ((p.t + 1) << p.t) * f.q.bit_length() <= grs._MINORS_BUDGET
         lagrange = p._lagrange.matrix
         assert np.array_equal(lagrange[:, : p.t + 1], np.eye(p.t + 1, dtype=np.int64))
         lines = [rng.integers(0, f.q, (2, n - k)) for _ in range(4)]

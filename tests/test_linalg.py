@@ -436,7 +436,8 @@ class TestMatmul:
     def test_table_product(self, f, rows, rng):
         """A ``Fixed`` product off its table of multiples, at any number of
         rows, equals the reference loop, also after a write into the
-        caller's matrix; the table is None past 2^20 entries, and the
+        caller's matrix; the offsets of the terms' first rows come with the
+        table, read-only.  The table is None past 2^20 entries, and the
         product is then ``matmul``'s.  The left operand is one 2-D array."""
         b = la.random_matrix(f, 7, 5, rng)
         fixed = la.Fixed(f, b)
@@ -445,6 +446,8 @@ class TestMatmul:
         a = rng.integers(0, f.q, (rows, 7))
         assert np.array_equal(fixed.product(a), matmul_loop(f, a, want_b))
         assert fixed._table.shape == (7 * f.q, 5)
+        assert fixed._offsets.tolist() == [[m * f.q] for m in range(7)]
+        assert not fixed._offsets.flags.writeable
         wide = rng.integers(0, f.q, (1, (1 << 20) // f.q + 1))
         past = la.Fixed(f, wide)
         assert past._table is None

@@ -216,9 +216,10 @@ class TestCanonicalChoice:
 
 def q_word_candidates(key, c, code, direction, to_plain):
     """The reference sweep: ``grs.decode_many`` on all q shifted words
-    c - s direction at once, each decoded message mapped to a plaintext by
-    to_plain and kept when its public codeword lies within t of c; the
-    distinct (error weight, plaintext) pairs in shift order."""
+    c - s direction at once, every locator from the elimination and none
+    from the minors of the shift line, each decoded message mapped to a
+    plaintext by to_plain and kept when its public codeword lies within t
+    of c; the distinct (error weight, plaintext) pairs in shift order."""
     f = key.field
     msgs, ok = grs.decode_many(code, f.sub(c, f.mul(f.elements()[:, None], direction)))
     plain = la.matmul(f, msgs[ok], to_plain)
