@@ -24,7 +24,12 @@ A round's ratio is B's time over A's.  The last line of standard output is
 one JSON object with, per metric, the median ratio over the rounds and its
 quartiles, and each tree's median time.  Timings of two trees taken
 minutes apart in two processes spread by tens of percent on a small shared
-machine; alternating rounds in one process resolve a few percent.
+machine, and alternating rounds in one process spread too: a tree run
+against an identical copy of itself on ``decrypt-gf16`` (10-20 rounds of
+40 ciphertexts, 2-core shared machine) read ``decrypt_ms`` ratio quartiles
+as wide as [0.659, 1.003] and [0.919, 1.376], and one run read every
+metric's median ratio at 0.85-0.92, so a change of 5-10% needs many runs
+in both orders.
 """
 
 from __future__ import annotations

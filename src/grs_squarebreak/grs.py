@@ -13,7 +13,7 @@ degree locator from one elimination, ``decode`` one word, and
 ``decode_line`` the decryption sweep's q words c - s d, whose syndromes
 and locator minors it takes along the line in s: E is a multiple of the
 locator from the maximal minors at t+1 shifts, or the elimination's where
-they vanish or t is large), the dual-code multiplier formula, and two
+they vanish or t is past a cap), the dual-code multiplier formula, and two
 reconstruction routines used by the attack.  A ``GrsParams`` is read-only
 and builds its key-fixed tables (the generator, the dual's generator as
 parity checks, the Hankel index of the locator system, and the matrices
@@ -48,11 +48,11 @@ from .gf import GF
 from .linalg import DimensionMismatch
 
 
-# Locators come from maximal minors (``_line_minors``) while their (t+1) 2^t
-# products per word, times the bits of q, stay within this: a fit to the
-# measured crossover with the elimination (CHANGES.md), which admits every
-# t <= 4, and t = 5 below q = 256.
-_MINORS_BUDGET = 1600
+# Largest t whose locators come from maximal minors (``_line_minors``): on
+# the shift line their cost does not grow with q, the elimination's does,
+# and they were faster at every t <= 7 measured, but tied or lost at t = 8
+# and 9 for some q <= 64 (the crossover table is in CHANGES.md).
+_MINORS_MAX_T = 7
 
 # Entries, at most, in a block of ``decode_line``'s words (their Hankel
 # stack has (t+1) n entries per word or fewer).
@@ -300,9 +300,9 @@ def decode_line(p: GrsParams, c: np.ndarray, d: np.ndarray) -> np.ndarray:
 def _line_minors(p: GrsParams, syn_c: np.ndarray, syn_d: np.ndarray) -> np.ndarray | None:
     """(t+1) x q matrix whose column s holds the signed maximal minors of
     the first t rows of the Hankel system of the syndromes syn_c - s syn_d,
-    which those rows annihilate; None when ((t+1) 2^t) times the bits of q
-    exceeds ``_MINORS_BUDGET``: there the minors' (t+1) 2^t products per
-    word cost more than the elimination, which every shift then takes.
+    which those rows annihilate; None when t exceeds ``_MINORS_MAX_T``,
+    where the Laplace expansion's (t+1) 2^t products per system cost more
+    than the elimination, which every shift then takes.
 
     When the word at s has an error e of weight t, those rows are V^T D U
     with V the invertible t x t Vandermonde matrix of e's points, D the
@@ -317,7 +317,7 @@ def _line_minors(p: GrsParams, syn_c: np.ndarray, syn_d: np.ndarray) -> np.ndarr
     (``GrsParams._lagrange``) gives them at every s.
     """
     f, t = p.field, p.t
-    if ((t + 1) << t) * f.q.bit_length() > _MINORS_BUDGET:
+    if t > _MINORS_MAX_T:
         return None
     samples = f.sub(syn_c, f.mul(f.elements()[: t + 1, None], syn_d))
     return p._lagrange.product(linalg.batched_minors(f, samples[:, p.hankel_index[:t]]).T)

@@ -327,20 +327,19 @@ class TestDecode:
     @pytest.mark.parametrize(
         "field,n,k,seed,heavy",
         [((2, 4, 19), 15, 3, 3, 40), ((2, 4, 19), 15, 6, 21, 100), ((2, 4, 19), 15, 9, 24, 100),
-         ((5, 2, 32), 16, 6, 22, 100)],
-        ids=["gf16-15-3", "gf16-15-6", "gf16-15-9", "gf25-16-6"],
+         ((5, 2, 32), 16, 6, 22, 100), ((2, 5, 37), 31, 13, 25, 40)],
+        ids=["gf16-15-3", "gf16-15-6", "gf16-15-9", "gf25-16-6", "gf32-31-13-past-cap"],
     )
     def test_large_radius_takes_the_elimination(self, monkeypatch, field, n, k, seed, heavy):
         """``decode_many`` takes every word's least degree locator from one
-        elimination of the whole stack, past the minors' budget (t = 6 over
-        GF(16): 448 products per word) and within it: words at distance t
-        and at every w < t reach ``batched_rref`` as one stack of their
-        Hankel systems, in order, and every word decodes to its message."""
+        elimination of the whole stack, within the line's minors cap and
+        past it (t = 9 over GF(32)): words at distance t and at every w < t
+        reach ``batched_rref`` as one stack of their Hankel systems, in
+        order, and every word decodes to its message."""
         f = GF(*field)
         rng = np.random.default_rng(seed)
         p = grs.random_params(f, n, k, rng)
-        past = ((p.t + 1) << p.t) * f.q.bit_length() > grs._MINORS_BUDGET
-        assert past == (k == 3)
+        assert (p.t <= grs._MINORS_MAX_T) == (n != 31)
         words, sent = noisy_codewords(f, p, heavy, p.t, rng)
         light, light_sent = zip(*(noisy_codewords(f, p, 10, w, rng) for w in range(p.t)),
                                 strict=True)
@@ -354,19 +353,24 @@ class TestDecode:
         assert name == "batched_rref" and ncols == p.t
         assert np.array_equal(stack, syn[:, p.hankel_index])
 
-    @pytest.mark.parametrize("field,n,k", [((2, 4, 19), 15, 6), ((5, 2, 32), 16, 6),
-                                           ((2, 4, 19), 15, 3)],
-                             ids=["gf16-15-6", "gf25-16-6", "gf16-15-3-past-budget"])
-    def test_minors_run_on_the_shift_line_only(self, monkeypatch, field, n, k):
-        """Within the minors' budget ``decode_line`` calls ``batched_minors``
-        once per line, on the Hankel systems of the t+1 shifts 0..t, and
-        ``decode_many`` never calls it; past the budget neither does, and
-        ``_line_minors`` gives None."""
+    @pytest.mark.parametrize(
+        "field,n,k,within",
+        [((2, 4, 19), 15, 6, True), ((5, 2, 32), 16, 6, True), ((2, 8, 285), 30, 20, True),
+         ((2, 4, 19), 15, 3, True), ((2, 4, 19), 15, 1, True), ((3, 3, 34), 26, 10, False),
+         ((2, 5, 37), 31, 13, False)],
+        ids=["gf16-15-6", "gf25-16-6", "gf256-30-20", "gf16-15-3", "gf16-15-1-t7",
+             "gf27-26-10-t8-past-cap", "gf32-31-13-past-cap"],
+    )
+    def test_minors_run_on_the_shift_line_only(self, monkeypatch, field, n, k, within):
+        """Up to the minors' cap, t = 7 whatever q (t = 5 at GF(256), 6 and
+        7 at GF(16)), ``decode_line`` calls ``batched_minors`` once per
+        line, on the Hankel systems of the t+1 shifts 0..t, and
+        ``decode_many`` never calls it; past the cap (t = 8 at GF(27), 9 at
+        GF(32)) neither does, and ``_line_minors`` gives None."""
         f = GF(*field)
         rng = np.random.default_rng(n + k)
         p = grs.random_params(f, n, k, rng)
-        within = ((p.t + 1) << p.t) * f.q.bit_length() <= grs._MINORS_BUDGET
-        assert within == (k != 3)
+        assert within == (p.t <= grs._MINORS_MAX_T)
         words, sent = noisy_codewords(f, p, 20, p.t, rng)
         d = rng.integers(0, f.q, n)
         c = f.add(words[0], f.mul(3, d))  # the word at shift 3 is words[0]
@@ -443,7 +447,7 @@ class TestDecode:
         f = GF(*field)
         rng = np.random.default_rng(n + k)
         p = grs.random_params(f, n, k, rng)
-        assert ((p.t + 1) << p.t) * f.q.bit_length() <= grs._MINORS_BUDGET
+        assert p.t <= grs._MINORS_MAX_T
         lagrange = p._lagrange.matrix
         assert np.array_equal(lagrange[:, : p.t + 1], np.eye(p.t + 1, dtype=np.int64))
         lines = [rng.integers(0, f.q, (2, n - k)) for _ in range(4)]

@@ -296,7 +296,7 @@ class TestDecrypt:
         shifted words take their locators from maximal minors."""
         f = GF(2, 12, 4179)
         pk, sk = scheme.keygen(f, 26, 18, np.random.default_rng(0))
-        assert ((sk.t + 1) << sk.t) * f.q.bit_length() <= grs._MINORS_BUDGET
+        assert sk.t <= grs._MINORS_MAX_T
         rng = np.random.default_rng(1)
         msg = rng.integers(0, f.q, 18)
         z = scheme.encrypt(pk, msg, rng)
@@ -313,9 +313,9 @@ class TestDecrypt:
         "field,n,k",
         [((2, 4, 19), 15, 6), ((2, 4, 19), 15, 9), ((5, 2, 32), 16, 6), ((5, 2, 32), 16, 7),
          ((17, 1, 0), 17, 8), ((7, 1, 0), 7, 2), ((3, 1, 0), 3, 1), ((2, 1, 0), 2, 1),
-         ((2, 4, 19), 15, 1)],
+         ((2, 4, 19), 15, 1), ((2, 5, 37), 31, 13)],
         ids=["gf16-15-6", "gf16-15-9", "gf25-16-6", "gf25-16-7", "gf17-17-8", "gf7-7-2",
-             "gf3-3-1", "gf2-2-1-t0", "gf16-15-1-t7"],
+             "gf3-3-1", "gf2-2-1-t0", "gf16-15-1-t7", "gf32-31-13-t9"],
     )
     def test_both_decryptors_match_the_q_word_sweep(self, field, n, k):
         """The line decode (syndromes and minors along the shift line, tables
@@ -324,8 +324,8 @@ class TestDecrypt:
         and the weight check, in the same order: on ciphertexts with errors
         of every weight 0..t, whose sent plaintext is always among the
         candidates, and on random words, which include ties at GF(3) and
-        words with no candidate.  Past the minors' budget (t = 7
-        at GF(16)) every word takes the elimination."""
+        words with no candidate.  Past the minors' cap (t = 9 at GF(32))
+        every word takes the elimination."""
         f = GF(*field)
         pk, sk = scheme.keygen(f, n, k, np.random.default_rng(n + k))
         rk = attack.RecoveredKey(sk.masked, sk.a, sk.lam, None)
