@@ -72,7 +72,7 @@ def _diagnose(n: int, k: int) -> str:
 
 def _match_public_key(name: str, key, pk: scheme.PublicKey) -> None:
     """Refuse a key over another field, length or dimension than pk."""
-    if (key.field, key.n, key.k) != (pk.field, pk.n, pk.k):
+    if key.field is not pk.field or (key.n, key.k) != (pk.n, pk.k):
         raise FileFormatError(
             f"{name} (n={key.n} k={key.k} over {key.field!r}) does not match "
             f"the public key (n={pk.n} k={pk.k} over {pk.field!r})"

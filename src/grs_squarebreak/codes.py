@@ -44,7 +44,7 @@ class LinearCode:
     def __eq__(self, other):
         return (
             isinstance(other, LinearCode)
-            and self.field == other.field
+            and self.field is other.field
             and self.gen.shape == other.gen.shape
             and np.array_equal(self.gen, other.gen)
         )
@@ -65,7 +65,7 @@ class LinearCode:
 
     def star(self, other: "LinearCode") -> "LinearCode":
         """Span of all componentwise products of codewords of self and other."""
-        if self.field != other.field or self.n != other.n:
+        if self.field is not other.field or self.n != other.n:
             raise DimensionMismatch("star product needs codes of equal length and field")
         return code_from_generator(self.field, star_rows(self.field, self.gen, other.gen))
 

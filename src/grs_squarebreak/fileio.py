@@ -226,7 +226,7 @@ def save_vector(path, f: GF, n: int, k: int, v: np.ndarray) -> None:
 def load_vector(path, length: int, field: GF) -> np.ndarray:
     pf = read_file(path)
     v = _section(pf, "vec", (1, length))[0]
-    if pf.field != field:
+    if pf.field is not field:
         raise FileFormatError(f"@vec is over {pf.field!r}, expected {field!r}")
     return v
 

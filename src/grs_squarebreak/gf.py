@@ -7,32 +7,38 @@ integer arrays and broadcast elementwise, which is what makes the linear
 algebra on top of this module fast enough for the attack loops.
 
 Fields are kept deliberately small (q <= 2^16): multiplication runs off
-log/antilog tables built from a primitive element.  The tables are built on
+log/antilog tables built from a primitive element, and at most 1024
+elements off a q x q table built from them.  The tables are built on
 base-p digit rows, where multiplication by a field element is an m x m
 matrix over GF(p): the antilog table of a candidate g doubles in length by
 one product with the matrix of g^L, which is then squared.  The modulus is
 checked by dividing it by every monic polynomial of degree at most m/2 at
-once.  Fields of at most 1024 elements multiply, and in odd characteristic
-add and subtract, by one gather from a q x q table.  Larger prime fields
-add as integers mod p, and larger odd extension fields by Zech logarithms,
-a + b = g^(log a + zech[log b - log a]) with zech[i] = log(1 + g^i), and
--a = g^((q-1)/2) a; their q x q tables are built that way too.  Odd
-extension fields with tables sum as integers: one gather spreads each
-element's base-p digits some bits apart, one integer sum adds them with no
-carry between digits, and one gather reads each digit mod p (in rounds,
-when the terms are too many for one sum); larger odd extension fields sum
-by a tree of pairwise adds.  Products along an axis and powers take one gather from
-the antilog table at a sum of logs (or at a log times the exponent), at
-every field size.  Two operands of fewer than 512 elements
-each, as in most of the decoders' calls, are looked up by a 2-D gather at
-[a, b]; when either has 512 or more (the attack's stacks), by one ``take``
-at a*q + b from the flattened table, which costs two more ufunc calls but
-far less per element.  So operands must be field elements: a flat index
-is checked only as a whole, and an operand outside [0, q) can read another
-entry instead of raising.  Input from outside the library is range-checked
-before it gets here, by ``as_elements`` or by the key-file reader.  Prime
-fields (m = 1) take the same paths, with one digit: only their sums, and
-above 1024 their adds, are plain integer arithmetic mod p.
+once.  Addition and negation act on base-p digits, each mod p; the rules
+go by the field's shape:
+
+- p = 2: add, sub and sum are xor; neg is the identity.
+- Odd p: neg reads one table, built digit by digit.
+- Odd prime fields: add, sub and sum are integers mod p, add and sub read
+  from q x q tables up to 1024 elements.
+- Odd extension fields up to 1024 elements sum spread digits: one gather
+  spreads each element's base-p digits some bits apart, one integer sum
+  adds them with no carry between digits, and one gather reads each digit
+  mod p (in rounds, when the terms are too many for one sum).  Their q x q
+  add and sub tables are such two-term sums.
+- Larger odd extension fields add by Zech logarithms, a + b = g^(log a +
+  zech[log b - log a]) with zech[i] = log(1 + g^i), and sum by a tree of
+  pairwise adds.
+
+Products along an axis and powers take one gather from the antilog table
+at a sum of logs (or at a log times the exponent), at every field size.
+Two operands of fewer than 512 elements each, as in most of the decoders'
+calls, are looked up by a 2-D gather at [a, b]; when either has 512 or
+more (the attack's stacks), by one ``take`` at a*q + b from the flattened
+table, which costs two more ufunc calls but far less per element.  So
+operands must be field elements: a flat index is checked only as a whole,
+and an operand outside [0, q) can read another entry instead of raising.
+Input from outside the library is range-checked before it gets here, by
+``as_elements`` or by the key-file reader.
 
 Each field is built once per process while it is in use: ``GF(p, m,
 modulus)`` returns the instance already alive for that triple (modulus 0
@@ -42,7 +48,8 @@ file.  There is no size knob: an entry goes when the last user of its field
 does, and the next call builds it again.  Validation and the build run only
 on a miss, so a refused modulus raises on every call.  Since one instance
 is shared by every caller, its tables are read-only numpy arrays, and
-pickle and copy return the live instance.
+pickle and copy return the live instance.  So equality is identity:
+``GF`` keeps the default ``==`` and hash, and callers compare with ``is``.
 
 Nothing here is constant-time or suitable for production cryptography.
 """
@@ -89,15 +96,24 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _digit_table(per_digit: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Entry e: the sum of per_digit[d_i] * weights[i] over e's digits d_i in
+    base len(per_digit).  A digit-by-digit map, built by outer sums."""
+    out = per_digit * weights[0]
+    for w in weights[1:]:
+        out = np.add.outer(per_digit * w, out).ravel()
+    return out
+
+
 class GF:
     """The finite field GF(p^m) defined by a monic irreducible modulus.
 
     For m == 1 the modulus argument is ignored.  Instances are interned:
     while one is alive, ``GF`` returns it for the same (p, m, modulus)
     instead of building the tables again, and the weak reference lets it go
-    with its last user.  Because every caller shares the one instance, its
-    log, antilog, inverse, Zech and q x q tables are read-only: a write
-    through one caller would change every other caller's arithmetic.
+    with its last user, so equality is identity.  Because every caller
+    shares the one instance, its tables are read-only: a write through one
+    caller would change every other caller's arithmetic.
     """
 
     def __new__(cls, p: int, m: int = 1, modulus: int = 0):
@@ -185,46 +201,38 @@ class GF:
         inv[exp] = exp[-log[exp] % (q - 1)]
         self._inv = inv
         elems = np.arange(q, dtype=np.int64)
-        self._zech = self._zexp = self._neg = None
-        if p != 2 and m > 1:
-            # Zech logarithms: for nonzero a and b, a + b = g^(log a +
-            # zech[log b - log a]) with zech[i] = log(1 + g^i).  Both tables
-            # run twice around, so no index is reduced mod q-1; 1 + g^i is
-            # 0 at i = (q-1)/2, where zech points past them, into zeros.
+        self._zech = self._zexp = self._neg = self._spread = self._back = None
+        self._mul_table = self._add_table = self._sub_table = None
+        # One-gather arithmetic for small fields (xor needs no table): the
+        # attack loops are dominated by it, so this is worth q^2 memory.
+        if q <= 1024:
+            self._mul_table = self.mul(elems[:, None], elems[None, :])
+        if p != 2:  # addition and negation act on base-p digits, each mod p
+            self._neg = _digit_table(-np.arange(p) % p, pw)
+        if p != 2 and m == 1 and q <= 1024:
+            self._add_table = (elems[:, None] + elems) % p
+            self._sub_table = (elems[:, None] - elems) % p
+        elif p != 2 and m > 1 and q <= 1024:
+            # Sums add spread[e], e's digits placed `width` bits apart, as
+            # integers: up to `_most` terms (at least two) fit each field
+            # with no carry into the next, and back[s] reads every field
+            # of s mod p.  back has 2^(width m) entries: at most 2^16,
+            # except 2^18 at GF(729).  The q x q tables are two-term sums.
+            width = max(16 // m, (2 * p - 2).bit_length())
+            self._most = ((1 << width) - 1) // (p - 1)
+            spread = self._spread = _digit_table(np.arange(p), 1 << width * np.arange(m))
+            back = self._back = _digit_table(np.arange(1 << width) % p, pw)
+            self._add_table = back[spread[:, None] + spread]
+            self._sub_table = back[spread[:, None] + spread[self._neg]]
+        elif p != 2 and m > 1:
+            # Zech logarithms, as the module docstring states them.  Both
+            # tables run twice around, so no index is reduced mod q-1; 1 + g^i
+            # is 0 at i = (q-1)/2, where zech points past them, into zeros.
             one_plus = exp - exp % p + (exp + 1) % p  # only the constant digit moves
             self._zech = np.tile(np.where(one_plus == 0, 2 * (q - 1), log[one_plus]), 2)
             self._zexp = np.concatenate([exp, exp, np.zeros(q - 1, dtype=np.int64)])
-            # -1 = g^((q-1)/2) in odd characteristic: -a is one antilog read.
-            self._neg = np.zeros(q, dtype=np.int64)
-            self._neg[exp] = self._zexp[np.arange(q - 1) + (q - 1) // 2]
-        # One-gather arithmetic for small fields (xor needs no table): the
-        # attack loops are dominated by it, so this is worth q^2 memory.
-        self._mul_table = self._add_table = self._sub_table = None
-        self._spread = self._back = None
-        if q <= 1024:
-            self._mul_table = self.mul(elems[:, None], elems[None, :])
-            if p != 2:
-                self._add_table = self.add(elems[:, None], elems[None, :])
-                self._sub_table = self.sub(elems[:, None], elems[None, :])
-                # The tables now answer every add, sub and neg at this size.
-                self._zech = self._zexp = self._neg = None
-            if p != 2 and m > 1:
-                # Sums add spread[e], e's digits placed `width` bits apart, as
-                # integers: up to `_most` terms (at least two) fit each field
-                # with no carry into the next, and back[s] reads every field
-                # of s mod p.  back has 2^(width m) entries: at most 2^16,
-                # except 2^18 at GF(729).
-                width = max(16 // m, (2 * p - 2).bit_length())
-                self._most = ((1 << width) - 1) // (p - 1)
-                self._spread = (elems[:, None] // pw % p) @ (1 << width * np.arange(m))
-                digit = np.arange(1 << width) % p
-                back = digit
-                for i in range(1, m):
-                    back = np.add.outer(digit * p**i, back).ravel()
-                self._back = back
-        for table in (exp, log, inv, self._mul_table, self._add_table, self._sub_table,
-                      self._spread, self._back, self._zech, self._zexp, self._neg):
-            if table is not None:
+        for table in vars(self).values():
+            if isinstance(table, np.ndarray):
                 table.flags.writeable = False
 
     # -- elementwise arithmetic ------------------------------------------
@@ -256,11 +264,7 @@ class GF:
         return self._zech_add(np.asarray(a), self._neg[b])
 
     def neg(self, a):
-        if self.p == 2:
-            return np.asarray(a)
-        if self._neg is not None:
-            return self._neg[a]
-        return self.sub(0, a)  # row 0 of the sub table when there is one
+        return np.asarray(a) if self.p == 2 else self._neg[a]
 
     def _zech_add(self, a, b):
         la, lb = self._log[a], self._log[b]
@@ -349,16 +353,7 @@ class GF:
             raise FieldError(f"{what} has entries outside [0, {self.q})")
         return v.astype(np.int64, copy=False)
 
-    # -- identity ---------------------------------------------------------
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, GF)
-            and (self.p, self.m, self.modulus) == (other.p, other.m, other.modulus)
-        )
-
-    def __hash__(self):
-        return hash((self.p, self.m, self.modulus))
+    # -- identity: interning makes the default == and hash field equality --
 
     def __reduce__(self):
         # pickle and copy hand back the live instance of the field.

@@ -179,7 +179,7 @@ class GrsParams:
     def __eq__(self, other):
         return (
             isinstance(other, GrsParams)
-            and self.field == other.field
+            and self.field is other.field
             and self.k == other.k
             and np.array_equal(self.x, other.x)
             and np.array_equal(self.y, other.y)

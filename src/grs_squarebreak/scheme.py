@@ -213,9 +213,10 @@ def encrypt(
     return f.add(linalg.matmul(f, msg, pk.g_pub), error)
 
 
-def error_weight(f: GF, g_pub: np.ndarray, c: np.ndarray, msg: np.ndarray) -> int:
-    """Hamming distance from c to the public codeword msg G_pub."""
-    return int(np.count_nonzero(f.sub(c, linalg.matmul(f, msg, g_pub))))
+def error_weight(f: GF, g_pub: np.ndarray, c: np.ndarray, msg: np.ndarray) -> int | np.ndarray:
+    """Hamming distance from c to msg G_pub: an int, or one per row of a stack."""
+    w = np.count_nonzero(f.sub(c, linalg.matmul(f, msg, g_pub)), axis=-1)
+    return int(w) if np.ndim(w) == 0 else w
 
 
 def canonical_choice(candidates: list[tuple[int, np.ndarray]], t: int) -> np.ndarray:
@@ -256,7 +257,7 @@ def sweep_decrypt(
     if c.shape != (key.n,):
         raise DimensionMismatch(f"ciphertext length must be n={key.n}")
     plain = linalg.matmul(f, grs.decode_line(code, c, direction), to_plain)
-    weights = np.count_nonzero(f.sub(c[None, :], linalg.matmul(f, plain, key.g_pub)), axis=1)
+    weights = error_weight(f, key.g_pub, c, plain)
     candidates = {m.tobytes(): (int(w), m) for w, m in zip(weights, plain) if w <= key.t}
     if not candidates:
         raise DecryptionFailure("no shift produced a consistent decoding")

@@ -95,9 +95,12 @@ class TestConstruction:
             GF(2, 2, -1)
 
     def test_equality_and_hash(self):
+        """Interning makes equality identity: GF keeps object's == and hash."""
+        assert "__eq__" not in vars(GF) and "__hash__" not in vars(GF)
         assert GF(2, 4, 19) == GF(2, 4, 19)
         assert GF(2, 4, 19) != GF(2, 4, 25)
-        assert hash(GF(5)) == hash(GF(5))
+        f = GF(5)
+        assert hash(f) == hash(GF(5))
 
 
 class TestInterning:
@@ -234,9 +237,35 @@ def schoolbook_add(a: int, b: int, p: int, m: int, sign: int = 1) -> int:
     )
 
 
+# Every odd extension field with add tables (q <= 1024), each with its
+# smallest irreducible modulus, as (p, m, modulus).
+ODD_EXTENSIONS = [
+    (3, 2, 10), (3, 3, 34), (3, 4, 86), (3, 5, 250), (3, 6, 734),
+    (5, 2, 27), (5, 3, 131), (5, 4, 627), (7, 2, 50), (7, 3, 345),
+    (11, 2, 122), (13, 2, 171), (17, 2, 292), (19, 2, 362), (23, 2, 530),
+    (29, 2, 843), (31, 2, 962),
+]
+
+
+def check_sampled_pairs(f: GF, rng) -> None:
+    """add, sub and neg on 500 sampled pairs against the schoolbook, with
+    zeros, a zero sum and a negated element among them."""
+    p, m = f.p, f.m
+    a = rng.integers(0, f.q, 500)
+    b = rng.integers(0, f.q, 500)
+    a[:5], b[5:10], b[10] = 0, 0, f.neg(a[10])
+    pairs = [(int(x), int(y)) for x, y in zip(a, b)]
+    assert f.add(a, b).tolist() == [schoolbook_add(x, y, p, m) for x, y in pairs]
+    assert f.add(a[10], b[10]) == 0
+    assert f.sub(a, b).tolist() == [schoolbook_add(x, y, p, m, -1) for x, y in pairs]
+    assert f.neg(a).tolist() == [schoolbook_add(0, x, p, m, -1) for x, _ in pairs]
+
+
 class TestAddSub:
     @pytest.mark.parametrize(
-        "f", [GF(3, 2, 10), GF(5, 2, 32), GF(3, 3, 34)], ids=["GF9", "GF25", "GF27"]
+        "f",
+        [GF(3, 2, 10), GF(5, 2, 32), GF(3, 3, 34), GF(7), GF(17)],
+        ids=["GF9", "GF25", "GF27", "GF7", "GF17"],
     )
     def test_every_pair_against_schoolbook(self, f):
         a, b = np.meshgrid(f.elements(), f.elements(), indexing="ij")
@@ -257,16 +286,19 @@ class TestAddSub:
         and a negated element among them."""
         # X^7 + X^2 + 2, X^5 + 4X + 1 and X^4 + X + 1
         for f in (GF(3, 7, 2198), GF(5, 5, 3146), GF(7, 4, 2409)):
-            p, m = f.p, f.m
-            assert f.q > 1024 and f._add_table is None
-            a = rng.integers(0, f.q, 500)
-            b = rng.integers(0, f.q, 500)
-            a[:5], b[5:10], b[10] = 0, 0, f.neg(a[10])
-            pairs = [(int(x), int(y)) for x, y in zip(a, b)]
-            assert f.add(a, b).tolist() == [schoolbook_add(x, y, p, m) for x, y in pairs]
-            assert f.add(a[10], b[10]) == 0
-            assert f.sub(a, b).tolist() == [schoolbook_add(x, y, p, m, -1) for x, y in pairs]
-            assert f.neg(a).tolist() == [schoolbook_add(0, x, p, m, -1) for x, _ in pairs]
+            assert f.q > 1024 and f._add_table is None and f._zech is not None
+            check_sampled_pairs(f, rng)
+
+    @pytest.mark.parametrize(
+        "field", [(1021,)] + ODD_EXTENSIONS,
+        ids=["GF1021"] + [f"GF{p**m}" for p, m, _ in ODD_EXTENSIONS],
+    )
+    def test_sampled_pairs_with_tables(self, field, rng):
+        """Every odd field shape with add tables: the prime field GF(1021)
+        and each odd extension field up to GF(961), on sampled pairs."""
+        f = GF(*field)
+        assert f._add_table is not None and f._zech is None
+        check_sampled_pairs(f, rng)
 
     @pytest.mark.parametrize("p", [1031, 65521])
     def test_prime_field_above_table_bound(self, p, rng):
@@ -301,14 +333,6 @@ def schoolbook_sum(arr: np.ndarray, axis: int, p: int, m: int) -> np.ndarray:
 
 SUM_FIELDS = [GF(3, 2, 10), GF(5, 2, 32), GF(3, 3, 34), GF(3, 7, 2198)]
 SUM_IDS = ["GF9", "GF25", "GF27", "GF3^7"]
-# Every odd extension field with add tables (q <= 1024), each with its
-# smallest irreducible modulus, as (p, m, modulus).
-ODD_EXTENSIONS = [
-    (3, 2, 10), (3, 3, 34), (3, 4, 86), (3, 5, 250), (3, 6, 734),
-    (5, 2, 27), (5, 3, 131), (5, 4, 627), (7, 2, 50), (7, 3, 345),
-    (11, 2, 122), (13, 2, 171), (17, 2, 292), (19, 2, 362), (23, 2, 530),
-    (29, 2, 843), (31, 2, 962),
-]
 
 
 class TestSum:
