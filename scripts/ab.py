@@ -14,8 +14,9 @@ first alternates from round to round):
 * ``recover_key_s``: ``attack.recover_key`` on each broken key, the mean;
 * ``decrypt_ms`` and ``decrypt_with_pair_ms``: ``scheme.decrypt`` and
   ``attack.decrypt_with_pair`` on --cts seeded ciphertexts per decryption
-  key, after one untimed decryption per key that builds its tables (which
-  bench/run.py spreads over hundreds of ciphertexts per key), the median
+  key, after one untimed decryption per key that builds its tables and
+  its ``scheme.Decryptor`` (which bench/run.py spreads over hundreds of
+  ciphertexts per key), the median
   per ciphertext, and their 90th percentiles
   (``decrypt_ms.p90``, ``decrypt_with_pair_ms.p90``), taken as
   bench/run.py takes them.
@@ -91,7 +92,7 @@ def one_round(lib, wl: bench.Workload, seed: int, cts: int) -> dict:
     if wl.seeded_points is not None:
         targets = [(pk, sk, attack.RecoveredKey(scheme.masked_params(sk), sk.a, sk.lam, None))
                    for pk, sk in seeded]
-    for pk, sk, rk in targets:  # untimed: a key's first decryption builds its tables
+    for pk, sk, rk in targets:  # untimed: a key's first decryption builds its tables and decryptor
         c = ciphertexts(lib, pk, 1, np.random.default_rng([seed, 2]))[0]
         scheme.decrypt(sk, c)
         attack.decrypt_with_pair(rk, pk, c)

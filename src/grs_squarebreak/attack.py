@@ -51,7 +51,7 @@ import numpy as np
 
 from . import grs, linalg, scheme
 from .codes import LinearCode, code_from_generator, star_rows
-from .scheme import DecryptionFailure, PublicKey, canonical_choice, sweep_decrypt
+from .scheme import DecryptionFailure, PublicKey, canonical_choice
 
 
 class NotApplicable(RuntimeError):
@@ -101,8 +101,9 @@ class RecoveredKey:
     # degenerate branch where the public code is itself GRS)
 
     def __post_init__(self):
-        # Read-only copies: pair_candidates keeps a map built from them, per
-        # public key, for as long as both the key and this pair are alive.
+        # Read-only copies: pair_candidates keeps a decryptor built from
+        # them, per public key, for as long as both the key and this pair
+        # are alive.
         object.__setattr__(self, "a0", linalg.frozen(self.a0))
         object.__setattr__(self, "lam0", linalg.frozen(self.lam0))
         object.__setattr__(self, "_pair_maps", weakref.WeakKeyDictionary())
@@ -477,21 +478,22 @@ def recover_key(
         stats.restarts += 1
 
 
-def _pair_map(rk: RecoveredKey, pub: PublicKey) -> np.ndarray:
-    """The k x k matrix T with phi(G_C) = T G_pub, phi the masking map
-    ``scheme.mask`` of the pair, read off one rref of
-    [G_pub^T | phi(G_C)^T].  Kept on rk, weakly keyed by pub (hashed by
-    identity), so it goes with either key; a refused pair raises and keeps
-    nothing, so it is refused again on every call."""
-    t_map = rk._pair_maps.get(pub)
-    if t_map is None:
+def _pair_decryptor(rk: RecoveredKey, pub: PublicKey) -> scheme.Decryptor:
+    """The decryptor of the pair under pub: C, a0, and the k x k matrix T
+    with phi(G_C) = T G_pub, phi the masking map ``scheme.mask`` of the
+    pair, read off one rref of [G_pub^T | phi(G_C)^T].  Kept on rk, weakly
+    keyed by pub (hashed by identity) and holding no reference to it, so
+    it goes with either key; a refused pair raises and keeps nothing, so
+    it is refused again on every call."""
+    dec = rk._pair_maps.get(pub)
+    if dec is None:
         f, k = pub.field, pub.k
         images = scheme.mask(f, rk.grs.generator, rk.a0, rk.lam0)
         r, pivots = linalg.rref(f, np.hstack([pub.g_pub.T, images.T]))
         if pivots != list(range(k)):
             raise DecryptionFailure("the masking pair does not carry the recovered code into C_pub")
-        t_map = rk._pair_maps[pub] = linalg.frozen(r[:, k:].T)
-    return t_map
+        dec = rk._pair_maps[pub] = scheme.Decryptor(pub, rk.grs, rk.a0, r[:, k:].T)
+    return dec
 
 
 def pair_candidates(rk: RecoveredKey, pub: PublicKey, z: np.ndarray) -> list[tuple[int, np.ndarray]]:
@@ -500,12 +502,13 @@ def pair_candidates(rk: RecoveredKey, pub: PublicKey, z: np.ndarray) -> list[tup
     phi(p) = p + <lam0, p> a0 carries the recovered GRS code C onto C_pub,
     so phi(G_C) = T G_pub for a k x k matrix T, read off one rref of
     [G_pub^T | phi(G_C)^T] per key pair (the first call on a pair builds
-    it, later calls reuse it); for z = phi(p) + e and s = <lam0, p>, z - s a0
-    is p + e, and T maps messages in C to plaintexts.  Returns the candidate
-    set of ``scheme.decrypt_candidates``; raises DecryptionFailure when phi
-    does not carry C into C_pub.
+    its ``scheme.Decryptor``, later calls reuse it); for z = phi(p) + e
+    and s = <lam0, p>, z - s a0 is p + e, and T maps messages in C to
+    plaintexts.  Returns the candidate set of
+    ``scheme.decrypt_candidates``; raises DecryptionFailure when phi does
+    not carry C into C_pub.
     """
-    return sweep_decrypt(pub, z, rk.grs, rk.a0, _pair_map(rk, pub))
+    return _pair_decryptor(rk, pub).candidates(z)
 
 
 def decrypt_with_pair(rk: RecoveredKey, pub: PublicKey, z: np.ndarray) -> np.ndarray:

@@ -347,9 +347,9 @@ class GF:
         """v as an int64 array, refused with FieldError unless it holds
         integers in [0, q): the check on caller-supplied vectors."""
         v = np.asarray(v)
-        if not np.issubdtype(v.dtype, np.integer):
+        if v.dtype.kind not in "iu":
             raise FieldError(f"{what} must hold integers, got dtype {v.dtype}")
-        if np.any((v < 0) | (v >= self.q)):
+        if v.size and (v.min() < 0 or v.max() >= self.q):
             raise FieldError(f"{what} has entries outside [0, {self.q})")
         return v.astype(np.int64, copy=False)
 

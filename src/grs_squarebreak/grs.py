@@ -267,28 +267,32 @@ def decode_many(p: GrsParams, words: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return msgs, ok
 
 
-def decode_line(p: GrsParams, c: np.ndarray, d: np.ndarray) -> np.ndarray:
+def decode_line(p: GrsParams, c: np.ndarray, d: np.ndarray, syn_d: np.ndarray) -> np.ndarray:
     """The messages of the words c - s d, for s in GF(q) in increasing
     order, that lie within t of the code (see ``decode_many``): the
     decryption sweep's q shifted words, decoded as one line.
 
     The syndromes are affine in s, syn(c) - s syn(d), from one product of
-    [c; d] with the parity checks, and each shift's locator comes from the
-    maximal minors along the line (``_line_minors``), computed once per
-    line, or from the elimination.  The words go through ``_decode`` in
-    blocks of at most 2^20 / ((t+1) n) words, which bounds the memory
-    whatever q is, and c - s d is formed only at the shifts it accepts.  c
-    and d must hold field elements (unchecked, as for ``decode_many``).
+    c with the parity checks and from syn_d, d's n-k syndromes, which the
+    caller keeps with d.  They are formed once, block by block, and each
+    shift's locator comes from the maximal minors along the line
+    (``_line_minors``), which take their samples from the first block, or
+    from the elimination.  The words go through ``_decode`` in blocks of at
+    most 2^20 / ((t+1) n) words, but never fewer than the t+1 samples up to
+    the minors' cap, which bounds the memory whatever q is, and c - s d is
+    formed only at the shifts it accepts.  c and d must hold field elements
+    (unchecked, as for ``decode_many``).
     """
     f, k, t = p.field, p.k, p.t
-    syn_c, syn_d = p._syndromes.product(np.array((c, d)))
-    minors = _line_minors(p, syn_c, syn_d)
+    syn_c = p._syndromes.product(c[None])[0]
     shifts = f.elements()
-    block = max(1, _SWEEP_BLOCK // ((t + 1) * p.n))
+    block = max(t + 1 if t <= _MINORS_MAX_T else 1, _SWEEP_BLOCK // ((t + 1) * p.n))
     found = []
     for start in range(0, f.q, block):
         s = shifts[start : start + block]
         syn = f.sub(syn_c, f.mul(s[:, None], syn_d))
+        if start == 0:
+            minors = _line_minors(p, syn[: t + 1])
         if minors is None:
             locator = np.zeros((len(s), t + 1), dtype=np.int64)
         else:
@@ -297,12 +301,13 @@ def decode_line(p: GrsParams, c: np.ndarray, d: np.ndarray) -> np.ndarray:
     return np.concatenate(found)
 
 
-def _line_minors(p: GrsParams, syn_c: np.ndarray, syn_d: np.ndarray) -> np.ndarray | None:
+def _line_minors(p: GrsParams, samples: np.ndarray) -> np.ndarray | None:
     """(t+1) x q matrix whose column s holds the signed maximal minors of
     the first t rows of the Hankel system of the syndromes syn_c - s syn_d,
-    which those rows annihilate; None when t exceeds ``_MINORS_MAX_T``,
-    where the Laplace expansion's (t+1) 2^t products per system cost more
-    than the elimination, which every shift then takes.
+    which those rows annihilate, from samples, that line's syndromes at
+    the t+1 shifts 0..t; None when t exceeds ``_MINORS_MAX_T``, where the
+    Laplace expansion's (t+1) 2^t products per system cost more than the
+    elimination, which every shift then takes.
 
     When the word at s has an error e of weight t, those rows are V^T D U
     with V the invertible t x t Vandermonde matrix of e's points, D the
@@ -312,14 +317,13 @@ def _line_minors(p: GrsParams, syn_c: np.ndarray, syn_d: np.ndarray) -> np.ndarr
     whose minors all vanish (e of weight below t, or no codeword within t
     and rank below t) takes its least degree locator in ``_decode``.  Each
     row is affine in s, so each minor is a polynomial in s of degree at
-    most t: ``linalg.batched_minors`` expands them at the t+1 shifts 0..t
+    most t: ``linalg.batched_minors`` expands them at the t+1 sample shifts
     only, and one product with the key's Lagrange matrix
     (``GrsParams._lagrange``) gives them at every s.
     """
     f, t = p.field, p.t
     if t > _MINORS_MAX_T:
         return None
-    samples = f.sub(syn_c, f.mul(f.elements()[: t + 1, None], syn_d))
     return p._lagrange.product(linalg.batched_minors(f, samples[:, p.hankel_index[:t]]).T)
 
 

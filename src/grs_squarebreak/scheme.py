@@ -13,14 +13,19 @@ parity check of C, and the public code differs from C; these keys are the
 honest ones, and also exactly the ones the square-code attack targets.
 
 Decryption needs only that shape, so the secret key and a recovered pair
-(a0, lam0) decrypt alike (``sweep_decrypt``): a ciphertext is
+(a0, lam0) decrypt alike (``Decryptor``): a ciphertext is
 p + <lam, p> a + e, so for one of the q values of s, c - s a is p + e, which
 the GRS decoder in C corrects; one k x k matrix maps messages to plaintexts.
+What a decryption needs of its key (C, the direction and its syndromes, the
+plaintext map and the map from messages of C to public codewords) lives on a
+``Decryptor``, built on the key's first decryption and dropped with the key:
+a ``SecretKey`` holds its own, and an ``attack.RecoveredKey`` one per public key.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -85,6 +90,14 @@ class SecretKey:
     @property
     def t(self) -> int:
         return (self.n - self.k) // 2
+
+    @cached_property
+    def decryptor(self) -> Decryptor:
+        """The key's decryptor, built on its first decryption (not by
+        keygen or the key-file reader) and dropped with the key: C, the
+        direction a, and S as the plaintext map, which sends C's message
+        m S^-1 back to the plaintext m."""
+        return Decryptor(self, self.masked, self.a, self.s_mat)
 
 
 def masked_params(sk: SecretKey) -> grs.GrsParams:
@@ -236,38 +249,60 @@ def canonical_choice(candidates: list[tuple[int, np.ndarray]], t: int) -> np.nda
     return min(candidates, key=lambda c: (c[0] != t, c[0], tuple(c[1].tolist())))[1]
 
 
-def sweep_decrypt(
-    key: PublicKey | SecretKey, c: np.ndarray, code: grs.GrsParams,
-    direction: np.ndarray, to_plain: np.ndarray,
-) -> list[tuple[int, np.ndarray]]:
-    """The shift sweep shared by both decryptors.
-
-    Decodes c - s * direction in ``code`` for every s in GF(q) as one line
-    (``grs.decode_line``: the syndromes and the locator minors of every
-    shift follow from two rows and from t+1 shifts, and the words are
-    decoded in blocks of 2^20 / ((t + 1) n)), maps the decoded messages
-    (coefficients in ``code.generator``) to plaintexts by the k x k matrix
-    ``to_plain``, and keeps those whose public codeword lies within t of c.
-    Returns the distinct verified (error weight, plaintext) candidates, in
-    shift order; raises DecryptionFailure when there is none, and FieldError
-    unless c is an integer array with entries in [0, q).
+class Decryptor:
+    """What decryption under one key needs of the key: the code C the
+    shifted words are decoded in, the sweep's direction d and its n-k
+    syndromes, and two ``linalg.Fixed`` maps from messages of C,
+    ``to_plain`` (k x k) to plaintexts and ``to_public`` (to_plain G_pub)
+    to public codewords.  Its arrays are read-only, and it holds no
+    reference to the key it was built from.  A ``SecretKey`` builds its
+    own on its first decryption, the pair route one per recovered key and
+    public key on their first (``attack.pair_candidates``), and each goes
+    with its key.
     """
-    f = key.field
-    c = f.as_elements(c, "ciphertext")
-    if c.shape != (key.n,):
-        raise DimensionMismatch(f"ciphertext length must be n={key.n}")
-    plain = linalg.matmul(f, grs.decode_line(code, c, direction), to_plain)
-    weights = error_weight(f, key.g_pub, c, plain)
-    candidates = {m.tobytes(): (int(w), m) for w, m in zip(weights, plain) if w <= key.t}
-    if not candidates:
-        raise DecryptionFailure("no shift produced a consistent decoding")
-    return list(candidates.values())
+
+    def __init__(self, key: PublicKey | SecretKey, code: grs.GrsParams, direction: np.ndarray,
+                 to_plain: np.ndarray):
+        f = key.field
+        self.code = code
+        self.direction = linalg.frozen(direction)
+        self.syndromes = linalg.frozen(code._syndromes.product(self.direction[None])[0])
+        self.to_plain = linalg.Fixed(f, to_plain)
+        self.to_public = linalg.Fixed(f, linalg.matmul(f, to_plain, key.g_pub))
+        self.n, self.t = key.n, key.t
+
+    def candidates(self, c: np.ndarray) -> list[tuple[int, np.ndarray]]:
+        """The shift sweep shared by both decryptors.
+
+        Decodes c - s d in C for every s in GF(q) as one line
+        (``grs.decode_line``: the syndromes of every shift follow from
+        syn(c) and syn(d), the locator minors from t+1 of them, and the
+        words are decoded in blocks of 2^20 / ((t + 1) n)), keeps the
+        decoded messages whose public codewords, by ``to_public``, lie
+        within t of c, and maps those to plaintexts by ``to_plain``.
+        Returns the distinct verified (error weight, plaintext) candidates,
+        in shift order; raises DecryptionFailure when there is none, and
+        FieldError unless c is an integer array with entries in [0, q).
+        """
+        f = self.code.field
+        c = f.as_elements(c, "ciphertext")
+        if c.shape != (self.n,):
+            raise DimensionMismatch(f"ciphertext length must be n={self.n}")
+        msgs = grs.decode_line(self.code, c, self.direction, self.syndromes)
+        weights = np.count_nonzero(f.sub(c, self.to_public.product(msgs)), axis=1)
+        near = weights <= self.t
+        plain = self.to_plain.product(msgs[near])
+        candidates = {m.tobytes(): (int(w), m) for w, m in zip(weights[near], plain)}
+        if not candidates:
+            raise DecryptionFailure("no shift produced a consistent decoding")
+        return list(candidates.values())
 
 
 def decrypt_candidates(sk: SecretKey, c: np.ndarray) -> list[tuple[int, np.ndarray]]:
-    """``sweep_decrypt`` with the secret key: for c = m G_pub + e, the word
-    c - s a at s = <e - c, alpha> is m S^-1 G_sec Pi^-1 + e, decoded in C."""
-    return sweep_decrypt(sk, c, sk.masked, sk.a, sk.s_mat)
+    """The sweep of the secret key's decryptor: for c = m G_pub + e, the
+    word c - s a at s = <e - c, alpha> is m S^-1 G_sec Pi^-1 + e, decoded
+    in C."""
+    return sk.decryptor.candidates(c)
 
 
 def decrypt(sk: SecretKey, c: np.ndarray) -> np.ndarray:

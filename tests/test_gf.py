@@ -174,6 +174,36 @@ class TestInterning:
         assert "mul" not in vars(gf16) and gf16.mul(3, 5) == 15
 
 
+class TestAsElements:
+    """``as_elements``, the check on caller-supplied vectors, over GF(16)."""
+
+    @pytest.mark.parametrize(
+        "v, refusal",
+        [
+            (np.array([1, 0], dtype=bool), "must hold integers, got dtype bool"),
+            (np.array([1.0, 2.0]), "must hold integers, got dtype float64"),
+            (np.array([1, 2**70], dtype=object), "must hold integers, got dtype object"),
+            (np.array([1, 2**63], dtype=np.uint64), r"has entries outside \[0, 16\)"),
+            (np.array([3, -1]), r"has entries outside \[0, 16\)"),
+            (np.array([16, 3]), r"has entries outside \[0, 16\)"),
+        ],
+        ids=["bool", "float", "object", "uint64-past-int64", "minus-one", "q"],
+    )
+    def test_refused(self, gf16, v, refusal):
+        with pytest.raises(FieldError, match="^word " + refusal):
+            gf16.as_elements(v, "word")
+
+    @pytest.mark.parametrize(
+        "v",
+        [np.zeros(0, dtype=np.int64), np.zeros((0, 3), dtype=np.uint8), np.array([0, 15], dtype=np.uint8),
+         [[15, 0], [7, 1]]],
+        ids=["empty", "empty-uint8", "uint8", "nested-list"],
+    )
+    def test_accepted_as_int64(self, gf16, v):
+        got = gf16.as_elements(v, "word")
+        assert got.dtype == np.int64 and np.array_equal(got, np.asarray(v))
+
+
 class TestArithmetic:
     def test_gf7_products(self, gf7):
         assert gf7.mul(3, 5) == 1

@@ -378,14 +378,14 @@ class TestDecode:
         msgs, ok = grs.decode_many(p, words)
         assert calls == []
         assert ok.all() and np.array_equal(msgs, sent)
-        got = grs.decode_line(p, c, d)
-        assert any(np.array_equal(m, sent[0]) for m in got)
         syn_c, syn_d = la.matmul(f, np.array((c, d)), p.parity_checks_t)
+        got = grs.decode_line(p, c, d, syn_d)
+        assert any(np.array_equal(m, sent[0]) for m in got)
+        syn = f.sub(syn_c, f.mul(f.elements()[: p.t + 1, None], syn_d))
         if not within:
-            assert calls == [] and grs._line_minors(p, syn_c, syn_d) is None
+            assert calls == [] and grs._line_minors(p, syn) is None
             return
         [(name, (_, stack))] = calls
-        syn = f.sub(syn_c, f.mul(f.elements()[: p.t + 1, None], syn_d))
         assert name == "batched_minors" and stack.shape == (p.t + 1, p.t, p.t + 1)
         assert np.array_equal(stack, syn[:, p.hankel_index[: p.t]])
 
@@ -456,7 +456,7 @@ class TestDecode:
         for syn_c, syn_d in lines:
             syn = f.sub(syn_c, f.mul(f.elements()[:, None], syn_d))
             want = la.batched_minors(f, syn[:, p.hankel_index[: p.t]])
-            assert np.array_equal(grs._line_minors(p, syn_c, syn_d).T, want)
+            assert np.array_equal(grs._line_minors(p, syn[: p.t + 1]).T, want)
 
     def test_empty_stack(self, gf16):
         p = grs.random_params(gf16, 15, 6, np.random.default_rng(0))

@@ -1,12 +1,13 @@
 """Keygen invariants, encryption, and legitimate decryption."""
 
+import gc
 import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from grs_squarebreak import attack, grs, linalg as la, scheme
+from grs_squarebreak import attack, fileio, grs, linalg as la, scheme
 from grs_squarebreak.codes import code_from_generator
 from grs_squarebreak.gf import GF, FieldError
 from grs_squarebreak.scheme import DecryptionFailure, InvalidDimensions
@@ -336,11 +337,11 @@ class TestDecrypt:
         words += [(c, None) for c in rng.integers(0, f.q, (12, n))]
         ties = 0
         for c, truth in words:
-            for route, code, direction, to_plain in (
-                (lambda: scheme.decrypt_candidates(sk, c), sk.masked, sk.a, sk.s_mat),
-                (lambda: attack.pair_candidates(rk, pk, c), rk.grs, rk.a0, attack._pair_map(rk, pk)),
+            for route, dec in (
+                (lambda: scheme.decrypt_candidates(sk, c), sk.decryptor),
+                (lambda: attack.pair_candidates(rk, pk, c), attack._pair_decryptor(rk, pk)),
             ):
-                want = q_word_candidates(pk, c, code, direction, to_plain)
+                want = q_word_candidates(pk, c, dec.code, dec.direction, dec.to_plain.matrix)
                 if not want:
                     with pytest.raises(DecryptionFailure):
                         route()
@@ -351,6 +352,36 @@ class TestDecrypt:
                 ties += len(got) > 1
         assert ties or f.q != 3
 
+    @pytest.mark.parametrize("field,n,k", [((2, 4, 19), 15, 6), ((5, 2, 32), 16, 7)],
+                             ids=["gf16-15-6", "gf25-16-7"])
+    def test_blocks_shorter_than_the_minors_samples(self, monkeypatch, field, n, k):
+        """Where 2^20 / ((t+1) n) is below the t+1 shifts the line's minors
+        sample (as at GF(2^16) lengths past 2^20 / (t+1)^2), a block of the
+        sweep holds t+1 words instead, so the minors still sample the first
+        block: with the bound shrunk to two words a block at these points,
+        within the minors' cap, both decryptors still return the candidate
+        lists of the q-word sweep, over several blocks."""
+        f = GF(*field)
+        pk, sk = scheme.keygen(f, n, k, np.random.default_rng(n * k))
+        assert 2 <= pk.t <= grs._MINORS_MAX_T
+        monkeypatch.setattr(grs, "_SWEEP_BLOCK", 2 * (pk.t + 1) * n)
+        rk = attack.RecoveredKey(sk.masked, sk.a, sk.lam, None)
+        rng = np.random.default_rng(n + k)
+        words = [scheme.encrypt(pk, rng.integers(0, f.q, k), error=scheme.random_error(f, n, w, rng))
+                 for w in range(pk.t + 1) for _ in range(3)]
+        words += list(rng.integers(0, f.q, (6, n)))
+        for c in words:
+            for route, dec in (
+                (lambda: scheme.decrypt_candidates(sk, c), sk.decryptor),
+                (lambda: attack.pair_candidates(rk, pk, c), attack._pair_decryptor(rk, pk)),
+            ):
+                want = q_word_candidates(pk, c, dec.code, dec.direction, dec.to_plain.matrix)
+                if not want:
+                    with pytest.raises(DecryptionFailure):
+                        route()
+                    continue
+                assert [(w, m.tolist()) for w, m in route()] == [(w, m.tolist()) for w, m in want]
+
     def test_malformed_length(self, keypair16):
         f, pk, sk = keypair16
         with pytest.raises(Exception):
@@ -358,8 +389,8 @@ class TestDecrypt:
 
     @pytest.mark.parametrize("bad", [-1, 16])
     def test_ciphertext_entries_outside_field_refused(self, keypair16, bad):
-        """Both routes share ``sweep_decrypt``, which refuses a ciphertext
-        entry outside [0, 16)."""
+        """Both routes share ``Decryptor.candidates``, which refuses a
+        ciphertext entry outside [0, 16)."""
         f, pk, sk = keypair16
         rk = attack.RecoveredKey(sk.masked, sk.a, sk.lam, None)
         c = scheme.encrypt(pk, np.arange(6, dtype=np.int64), np.random.default_rng(1))
@@ -387,3 +418,62 @@ class TestDecrypt:
         for decrypt in (lambda: scheme.decrypt(sk, c), lambda: attack.decrypt_with_pair(rk, pk, c)):
             with pytest.raises(FieldError, match="ciphertext must hold integers"):
                 decrypt()
+
+
+class TestDecryptorLifetime:
+    """The secret key's decryptor: built by its first decryption, reused by
+    the later ones, and dropped with the key."""
+
+    def test_keys_and_key_files_build_no_decryptor(self, gf16, monkeypatch, tmp_path):
+        """keygen, ``build_keypair`` and the secret-key file reader build
+        none, so key set-up never pays for one."""
+        def refuse(*_):
+            raise AssertionError("a decryptor was built outside decryption")
+
+        monkeypatch.setattr(scheme, "Decryptor", refuse)
+        pk, sk = scheme.keygen(gf16, 15, 6, np.random.default_rng(42))
+        _, built = scheme.build_keypair(gf16, sk.grs.x, sk.grs.y, sk.s_mat, sk.perm, sk.alpha,
+                                        sk.beta)
+        fileio.save_secret_key(tmp_path / "sec", sk)
+        _, read = fileio.load_secret_key(tmp_path / "sec")
+        monkeypatch.undo()
+        z = scheme.encrypt(pk, np.arange(6), np.random.default_rng(1))
+        for key in (sk, built, read):
+            assert "decryptor" not in vars(key)
+            assert np.array_equal(scheme.decrypt(key, z), np.arange(6))
+
+    def test_first_decryption_builds_it_and_later_ones_reuse_it(self, gf16, monkeypatch):
+        built = []
+        real = scheme.Decryptor
+
+        def counted(*args):
+            built.append(real(*args))
+            return built[-1]
+
+        monkeypatch.setattr(scheme, "Decryptor", counted)
+        pk, sk = scheme.keygen(gf16, 15, 6, np.random.default_rng(43))
+        rng = np.random.default_rng(44)
+        for _ in range(3):
+            msg = rng.integers(0, 16, 6)
+            assert np.array_equal(scheme.decrypt(sk, scheme.encrypt(pk, msg, rng)), msg)
+            assert len(built) == 1 and sk.decryptor is built[0]
+
+    def test_dropped_secret_keys_free_their_decryptors(self):
+        """After 4 GF(1024) (60, 52) secret keys have decrypted and been
+        dropped, less than 4 MiB stays allocated, as for the pair route's
+        ``test_dropped_keys_free_their_tables``."""
+        f = GF(2, 10, 1033)
+        tracemalloc.start()
+        try:
+            for seed in range(4):
+                rng = np.random.default_rng(seed)
+                pk, sk = scheme.keygen(f, 60, 52, rng)
+                msg = rng.integers(0, f.q, 52)
+                assert np.array_equal(scheme.decrypt(sk, scheme.encrypt(pk, msg, rng)), msg)
+                assert "decryptor" in vars(sk)
+            del pk, sk
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < 4 * 2**20
