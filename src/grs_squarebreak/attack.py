@@ -481,18 +481,24 @@ def recover_key(
 def _pair_decryptor(rk: RecoveredKey, pub: PublicKey) -> scheme.Decryptor:
     """The decryptor of the pair under pub: C, a0, and the k x k matrix T
     with phi(G_C) = T G_pub, phi the masking map ``scheme.mask`` of the
-    pair, read off one rref of [G_pub^T | phi(G_C)^T].  Kept on rk, weakly
-    keyed by pub (hashed by identity) and holding no reference to it, so
-    it goes with either key; a refused pair raises and keeps nothing, so
-    it is refused again on every call."""
+    pair, read off one rref of [G_pub^T | phi(G_C)^T].  A pair is refused
+    unless C and the pair have pub's field and length and C its
+    dimension, and T is invertible, so that phi carries C onto C_pub.
+    Kept on rk, weakly keyed by pub (hashed by identity) and holding no
+    reference to it, so it goes with either key; a refused pair raises and
+    keeps nothing, so it is refused again on every call."""
     dec = rk._pair_maps.get(pub)
     if dec is None:
-        f, k = pub.field, pub.k
-        images = scheme.mask(f, rk.grs.generator, rk.a0, rk.lam0)
+        f, n, k, c = pub.field, pub.n, pub.k, rk.grs
+        if c.field is not f or (c.n, c.k, rk.a0.shape, rk.lam0.shape) != (n, k, (n,), (n,)):
+            raise DecryptionFailure("the recovered code has another field, length or dimension")
+        images = scheme.mask(f, c.generator, rk.a0, rk.lam0)
         r, pivots = linalg.rref(f, np.hstack([pub.g_pub.T, images.T]))
         if pivots != list(range(k)):
             raise DecryptionFailure("the masking pair does not carry the recovered code into C_pub")
-        dec = rk._pair_maps[pub] = scheme.Decryptor(pub, rk.grs, rk.a0, r[:, k:].T)
+        if linalg.rank(f, r[:, k:]) != k:
+            raise DecryptionFailure("the masking pair does not carry the recovered code onto C_pub")
+        dec = rk._pair_maps[pub] = scheme.Decryptor(pub, c, rk.a0, r[:, k:].T)
     return dec
 
 
@@ -505,8 +511,9 @@ def pair_candidates(rk: RecoveredKey, pub: PublicKey, z: np.ndarray) -> list[tup
     its ``scheme.Decryptor``, later calls reuse it); for z = phi(p) + e
     and s = <lam0, p>, z - s a0 is p + e, and T maps messages in C to
     plaintexts.  Returns the candidate set of
-    ``scheme.decrypt_candidates``; raises DecryptionFailure when phi does
-    not carry C into C_pub.
+    ``scheme.decrypt_candidates``; raises DecryptionFailure when C differs
+    from C_pub in field, length or dimension, or phi does not carry C onto
+    C_pub.
     """
     return _pair_decryptor(rk, pub).candidates(z)
 

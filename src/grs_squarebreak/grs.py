@@ -17,12 +17,12 @@ they vanish or t is past a cap), the dual-code multiplier formula, and two
 reconstruction routines used by the attack.  A ``GrsParams`` is read-only
 and builds its key-fixed tables (the generator, the dual's generator as
 parity checks, the Hankel index of the locator system, and the matrices
-the decoder multiplies by: the parity checks, the locator power rows, the
-rows that evaluate W and z E', the interpolation matrix and the Lagrange
-matrix of the shift line, each a ``linalg.Fixed``) once, on first use;
-only a decode builds the decoder's matrices.  Its power rows and the
-dual's multipliers are a fixed number of array steps on the field's
-log/antilog tables (``GF.pow``, ``GF.prod``).
+the decoder multiplies by: the parity checks, the locator power rows,
+through which it evaluates E, W and E' alike, the interpolation matrix
+and the Lagrange matrix of the shift line, each a ``linalg.Fixed``) once,
+on first use; only a decode builds the decoder's matrices.  Its power
+rows and the dual's multipliers are a fixed number of array steps on the
+field's log/antilog tables (``GF.pow``, ``GF.prod``).
 
 The reconstruction routines:
 
@@ -106,7 +106,8 @@ class GrsParams:
     # with the code.  The matrices the decoder multiplies by are
     # ``linalg.Fixed``: each builds its table of multiples on its first
     # product, so key generation, key files and the attack's many
-    # short-lived codes never pay for one.
+    # short-lived codes never pay for one.  The locator rows are the one
+    # table the decoder evaluates polynomials at the points by.
 
     @cached_property
     def generator(self) -> np.ndarray:
@@ -137,26 +138,6 @@ class GrsParams:
         """(n-k-t) x (t+1) matrix with entry (j, l) equal to j + l: the n-k
         syndromes taken at it form the locator system."""
         return linalg.frozen(np.arange(self.n - self.k - self.t)[:, None] + np.arange(self.t + 1))
-
-    @cached_property
-    def evaluator_rows(self) -> linalg.Fixed:
-        """(t+1) t x n matrix with row i t + l equal to x^(i-l-1) for i > l
-        and zero otherwise: the products E_i syn_l, flattened to row
-        i t + l, times it give the error evaluator W, W_p = sum_l
-        E_{l+p+1} syn_l, at the points."""
-        t = self.t
-        gap = np.arange(t + 1)[:, None, None] - np.arange(1, t + 1)[:, None]
-        rows = np.where(gap >= 0, self.field.pow(self.x, np.maximum(gap, 0)), 0)
-        return linalg.Fixed(self.field, rows.reshape((t + 1) * t, self.n))
-
-    @cached_property
-    def derivative_rows(self) -> linalg.Fixed:
-        """(t+1) x n matrix with row i equal to i z x^(i-1) (row 0 zero), z
-        the dual's multipliers: a locator's coefficients @ it give z times
-        its formal derivative at the points."""
-        f, i = self.field, np.arange(self.t + 1)[:, None]
-        z_powers = f.mul(self.parity_checks_t[:, 0], f.pow(self.x, np.maximum(i - 1, 0)))
-        return linalg.Fixed(f, f.mul(i % f.p, z_powers))
 
     @cached_property
     def interpolation(self) -> linalg.Fixed:
@@ -241,12 +222,14 @@ def decode_many(p: GrsParams, words: np.ndarray) -> tuple[np.ndarray, np.ndarray
     E / (X - x_j) they are sum_{l<t} Q_{j,l} syn_l and Q_j(x_j).  E has d
     distinct roots, so E'(x_j), the product of the x_j - x_i over the
     others, is never zero, even where some (p+1) E_{p+1} vanishes mod p.
-    W at every point is the products E_i syn_l times ``p.evaluator_rows``,
-    and z E' there is E times ``p.derivative_rows``.  The word is accepted
-    only when e has all n-k syndromes of r; that rejects every word with no
-    codeword within t, whatever its E.  Then r - e is a codeword, and its
-    first k values times ``p.interpolation`` give the message.  Every step
-    is one operation over the whole stack.  The products by key tables are
+    W and E' have degree below t: their coefficients are formed for the
+    kept words only, W's by one gather of E at the Hankel index, and one
+    product by ``p.locator_rows``, the powers the root test reads, gives
+    both at every point.  The word is accepted only when e has all n-k
+    syndromes of r; that rejects every word with no codeword within t,
+    whatever its E.  Then r - e is a codeword, and its first k values
+    times ``p.interpolation`` give the message.  Every step is one
+    operation over the whole stack.  The products by key tables are
     ``linalg.Fixed`` products, off tables of multiples built on ``p``'s
     first decode where they fit linalg's bound.
 
@@ -344,12 +327,19 @@ def _decode(p: GrsParams, syn: np.ndarray, locator: np.ndarray,
     root = p.locator_rows.product(locator) == 0
     keep = (root.sum(axis=1) == degree).nonzero()[0]
 
-    # W and z E' at every point, from the products E_i syn_l and from E.
-    terms = f.mul(locator[keep, :, None], syn[keep, None, :t]).reshape(keep.size, (t + 1) * t)
-    at_w = p.evaluator_rows.product(terms)
-    at_d = p.derivative_rows.product(locator[keep])
-    err = np.where(root[keep], f.mul(at_w, f.inv0(at_d)), 0)
-    good = (p._syndromes.product(err) == syn[keep]).all(axis=1)
+    # W and E' of the kept words, t+1 coefficients each (the last zero), at
+    # every point by one product.  tail holds E_1..E_t and t+1 zeros; the
+    # Hankel index's first t rows, transposed, gather E_{p+l+1} from it at
+    # (p, l), so W_p = sum_l E_{p+l+1} syn_l, and E'_p = (p+1) E_{p+1}.
+    # z, the parity checks' column 0, scales E' at the points.
+    m, syn = keep.size, syn[keep]
+    tail = np.zeros((m, 2 * t + 1), dtype=np.int64)
+    tail[:, :t] = locator[keep, 1:]
+    coef = np.concatenate([f.sum(f.mul(tail[:, p.hankel_index[:t].T], syn[:, None, :t]), axis=2),
+                           f.mul(tail[:, : t + 1], np.arange(1, t + 2) % f.p)])
+    at = p.locator_rows.product(coef)
+    err = np.where(root[keep], f.mul(at[:m], f.inv0(f.mul(p.parity_checks_t[:, 0], at[m:]))), 0)
+    good = (p._syndromes.product(err) == syn).all(axis=1)
     keep = keep[good]
     return keep, p.interpolation.product(f.sub(heads(keep), err[good, :k]))
 

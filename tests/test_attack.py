@@ -835,6 +835,39 @@ class TestDecryptWithPair:
             with pytest.raises(DecryptionFailure, match="does not carry the recovered code"):
                 atk.pair_candidates(bad, pk, z)
 
+    @pytest.mark.parametrize("other_field,n,k", [(False, 15, 5), (False, 15, 7), (False, 14, 6),
+                                                 (True, 15, 6)],
+                             ids=["smaller-dimension", "larger-dimension", "shorter", "other-field"])
+    def test_recovered_key_of_another_shape_is_refused(self, gf16m, other_field, n, k):
+        """A recovered code of another dimension, length or field than the
+        public key is refused before decoding, and no map is kept.  A
+        subcode of the masked code (dimension 5) passes the inclusion test,
+        phi(G_C) in C_pub, but decodes few ciphertexts."""
+        pk, sk = scheme.keygen(gf16m, 15, 6, np.random.default_rng(3))
+        f, c = GF(2, 4, 25) if other_field else gf16m, sk.masked
+        rk = atk.RecoveredKey(grs.GrsParams(f, c.x[:n], c.y[:n], k), sk.a[:n], sk.lam[:n], None)
+        rng = np.random.default_rng(0)
+        for _ in range(3):
+            z = scheme.encrypt(pk, rng.integers(0, 16, 6), rng)
+            with pytest.raises(DecryptionFailure, match="another field, length or dimension"):
+                atk.pair_candidates(rk, pk, z)
+        assert len(rk._pair_maps) == 0
+
+    def test_pair_that_maps_onto_a_proper_subcode_is_refused(self, gf16m):
+        """With C_pub = C, a0 a codeword of C and <lam0, a0> = -1, phi
+        carries C into C_pub but sends a0 to zero, so T is singular: the
+        pair is refused and no map is kept."""
+        c = grs.random_params(gf16m, 15, 6, np.random.default_rng(7))
+        pk = scheme.PublicKey(gf16m, 15, 6, c.generator)
+        a0 = c.generator[0]
+        lam0 = np.zeros(15, dtype=np.int64)
+        lam0[0] = gf16m.neg(gf16m.inv(a0[0]))
+        rk = atk.RecoveredKey(c, a0, lam0, None)
+        z = scheme.encrypt(pk, np.arange(6), np.random.default_rng(8))
+        with pytest.raises(DecryptionFailure, match="onto C_pub"):
+            atk.pair_candidates(rk, pk, z)
+        assert len(rk._pair_maps) == 0
+
     def test_wrong_pair_refused_after_true_pair_decrypts(self, gf16m):
         """Maps are kept per (recovered key, public key): the true pair's map
         on a public key does not serve a wrong pair on the same public key,
@@ -955,8 +988,7 @@ class TestDecryptWithPair:
         def refuse(*_):
             raise AssertionError("a decoder table was built outside decoding")
 
-        for name in ("_syndromes", "locator_rows", "evaluator_rows", "derivative_rows",
-                     "interpolation", "_lagrange"):
+        for name in ("_syndromes", "locator_rows", "interpolation", "_lagrange"):
             monkeypatch.setattr(grs.GrsParams, name, property(refuse))
         pk, sk = scheme.keygen(gf16m, 15, 6, np.random.default_rng(42))
         fileio.save_secret_key(tmp_path / "sec", sk)

@@ -1,6 +1,7 @@
 """Evaluation codes: generators, decoding, duals, parameter recovery."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -72,24 +73,6 @@ class TestParams:
             b = fixed.matrix
             want = np.array([[f.mul(x, row) for x in range(f.q)] for row in b]).reshape(-1, b.shape[1])
             assert np.array_equal(fixed._table, want)
-
-    def test_evaluator_and_derivative_rows(self, gf9):
-        """Against their definitions: E_i syn_l times the evaluator rows is
-        W at every point, and E times the derivative rows is z E'."""
-        p = grs.random_params(gf9, 9, 2, np.random.default_rng(4))
-        f, t, x, z = gf9, p.t, p.x, p.parity_checks_t[:, 0]
-        e, syn = np.random.default_rng(5).integers(0, 9, (2, t + 1))
-
-        def at(coef, point):
-            return f.sum(f.mul(coef, f.pow(point, np.arange(len(coef)))))
-
-        w = [f.sum(f.mul(e[i + 1 :], syn[: t - i])) for i in range(t)]
-        terms = f.mul(e[:, None], syn[:t]).ravel()
-        assert np.array_equal(la.matmul(f, terms, p.evaluator_rows.matrix),
-                              [at(w, point) for point in x])
-        deriv = f.mul(np.arange(1, t + 1) % f.p, e[1:])
-        assert np.array_equal(la.matmul(f, e, p.derivative_rows.matrix),
-                              [f.mul(zj, at(deriv, point)) for zj, point in zip(z, x, strict=True)])
 
     def test_no_table_past_the_bound(self, gf16):
         """No table of multiples has more than 2^20 entries: at GF(4096)
@@ -216,10 +199,9 @@ def brute_force_nearest(codewords, words, chunk=2048):
 
 def decoder_matrices(p):
     """The matrices the decoder multiplies by, each a ``linalg.Fixed``: the
-    parity checks, the locator, evaluator and derivative rows, and the
-    interpolation and Lagrange matrices."""
-    return [p._syndromes, p.locator_rows, p.evaluator_rows, p.derivative_rows, p.interpolation,
-            p._lagrange]
+    parity checks, the locator rows, and the interpolation and Lagrange
+    matrices."""
+    return [p._syndromes, p.locator_rows, p.interpolation, p._lagrange]
 
 
 def noisy_codewords(f, p, count, weight, rng):
@@ -478,6 +460,26 @@ class TestDecode:
         assert ok[:20].all() and np.array_equal(msgs[:20], sent)
         member = [grs.code(p).contains(w) for w in words]
         assert np.array_equal(ok, member) and not msgs[~ok].any()
+
+    def test_decode_memory_is_bounded(self):
+        """Peak traced memory of one decode of a weight-t word at GF(4096)
+        (400, 200), t = 100, stays under 16 MiB: W and E' are t+1
+        coefficients evaluated through the locator rows, not products by
+        a (t+1) t x n table (which peaks at about 98 MiB)."""
+        f = GF(2, 12, 4179)
+        p = grs.random_params(f, 400, 200, np.random.default_rng(0))
+        rng = np.random.default_rng(1)
+        err = np.zeros(p.n, dtype=np.int64)
+        err[rng.choice(p.n, p.t, replace=False)] = rng.integers(1, f.q, p.t)
+        word = f.add(la.matmul(f, rng.integers(0, f.q, p.k), p.generator), err)
+        tracemalloc.start()
+        try:
+            got = grs.decode(p, word)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got is not None and np.array_equal(got[1], err)
+        assert peak < 16 * 2**20
 
     def test_beyond_radius_fails(self, gf16, rng):
         p = grs.random_params(gf16, 15, 13, rng)  # t = 1
