@@ -136,7 +136,7 @@ def hash_candidates(h, pk, sk, rk, rng, count: int) -> int:
     tied = 0
     for _ in range(count):
         z = scheme.encrypt(pk, rng.integers(0, pk.field.q, pk.k, dtype=np.int64), rng)
-        routes = (scheme.decrypt_candidates(sk, z), atk.pair_candidates(rk, pk, z))
+        routes = (scheme.decrypt_candidates(sk, z), scheme.pair_candidates(rk, pk, z))
         for cands in routes:
             for weight, plain in sorted(cands, key=lambda c: (c[0], c[1].tolist())):
                 h.update(np.append(plain, weight).astype(np.int64).tobytes())
@@ -165,7 +165,7 @@ def field_line(h, point: int) -> str:
     f = GF(*field)
     rng = np.random.default_rng([11, point])
     pk, sk = scheme.keygen(f, n, k, rng)
-    rk = atk.RecoveredKey(scheme.masked_params(sk), sk.a, sk.lam, None)
+    rk = scheme.RecoveredKey(scheme.masked_params(sk), sk.a, sk.lam, None)
     tied = hash_candidates(h, pk, sk, rk, rng, FIELD_CIPHERTEXTS)
     return f"GF{f.q} ({n}, {k}): {FIELD_CIPHERTEXTS} ciphertexts, {tied} tied"
 

@@ -4,8 +4,8 @@ square-code attack that breaks it."""
 from .gf import GF, FieldError, NonPrimeCharacteristic, ReducibleModulus
 from .codes import LinearCode, code_from_generator, distinguish
 from .grs import GrsParams
-from .scheme import PublicKey, SecretKey, keygen, encrypt, decrypt
-from .attack import AttackConfig, RecoveredKey, recover_key, decrypt_with_pair
+from .scheme import PublicKey, SecretKey, RecoveredKey, keygen, encrypt, decrypt, decrypt_with_pair
+from .attack import AttackConfig, recover_key
 
 __version__ = "0.1.0"
 

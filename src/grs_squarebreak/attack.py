@@ -31,8 +31,9 @@ valid masking pair (a0, lam0) with
 is built without any sampling: phi must fix the shared subcode C & C_pub
 and send one codeword p1 of C outside C_pub to one codeword p2 of C_pub
 outside C, so lam0 is a vector orthogonal to the subcode and to p2 - p1 but
-not to p1, and a0 is (p2 - p1) / <lam0, p1>.  That pair is all it takes to
-decrypt arbitrary ciphertexts.
+not to p1, and a0 is (p2 - p1) / <lam0, p1>.  The attack ends there, at the
+``scheme.RecoveredKey``: ``scheme.pair_candidates`` decrypts any ciphertext
+with it.
 
 Rates above 1/2 are handled by running the same machinery on the dual code
 (which carries the same structure with the roles of the two mask vectors
@@ -44,14 +45,14 @@ from __future__ import annotations
 
 import enum
 import time
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import grs, linalg, scheme
 from .codes import LinearCode, code_from_generator, star_rows
-from .scheme import DecryptionFailure, PublicKey, canonical_choice
+from .scheme import PublicKey
+from .scheme import RecoveredKey, decrypt_with_pair, pair_candidates  # noqa: F401 (re-exported)
 
 
 class NotApplicable(RuntimeError):
@@ -90,23 +91,6 @@ class AttackStats:
     restarts: int = 0
     branch: Branch | None = None
     wall_time: float = 0.0
-
-
-@dataclass(eq=False, frozen=True)
-class RecoveredKey:
-    grs: grs.GrsParams  # the hidden GRS code C (equivalently C_sec Pi^-1)
-    a0: np.ndarray
-    lam0: np.ndarray
-    shared_subcode: LinearCode | None  # C_pub & C, dimension k-1 (None in the
-    # degenerate branch where the public code is itself GRS)
-
-    def __post_init__(self):
-        # Read-only copies: pair_candidates keeps a decryptor built from
-        # them, per public key, for as long as both the key and this pair
-        # are alive.
-        object.__setattr__(self, "a0", linalg.frozen(self.a0))
-        object.__setattr__(self, "lam0", linalg.frozen(self.lam0))
-        object.__setattr__(self, "_pair_maps", weakref.WeakKeyDictionary())
 
 
 def applicable_branch(n: int, k: int) -> Branch | None:
@@ -396,7 +380,12 @@ def recover_valid_pair(
 
 def pair_is_valid(pub: LinearCode, c: LinearCode, a0: np.ndarray, lam0: np.ndarray) -> bool:
     """Check <a0, lam0> != -1 and that the masking map ``scheme.mask``,
-    p -> p + <lam0, p> a0, maps a basis of c into pub with full rank."""
+    p -> p + <lam0, p> a0, maps a basis of c into pub with full rank.
+
+    Stricter than the pair route's refusal (``scheme.pair_candidates``),
+    which asks only that the map carry c onto pub: a pair at
+    <a0, lam0> = -1 whose map does so is rejected here and still decrypts
+    there."""
     f = pub.field
     if linalg.matmul(f, a0, lam0) == f.neg(1):
         return False
@@ -467,58 +456,10 @@ def recover_key(
             params = recover_secret_grs(shared, k_target)
             if branch == Branch.HIGH_RATE_DUAL:
                 params = grs.dual_params(params)
-            c_code = grs.code(params)
-            a0, lam0, inter = recover_valid_pair(pub_code, c_code)
-            valid = pair_is_valid(pub_code, c_code, a0, lam0)
+            # The pair carries C onto C_pub by construction (recover_valid_pair).
+            a0, lam0, inter = recover_valid_pair(pub_code, grs.code(params))
         except (grs.NotGrs, PreconditionViolated):
-            valid = False
-        if valid:
-            stats.wall_time = time.perf_counter() - start
-            return RecoveredKey(params, a0, lam0, code_from_generator(f, inter)), stats
-        stats.restarts += 1
-
-
-def _pair_decryptor(rk: RecoveredKey, pub: PublicKey) -> scheme.Decryptor:
-    """The decryptor of the pair under pub: C, a0, and the k x k matrix T
-    with phi(G_C) = T G_pub, phi the masking map ``scheme.mask`` of the
-    pair, read off one rref of [G_pub^T | phi(G_C)^T].  A pair is refused
-    unless C and the pair have pub's field and length and C its
-    dimension, and T is invertible, so that phi carries C onto C_pub.
-    Kept on rk, weakly keyed by pub (hashed by identity) and holding no
-    reference to it, so it goes with either key; a refused pair raises and
-    keeps nothing, so it is refused again on every call."""
-    dec = rk._pair_maps.get(pub)
-    if dec is None:
-        f, n, k, c = pub.field, pub.n, pub.k, rk.grs
-        if c.field is not f or (c.n, c.k, rk.a0.shape, rk.lam0.shape) != (n, k, (n,), (n,)):
-            raise DecryptionFailure("the recovered code has another field, length or dimension")
-        images = scheme.mask(f, c.generator, rk.a0, rk.lam0)
-        r, pivots = linalg.rref(f, np.hstack([pub.g_pub.T, images.T]))
-        if pivots != list(range(k)):
-            raise DecryptionFailure("the masking pair does not carry the recovered code into C_pub")
-        if linalg.rank(f, r[:, k:]) != k:
-            raise DecryptionFailure("the masking pair does not carry the recovered code onto C_pub")
-        dec = rk._pair_maps[pub] = scheme.Decryptor(pub, c, rk.a0, r[:, k:].T)
-    return dec
-
-
-def pair_candidates(rk: RecoveredKey, pub: PublicKey, z: np.ndarray) -> list[tuple[int, np.ndarray]]:
-    """Decrypt using only public data and a recovered key.
-
-    phi(p) = p + <lam0, p> a0 carries the recovered GRS code C onto C_pub,
-    so phi(G_C) = T G_pub for a k x k matrix T, read off one rref of
-    [G_pub^T | phi(G_C)^T] per key pair (the first call on a pair builds
-    its ``scheme.Decryptor``, later calls reuse it); for z = phi(p) + e
-    and s = <lam0, p>, z - s a0 is p + e, and T maps messages in C to
-    plaintexts.  Returns the candidate set of
-    ``scheme.decrypt_candidates``; raises DecryptionFailure when C differs
-    from C_pub in field, length or dimension, or phi does not carry C onto
-    C_pub.
-    """
-    return _pair_decryptor(rk, pub).candidates(z)
-
-
-def decrypt_with_pair(rk: RecoveredKey, pub: PublicKey, z: np.ndarray) -> np.ndarray:
-    """The canonical choice among ``pair_candidates``: it agrees with
-    ``scheme.decrypt`` even for ambiguous ciphertexts."""
-    return canonical_choice(pair_candidates(rk, pub, z), pub.t)
+            stats.restarts += 1
+            continue
+        stats.wall_time = time.perf_counter() - start
+        return RecoveredKey(params, a0, lam0, code_from_generator(f, inter)), stats

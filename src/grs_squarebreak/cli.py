@@ -111,7 +111,7 @@ def cmd_decrypt(args) -> int:
         rk = fileio.load_recovered_key(args.recovered)
         _match_public_key("recovered key", rk.grs, pk)
         c = fileio.load_vector(args.ct, pk.n, pk.field)
-        cands = attack_mod.pair_candidates(rk, pk, c)
+        cands = scheme.pair_candidates(rk, pk, c)
         n, k, f, t = pk.n, pk.k, pk.field, pk.t
     else:
         if not args.key:
@@ -174,7 +174,7 @@ def cmd_attack(args) -> int:
             msg = rng.integers(0, pk.field.q, pk.k, dtype=np.int64)
             c = scheme.encrypt(pk, msg, rng)
             try:
-                sets = (attack_mod.pair_candidates(rk, pk, c), scheme.decrypt_candidates(sk, c))
+                sets = (scheme.pair_candidates(rk, pk, c), scheme.decrypt_candidates(sk, c))
             except scheme.DecryptionFailure:
                 continue
             # The public code's minimum distance can fall below 2t+1, so another

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg, scheme
-from .attack import RecoveredKey
 from .gf import GF
 from .grs import GrsParams, InvalidParams
 
@@ -231,7 +230,7 @@ def load_vector(path, length: int, field: GF) -> np.ndarray:
     return v
 
 
-def save_recovered_key(path, rk: RecoveredKey) -> None:
+def save_recovered_key(path, rk: scheme.RecoveredKey) -> None:
     sections = {
         "x": rk.grs.x,
         "y": rk.grs.y,
@@ -241,12 +240,12 @@ def save_recovered_key(path, rk: RecoveredKey) -> None:
     write_file(path, rk.grs.field, rk.grs.n, rk.grs.k, sections)
 
 
-def load_recovered_key(path) -> RecoveredKey:
+def load_recovered_key(path) -> scheme.RecoveredKey:
     pf = _key_file(path)
     n = pf.n
     with _key_material():
         params = GrsParams(pf.field, _section(pf, "x", (1, n))[0], _section(pf, "y", (1, n))[0], pf.k)
-    return RecoveredKey(
+    return scheme.RecoveredKey(
         params,
         _section(pf, "a0", (1, n))[0],
         _section(pf, "lambda0", (1, n))[0],

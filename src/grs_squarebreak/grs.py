@@ -75,10 +75,7 @@ class GrsParams:
     k: int
 
     def __post_init__(self):
-        x = linalg.frozen(self.x)
-        y = linalg.frozen(self.y)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
+        x, y = np.asarray(self.x), np.asarray(self.y)
         n = x.shape[0]
         if y.shape != (n,):
             raise InvalidParams("x and y must have the same length")
@@ -86,6 +83,10 @@ class GrsParams:
             raise InvalidParams(f"length {n} exceeds field size {self.field.q}")
         if not (1 <= self.k < n):
             raise InvalidParams(f"need 1 <= k < n, got k={self.k}, n={n}")
+        x = linalg.frozen(self.field.as_elements(x, "evaluation points"))
+        y = linalg.frozen(self.field.as_elements(y, "column multipliers"))
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
         if np.unique(x).size != n:
             raise InvalidParams("evaluation points must be pairwise distinct")
         if np.any(y == 0):

@@ -12,24 +12,30 @@ Key generation resamples (alpha, beta) until Q is invertible, lam is not a
 parity check of C, and the public code differs from C; these keys are the
 honest ones, and also exactly the ones the square-code attack targets.
 
-Decryption needs only that shape, so the secret key and a recovered pair
-(a0, lam0) decrypt alike (``Decryptor``): a ciphertext is
-p + <lam, p> a + e, so for one of the q values of s, c - s a is p + e, which
-the GRS decoder in C corrects; one k x k matrix maps messages to plaintexts.
-What a decryption needs of its key (C, the direction and its syndromes, the
-plaintext map and the map from messages of C to public codewords) lives on a
-``Decryptor``, built on the key's first decryption and dropped with the key:
-a ``SecretKey`` holds its own, and an ``attack.RecoveredKey`` one per public key.
+Decryption needs only that shape, so the secret key and any masking pair
+(a0, lam0) carrying a GRS code C onto C_pub decrypt alike (``Decryptor``): a
+ciphertext is p + <lam, p> a + e, so for one of the q values of s, c - s a is
+p + e, which the GRS decoder in C corrects; one k x k matrix maps messages to
+plaintexts, S for the secret key, and for a ``RecoveredKey`` the T with
+phi(G_C) = T G_pub, phi the pair's masking map, read off one rref of
+[G_pub^T | phi(G_C)^T] (``pair_candidates`` refuses a pair whose phi does
+not carry C onto C_pub).  What a decryption needs of its key (C, the
+direction and its syndromes, the plaintext map and the map from messages of
+C to public codewords) lives on a ``Decryptor``, built on the key's first
+decryption and dropped with the key: a ``SecretKey`` holds its own, and a
+``RecoveredKey`` one per public key.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from . import grs, linalg
+from .codes import LinearCode
 from .gf import GF
 from .linalg import DimensionMismatch
 
@@ -55,7 +61,8 @@ class PublicKey:
 
     def __post_init__(self):
         # A read-only copy: the pair route keeps a map built from it.
-        object.__setattr__(self, "g_pub", linalg.frozen(self.g_pub))
+        g_pub = self.field.as_elements(self.g_pub, "public generator")
+        object.__setattr__(self, "g_pub", linalg.frozen(g_pub))
 
     @property
     def t(self) -> int:
@@ -98,6 +105,24 @@ class SecretKey:
         direction a, and S as the plaintext map, which sends C's message
         m S^-1 back to the plaintext m."""
         return Decryptor(self, self.masked, self.a, self.s_mat)
+
+
+@dataclass(eq=False, frozen=True)
+class RecoveredKey:
+    grs: grs.GrsParams  # the hidden GRS code C (equivalently C_sec Pi^-1)
+    a0: np.ndarray
+    lam0: np.ndarray
+    shared_subcode: LinearCode | None  # C_pub & C, dimension k-1 (None in the
+    # degenerate branch where the public code is itself GRS)
+
+    def __post_init__(self):
+        # Read-only copies: pair_candidates keeps a decryptor built from
+        # them, per public key, for as long as both the key and this pair
+        # are alive.
+        f = self.grs.field
+        object.__setattr__(self, "a0", linalg.frozen(f.as_elements(self.a0, "a0")))
+        object.__setattr__(self, "lam0", linalg.frozen(f.as_elements(self.lam0, "lam0")))
+        object.__setattr__(self, "_pair_maps", weakref.WeakKeyDictionary())
 
 
 def masked_params(sk: SecretKey) -> grs.GrsParams:
@@ -257,8 +282,8 @@ class Decryptor:
     to public codewords.  Its arrays are read-only, and it holds no
     reference to the key it was built from.  A ``SecretKey`` builds its
     own on its first decryption, the pair route one per recovered key and
-    public key on their first (``attack.pair_candidates``), and each goes
-    with its key.
+    public key on their first (``pair_candidates``), and each goes with its
+    key.
     """
 
     def __init__(self, key: PublicKey | SecretKey, code: grs.GrsParams, direction: np.ndarray,
@@ -308,3 +333,42 @@ def decrypt_candidates(sk: SecretKey, c: np.ndarray) -> list[tuple[int, np.ndarr
 def decrypt(sk: SecretKey, c: np.ndarray) -> np.ndarray:
     """The canonical choice among ``decrypt_candidates``."""
     return canonical_choice(decrypt_candidates(sk, c), sk.t)
+
+
+def _pair_decryptor(rk: RecoveredKey, pub: PublicKey) -> Decryptor:
+    """The decryptor of the pair under pub (C, a0 and T; see the module
+    docstring).  A pair is refused unless C and the pair have pub's field
+    and length and C its dimension, and T is invertible, so that phi
+    carries C onto C_pub.  Kept on rk, weakly keyed by pub (hashed by
+    identity) and holding no reference to it, so it goes with either key; a
+    refused pair raises and keeps nothing, so it is refused again on every
+    call."""
+    dec = rk._pair_maps.get(pub)
+    if dec is None:
+        f, n, k, c = pub.field, pub.n, pub.k, rk.grs
+        if c.field is not f or (c.n, c.k, rk.a0.shape, rk.lam0.shape) != (n, k, (n,), (n,)):
+            raise DecryptionFailure("the recovered code has another field, length or dimension")
+        images = mask(f, c.generator, rk.a0, rk.lam0)
+        r, pivots = linalg.rref(f, np.hstack([pub.g_pub.T, images.T]))
+        if pivots != list(range(k)):
+            raise DecryptionFailure("the masking pair does not carry the recovered code into C_pub")
+        if linalg.rank(f, r[:, k:]) != k:
+            raise DecryptionFailure("the masking pair does not carry the recovered code onto C_pub")
+        dec = rk._pair_maps[pub] = Decryptor(pub, c, rk.a0, r[:, k:].T)
+    return dec
+
+
+def pair_candidates(rk: RecoveredKey, pub: PublicKey, z: np.ndarray) -> list[tuple[int, np.ndarray]]:
+    """Decrypt using only public data and a recovered key: the candidate set
+    of ``decrypt_candidates``, from the pair's decryptor (built by the first
+    call on a key pair, reused by later ones).  Raises DecryptionFailure
+    when C differs from C_pub in field, length or dimension, or phi does not
+    carry C onto C_pub.
+    """
+    return _pair_decryptor(rk, pub).candidates(z)
+
+
+def decrypt_with_pair(rk: RecoveredKey, pub: PublicKey, z: np.ndarray) -> np.ndarray:
+    """The canonical choice among ``pair_candidates``: it agrees with
+    ``decrypt`` even for ambiguous ciphertexts."""
+    return canonical_choice(pair_candidates(rk, pub, z), pub.t)

@@ -501,16 +501,29 @@ class TestRecoverSecretGrs:
 
 
 class TestRecoverValidPair:
-    def test_constructed_pair_is_valid(self, gf16m, low_rate_key):
-        f = gf16m
-        pk, sk = low_rate_key
-        pub = code_from_generator(f, pk.g_pub)
-        c_code = grs.code(scheme.masked_params(sk))
-        a0, lam0, inter = atk.recover_valid_pair(pub, c_code)
-        assert la.matmul(f, a0, lam0) == 0  # orthogonal by construction, != -1
-        assert atk.pair_is_valid(pub, c_code, a0, lam0)
-        assert la.rank(f, inter) == pk.k - 1
-        assert all(pub.contains(row) and c_code.contains(row) for row in inter)
+    def test_constructed_pair_is_valid(self):
+        """On the hidden code of honest keys (low rate, dual, odd
+        characteristic, the dead interval) the constructed pair is valid,
+        which is why recover_key does not check it again: phi fixes the
+        shared subcode, of dimension k-1, and sends p1 to p2, so it carries
+        C onto C_pub, with <a0, lam0> = 0.  The pair route accepts the pair
+        and decrypts with it."""
+        for field, n, k, seed in [((2, 4, 19), 15, 6, 42), ((2, 4, 19), 15, 9, 3020),
+                                  ((5, 2, 32), 16, 6, 5000), ((17,), 17, 8, 0)]:
+            f = GF(*field)
+            pk, sk = scheme.keygen(f, n, k, np.random.default_rng(seed))
+            pub = code_from_generator(f, pk.g_pub)
+            c_code = grs.code(scheme.masked_params(sk))
+            a0, lam0, inter = atk.recover_valid_pair(pub, c_code)
+            assert la.matmul(f, a0, lam0) == 0  # orthogonal by construction, != -1
+            assert atk.pair_is_valid(pub, c_code, a0, lam0)
+            assert la.rank(f, inter) == pk.k - 1
+            assert all(pub.contains(row) and c_code.contains(row) for row in inter)
+            rk = scheme.RecoveredKey(sk.masked, a0, lam0, code_from_generator(f, inter))
+            rng = np.random.default_rng(seed + 1)
+            msg = rng.integers(0, f.q, k)
+            cands = scheme.pair_candidates(rk, pk, scheme.encrypt(pk, msg, rng))
+            assert np.array_equal(scheme.canonical_choice(cands, pk.t), msg)
 
     def test_skips_kernel_rows_orthogonal_to_p1(self, gf7):
         """With c = <e0, e3 + e4> and pub = <e0, e1>, p1 = e3 + e4 and
@@ -734,9 +747,8 @@ class TestSeededCounters:
         [
             ("recover_secret_grs", grs.NotGrs("forced")),
             ("recover_valid_pair", atk.PreconditionViolated("forced")),
-            ("pair_is_valid", False),
         ],
-        ids=["not-grs", "precondition", "invalid-pair"],
+        ids=["not-grs", "precondition"],
     )
     @pytest.mark.parametrize(
         "k,keygen_seed,attack_seed,counters",
@@ -758,9 +770,7 @@ class TestSeededCounters:
             if failed:
                 return original(*args)
             failed.append(site)
-            if isinstance(failure, Exception):
-                raise failure
-            return failure
+            raise failure
 
         monkeypatch.setattr(atk, site, fail_once)
         rk, st = atk.recover_key(pk, AttackConfig(seed=attack_seed))
@@ -823,8 +833,8 @@ class TestDecryptWithPair:
         public code; pair_candidates refuses it on every ciphertext, before
         decoding, instead of decrypting the few whose decoded codeword
         happens to lie in the public code, and again on each later call with
-        the same pair: a refusal is not kept as a map.  recover_key never
-        returns such a pair (pair_is_valid rejects it)."""
+        the same pair: a refusal is not kept as a map.  recover_valid_pair
+        never builds such a pair (pair_is_valid rejects it)."""
         pk, sk = scheme.keygen(gf16m, 15, k, np.random.default_rng(42))
         bad = atk.RecoveredKey(scheme.masked_params(sk), sk.a, np.zeros_like(sk.lam), None)
         assert not atk.pair_is_valid(code_from_generator(gf16m, pk.g_pub),

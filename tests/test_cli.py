@@ -1,9 +1,15 @@
 """CLI workflows and the wire format: round trips, determinism, exit codes."""
 
 import csv
+import importlib
+import os
 import re
+import subprocess
+import sys
+import tomllib
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +23,7 @@ from grs_squarebreak.gf import GF
 
 
 FIELD_ARGS = ["--p", "2", "--m", "4", "--poly", "19"]
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture
@@ -624,3 +631,37 @@ class TestCliWorkflows:
         assert [(r["k"], r["ok"], r["mean_trials"]) for r in rows] == [
             ("6", "2", "2237.5"), ("9", "2", "11598.5"), ("7", "0", "nan")
         ]
+
+
+class TestCliProcess:
+    def test_exit_statuses_of_the_module_and_the_console_script(self, keydir, tmp_path):
+        """``python -m grs_squarebreak.cli`` reaches ``main_entry``, which
+        exits with main's status: 1 on a usage error, 2 on a seeded random
+        ciphertext that no shift decodes, 3 on an attack in the dead
+        interval at GF(16) (15, 7).  pyproject's console script names the
+        same callable."""
+        _, _, sec = keydir
+        pk, _ = fileio.load_secret_key(sec)
+        ct = tmp_path / "rand.ct"
+        fileio.save_vector(ct, pk.field, pk.n, pk.k, np.random.default_rng(5).integers(0, 16, 15))
+        main(["keygen", *FIELD_ARGS, "--n", "15", "--k", "7", "--seed", "2",
+              "--out-pub", str(tmp_path / "p7"), "--out-sec", str(tmp_path / "s7")])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+
+        def run(*argv):
+            done = subprocess.run([sys.executable, "-m", "grs_squarebreak.cli", *argv], env=env,
+                                  capture_output=True, text=True, timeout=300)
+            return done.returncode, done.stderr
+
+        code, err = run("no-such-command")
+        assert code == 1 and "invalid choice: 'no-such-command'" in err, err
+        code, err = run("decrypt", "--key", str(sec), "--ct", str(ct))
+        assert (code, err) == (2, "decryption failed: no shift produced a consistent decoding\n")
+        code, err = run("attack", "--pub", str(tmp_path / "p7"), "--out", str(tmp_path / "rk7"))
+        assert code == 3 and err.startswith("attack not applicable: k=7 lies in the dead"), err
+        with open(ROOT / "pyproject.toml", "rb") as fh:
+            target = tomllib.load(fh)["project"]["scripts"]["grs-squarebreak"]
+        module, _, name = target.partition(":")
+        assert target == "grs_squarebreak.cli:main_entry"
+        assert callable(getattr(importlib.import_module(module), name))

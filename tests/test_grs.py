@@ -33,6 +33,19 @@ class TestParams:
         with pytest.raises(InvalidParams, match="same length"):
             GrsParams(gf5, np.arange(4), np.ones(3, dtype=np.int64), 2)
 
+    @pytest.mark.parametrize("kind", ["float", "out-of-range"])
+    def test_entries_must_be_field_elements(self, gf16, kind):
+        """A float point or multiplier used to be truncated, and a point 40
+        at GF(16) was kept until its first use raised a bare IndexError."""
+        x, y = np.arange(15), np.ones(15, dtype=np.int64)
+        refusal = "must hold integers" if kind == "float" else r"has entries outside \[0, 16\)"
+        bad_x = x + 0.5 if kind == "float" else np.append(x[:-1], 40)
+        with pytest.raises(FieldError, match="evaluation points " + refusal):
+            GrsParams(gf16, bad_x, y, 6)
+        bad_y = y + 0.5 if kind == "float" else np.append(y[:-1], 16)
+        with pytest.raises(FieldError, match="column multipliers " + refusal):
+            GrsParams(gf16, x, bad_y, 6)
+
     @pytest.mark.parametrize(
         "field,n,k", [("gf16", 15, 6), ("gf16", 15, 9), ("gf7", 6, 1), ("gf9", 9, 3)]
     )
@@ -612,7 +625,7 @@ class TestRecoverMultipliers:
         a = int(np.setdiff1d(f.elements(), p.x)[0])
         ya = f.mul(p.y, f.sub(p.x, a))
         sub = grs.code(GrsParams(f, p.x, ya, k - 1))
-        checks = grs.dual_params(GrsParams(f, p.x, np.ones(n), k)).generator
+        checks = grs.dual_params(GrsParams(f, p.x, np.ones(n, dtype=np.int64), k)).generator
         kernel = la.right_kernel(f, star_rows(f, sub.gen, checks))
         assert kernel.shape[0] == 2 and all((row == 0).any() for row in kernel)
         y = grs.recover_multipliers(p.x, k, sub)

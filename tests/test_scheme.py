@@ -129,6 +129,36 @@ class TestKeygen:
         assert np.array_equal(pk1.g_pub, pk2.g_pub)
         assert np.array_equal(sk1.alpha, sk2.alpha)
 
+    @pytest.mark.parametrize("kind", ["float", "out-of-range"])
+    def test_public_key_entries_must_be_field_elements(self, keypair16, kind):
+        """A public generator with a float entry used to be truncated, and
+        an entry 16 at GF(16) kept until encryption raised a bare
+        IndexError."""
+        f, pk, sk = keypair16
+        g = pk.g_pub + 0.7 if kind == "float" else pk.g_pub.copy()
+        if kind == "out-of-range":
+            g[1, 3] = 16
+        refusal = "must hold integers" if kind == "float" else r"has entries outside \[0, 16\)"
+        with pytest.raises(FieldError, match="public generator " + refusal):
+            scheme.PublicKey(f, pk.n, pk.k, g)
+
+    @pytest.mark.parametrize("kind", ["float", "out-of-range"])
+    @pytest.mark.parametrize("part", ["a0", "lam0"])
+    def test_recovered_key_entries_must_be_field_elements(self, keypair16, part, kind):
+        """A masking pair with float entries used to be truncated and then
+        decrypt, and an entry 16 at GF(16) raised a bare IndexError on the
+        first decryption."""
+        f, pk, sk = keypair16
+        pair = {"a0": sk.a, "lam0": sk.lam}
+        if kind == "float":
+            pair[part] = pair[part] + 0.7
+        else:
+            pair[part] = pair[part].copy()
+            pair[part][3] = 16
+        refusal = "must hold integers" if kind == "float" else r"has entries outside \[0, 16\)"
+        with pytest.raises(FieldError, match=f"{part} {refusal}"):
+            scheme.RecoveredKey(sk.masked, pair["a0"], pair["lam0"], None)
+
 
 class TestEncrypt:
     def test_error_weight_exact(self, keypair16, rng):
@@ -339,7 +369,7 @@ class TestDecrypt:
         for c, truth in words:
             for route, dec in (
                 (lambda: scheme.decrypt_candidates(sk, c), sk.decryptor),
-                (lambda: attack.pair_candidates(rk, pk, c), attack._pair_decryptor(rk, pk)),
+                (lambda: attack.pair_candidates(rk, pk, c), scheme._pair_decryptor(rk, pk)),
             ):
                 want = q_word_candidates(pk, c, dec.code, dec.direction, dec.to_plain.matrix)
                 if not want:
@@ -373,7 +403,7 @@ class TestDecrypt:
         for c in words:
             for route, dec in (
                 (lambda: scheme.decrypt_candidates(sk, c), sk.decryptor),
-                (lambda: attack.pair_candidates(rk, pk, c), attack._pair_decryptor(rk, pk)),
+                (lambda: attack.pair_candidates(rk, pk, c), scheme._pair_decryptor(rk, pk)),
             ):
                 want = q_word_candidates(pk, c, dec.code, dec.direction, dec.to_plain.matrix)
                 if not want:

@@ -1,5 +1,7 @@
-"""The suite's own pytest settings, run on a probe file in a fresh pytest."""
+"""The suite's own pytest settings, run on a probe file in a fresh pytest,
+and the package's import layering."""
 
+import ast
 import subprocess
 import sys
 from pathlib import Path
@@ -35,3 +37,21 @@ def test_failing_hypothesis_test_does_not_abort_the_run(tmp_path):
     )
     assert "INTERNALERROR" not in done.stdout + done.stderr
     assert "1 failed, 1 passed" in done.stdout, done.stdout
+
+
+def test_only_the_front_ends_import_the_attack():
+    """The attack sits on top of the package: ``scheme`` decrypts with
+    either key, so no module below the CLI and the package's own exports
+    imports ``attack``."""
+    importers = set()
+    for path in sorted((ROOT / "src" / "grs_squarebreak").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                names = [f"{node.module or ''}.{a.name}" for a in node.names]
+            elif isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            else:
+                continue
+            if any("attack" in name.split(".") for name in names):
+                importers.add(path.name)
+    assert importers <= {"cli.py", "__init__.py"}, importers
