@@ -382,6 +382,47 @@ class TestDecrypt:
                 ties += len(got) > 1
         assert ties or f.q != 3
 
+    @pytest.mark.parametrize(
+        "field,n,k",
+        [((7, 1, 0), 7, 2), ((7, 1, 0), 7, 3), ((2, 3, 11), 8, 2), ((2, 3, 11), 8, 3),
+         ((3, 2, 10), 9, 3), ((3, 2, 10), 9, 4), ((11, 1, 0), 11, 4), ((13, 1, 0), 12, 3),
+         ((17, 1, 0), 17, 1), ((19, 1, 0), 19, 2), ((23, 1, 0), 22, 3), ((2, 5, 37), 31, 1),
+         ((2, 5, 37), 31, 2)],
+        ids=["gf7-7-2", "gf7-7-3", "gf8-8-2", "gf8-8-3", "gf9-9-3", "gf9-9-4", "gf11-11-4",
+             "gf13-12-3", "gf17-17-1-past-cap", "gf19-19-2-past-cap", "gf23-22-3-past-cap",
+             "gf32-31-1-past-cap", "gf32-31-2-past-cap"],
+    )
+    def test_both_decryptors_return_the_brute_force_ball(self, field, n, k):
+        """Ground truth for both decryptors: the candidate set of a word c
+        is exactly the set of public codewords within t of c, found by
+        trying all q^k plaintexts, and ``DecryptionFailure`` is raised
+        exactly when that ball is empty.  Words: 20 uniform, 20 ``encrypt``
+        outputs, and 20 codewords plus errors of weight 0..t.  The first
+        eight points lie within the minors cap; the last five lie past it,
+        where every shift's locator comes from ``linalg.batched_rref``."""
+        f = GF(*field)
+        pk, sk = scheme.keygen(f, n, k, np.random.default_rng(n * k + 1))
+        assert (pk.t > grs._MINORS_MAX_T) == (f.q >= 17)
+        rk = attack.RecoveredKey(sk.masked, sk.a, sk.lam, None)
+        plain = np.array(list(itertools.product(range(f.q), repeat=k)), dtype=np.int64)
+        public = la.matmul(f, plain, pk.g_pub)
+        rng = np.random.default_rng(n + k)
+        words = list(rng.integers(0, f.q, (20, n)))
+        words += [scheme.encrypt(pk, rng.integers(0, f.q, k), rng) for _ in range(20)]
+        words += [scheme.encrypt(pk, rng.integers(0, f.q, k),
+                                 error=scheme.random_error(f, n, i % (pk.t + 1), rng))
+                  for i in range(20)]
+        for c in words:
+            weights = np.count_nonzero(f.sub(c, public), axis=1)
+            ball = {(int(w), tuple(m)) for w, m in zip(weights, plain.tolist()) if w <= pk.t}
+            for route in (lambda: scheme.decrypt_candidates(sk, c),
+                          lambda: attack.pair_candidates(rk, pk, c)):
+                if not ball:
+                    with pytest.raises(DecryptionFailure):
+                        route()
+                    continue
+                assert {(w, tuple(m.tolist())) for w, m in route()} == ball
+
     @pytest.mark.parametrize("field,n,k", [((2, 4, 19), 15, 6), ((5, 2, 32), 16, 7)],
                              ids=["gf16-15-6", "gf25-16-7"])
     def test_blocks_shorter_than_the_minors_samples(self, monkeypatch, field, n, k):
