@@ -4,9 +4,10 @@ Matrices are plain 2-D numpy int64 arrays whose entries are field elements
 of an accompanying :class:`~grs_squarebreak.gf.GF` instance; vectors are 1-D
 arrays.  Functions never mutate their inputs.  Row reduction uses the first
 nonzero pivot scanning top-to-bottom, left-to-right, so every canonical form
-here is deterministic.  The lockstep eliminations of stacks go row by row,
-rows in place; ``batched_rref`` then returns each matrix's reduced rows
-indexed by pivot column, a zero row standing for a column without a pivot.
+here is deterministic.  A pivot row is zero left of its pivot, so each
+Gauss-Jordan step updates the columns from the pivot on.  ``batched_rref``
+eliminates a stack row by row, rows in place, and returns each matrix's
+reduced rows by pivot column, a zero row where a column has no pivot.
 ``batched_minors`` gives the kernel of a stack of r x (r+1) matrices of
 rank r with no elimination, as their signed maximal minors.
 
@@ -59,13 +60,14 @@ def rref(f: GF, a: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form with zero rows dropped.
 
     Returns (R, pivots) where pivots lists the strictly increasing pivot
-    columns; R has len(pivots) rows.
+    columns; R has len(pivots) rows.  A pivot row is zero left of its
+    pivot, so each step updates only the columns from the pivot on.
     """
     m = np.array(a, dtype=np.int64)
     nrows, ncols = m.shape
     pivots: list[int] = []
-    r = 0
     for c in range(ncols):
+        r = len(pivots)
         if r == nrows:
             break
         nz = np.nonzero(m[r:, c])[0]
@@ -74,14 +76,11 @@ def rref(f: GF, a: np.ndarray) -> tuple[np.ndarray, list[int]]:
         pr = r + int(nz[0])
         if pr != r:
             m[[r, pr]] = m[[pr, r]]
-        m[r] = f.mul(m[r], f.inv0(m[r, c]))  # nonzero: found by np.nonzero
-        col = m[:, c].copy()
-        col[r] = 0
-        hit = np.nonzero(col)[0]
-        if hit.size:
-            m[hit] = f.add(m[hit], f.mul(f.neg(col[hit])[:, None], m[r][None, :]))
+        row = f.mul(m[r, c:], f.inv0(m[r, c]))  # nonzero: found by np.nonzero
+        hit = m[:, c].nonzero()[0]  # row r too, which the update zeroes
+        m[hit, c:] = f.sub(m[hit, c:], f.mul(m[hit, c, None], row))
+        m[r, c:] = row
         pivots.append(c)
-        r += 1
     return m[: len(pivots)], pivots
 
 
@@ -211,12 +210,13 @@ def batched_rref(f: GF, mats: np.ndarray, ncols: int | None = None) -> np.ndarra
     Row by row, rows in place: each row, reduced by the pivot rows before
     it, is scaled to 1 at its first nonzero column among the first ``ncols``
     (by inv0(0) = 0, to zero, when there is none), which is then cleared
-    from every other row.  Each row costs a few whole-stack operations, or
-    one check when it has no pivot in any matrix (as past the rank of every
-    matrix).  Returns the (nmat, ncols, cols) table of the reduced rows by
-    pivot: row c of table i is the row of mats[i] that pivots on column c,
-    or zero when none does, so its nonzero rows, in order, are
-    ``rref(f, mats[i])`` on the pivoting columns.
+    from every other row, from the stack's leftmost pivot on (the row is
+    zero left of its pivot; a zero row subtracts nothing).  Each row costs a
+    few whole-stack operations, or one check when it has no pivot in any
+    matrix (as past the rank of every matrix).  Returns the (nmat, ncols,
+    cols) table of the reduced rows by pivot: row c of table i is the row of
+    mats[i] that pivots on column c, or zero when none does, so its nonzero
+    rows, in order, are ``rref(f, mats[i])`` on the pivoting columns.
     """
     m = np.array(mats, dtype=np.int64)
     if m.ndim != 3:
@@ -224,19 +224,17 @@ def batched_rref(f: GF, mats: np.ndarray, ncols: int | None = None) -> np.ndarra
     ncols = m.shape[2] if ncols is None else ncols
     every = np.arange(len(m))
     for r in range(m.shape[1]):
-        row = m[:, r]
-        nz = row[:, :ncols] != 0
+        nz = m[:, r, :ncols] != 0
         if not nz.any():  # no pivot in any matrix: the row only goes to zero
-            row[...] = 0
+            m[:, r] = 0
             continue
-        c = np.argmax(nz, axis=1)
-        row[...] = f.mul(row, f.inv0(row[every, c])[:, None])
-        fac = m[every, :, c]
-        fac[:, r] = 0
-        m[...] = f.sub(m, f.mul(fac[:, :, None], row[:, None, :]))
-    # A pivot row stays zero left of its pivot (later pivot rows reach it
-    # there by a factor 0), so its pivot is its first nonzero column; a row
-    # without one is zero, and goes to a spare last row, dropped at the end.
+        c = nz.argmax(axis=1)  # 0 where a matrix has no pivot: there row r scales to 0
+        lo = nz.any(axis=0).argmax()  # the stack's leftmost pivot
+        row = f.mul(m[:, r, lo:], f.inv0(m[every, r, c])[:, None])
+        m[:, :, lo:] = f.sub(m[:, :, lo:], f.mul(m[every, :, c, None], row[:, None]))
+        m[:, r, lo:] = row  # which the update zeroed
+    # A pivot row's first nonzero column is its pivot; a row without one is
+    # zero, and goes to a spare last row, dropped at the end.
     nz = np.concatenate([m[:, :, :ncols] != 0, np.ones((*m.shape[:2], 1), dtype=bool)], axis=2)
     table = np.zeros((len(m), ncols + 1, m.shape[2]), dtype=np.int64)
     table[every[:, None], np.argmax(nz, axis=2)] = m
