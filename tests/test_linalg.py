@@ -43,6 +43,77 @@ class TestRref:
             assert np.array_equal(r1, r2)
 
 
+def rref_loop(f, a, ncols=None):
+    """Reference Gauss-Jordan, one entry at a time by scalar field
+    operations: each of the first ncols columns (default: all) pivots on
+    its first nonzero entry at or below the next pivot row, which is scaled
+    to 1 and cleared from every other row.  Returns (R, pivots), the rows
+    without a pivot dropped."""
+    m = [[int(x) for x in row] for row in np.asarray(a)]
+    width = np.shape(a)[1]
+    pivots = []
+    for c in range(width if ncols is None else ncols):
+        r = len(pivots)
+        below = [i for i in range(r, len(m)) if m[i][c]]
+        if not below:
+            continue
+        m[r], m[below[0]] = m[below[0]], m[r]
+        inv = int(f.inv(m[r][c]))
+        m[r] = [int(f.mul(inv, x)) for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                fac = m[i][c]
+                m[i] = [int(f.sub(x, f.mul(fac, y))) for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+    return np.array(m[: len(pivots)], dtype=np.int64).reshape(len(pivots), width), pivots
+
+
+def degenerate(f, rows, cols, rng):
+    """A random rows x cols matrix with a zero row, a repeated row, the sum
+    of two rows and a zero column, its rows shuffled."""
+    m = la.random_matrix(f, rows, cols, rng)
+    m[0] = 0
+    m[1] = m[2]
+    m[3] = f.add(m[4], m[5])
+    m[:, rng.integers(cols)] = 0
+    return m[rng.permutation(rows)]
+
+
+def square_step(f, k, n, rng):
+    """One step of ``LinearCode.square``: the RREF of a random k x n code
+    over a block of its star products, which repeats a product and holds
+    a zero row."""
+    g = la.random_matrix(f, k, n, rng)
+    i, j = np.triu_indices(k)
+    block = f.mul(g[i], g[j])
+    return np.vstack([la.rref(f, g)[0], block, block[:1], np.zeros((1, n), dtype=np.int64)])
+
+
+REF_CASES = {
+    "wide": lambda f, rng: la.random_matrix(f, 5, 11, rng),
+    "tall": lambda f, rng: la.random_matrix(f, 11, 5, rng),
+    "degenerate-wide": lambda f, rng: degenerate(f, 7, 10, rng),
+    "degenerate-tall": lambda f, rng: degenerate(f, 10, 7, rng),
+    "square-step": lambda f, rng: square_step(f, 4, 12, rng),
+    "square-step-short": lambda f, rng: square_step(f, 3, 5, rng),
+}
+
+
+@pytest.mark.parametrize("f", [GF(7), GF(2, 4, 19), GF(5, 2, 32), GF(3, 7, 2198)],
+                         ids=["GF7", "GF16", "GF25", "GF3^7"])
+@pytest.mark.parametrize("case", REF_CASES)
+def test_rref_matches_a_reference_elimination(f, case, rng):
+    """``rref`` against the entry-by-entry loop, on dense wide and tall
+    matrices, on matrices with zero, repeated and dependent rows and a
+    zero column, and on ``square``-style stacks of an RREF block over new
+    rows."""
+    for _ in range(4):
+        a = REF_CASES[case](f, rng)
+        r, pivots = la.rref(f, a)
+        want, want_pivots = rref_loop(f, a)
+        assert pivots == want_pivots and np.array_equal(r, want)
+
+
 class TestRankKernel:
     def test_identity_rank(self, gf16):
         assert la.rank(gf16, np.eye(6, dtype=np.int64)) == 6
@@ -211,7 +282,8 @@ class TestBatchedKernel:
         table is the reduced row that pivots on column c, so the nonzero
         rows, in order, are ``rref`` of the planted block on the pivoting
         columns, and every other row is zero, the extra columns included.
-        Includes a block with no pivoting column and an empty stack."""
+        Includes a block with no pivoting column, a stack checked against
+        the reference elimination, and an empty stack."""
         for rows, cols in (*self.SHAPES, (4, 0)):
             for extra in (0, 2):
                 left = self.planted_stack(f, rows, cols, rng)
@@ -223,6 +295,23 @@ class TestBatchedKernel:
                     live = table.any(axis=1)
                     assert np.nonzero(live)[0].tolist() == want_piv
                     assert np.array_equal(table[live][:, :cols], want)
+        # Matrices that pivot at different columns (matrix i is zero on its
+        # first i % 4 columns), rows zero on the first ncols columns but not
+        # after them, and a row equal to another on the first ncols: each
+        # table, extra columns included, is the reference elimination
+        # pivoting on those columns, row c holding the row that pivots on c.
+        ncols, extra = 6, 3
+        mats = rng.integers(0, f.q, (12, 5, ncols + extra))
+        for i, m in enumerate(mats):
+            m[:, : i % 4] = 0
+        mats[::3, 1, :ncols] = 0
+        mats[1::3, 4, :ncols] = mats[1::3, 2, :ncols]
+        mats[2, :, :ncols] = 0
+        tables = la.batched_rref(f, mats, ncols)
+        for m, table in zip(mats, tables, strict=True):
+            want, want_piv = rref_loop(f, m, ncols)
+            assert np.array_equal(table[want_piv], want)
+            assert not np.delete(table, want_piv, axis=0).any()
         tables = la.batched_rref(f, np.zeros((0, 3, 4), dtype=np.int64), 2)
         assert tables.shape == (0, 2, 4)
 
