@@ -146,12 +146,24 @@ def build_keypair(
 ) -> tuple[PublicKey, SecretKey]:
     """Assemble a keypair from explicit components (no honesty resampling).
 
-    Raises InvalidDimensions when Q = Pi + alpha^T beta is singular.  Used by
-    key-file loading, and by tests that need degenerate keys.
+    Raises FieldError unless S, x, y, alpha and beta hold field elements,
+    and InvalidDimensions when perm is not an integer permutation of
+    0..n-1, alpha or beta does not have length n, or Q = Pi + alpha^T beta
+    is singular.  Used by key-file loading, and by tests that need
+    degenerate keys.
     """
+    s_mat = f.as_elements(s_mat, "S")
     k = s_mat.shape[0]
     params = grs.GrsParams(f, np.asarray(x), np.asarray(y), k)
-    perm = np.asarray(perm, dtype=np.int64)
+    n = params.n
+    perm = np.asarray(perm)
+    if perm.dtype.kind not in "iu" or not np.array_equal(np.sort(perm), np.arange(n)):
+        raise InvalidDimensions(f"perm must be an integer permutation of 0..{n - 1}")
+    alpha, beta = f.as_elements(alpha, "alpha"), f.as_elements(beta, "beta")
+    for name, v in (("alpha", alpha), ("beta", beta)):
+        if v.shape != (n,):
+            raise InvalidDimensions(f"{name} must have length n={n}, got shape {v.shape}")
+    perm = perm.astype(np.int64)
     masked = grs.GrsParams(f, params.x[perm], params.y[perm], k)
     return _assemble(params, masked, perm, s_mat, linalg.inverse(f, s_mat), alpha, beta)
 
@@ -160,8 +172,6 @@ def _assemble(params: grs.GrsParams, masked: grs.GrsParams, perm, s_mat, s_inv, 
     """``build_keypair`` from its mask-independent parts: C_sec, C =
     C_sec Pi^-1, Pi, S and S^-1."""
     f = params.field
-    alpha = np.asarray(alpha, dtype=np.int64)
-    beta = np.asarray(beta, dtype=np.int64)
     a = beta[perm]
     denom = int(f.add(1, linalg.matmul(f, a, alpha)))
     if denom == 0:
@@ -170,7 +180,7 @@ def _assemble(params: grs.GrsParams, masked: grs.GrsParams, perm, s_mat, s_inv, 
     # Q^-1 = Pi^-1 (I + lam^T a), so G_sec Q^-1 = mask(G_C, a, lam).
     g_pub = linalg.matmul(f, s_inv, mask(f, masked.generator, a, lam))
     pk = PublicKey(f, params.n, params.k, g_pub)
-    sk = SecretKey(params, np.asarray(s_mat), perm, alpha, beta, a, lam, g_pub, masked)
+    sk = SecretKey(params, s_mat, perm, alpha, beta, a, lam, g_pub, masked)
     return pk, sk
 
 

@@ -160,6 +160,52 @@ class TestKeygen:
             scheme.RecoveredKey(sk.masked, pair["a0"], pair["lam0"], None)
 
 
+    @pytest.mark.parametrize("kind", ["float", "out-of-range"])
+    def test_build_keypair_scrambler_must_hold_field_elements(self, keypair16, kind):
+        """S + 0.25 used to be truncated to the same key, and an entry 17
+        raised a bare IndexError."""
+        f, pk, sk = keypair16
+        s_mat = sk.s_mat + 0.25 if kind == "float" else sk.s_mat.copy()
+        if kind == "out-of-range":
+            s_mat[0, 1] = 17
+        refusal = "must hold integers" if kind == "float" else r"has entries outside \[0, 16\)"
+        with pytest.raises(FieldError, match="S " + refusal):
+            scheme.build_keypair(f, sk.grs.x, sk.grs.y, s_mat, sk.perm, sk.alpha, sk.beta)
+
+    @pytest.mark.parametrize("kind", ["float", "out-of-range", "length"])
+    @pytest.mark.parametrize("part", ["alpha", "beta"])
+    def test_build_keypair_mask_must_hold_n_field_elements(self, keypair16, part, kind):
+        """A float alpha or beta used to be truncated to the same key, a
+        beta entry -3 indexed the field's tables from their end, an alpha
+        entry 40 raised a bare IndexError, and a vector of another length
+        raised from inside the arithmetic, or not at all."""
+        f, pk, sk = keypair16
+        mask = {"alpha": sk.alpha.copy(), "beta": sk.beta.copy()}
+        if kind == "float":
+            mask[part] = mask[part] + 0.5
+        elif kind == "out-of-range":
+            mask[part][2] = 40 if part == "alpha" else -3
+        else:
+            mask[part] = np.append(mask[part], 1) if part == "beta" else mask[part][:-1]
+        with pytest.raises(FieldError if kind != "length" else InvalidDimensions,
+                           match={"float": f"{part} must hold integers",
+                                  "out-of-range": rf"{part} has entries outside \[0, 16\)",
+                                  "length": f"{part} must have length n=15"}[kind]):
+            scheme.build_keypair(f, sk.grs.x, sk.grs.y, sk.s_mat, sk.perm, mask["alpha"],
+                                 mask["beta"])
+
+    @pytest.mark.parametrize("kind", ["float", "repeated", "out-of-range", "short"])
+    def test_build_keypair_perm_must_be_a_permutation(self, keypair16, kind):
+        """perm + 0.5 used to be truncated to the same key, and a repeated
+        entry was refused as repeated evaluation points."""
+        f, pk, sk = keypair16
+        perm = {"float": lambda p: p + 0.5, "repeated": lambda p: np.where(p == 3, 4, p),
+                "out-of-range": lambda p: np.where(p == 3, 15, p), "short": lambda p: p[p != 3]}
+        with pytest.raises(InvalidDimensions, match=r"perm must be an integer permutation of 0\.\.14"):
+            scheme.build_keypair(f, sk.grs.x, sk.grs.y, sk.s_mat, perm[kind](sk.perm), sk.alpha,
+                                 sk.beta)
+
+
 class TestEncrypt:
     def test_error_weight_exact(self, keypair16, rng):
         f, pk, sk = keypair16
