@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
-"""In-process A/B timing of two source trees on one benchmark workload.
+"""In-process A/B timing of two source trees on one benchmark workload or scale point.
 
-Usage: python scripts/ab.py TREE_A TREE_B --workload decrypt-gf16 [--rounds 20] [--cts 20] [--seed 1]
+Usage: python scripts/ab.py TREE_A TREE_B (--workload decrypt-gf16 | --point gf256-255-100)
+       [--rounds 20] [--cts N] [--seed 1]
 
 Each tree is a checkout: its package is loaded from TREE/src under a name
 of its own, so both live in this one process.  The workload is read from
@@ -21,6 +22,17 @@ first alternates from round to round):
   (``decrypt_ms.p90``, ``decrypt_with_pair_ms.p90``), taken as
   bench/run.py takes them.
 
+A scale point (``POINTS``) is a field, n and k past the benchmark's
+q <= 25: the paper's GF(256) (255, 100) and (255, 195), modulus 285, and
+GF(32) (31, 13), modulus 37, past the decoder's minors cap.  Each tree
+builds the point's key at keygen seed 0, the recovered key of its true
+masking pair, and the true shared subcode of the code ``recover_key``
+attacks (the dual at high rate), from the secret key.  A round times
+``attack.recover_secret_grs`` on that subcode (``recover_secret_grs_s``)
+and both decryptions on the point's own number of seeded ciphertexts
+(--cts overrides it), as for a workload; the first round, untimed, builds
+each key's decryptor.
+
 A round's ratio is B's time over A's.  The last line of standard output is
 one JSON object with, per metric, the median ratio over the rounds and its
 quartiles, and each tree's median time.  Timings of two trees taken
@@ -36,6 +48,7 @@ in both orders.
 from __future__ import annotations
 
 import argparse
+import functools
 import importlib.util
 import json
 import statistics
@@ -96,6 +109,17 @@ def one_round(lib, wl: bench.Workload, seed: int, cts: int) -> dict:
         c = ciphertexts(lib, pk, 1, np.random.default_rng([seed, 2]))[0]
         scheme.decrypt(sk, c)
         attack.decrypt_with_pair(rk, pk, c)
+    return {
+        "setup_s": statistics.median(s for _, s in setups),
+        "recover_key_s": statistics.mean(breaks),
+        **decryptions(lib, targets, seed, cts),
+    }
+
+
+def decryptions(lib, targets, seed: int, cts: int) -> dict:
+    """Both decryptions, timed on cts seeded ciphertexts per (pk, sk, rk):
+    the median per ciphertext and the 90th percentile."""
+    attack, scheme = lib["attack"], lib["scheme"]
     rng = np.random.default_rng([seed, 1])
     dec, pair = [], []
     for pk, sk, rk in targets:
@@ -103,13 +127,42 @@ def one_round(lib, wl: bench.Workload, seed: int, cts: int) -> dict:
             dec.append(timed(scheme.decrypt, sk, c)[1])
             pair.append(timed(attack.decrypt_with_pair, rk, pk, c)[1])
     return {
-        "setup_s": statistics.median(s for _, s in setups),
-        "recover_key_s": statistics.mean(breaks),
         "decrypt_ms": statistics.median(dec) * 1e3,
         "decrypt_ms.p90": p90(dec) * 1e3,
         "decrypt_with_pair_ms": statistics.median(pair) * 1e3,
         "decrypt_with_pair_ms.p90": p90(pair) * 1e3,
     }
+
+
+# name: field (p, m, modulus), n, k, ciphertexts per round
+POINTS = {
+    "gf256-255-100": ((2, 8, 285), 255, 100, 3),
+    "gf256-255-195": ((2, 8, 285), 255, 195, 3),
+    "gf32-31-13": ((2, 5, 37), 31, 13, 20),
+}
+
+
+def point_setup(lib, name: str) -> tuple:
+    """The point's key (keygen seed 0) with the recovered key of its true
+    masking pair, and the true shared subcode of the attacked code with
+    that code's dimension."""
+    attack, codes, scheme = lib["attack"], lib["codes"], lib["scheme"]
+    field, n, k, _ = POINTS[name]
+    f = lib["gf"].GF(*field)
+    pk, sk = scheme.keygen(f, n, k, np.random.default_rng(0))
+    masked = scheme.masked_params(sk)
+    rk = attack.RecoveredKey(masked, sk.a, sk.lam, None)
+    pub, hidden = codes.code_from_generator(f, pk.g_pub), lib["grs"].code(masked)
+    if attack.applicable_branch(n, k) == attack.Branch.HIGH_RATE_DUAL:
+        pub, hidden = pub.dual(), hidden.dual()
+    shared = lib["linalg"].intersect_rowspaces(f, pub.gen, hidden.gen)
+    return (pk, sk, rk), codes.code_from_generator(f, shared), pub.k
+
+
+def point_round(lib, setup: tuple, seed: int, cts: int) -> dict:
+    target, shared, k = setup
+    _, s = timed(lib["attack"].recover_secret_grs, shared, k)
+    return {"recover_secret_grs_s": s, **decryptions(lib, [target], seed, cts)}
 
 
 def p90(times: list[float]) -> float:
@@ -121,22 +174,32 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("tree_a", type=Path)
     ap.add_argument("tree_b", type=Path)
-    ap.add_argument("--workload", required=True, choices=sorted(bench.WORKLOADS))
+    what = ap.add_mutually_exclusive_group(required=True)
+    what.add_argument("--workload", choices=sorted(bench.WORKLOADS))
+    what.add_argument("--point", choices=sorted(POINTS))
     ap.add_argument("--rounds", type=int, default=20)
-    ap.add_argument("--cts", type=int, default=20, help="ciphertexts per decryption key per round")
+    ap.add_argument("--cts", type=int, help="ciphertexts per decryption key per round "
+                    "(default: 20 for a workload, the point's own count for a point)")
     ap.add_argument("--seed", type=int, default=1)
     args = ap.parse_args(argv)
+    if args.cts is None:
+        args.cts = POINTS[args.point][3] if args.point else 20
     if args.rounds < 1 or args.cts < 1:
         ap.error("--rounds and --cts must be >= 1")
-    wl = bench.WORKLOADS[args.workload]
     libs = {"a": load_tree(args.tree_a.resolve(), "ab_tree_a"),
             "b": load_tree(args.tree_b.resolve(), "ab_tree_b")}
-    for lib in libs.values():  # fill lazily built tables and caches first
-        one_round(lib, wl, args.seed, 1)
+    if args.point:
+        setups = {side: point_setup(lib, args.point) for side, lib in libs.items()}
+        rounds = {side: functools.partial(point_round, lib, setups[side]) for side, lib in libs.items()}
+    else:
+        wl = bench.WORKLOADS[args.workload]
+        rounds = {side: functools.partial(one_round, lib, wl) for side, lib in libs.items()}
+    for run in rounds.values():  # fill lazily built tables and caches first
+        run(args.seed, 1)
     times: dict[str, list[dict]] = {"a": [], "b": []}
     for i in range(args.rounds):
         for side in ("ab" if i % 2 == 0 else "ba"):
-            times[side].append(one_round(libs[side], wl, args.seed, args.cts))
+            times[side].append(rounds[side](args.seed, args.cts))
     metrics = {}
     for name in times["a"][0]:
         a = [r[name] for r in times["a"]]
@@ -148,7 +211,8 @@ def main(argv=None) -> int:
         metrics[name] = {"ratio_median": med, "ratio_q1": q1, "ratio_q3": q3,
                          "b_lower": sum(y < x for x, y in zip(a, b)),
                          "a_median": statistics.median(a), "b_median": statistics.median(b)}
-    print(json.dumps({"workload": args.workload, "a": str(args.tree_a), "b": str(args.tree_b),
+    which = {"point": args.point} if args.point else {"workload": args.workload}
+    print(json.dumps({**which, "a": str(args.tree_a), "b": str(args.tree_b),
                       "rounds": args.rounds, "cts": args.cts, "seed": args.seed,
                       "metrics": metrics}))
     return 0
