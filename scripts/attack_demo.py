@@ -13,6 +13,7 @@ import numpy as np
 from grs_squarebreak import attack as atk
 from grs_squarebreak import grs, scheme
 from grs_squarebreak.gf import GF
+from grs_squarebreak.linalg import matmul
 
 
 def main():
@@ -45,7 +46,7 @@ def main():
     print(f"decrypted  {cracked.tolist()}")
     if np.array_equal(cracked, msg):
         print("plaintext recovered!")
-    elif scheme.error_weight(f, pk.g_pub, z, cracked) == pk.t:
+    elif np.count_nonzero(f.sub(z, matmul(f, cracked, pk.g_pub))) == pk.t:
         print("tied: this plaintext's codeword is also at distance t")
     else:
         print("MISMATCH")

@@ -12,8 +12,9 @@ in any characteristic as E's roots are distinct, and a syndrome check;
 degree locator from one elimination, ``decode`` one word, and
 ``decode_line`` the decryption sweep's q words c - s d, whose syndromes
 and locator minors it takes along the line in s: E is a multiple of the
-locator from the maximal minors at t+1 shifts, or the elimination's where
-they vanish or t is past a cap), the dual-code multiplier formula, and two
+locator from the maximal minors at the shifts 0..t, sampled once before
+the sweep's memory-bounded blocks, or the elimination's where they vanish
+or t is past a cap), the dual-code multiplier formula, and two
 reconstruction routines used by the attack.  A ``GrsParams`` is read-only
 and builds its key-fixed tables (the generator, the dual's generator as
 parity checks, the Hankel index of the locator system, and the matrices
@@ -260,23 +261,21 @@ def decode_line(p: GrsParams, c: np.ndarray, d: np.ndarray, syn_d: np.ndarray) -
     c with the parity checks and from syn_d, d's n-k syndromes, which the
     caller keeps with d.  They are formed once, block by block, and each
     shift's locator comes from the maximal minors along the line
-    (``_line_minors``), which take their samples from the first block, or
+    (``_line_minors``, sampled at the shifts 0..t before the sweep), or
     from the elimination.  The words go through ``_decode`` in blocks of at
-    most 2^20 / ((t+1) n) words, but never fewer than the t+1 samples up to
-    the minors' cap, which bounds the memory whatever q is, and c - s d is
-    formed only at the shifts it accepts.  c and d must hold field elements
-    (unchecked, as for ``decode_many``).
+    most 2^20 / ((t+1) n) words (at least one), which bounds the memory
+    whatever q is, and c - s d is formed only at the shifts it accepts.
+    c and d must hold field elements (unchecked, as for ``decode_many``).
     """
     f, k, t = p.field, p.k, p.t
     syn_c = p._syndromes.product(c[None])[0]
     shifts = f.elements()
-    block = max(t + 1 if t <= _MINORS_MAX_T else 1, _SWEEP_BLOCK // ((t + 1) * p.n))
+    minors = _line_minors(p, f.sub(syn_c, f.mul(shifts[: t + 1, None], syn_d)))
+    block = max(1, _SWEEP_BLOCK // ((t + 1) * p.n))
     found = []
     for start in range(0, f.q, block):
         s = shifts[start : start + block]
         syn = f.sub(syn_c, f.mul(s[:, None], syn_d))
-        if start == 0:
-            minors = _line_minors(p, syn[: t + 1])
         if minors is None:
             locator = np.zeros((len(s), t + 1), dtype=np.int64)
         else:
@@ -454,13 +453,12 @@ def _cross_ratio_points(c: LinearCode):
         x[piv[0]] = 0
         x[piv[1]] = 1
         x[rest] = xr
-        if k >= 3:
-            ratio = f.div(va[2:, 0], va[2:, 1])
-            rho = f.mul(ratio, f.div(xr[0], xr[1]))
-            if np.any(rho == 1):
-                continue
-            xi = f.div(f.sub(f.mul(rho, xr[1]), xr[0]), f.sub(rho, 1))
-            x[np.asarray(piv[2:], dtype=np.int64)] = xi
+        ratio = f.div(va[2:, 0], va[2:, 1])
+        rho = f.mul(ratio, f.div(xr[0], xr[1]))
+        if np.any(rho == 1):
+            continue
+        xi = f.div(f.sub(f.mul(rho, xr[1]), xr[0]), f.sub(rho, 1))
+        x[np.asarray(piv[2:], dtype=np.int64)] = xi
         if np.unique(x).size == n:
             yield x
 

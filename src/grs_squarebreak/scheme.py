@@ -62,6 +62,9 @@ class PublicKey:
     def __post_init__(self):
         # A read-only copy: the pair route keeps a map built from it.
         g_pub = self.field.as_elements(self.g_pub, "public generator")
+        if g_pub.shape != (self.k, self.n) or not 1 <= self.k < self.n <= self.field.q:
+            raise InvalidDimensions(f"public generator of shape {g_pub.shape} for n={self.n} k={self.k}: "
+                                    f"need shape (k, n) and 1 <= k < n <= q={self.field.q}")
         object.__setattr__(self, "g_pub", linalg.frozen(g_pub))
 
     @property
@@ -259,12 +262,6 @@ def encrypt(
         if error.shape != (pk.n,):
             raise DimensionMismatch(f"error length must be n={pk.n}")
     return f.add(linalg.matmul(f, msg, pk.g_pub), error)
-
-
-def error_weight(f: GF, g_pub: np.ndarray, c: np.ndarray, msg: np.ndarray) -> int | np.ndarray:
-    """Hamming distance from c to msg G_pub: an int, or one per row of a stack."""
-    w = np.count_nonzero(f.sub(c, linalg.matmul(f, msg, g_pub)), axis=-1)
-    return int(w) if np.ndim(w) == 0 else w
 
 
 def canonical_choice(candidates: list[tuple[int, np.ndarray]], t: int) -> np.ndarray:

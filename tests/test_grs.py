@@ -538,18 +538,20 @@ class TestDualParams:
 
 class TestSsRecover:
     def test_round_trip_many(self, gf16, gf32):
+        """At each seed's length, a code of random dimension, and codes of
+        dimension 2 (no information point past the two pinned ones) and 3."""
         count = 0
         for f in (gf16, gf32):
             for seed in range(25):
                 rng = np.random.default_rng(seed)
                 n = int(rng.integers(8, f.q))
-                k = int(rng.integers(2, min(n - 1, 12)))
-                p = grs.random_params(f, n, k, rng)
-                c = grs.code(p)
-                rec = grs.ss_recover(c)
-                assert grs.code(rec) == c
-                count += 1
-        assert count == 50
+                for k in (int(rng.integers(2, min(n - 1, 12))), 2, 3):
+                    p = grs.random_params(f, n, k, rng)
+                    c = grs.code(p)
+                    rec = grs.ss_recover(c)
+                    assert grs.code(rec) == c
+                    count += 1
+        assert count == 150
 
     def test_k1(self, gf16, rng):
         p = grs.random_params(gf16, 10, 1, rng)

@@ -142,6 +142,22 @@ class TestKeygen:
         with pytest.raises(FieldError, match="public generator " + refusal):
             scheme.PublicKey(f, pk.n, pk.k, g)
 
+    @pytest.mark.parametrize("kind", ["fewer-rows", "n-too-small", "one-dimensional", "n-above-q"])
+    def test_public_key_dimensions_must_match_the_generator(self, keypair16, kind):
+        """A generator whose shape is not (k, n), or dimensions no key can
+        have, used to be accepted: encryption then raised a bare numpy
+        error, and recover_key raised ZeroMatrix or a bare ValueError, or
+        blamed a dead interval that the real (n, k) is not in."""
+        f, pk, sk = keypair16
+        n, k, g = {
+            "fewer-rows": (15, 6, np.zeros((5, 15), dtype=np.int64)),
+            "n-too-small": (14, 6, pk.g_pub),
+            "one-dimensional": (15, 6, pk.g_pub[0]),
+            "n-above-q": (17, 6, np.zeros((6, 17), dtype=np.int64)),
+        }[kind]
+        with pytest.raises(InvalidDimensions, match="public generator"):
+            scheme.PublicKey(f, n, k, g)
+
     @pytest.mark.parametrize("kind", ["float", "out-of-range"])
     @pytest.mark.parametrize("part", ["a0", "lam0"])
     def test_recovered_key_entries_must_be_field_elements(self, keypair16, part, kind):
@@ -474,14 +490,22 @@ class TestDecrypt:
     def test_blocks_shorter_than_the_minors_samples(self, monkeypatch, field, n, k):
         """Where 2^20 / ((t+1) n) is below the t+1 shifts the line's minors
         sample (as at GF(2^16) lengths past 2^20 / (t+1)^2), a block of the
-        sweep holds t+1 words instead, so the minors still sample the first
-        block: with the bound shrunk to two words a block at these points,
-        within the minors' cap, both decryptors still return the candidate
-        lists of the q-word sweep, over several blocks."""
+        sweep still holds only that many words, as the minors are sampled
+        before the blocks: with the bound shrunk to two words a block at
+        these points, within the minors' cap, the sweep runs ceil(q/2)
+        blocks, and both decryptors still return the candidate lists of
+        the q-word sweep."""
         f = GF(*field)
         pk, sk = scheme.keygen(f, n, k, np.random.default_rng(n * k))
         assert 2 <= pk.t <= grs._MINORS_MAX_T
         monkeypatch.setattr(grs, "_SWEEP_BLOCK", 2 * (pk.t + 1) * n)
+        blocks, decode = [], grs._decode
+
+        def spy(p, syn, locator, heads):
+            blocks.append(len(syn))
+            return decode(p, syn, locator, heads)
+
+        monkeypatch.setattr(grs, "_decode", spy)
         rk = attack.RecoveredKey(sk.masked, sk.a, sk.lam, None)
         rng = np.random.default_rng(n + k)
         words = [scheme.encrypt(pk, rng.integers(0, f.q, k), error=scheme.random_error(f, n, w, rng))
@@ -493,11 +517,13 @@ class TestDecrypt:
                 (lambda: attack.pair_candidates(rk, pk, c), scheme._pair_decryptor(rk, pk)),
             ):
                 want = q_word_candidates(pk, c, dec.code, dec.direction, dec.to_plain.matrix)
+                blocks.clear()
                 if not want:
                     with pytest.raises(DecryptionFailure):
                         route()
-                    continue
-                assert [(w, m.tolist()) for w, m in route()] == [(w, m.tolist()) for w, m in want]
+                else:
+                    assert [(w, m.tolist()) for w, m in route()] == [(w, m.tolist()) for w, m in want]
+                assert blocks == [2] * (f.q // 2) + [1] * (f.q % 2)
 
     def test_malformed_length(self, keypair16):
         f, pk, sk = keypair16
