@@ -25,8 +25,10 @@ first alternates from round to round):
   decryptions, where the machine's noise adds least.
 
 A scale point (``POINTS``) is a field, n and k past the benchmark's
-q <= 25: the paper's GF(256) (255, 100) and (255, 195), modulus 285, and
-GF(32) (31, 13), modulus 37, past the decoder's minors cap.  Each tree
+q <= 25: the paper's GF(256) (255, 100) and (255, 195), modulus 285;
+GF(32) (31, 13) and (31, 12), modulus 37, past the decoder's minors cap,
+the second with odd n-k; and GF(4096) (200, 99), modulus 4179, about 3 s
+per decryption, with one ciphertext per round.  Each tree
 builds the point's key at keygen seed 0, the recovered key of its true
 masking pair, and the true shared subcode of the code ``recover_key``
 attacks (the dual at high rate), from the secret key.  A round times
@@ -140,6 +142,8 @@ POINTS = {
     "gf256-255-100": ((2, 8, 285), 255, 100, 3),
     "gf256-255-195": ((2, 8, 285), 255, 195, 3),
     "gf32-31-13": ((2, 5, 37), 31, 13, 20),
+    "gf32-31-12": ((2, 5, 37), 31, 12, 20),
+    "gf4096-200-99": ((2, 12, 4179), 200, 99, 1),
 }
 
 

@@ -110,25 +110,21 @@ def cmd_decrypt(args) -> int:
         pk = fileio.load_public_key(args.pub)
         rk = fileio.load_recovered_key(args.recovered)
         _match_public_key("recovered key", rk.grs, pk)
-        c = fileio.load_vector(args.ct, pk.n, pk.field)
-        cands = scheme.pair_candidates(rk, pk, c)
-        n, k, f, t = pk.n, pk.k, pk.field, pk.t
+        cands = scheme.pair_candidates(rk, pk, fileio.load_vector(args.ct, pk.n, pk.field))
     else:
         if not args.key:
             print("decrypt: need --key (or --recovered with --pub)", file=sys.stderr)
             return EXIT_USAGE
-        _, sk = fileio.load_secret_key(args.key)
-        c = fileio.load_vector(args.ct, sk.n, sk.field)
-        cands = scheme.decrypt_candidates(sk, c)
-        n, k, f, t = sk.n, sk.k, sk.field, sk.t
-    msg = scheme.canonical_choice(cands, t)
+        pk, sk = fileio.load_secret_key(args.key)
+        cands = scheme.decrypt_candidates(sk, fileio.load_vector(args.ct, pk.n, pk.field))
+    msg = scheme.canonical_choice(cands, pk.t)
     if len(cands) > 1:
-        print(f"decrypt: note: {len(cands)} plaintexts lie within distance t={t} of the "
+        print(f"decrypt: note: {len(cands)} plaintexts lie within distance t={pk.t} of the "
               "ciphertext; writing the canonical choice", file=sys.stderr)
     if args.out:
-        fileio.save_vector(args.out, f, n, k, msg)
+        fileio.save_vector(args.out, pk.field, pk.n, pk.k, msg)
     else:
-        sys.stdout.write(fileio.dumps(f, n, k, {"vec": msg.reshape(1, -1)}))
+        sys.stdout.write(fileio.dumps(pk.field, pk.n, pk.k, {"vec": msg.reshape(1, -1)}))
     return EXIT_OK
 
 
@@ -151,6 +147,8 @@ def cmd_attack(args) -> int:
     if args.verify_sec:
         _, sk = fileio.load_secret_key(args.verify_sec)
         _match_public_key("secret key", sk, pk)
+        if not np.array_equal(sk.g_pub, pk.g_pub):
+            raise FileFormatError("secret key is of another key pair: its public generator differs")
     cfg = attack_mod.AttackConfig(max_outer_trials=args.trials, seed=args.seed)
     try:
         rk, st = attack_mod.recover_key(pk, cfg)

@@ -38,6 +38,7 @@ The reconstruction routines:
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -76,14 +77,16 @@ class GrsParams:
     k: int
 
     def __post_init__(self):
-        x, y = np.asarray(self.x), np.asarray(self.y)
-        n = x.shape[0]
-        if y.shape != (n,):
-            raise InvalidParams("x and y must have the same length")
+        x, y, k = np.asarray(self.x), np.asarray(self.y), operator.index(self.k)
+        if x.ndim != 1 or y.shape != x.shape:
+            raise InvalidParams(f"x and y must be vectors of the same length, got shapes {x.shape} "
+                                f"and {y.shape}")
+        n = len(x)
         if n > self.field.q:
             raise InvalidParams(f"length {n} exceeds field size {self.field.q}")
-        if not (1 <= self.k < n):
-            raise InvalidParams(f"need 1 <= k < n, got k={self.k}, n={n}")
+        if not (1 <= k < n):
+            raise InvalidParams(f"need 1 <= k < n, got k={k}, n={n}")
+        object.__setattr__(self, "k", k)
         x = linalg.frozen(self.field.as_elements(x, "evaluation points"))
         y = linalg.frozen(self.field.as_elements(y, "column multipliers"))
         object.__setattr__(self, "x", x)

@@ -19,15 +19,16 @@ p + e, which the GRS decoder in C corrects; one k x k matrix maps messages to
 plaintexts, S for the secret key, and for a ``RecoveredKey`` the T with
 phi(G_C) = T G_pub, phi the pair's masking map, read off one rref of
 [G_pub^T | phi(G_C)^T] (``pair_candidates`` refuses a pair whose phi does
-not carry C onto C_pub).  What a decryption needs of its key (C, the
-direction and its syndromes, the plaintext map and the map from messages of
-C to public codewords) lives on a ``Decryptor``, built on the key's first
-decryption and dropped with the key: a ``SecretKey`` holds its own, and a
-``RecoveredKey`` one per public key.
+not carry C onto C_pub).  A key's ``Decryptor``, built on its first
+decryption from C, the direction and the maps from messages of C to
+plaintexts and to public codewords, and from nothing of the key's type,
+goes with the key: a ``SecretKey`` holds its own, a ``RecoveredKey`` one
+per public key.
 """
 
 from __future__ import annotations
 
+import operator
 import weakref
 from dataclasses import dataclass
 from functools import cached_property
@@ -60,6 +61,8 @@ class PublicKey:
     g_pub: np.ndarray  # k x n, rank k
 
     def __post_init__(self):
+        for name in ("n", "k"):  # a float raises TypeError, as in GF
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
         # A read-only copy: the pair route keeps a map built from it.
         g_pub = self.field.as_elements(self.g_pub, "public generator")
         if g_pub.shape != (self.k, self.n) or not 1 <= self.k < self.n <= self.field.q:
@@ -105,9 +108,10 @@ class SecretKey:
     def decryptor(self) -> Decryptor:
         """The key's decryptor, built on its first decryption (not by
         keygen or the key-file reader) and dropped with the key: C, the
-        direction a, and S as the plaintext map, which sends C's message
-        m S^-1 back to the plaintext m."""
-        return Decryptor(self, self.masked, self.a, self.s_mat)
+        direction a, S as the plaintext map, which sends C's message m S^-1
+        back to the plaintext m, and S G_pub as the public map."""
+        return Decryptor(self.masked, self.a, self.s_mat,
+                         linalg.matmul(self.field, self.s_mat, self.g_pub))
 
 
 @dataclass(eq=False, frozen=True)
@@ -282,26 +286,23 @@ def canonical_choice(candidates: list[tuple[int, np.ndarray]], t: int) -> np.nda
 
 
 class Decryptor:
-    """What decryption under one key needs of the key: the code C the
-    shifted words are decoded in, the sweep's direction d and its n-k
-    syndromes, and two ``linalg.Fixed`` maps from messages of C,
-    ``to_plain`` (k x k) to plaintexts and ``to_public`` (to_plain G_pub)
-    to public codewords.  Its arrays are read-only, and it holds no
-    reference to the key it was built from.  A ``SecretKey`` builds its
-    own on its first decryption, the pair route one per recovered key and
-    public key on their first (``pair_candidates``), and each goes with its
-    key.
-    """
+    """What decryption under one key needs of the key, built from C, d,
+    ``to_plain`` and ``to_public`` and nothing of the key's type: the code
+    C the shifted words are decoded in, the sweep's direction d and its n-k
+    syndromes, and two ``linalg.Fixed`` maps from messages of C, to_plain
+    (k x k) to plaintexts and to_public (to_plain G_pub) to public
+    codewords.  Its arrays are read-only.  A ``SecretKey`` builds its own on
+    its first decryption (S and S G_pub), the pair route one per recovered
+    key and public key on their first (T and phi(G_C); ``pair_candidates``),
+    and each goes with its key."""
 
-    def __init__(self, key: PublicKey | SecretKey, code: grs.GrsParams, direction: np.ndarray,
-                 to_plain: np.ndarray):
-        f = key.field
+    def __init__(self, code: grs.GrsParams, direction: np.ndarray, to_plain: np.ndarray,
+                 to_public: np.ndarray):
+        f = code.field
         self.code = code
         self.direction = linalg.frozen(direction)
-        self.syndromes = linalg.frozen(code._syndromes.product(self.direction[None])[0])
-        self.to_plain = linalg.Fixed(f, to_plain)
-        self.to_public = linalg.Fixed(f, linalg.matmul(f, to_plain, key.g_pub))
-        self.n, self.t = key.n, key.t
+        self.syndromes = linalg.frozen(linalg.matmul(f, self.direction, code.parity_checks_t))
+        self.to_plain, self.to_public = linalg.Fixed(f, to_plain), linalg.Fixed(f, to_public)
 
     def candidates(self, c: np.ndarray) -> list[tuple[int, np.ndarray]]:
         """The shift sweep shared by both decryptors.
@@ -318,11 +319,11 @@ class Decryptor:
         """
         f = self.code.field
         c = f.as_elements(c, "ciphertext")
-        if c.shape != (self.n,):
-            raise DimensionMismatch(f"ciphertext length must be n={self.n}")
+        if c.shape != (self.code.n,):
+            raise DimensionMismatch(f"ciphertext length must be n={self.code.n}")
         msgs = grs.decode_line(self.code, c, self.direction, self.syndromes)
         weights = np.count_nonzero(f.sub(c, self.to_public.product(msgs)), axis=1)
-        near = weights <= self.t
+        near = weights <= self.code.t
         plain = self.to_plain.product(msgs[near])
         candidates = {m.tobytes(): (int(w), m) for w, m in zip(weights[near], plain)}
         if not candidates:
@@ -343,13 +344,13 @@ def decrypt(sk: SecretKey, c: np.ndarray) -> np.ndarray:
 
 
 def _pair_decryptor(rk: RecoveredKey, pub: PublicKey) -> Decryptor:
-    """The decryptor of the pair under pub (C, a0 and T; see the module
-    docstring).  A pair is refused unless C and the pair have pub's field
-    and length and C its dimension, and T is invertible, so that phi
-    carries C onto C_pub.  Kept on rk, weakly keyed by pub (hashed by
-    identity) and holding no reference to it, so it goes with either key; a
-    refused pair raises and keeps nothing, so it is refused again on every
-    call."""
+    """The decryptor of the pair under pub: C, a0, T and phi(G_C), which
+    equals T G_pub as the rref that gives T shows (see the module docstring).
+    A pair is refused unless C and the pair have pub's field and length and
+    C its dimension, and T is invertible, so that phi carries C onto C_pub.
+    Kept on rk, weakly keyed by pub (hashed by identity) and holding no
+    reference to it, so it goes with either key; a refused pair raises and
+    keeps nothing, so it is refused again on every call."""
     dec = rk._pair_maps.get(pub)
     if dec is None:
         f, n, k, c = pub.field, pub.n, pub.k, rk.grs
@@ -361,7 +362,7 @@ def _pair_decryptor(rk: RecoveredKey, pub: PublicKey) -> Decryptor:
             raise DecryptionFailure("the masking pair does not carry the recovered code into C_pub")
         if linalg.rank(f, r[:, k:]) != k:
             raise DecryptionFailure("the masking pair does not carry the recovered code onto C_pub")
-        dec = rk._pair_maps[pub] = Decryptor(pub, c, rk.a0, r[:, k:].T)
+        dec = rk._pair_maps[pub] = Decryptor(c, rk.a0, r[:, k:].T, images)
     return dec
 
 

@@ -29,20 +29,22 @@ def test_tree_against_itself(tmp_path):
 
 
 def test_small_point_against_itself(tmp_path):
-    """One round of one ciphertext at the past-cap scale point GF(32)
-    (31, 13): one JSON line naming the point, with both trees' median times
-    for recover_secret_grs and both decryptions, p10s and p90s included."""
-    done = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "ab.py"), str(ROOT), str(ROOT),
-         "--point", "gf32-31-13", "--rounds", "1", "--cts", "1"],
-        cwd=tmp_path, capture_output=True, text=True, timeout=300,
-    )
-    assert done.returncode == 0, done.stderr
-    result = json.loads(done.stdout.splitlines()[-1])
-    assert result["point"] == "gf32-31-13" and "workload" not in result
-    assert (result["rounds"], result["cts"]) == (1, 1)
-    assert set(result["metrics"]) == {"recover_secret_grs_s", "decrypt_ms", "decrypt_ms.p10",
-                                      "decrypt_ms.p90", "decrypt_with_pair_ms",
-                                      "decrypt_with_pair_ms.p10", "decrypt_with_pair_ms.p90"}
-    for m in result["metrics"].values():
-        assert m["a_median"] > 0 and m["b_median"] > 0
+    """One round of one ciphertext at each of the past-cap scale points
+    GF(32) (31, 13) and (31, 12), the second with odd n-k: one JSON line
+    naming the point, with both trees' median times for recover_secret_grs
+    and both decryptions, p10s and p90s included."""
+    for point in ("gf32-31-13", "gf32-31-12"):
+        done = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "ab.py"), str(ROOT), str(ROOT),
+             "--point", point, "--rounds", "1", "--cts", "1"],
+            cwd=tmp_path, capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        result = json.loads(done.stdout.splitlines()[-1])
+        assert result["point"] == point and "workload" not in result
+        assert (result["rounds"], result["cts"]) == (1, 1)
+        assert set(result["metrics"]) == {"recover_secret_grs_s", "decrypt_ms", "decrypt_ms.p10",
+                                          "decrypt_ms.p90", "decrypt_with_pair_ms",
+                                          "decrypt_with_pair_ms.p10", "decrypt_with_pair_ms.p90"}
+        for m in result["metrics"].values():
+            assert m["a_median"] > 0 and m["b_median"] > 0

@@ -591,6 +591,26 @@ class TestCliWorkflows:
                      "--verify-sec", str(other), "--verify-count", "3"]) == 1
         assert "error: secret key" in capsys.readouterr().err
 
+    def test_attack_verify_key_of_another_key_pair(self, tmp_path, capsys, monkeypatch):
+        """A --verify-sec key of the same field and shape but another key
+        pair used to be accepted: the attack recovered the public key's pair
+        and verify blamed it, 0/5 correct, exit 2.  It exits 1 with an error
+        line, before the attack runs."""
+        for seed in ("1", "2"):
+            main(["keygen", *FIELD_ARGS, "--n", "15", "--k", "6", "--seed", seed,
+                  "--out-pub", str(tmp_path / f"{seed}.pub"), "--out-sec", str(tmp_path / f"{seed}.sec")])
+        capsys.readouterr()
+
+        def refuse(*_):
+            raise AssertionError("the attack ran")
+
+        monkeypatch.setattr(atk, "recover_key", refuse)
+        assert main(["attack", "--pub", str(tmp_path / "1.pub"), "--out", str(tmp_path / "rk"),
+                     "--verify-sec", str(tmp_path / "2.sec"), "--verify-count", "5",
+                     "--seed", "3"]) == 1
+        assert "error: secret key" in capsys.readouterr().err
+        assert not (tmp_path / "rk").exists()
+
     def test_attack_dead_interval_exit_3(self, tmp_path):
         main(
             ["keygen", *FIELD_ARGS, "--n", "15", "--k", "7", "--seed", "2",

@@ -33,6 +33,25 @@ class TestParams:
         with pytest.raises(InvalidParams, match="same length"):
             GrsParams(gf5, np.arange(4), np.ones(3, dtype=np.int64), 2)
 
+    @pytest.mark.parametrize("x,k", [(np.arange(15)[:, None], 1), (np.arange(15)[:, None], 6),
+                                     (np.array(3), 6)], ids=["column-k1", "column-k6", "scalar"])
+    def test_points_must_be_a_vector(self, gf16, x, k):
+        """A column of points used to be accepted, with a 15 x 15 generator
+        at k = 1 and a bare numpy ValueError at k = 6, and a single point
+        raised a bare IndexError."""
+        with pytest.raises(InvalidParams, match="same length"):
+            GrsParams(gf16, x, np.ones(15, dtype=np.int64), k)
+
+    def test_dimension_must_be_an_integer(self, gf16):
+        """k = 6.0 used to be accepted, and the generator then raised a bare
+        IndexError; it raises TypeError, as GF does, and a numpy integer is
+        kept as an int."""
+        x, y = np.arange(15), np.ones(15, dtype=np.int64)
+        with pytest.raises(TypeError):
+            GrsParams(gf16, x, y, 6.0)
+        p = GrsParams(gf16, x, y, np.int64(6))
+        assert type(p.k) is int and p.generator.shape == (6, 15)
+
     @pytest.mark.parametrize("kind", ["float", "out-of-range"])
     def test_entries_must_be_field_elements(self, gf16, kind):
         """A float point or multiplier used to be truncated, and a point 40

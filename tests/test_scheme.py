@@ -158,6 +158,19 @@ class TestKeygen:
         with pytest.raises(InvalidDimensions, match="public generator"):
             scheme.PublicKey(f, n, k, g)
 
+    def test_public_key_dimensions_must_be_integers(self, keypair16, tmp_path):
+        """Float dimensions used to be accepted: the key file's header then
+        read n=15.0 k=6.0, which the reader refused, and encryption raised a
+        bare TypeError.  They raise TypeError, as GF does; integers of numpy
+        types are kept as ints."""
+        f, pk, sk = keypair16
+        with pytest.raises(TypeError):
+            scheme.PublicKey(f, 15.0, 6.0, pk.g_pub)
+        kept = scheme.PublicKey(f, np.int64(15), np.int32(6), pk.g_pub)
+        assert (type(kept.n), type(kept.k)) == (int, int)
+        fileio.save_public_key(tmp_path / "pub", kept)
+        assert (fileio.load_public_key(tmp_path / "pub").n, kept.t) == (15, 4)
+
     @pytest.mark.parametrize("kind", ["float", "out-of-range"])
     @pytest.mark.parametrize("part", ["a0", "lam0"])
     def test_recovered_key_entries_must_be_field_elements(self, keypair16, part, kind):
@@ -433,6 +446,10 @@ class TestDecrypt:
                 (lambda: scheme.decrypt_candidates(sk, c), sk.decryptor),
                 (lambda: attack.pair_candidates(rk, pk, c), scheme._pair_decryptor(rk, pk)),
             ):
+                assert np.array_equal(dec.to_public.matrix,
+                                      la.matmul(f, dec.to_plain.matrix, pk.g_pub))
+                assert np.array_equal(dec.syndromes,
+                                      la.matmul(f, dec.direction, dec.code.parity_checks_t))
                 want = q_word_candidates(pk, c, dec.code, dec.direction, dec.to_plain.matrix)
                 if not want:
                     with pytest.raises(DecryptionFailure):
