@@ -28,7 +28,10 @@ A scale point (``POINTS``) is a field, n and k past the benchmark's
 q <= 25: the paper's GF(256) (255, 100) and (255, 195), modulus 285;
 GF(32) (31, 13) and (31, 12), modulus 37, past the decoder's minors cap,
 the second with odd n-k; and GF(4096) (200, 99), modulus 4179, about 3 s
-per decryption, with one ciphertext per round.  Each tree
+per decryption, with one ciphertext per round.  A claim at GF(4096) needs
+4 rounds or more: at 2 rounds, two trees whose timed steps differed by one
+``operator.index`` call read ratios from 0.81 to 1.25, and at 4 rounds
+1.01-1.02 (2-core shared machine).  Each tree
 builds the point's key at keygen seed 0, the recovered key of its true
 masking pair, and the true shared subcode of the code ``recover_key``
 attacks (the dual at high rate), from the secret key.  A round times

@@ -70,15 +70,6 @@ def _diagnose(n: int, k: int) -> str:
     return f"branch: {branch.value}"
 
 
-def _match_public_key(name: str, key, pk: scheme.PublicKey) -> None:
-    """Refuse a key over another field, length or dimension than pk."""
-    if key.field is not pk.field or (key.n, key.k) != (pk.n, pk.k):
-        raise FileFormatError(
-            f"{name} (n={key.n} k={key.k} over {key.field!r}) does not match "
-            f"the public key (n={pk.n} k={pk.k} over {pk.field!r})"
-        )
-
-
 def cmd_keygen(args) -> int:
     f = _field(args)
     rng = np.random.default_rng(args.seed)
@@ -109,7 +100,10 @@ def cmd_decrypt(args) -> int:
             return EXIT_USAGE
         pk = fileio.load_public_key(args.pub)
         rk = fileio.load_recovered_key(args.recovered)
-        _match_public_key("recovered key", rk.grs, pk)
+        c = rk.grs
+        if c.field is not pk.field or (c.n, c.k) != (pk.n, pk.k):
+            raise FileFormatError(f"recovered key (n={c.n} k={c.k} over {c.field!r}) does not match "
+                                  f"the public key (n={pk.n} k={pk.k} over {pk.field!r})")
         cands = scheme.pair_candidates(rk, pk, fileio.load_vector(args.ct, pk.n, pk.field))
     else:
         if not args.key:
@@ -146,9 +140,9 @@ def cmd_attack(args) -> int:
     pk = fileio.load_public_key(args.pub)
     if args.verify_sec:
         _, sk = fileio.load_secret_key(args.verify_sec)
-        _match_public_key("secret key", sk, pk)
-        if not np.array_equal(sk.g_pub, pk.g_pub):
-            raise FileFormatError("secret key is of another key pair: its public generator differs")
+        if sk.field is not pk.field or not np.array_equal(sk.g_pub, pk.g_pub):
+            raise FileFormatError(f"secret key (n={sk.n} k={sk.k} over {sk.field!r}) is not of "
+                                  "this public key's pair: its field or public generator differs")
     cfg = attack_mod.AttackConfig(max_outer_trials=args.trials, seed=args.seed)
     try:
         rk, st = attack_mod.recover_key(pk, cfg)

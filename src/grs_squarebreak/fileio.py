@@ -23,7 +23,7 @@ import numpy as np
 
 from . import linalg, scheme
 from .gf import GF
-from .grs import GrsParams, InvalidParams
+from .grs import GrsParams, InvalidParams, dimension_error
 
 MAGIC = "grs-squarebreak v1"
 
@@ -120,7 +120,7 @@ def loads(text: str) -> ParsedFile:
         except (OverflowError, ValueError) as e:
             _refuse_non_integer(name, tokens)  # a non-integer token is named first
             raise FileFormatError(f"section @{name} has an entry or shape out of range") from e
-        if name != "perm" and (np.any(data < 0) or np.any(data >= f.q)):
+        if np.any(data < 0) or np.any(data >= f.q):
             raise FileFormatError(f"section @{name} has entries outside [0, {f.q})")
         sections[name] = data
     return ParsedFile(f, n, k, sections)
@@ -151,10 +151,9 @@ def _section(pf: ParsedFile, name: str, shape: tuple[int, int]) -> np.ndarray:
 def _key_file(path) -> ParsedFile:
     """A parsed key file whose header dimensions a key can have."""
     pf = read_file(path)
-    if not 1 <= pf.k < pf.n <= pf.field.q:
-        raise FileFormatError(
-            f"key dimensions n={pf.n} k={pf.k} need 1 <= k < n <= q={pf.field.q}"
-        )
+    why = dimension_error(pf.field, pf.n, pf.k)
+    if why:
+        raise FileFormatError(f"key {why}")
     return pf
 
 

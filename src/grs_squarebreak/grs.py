@@ -82,10 +82,9 @@ class GrsParams:
             raise InvalidParams(f"x and y must be vectors of the same length, got shapes {x.shape} "
                                 f"and {y.shape}")
         n = len(x)
-        if n > self.field.q:
-            raise InvalidParams(f"length {n} exceeds field size {self.field.q}")
-        if not (1 <= k < n):
-            raise InvalidParams(f"need 1 <= k < n, got k={k}, n={n}")
+        why = dimension_error(self.field, n, k)
+        if why:
+            raise InvalidParams(why)
         object.__setattr__(self, "k", k)
         x = linalg.frozen(self.field.as_elements(x, "evaluation points"))
         y = linalg.frozen(self.field.as_elements(y, "column multipliers"))
@@ -109,10 +108,10 @@ class GrsParams:
     # generation and the attack only the generator and the parity checks).
     # Like x and y they are read-only, so no caller can make them disagree
     # with the code.  The matrices the decoder multiplies by are
-    # ``linalg.Fixed``: each builds its table of multiples on its first
-    # product, so key generation, key files and the attack's many
-    # short-lived codes never pay for one.  The locator rows are the one
-    # table the decoder evaluates polynomials at the points by.
+    # ``linalg.Fixed``: each builds its table of multiples when it is made,
+    # on the first decode, so key generation, key files and the attack's
+    # many short-lived codes never pay for one.  The locator rows are the
+    # one table the decoder evaluates polynomials at the points by.
 
     @cached_property
     def generator(self) -> np.ndarray:
@@ -173,6 +172,12 @@ class GrsParams:
 
     def __repr__(self):
         return f"GrsParams(n={self.n}, k={self.k}, field={self.field!r})"
+
+
+def dimension_error(f: GF, n: int, k: int) -> str | None:
+    """Why no GRS code, and so no key, has length n and dimension k over f
+    (the rule 1 <= k < n <= q), or None when one can."""
+    return None if 1 <= k < n <= f.q else f"dimensions n={n} k={k} need 1 <= k < n <= q={f.q}"
 
 
 def random_params(f: GF, n: int, k: int, rng: np.random.Generator) -> GrsParams:
@@ -408,7 +413,7 @@ def recover_multipliers(x: np.ndarray, k: int, sub: LinearCode) -> np.ndarray | 
     f = sub.field
     x = np.asarray(x, dtype=np.int64)
     n = x.shape[0]
-    if sub.n != n or not (1 <= k < n) or sub.k > k or np.unique(x).size != n:
+    if sub.n != n or dimension_error(f, n, k) or sub.k > k or np.unique(x).size != n:
         raise InvalidParams("points, subcode and dimension are inconsistent")
     c = sub if sub.k == k else code_from_generator(f, np.vstack([sub.gen, f.mul(sub.gen, x)]))
     piv = np.asarray(c.pivots)
@@ -478,7 +483,7 @@ def ss_recover(c: LinearCode) -> GrsParams:
     x[info_1]=1.
     """
     f, n, k = c.field, c.n, c.k
-    if n > f.q or k >= n:
+    if dimension_error(f, n, k):
         raise NotGrs(f"no GRS code with k={k}, n={n} over {f!r}")
     for x in [f.elements()[:n]] if k in (1, n - 1) else _cross_ratio_points(c):
         y = recover_multipliers(x, k, c)

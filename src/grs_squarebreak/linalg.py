@@ -18,8 +18,8 @@ right operand; the right operand is one vector or one matrix, and a stack
 there is refused.  Its memory bound: output rows go in blocks of at most
 2^22 products, or one row.  A matrix that many products share, as the
 decoder's key tables or the attack's [I | A] generator, is a ``Fixed``:
-its first product builds the table of the multiples of its rows, when that
-has at most 2^20 entries, and every product then reads each term off it.
+made on its owner's first product, it builds the table of its rows'
+multiples, when that has at most 2^20 entries, off which products read.
 """
 
 from __future__ import annotations
@@ -150,29 +150,25 @@ def matmul(f: GF, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 class Fixed:
     """A read-only matrix b that many products share: ``product(a)`` is
-    ``matmul(f, a, b)`` for a 2-D a.  The first product builds the table of
-    the multiples of b's rows, row m q + x holding x * b[m], unless it
-    would have more than 2^20 entries (then every product is ``matmul``),
-    and with it the read-only column ``_offsets`` of the first rows m q of
-    the terms m < len(b).  Off the table, a product takes one row gather
-    per entry of a, at the entries plus the offsets, instead of one lookup
-    per product.  The gather is term-major, (inner, rows, cols), so the sum
+    ``matmul(f, a, b)`` for a 2-D a.  Making one builds the table of the
+    multiples of b's rows, row m q + x holding x * b[m], unless it would
+    have more than 2^20 entries (then the table is None and every product
+    is ``matmul``), and with it the read-only column ``_offsets`` of the
+    first rows m q of the terms m < len(b); so its owner makes it on its
+    first product.  Off the table, a product takes one row gather per entry
+    of a, at the entries plus the offsets, instead of one lookup per
+    product.  The gather is term-major, (inner, rows, cols), so the sum
     adds whole contiguous (rows, cols) slabs; it is one block, whose rows
     the caller bounds (the decoder by its sweep blocks)."""
 
     def __init__(self, f: GF, b: np.ndarray):
         self.field = f
-        self.matrix = frozen(as_matrix(b))
-
-    @functools.cached_property
-    def _table(self) -> np.ndarray | None:
-        f, b = self.field, self.matrix
-        if f.q * b.size > 1 << 20:
-            return None
-        table = f.mul(b[:, None, :], f.elements()[:, None]).reshape(len(b) * f.q, b.shape[1])
-        table.flags.writeable = False
-        self._offsets = frozen((np.arange(len(b)) * f.q)[:, None])
-        return table
+        self.matrix = b = frozen(as_matrix(b))
+        self._table = self._offsets = None
+        if f.q * b.size <= 1 << 20:
+            table = f.mul(b[:, None, :], f.elements()[:, None]).reshape(len(b) * f.q, b.shape[1])
+            table.flags.writeable = False
+            self._table, self._offsets = table, frozen((np.arange(len(b)) * f.q)[:, None])
 
     def product(self, a: np.ndarray) -> np.ndarray:
         f, table = self.field, self._table
@@ -185,22 +181,17 @@ class Fixed:
 
 
 def inverse(f: GF, a: np.ndarray) -> np.ndarray:
+    """The inverse of a square matrix a, from one RREF of [a | I], which
+    pivots on exactly the first n columns when a has rank n; raises
+    SingularMatrix otherwise."""
     a = as_matrix(a)
-    if a.shape[1] != a.shape[0]:
-        raise DimensionMismatch("inverse needs a square matrix")
-    inv = _inverse_or_none(f, a)
-    if inv is None:
-        raise SingularMatrix("matrix is not invertible")
-    return inv
-
-
-def _inverse_or_none(f: GF, a: np.ndarray) -> np.ndarray | None:
-    """The inverse of a square matrix a, or None when a is singular: one
-    RREF of [a | I], which pivots on exactly the first n columns when a has
-    rank n."""
     n = a.shape[0]
+    if a.shape[1] != n:
+        raise DimensionMismatch("inverse needs a square matrix")
     r, pivots = rref(f, np.hstack([a, np.eye(n, dtype=np.int64)]))
-    return r[:, n:] if pivots == list(range(n)) else None
+    if pivots != list(range(n)):
+        raise SingularMatrix("matrix is not invertible")
+    return r[:, n:]
 
 
 def batched_rref(f: GF, mats: np.ndarray, ncols: int | None = None) -> np.ndarray:
@@ -348,7 +339,8 @@ def random_invertible_pair(f: GF, k: int, rng: np.random.Generator):
         raise DimensionMismatch("k must be >= 1")
     for _ in range(1000):
         m = random_matrix(f, k, k, rng)
-        inv = _inverse_or_none(f, m)
-        if inv is not None:
-            return m, inv
+        try:
+            return m, inverse(f, m)
+        except SingularMatrix:
+            pass
     raise RuntimeError("rejection sampling failed to find an invertible matrix")

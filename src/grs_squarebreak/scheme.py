@@ -65,9 +65,10 @@ class PublicKey:
             object.__setattr__(self, name, operator.index(getattr(self, name)))
         # A read-only copy: the pair route keeps a map built from it.
         g_pub = self.field.as_elements(self.g_pub, "public generator")
-        if g_pub.shape != (self.k, self.n) or not 1 <= self.k < self.n <= self.field.q:
-            raise InvalidDimensions(f"public generator of shape {g_pub.shape} for n={self.n} k={self.k}: "
-                                    f"need shape (k, n) and 1 <= k < n <= q={self.field.q}")
+        why = grs.dimension_error(self.field, self.n, self.k)
+        if why or g_pub.shape != (self.k, self.n):
+            raise InvalidDimensions(f"public generator of shape {g_pub.shape} for n={self.n} "
+                                    f"k={self.k}: {why or 'need shape (k, n)'}")
         object.__setattr__(self, "g_pub", linalg.frozen(g_pub))
 
     @property
@@ -85,8 +86,13 @@ class SecretKey:
     beta: np.ndarray
     a: np.ndarray  # beta permuted so that R Pi^-1 = alpha^T a
     lam: np.ndarray  # -alpha / (1 + <a, alpha>)
-    g_pub: np.ndarray
+    g_pub: np.ndarray  # the PublicKey's read-only generator
     masked: grs.GrsParams  # C = C_sec Pi^-1, the code decryption decodes in
+
+    def __post_init__(self):
+        # Read-only copies, as every key keeps: its decryptor reads S and a.
+        for name in ("s_mat", "perm", "alpha", "beta", "a", "lam"):
+            object.__setattr__(self, name, linalg.frozen(getattr(self, name)))
 
     @property
     def field(self) -> GF:
@@ -126,10 +132,19 @@ class RecoveredKey:
         # Read-only copies: pair_candidates keeps a decryptor built from
         # them, per public key, for as long as both the key and this pair
         # are alive.
-        f = self.grs.field
-        object.__setattr__(self, "a0", linalg.frozen(f.as_elements(self.a0, "a0")))
-        object.__setattr__(self, "lam0", linalg.frozen(f.as_elements(self.lam0, "lam0")))
+        for name in ("a0", "lam0"):
+            v = _mask_vector(self.grs.field, getattr(self, name), name, self.grs.n)
+            object.__setattr__(self, name, linalg.frozen(v))
         object.__setattr__(self, "_pair_maps", weakref.WeakKeyDictionary())
+
+
+def _mask_vector(f: GF, v, name: str, n: int) -> np.ndarray:
+    """A mask vector (alpha, beta, a0, lam0) as n field elements: FieldError
+    unless it holds them, InvalidDimensions unless it has length n."""
+    v = f.as_elements(v, name)
+    if v.shape != (n,):
+        raise InvalidDimensions(f"{name} must have length n={n}, got shape {v.shape}")
+    return v
 
 
 def masked_params(sk: SecretKey) -> grs.GrsParams:
@@ -166,10 +181,7 @@ def build_keypair(
     perm = np.asarray(perm)
     if perm.dtype.kind not in "iu" or not np.array_equal(np.sort(perm), np.arange(n)):
         raise InvalidDimensions(f"perm must be an integer permutation of 0..{n - 1}")
-    alpha, beta = f.as_elements(alpha, "alpha"), f.as_elements(beta, "beta")
-    for name, v in (("alpha", alpha), ("beta", beta)):
-        if v.shape != (n,):
-            raise InvalidDimensions(f"{name} must have length n={n}, got shape {v.shape}")
+    alpha, beta = _mask_vector(f, alpha, "alpha", n), _mask_vector(f, beta, "beta", n)
     perm = perm.astype(np.int64)
     masked = grs.GrsParams(f, params.x[perm], params.y[perm], k)
     return _assemble(params, masked, perm, s_mat, linalg.inverse(f, s_mat), alpha, beta)
@@ -187,7 +199,7 @@ def _assemble(params: grs.GrsParams, masked: grs.GrsParams, perm, s_mat, s_inv, 
     # Q^-1 = Pi^-1 (I + lam^T a), so G_sec Q^-1 = mask(G_C, a, lam).
     g_pub = linalg.matmul(f, s_inv, mask(f, masked.generator, a, lam))
     pk = PublicKey(f, params.n, params.k, g_pub)
-    sk = SecretKey(params, s_mat, perm, alpha, beta, a, lam, g_pub, masked)
+    sk = SecretKey(params, s_mat, perm, alpha, beta, a, lam, pk.g_pub, masked)
     return pk, sk
 
 
@@ -205,10 +217,9 @@ def keygen(f: GF, n: int, k: int, rng: np.random.Generator) -> tuple[PublicKey, 
     S and S^-1 come from one elimination per draw of S, and C, its generator
     and its parity checks are built once, before the first mask draw.
     """
-    if not (1 <= k < n):
-        raise InvalidDimensions(f"need 1 <= k < n, got k={k}, n={n}")
-    if n > f.q:
-        raise InvalidDimensions(f"need n <= q, got n={n}, q={f.q}")
+    why = grs.dimension_error(f, n, k)
+    if why:
+        raise InvalidDimensions(why)
     params = grs.random_params(f, n, k, rng)
     s_mat, s_inv = linalg.random_invertible_pair(f, k, rng)
     perm = rng.permutation(n).astype(np.int64)
@@ -346,15 +357,15 @@ def decrypt(sk: SecretKey, c: np.ndarray) -> np.ndarray:
 def _pair_decryptor(rk: RecoveredKey, pub: PublicKey) -> Decryptor:
     """The decryptor of the pair under pub: C, a0, T and phi(G_C), which
     equals T G_pub as the rref that gives T shows (see the module docstring).
-    A pair is refused unless C and the pair have pub's field and length and
-    C its dimension, and T is invertible, so that phi carries C onto C_pub.
+    A pair is refused unless C has pub's field, length and dimension (the
+    pair has C's length) and T is invertible, so phi carries C onto C_pub.
     Kept on rk, weakly keyed by pub (hashed by identity) and holding no
     reference to it, so it goes with either key; a refused pair raises and
     keeps nothing, so it is refused again on every call."""
     dec = rk._pair_maps.get(pub)
     if dec is None:
         f, n, k, c = pub.field, pub.n, pub.k, rk.grs
-        if c.field is not f or (c.n, c.k, rk.a0.shape, rk.lam0.shape) != (n, k, (n,), (n,)):
+        if c.field is not f or (c.n, c.k) != (n, k):
             raise DecryptionFailure("the recovered code has another field, length or dimension")
         images = mask(f, c.generator, rk.a0, rk.lam0)
         r, pivots = linalg.rref(f, np.hstack([pub.g_pub.T, images.T]))

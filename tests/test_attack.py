@@ -915,20 +915,28 @@ class TestDecryptWithPair:
         ids=["GF17-16-6", "GF17-17-9", "GF13-12-4", "GF9-8-3", "GF7-7-2",
              "GF729-16-6", "GF961-20-8", "GF1031-16-6", "GF1031-24-6-past-cap", "GF2187-12-6"],
     )
-    def test_odd_characteristic_routes_agree(self, field, n, k):
+    def test_odd_characteristic_routes_agree(self, field, n, k, tmp_path):
         """Over odd-characteristic fields, prime and extension, both routes
         return one candidate set for every weight-t ciphertext, and it holds
         the sent plaintext at weight t.  Over GF(729) and GF(961) the
         decoder's field sums take chunk rounds.  Above q = 1024: GF(1031)
         adds as integers mod p, with t = 5 within the minors' cap and t = 9
         past it, where every shift takes the elimination; GF(3^7) adds by
-        Zech logarithms and sums by a tree of pairwise adds."""
+        Zech logarithms and sums by a tree of pairwise adds.  Each key goes
+        through its public, secret and recovered key files first, so the
+        reader runs over every such field too."""
         f = GF(*field)
         # Past the cap a decryption eliminates all 1031 shifts, about 27 ms.
         count = 40 if (n - k) // 2 <= grs._MINORS_MAX_T else 12
+        pub, sec, rec = tmp_path / "pub", tmp_path / "sec", tmp_path / "rk"
         for seed in range(3):
             pk, sk = scheme.keygen(f, n, k, np.random.default_rng(seed))
+            fileio.save_public_key(pub, pk)
+            fileio.save_secret_key(sec, sk)
             rk = atk.RecoveredKey(scheme.masked_params(sk), sk.a, sk.lam, None)
+            fileio.save_recovered_key(rec, rk)
+            pk, rk = fileio.load_public_key(pub), fileio.load_recovered_key(rec)
+            sk = fileio.load_secret_key(sec)[1]
             rng = np.random.default_rng(100 + seed)
             for _ in range(count):
                 msg = rng.integers(0, f.q, k)
@@ -938,16 +946,19 @@ class TestDecryptWithPair:
                 assert (pk.t, tuple(msg.tolist())) in secret
 
     def test_key_arrays_are_read_only_copies(self, gf16m):
-        """The arrays the pair route's map is built from cannot change under
-        it: writes into them raise, and writes into the arrays the keys were
-        built from do not reach them."""
+        """The arrays both routes' decryptors are built from cannot change
+        under them: writes into them raise, and writes into the arrays the
+        keys were built from do not reach them.  A secret key shares its
+        public key's generator, after keygen and after ``build_keypair``,
+        whose S stays the caller's own writable array."""
         pk, sk = scheme.keygen(gf16m, 15, 6, np.random.default_rng(52))
         a0, lam0, g_pub = sk.a.copy(), sk.lam.copy(), pk.g_pub.copy()
         rk = atk.RecoveredKey(scheme.masked_params(sk), a0, lam0, None)
         pub = scheme.PublicKey(gf16m, 15, 6, g_pub)
         z = scheme.encrypt(pk, np.arange(6), np.random.default_rng(53))
         expect = atk.decrypt_with_pair(rk, pub, z)
-        for table in (rk.a0, rk.lam0, pub.g_pub):
+        for table in (rk.a0, rk.lam0, pub.g_pub, sk.s_mat, sk.perm, sk.alpha, sk.beta, sk.a,
+                      sk.lam, sk.g_pub):
             with pytest.raises(ValueError):
                 table.flat[0] = 1
         lam0[:] = 0
@@ -956,6 +967,13 @@ class TestDecryptWithPair:
         fresh = atk.RecoveredKey(scheme.masked_params(sk), a0, lam0, None)
         with pytest.raises(DecryptionFailure, match="does not carry the recovered code"):
             atk.pair_candidates(fresh, pk, z)
+        s_mat = sk.s_mat.copy()
+        built_pk, built = scheme.build_keypair(gf16m, sk.grs.x, sk.grs.y, s_mat, sk.perm,
+                                               sk.alpha, sk.beta)
+        assert sk.g_pub is pk.g_pub and built.g_pub is built_pk.g_pub
+        assert s_mat.flags.writeable and built.s_mat is not s_mat
+        s_mat[0, 0] ^= 1
+        assert np.array_equal(scheme.decrypt(built, z), np.arange(6))
 
     def test_second_ciphertext_rebuilds_no_table(self, gf16m, monkeypatch):
         """Once a key has decrypted, later ciphertexts under it build none of

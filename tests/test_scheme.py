@@ -171,21 +171,26 @@ class TestKeygen:
         fileio.save_public_key(tmp_path / "pub", kept)
         assert (fileio.load_public_key(tmp_path / "pub").n, kept.t) == (15, 4)
 
-    @pytest.mark.parametrize("kind", ["float", "out-of-range"])
+    @pytest.mark.parametrize("kind", ["float", "out-of-range", "length"])
     @pytest.mark.parametrize("part", ["a0", "lam0"])
     def test_recovered_key_entries_must_be_field_elements(self, keypair16, part, kind):
         """A masking pair with float entries used to be truncated and then
-        decrypt, and an entry 16 at GF(16) raised a bare IndexError on the
-        first decryption."""
+        decrypt, an entry 16 at GF(16) raised a bare IndexError on the first
+        decryption, and a vector of another length than the code was
+        accepted and refused only on the first decryption."""
         f, pk, sk = keypair16
         pair = {"a0": sk.a, "lam0": sk.lam}
         if kind == "float":
             pair[part] = pair[part] + 0.7
-        else:
+        elif kind == "out-of-range":
             pair[part] = pair[part].copy()
             pair[part][3] = 16
-        refusal = "must hold integers" if kind == "float" else r"has entries outside \[0, 16\)"
-        with pytest.raises(FieldError, match=f"{part} {refusal}"):
+        else:
+            pair[part] = pair[part][:-1]
+        with pytest.raises(FieldError if kind != "length" else InvalidDimensions,
+                           match={"float": f"{part} must hold integers",
+                                  "out-of-range": rf"{part} has entries outside \[0, 16\)",
+                                  "length": f"{part} must have length n=15"}[kind]):
             scheme.RecoveredKey(sk.masked, pair["a0"], pair["lam0"], None)
 
 
