@@ -49,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import grs, linalg, scheme
+from . import grs, linalg
 from .codes import LinearCode, code_from_generator, star_rows
 from .scheme import PublicKey
 from .scheme import RecoveredKey, decrypt_with_pair, pair_candidates  # noqa: F401 (re-exported)
@@ -376,23 +376,6 @@ def recover_valid_pair(
     kernel = linalg.right_kernel(f, np.vstack([inter, d]))
     lam0 = next(row for row in kernel if linalg.matmul(f, row, p1) != 0)
     return f.div(d, linalg.matmul(f, lam0, p1)), lam0, inter
-
-
-def pair_is_valid(pub: LinearCode, c: LinearCode, a0: np.ndarray, lam0: np.ndarray) -> bool:
-    """Check <a0, lam0> != -1 and that the masking map ``scheme.mask``,
-    p -> p + <lam0, p> a0, maps a basis of c into pub with full rank.
-
-    Stricter than the pair route's refusal (``scheme.pair_candidates``),
-    which asks only that the map carry c onto pub: a pair at
-    <a0, lam0> = -1 whose map does so is rejected here and still decrypts
-    there."""
-    f = pub.field
-    if linalg.matmul(f, a0, lam0) == f.neg(1):
-        return False
-    images = scheme.mask(f, c.gen, a0, lam0)
-    if linalg.reduce_row(f, pub.gen, pub.pivots, images).any():
-        return False
-    return linalg.rank(f, images) == c.k
 
 
 def recover_key(

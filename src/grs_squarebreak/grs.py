@@ -9,19 +9,18 @@ floor((n-k)/2) errors (Berlekamp-Welch: an error locator E from a syndrome
 system, the error values e_j = W(x_j) / (z_j E'(x_j)), with E'(x_j) != 0
 in any characteristic as E's roots are distinct, and a syndrome check;
 ``decode_many`` decodes a stack of words in lockstep, each E the least
-degree locator from one elimination, ``decode`` one word, and
-``decode_line`` the decryption sweep's q words c - s d, whose syndromes
-and locator minors it takes along the line in s: E is a multiple of the
-locator from the maximal minors at the shifts 0..t, sampled once before
-the sweep's memory-bounded blocks, or the elimination's where they vanish
-or t is past a cap), the dual-code multiplier formula, and two
-reconstruction routines used by the attack.  A ``GrsParams`` is read-only
-and builds its key-fixed tables (the generator, the dual's generator as
-parity checks, the Hankel index of the locator system, and the matrices
-the decoder multiplies by: the parity checks, the locator power rows,
-through which it evaluates E, W and E' alike, the interpolation matrix
-and the Lagrange matrix of the shift line, each a ``linalg.Fixed``) once,
-on first use; only a decode builds the decoder's matrices.  Its power
+degree locator from one elimination, and ``decode_line`` the decryption
+sweep's q words c - s d, whose syndromes and locator minors it takes along
+the line in s: E is a multiple of the locator from the maximal minors at
+the shifts 0..t, sampled once before the sweep's memory-bounded blocks, or
+the elimination's where they vanish, as all do past a cap), the dual-code
+multiplier formula, and two reconstruction routines used by the attack.
+A ``GrsParams`` is read-only and builds its key-fixed tables (the
+generator, the dual's generator as parity checks, the Hankel index of the
+locator system, and the matrices the decoder multiplies by: the parity
+checks, the locator power rows, through which it evaluates E, W and E'
+alike, the interpolation matrix and the Lagrange matrix of the shift
+line, each a ``linalg.Fixed``) once, on first use; only a decode builds the decoder's matrices.  Its power
 rows and the dual's multipliers are a fixed number of array steps on the
 field's log/antilog tables (``GF.pow``, ``GF.prod``).
 
@@ -104,8 +103,9 @@ class GrsParams:
         """Unique-decoding radius floor((n-k)/2)."""
         return (self.n - self.k) // 2
 
-    # Key-fixed tables, built on first use (a decode reads them all, key
-    # generation and the attack only the generator and the parity checks).
+    # Key-fixed tables, built on first use (a decode reads them all, the
+    # attack only the generator and the parity checks, and key generation,
+    # which compares the public code with C, only the generator).
     # Like x and y they are read-only, so no caller can make them disagree
     # with the code.  The matrices the decoder multiplies by are
     # ``linalg.Fixed``: each builds its table of multiples when it is made,
@@ -244,8 +244,8 @@ def decode_many(p: GrsParams, words: np.ndarray) -> tuple[np.ndarray, np.ndarray
     first decode where they fit linalg's bound.
 
     The words must hold field elements, integers in [0, q): they are not
-    checked here (``decode`` checks its word, and the decryption sweep its
-    ciphertext before ``decode_line``).
+    checked here (the decryption sweep checks its ciphertext before
+    ``decode_line``).
     """
     n, t = p.n, p.t
     r = np.asarray(words, dtype=np.int64)
@@ -269,10 +269,11 @@ def decode_line(p: GrsParams, c: np.ndarray, d: np.ndarray, syn_d: np.ndarray) -
     c with the parity checks and from syn_d, d's n-k syndromes, which the
     caller keeps with d.  They are formed once, block by block, and each
     shift's locator comes from the maximal minors along the line
-    (``_line_minors``, sampled at the shifts 0..t before the sweep), or
-    from the elimination.  The words go through ``_decode`` in blocks of at
-    most 2^20 / ((t+1) n) words (at least one), which bounds the memory
-    whatever q is, and c - s d is formed only at the shifts it accepts.
+    (``_line_minors``, sampled at the shifts 0..t before the sweep), or,
+    where they vanish, from the elimination.  The words go through
+    ``_decode`` in blocks of at most 2^20 / ((t+1) n) words (at least one),
+    which bounds the memory whatever q is, and c - s d is formed only at
+    the shifts it accepts.
     c and d must hold field elements (unchecked, as for ``decode_many``).
     """
     f, k, t = p.field, p.k, p.t
@@ -284,21 +285,19 @@ def decode_line(p: GrsParams, c: np.ndarray, d: np.ndarray, syn_d: np.ndarray) -
     for start in range(0, f.q, block):
         s = shifts[start : start + block]
         syn = f.sub(syn_c, f.mul(s[:, None], syn_d))
-        if minors is None:
-            locator = np.zeros((len(s), t + 1), dtype=np.int64)
-        else:
-            locator = minors[:, start : start + block].T.copy()
+        locator = minors[:, start : start + block].T.copy()
         found.append(_decode(p, syn, locator, lambda i: f.sub(c[:k], f.mul(s[i, None], d[:k])))[1])
     return np.concatenate(found)
 
 
-def _line_minors(p: GrsParams, samples: np.ndarray) -> np.ndarray | None:
+def _line_minors(p: GrsParams, samples: np.ndarray) -> np.ndarray:
     """(t+1) x q matrix whose column s holds the signed maximal minors of
     the first t rows of the Hankel system of the syndromes syn_c - s syn_d,
     which those rows annihilate, from samples, that line's syndromes at
-    the t+1 shifts 0..t; None when t exceeds ``_MINORS_MAX_T``, where the
+    the t+1 shifts 0..t.  When t exceeds ``_MINORS_MAX_T``, where the
     Laplace expansion's (t+1) 2^t products per system cost more than the
-    elimination, which every shift then takes.
+    elimination, the minors are all zero, a read-only broadcast of one
+    zero, and every shift takes the elimination.
 
     When the word at s has an error e of weight t, those rows are V^T D U
     with V the invertible t x t Vandermonde matrix of e's points, D the
@@ -314,7 +313,7 @@ def _line_minors(p: GrsParams, samples: np.ndarray) -> np.ndarray | None:
     """
     f, t = p.field, p.t
     if t > _MINORS_MAX_T:
-        return None
+        return np.broadcast_to(np.int64(0), (t + 1, f.q))
     return p._lagrange.product(linalg.batched_minors(f, samples[:, p.hankel_index[:t]]).T)
 
 
@@ -365,21 +364,6 @@ def _least_locator(f: GF, hankel: np.ndarray, t: int) -> tuple[np.ndarray, np.nd
     monic[:, :t] = f.neg(table[every, :, d])
     monic[every, d] = 1
     return monic, d
-
-
-def decode(p: GrsParams, received: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """Bounded-distance decoding of one word (see ``decode_many``).
-
-    Returns (codeword, error) when some codeword lies within Hamming distance
-    t of the received word, else None.  Raises FieldError unless the word
-    holds integers in [0, q).
-    """
-    r = p.field.as_elements(received, "received word")
-    msgs, ok = decode_many(p, r[None, :])
-    if not ok[0]:
-        return None
-    cw = encode(p, msgs[0])
-    return cw, p.field.sub(r, cw)
 
 
 def _pairwise_products(f: GF, x: np.ndarray, among: np.ndarray) -> np.ndarray:

@@ -8,9 +8,10 @@ Writing a = beta Pi^-1, the masking matrix satisfies
 Q = (I + alpha^T a) Pi, and with lam = -alpha / (1 + <a, alpha>) every public
 codeword is p + <lam, p> a (``mask``) for some p in the permuted secret code
 C = C_sec Pi^-1.
-Key generation resamples (alpha, beta) until Q is invertible, lam is not a
-parity check of C, and the public code differs from C; these keys are the
-honest ones, and also exactly the ones the square-code attack targets.
+Key generation resamples (alpha, beta) until Q is invertible and the public
+code differs from C (so lam is not a parity check of C and a is not in C);
+these keys are the honest ones, and also exactly the ones the square-code
+attack targets.
 
 Decryption needs only that shape, so the secret key and any masking pair
 (a0, lam0) carrying a GRS code C onto C_pub decrypt alike (``Decryptor``): a
@@ -211,11 +212,14 @@ def keygen(f: GF, n: int, k: int, rng: np.random.Generator) -> tuple[PublicKey, 
     """Generate an honest keypair.
 
     Draws x, y, S, Pi once, then resamples the rank-one mask (alpha, beta)
-    until Q is invertible, lam is not orthogonal to the permuted secret code,
-    and the public code differs from it.  A bounded retry count turns
-    pathological parameter choices into a loud error instead of a hang.
-    S and S^-1 come from one elimination per draw of S, and C, its generator
-    and its parity checks are built once, before the first mask draw.
+    until Q is invertible and the public code differs from the permuted
+    secret code C: some row of G_pub has a nonzero residual against C's
+    RREF generator.  That one rule rejects both degenerate masks, lam
+    orthogonal to C and a in C, as each leaves every masked codeword in C,
+    and G_pub has rank k.  A bounded retry count turns pathological
+    parameter choices into a loud error instead of a hang.  S and S^-1 come
+    from one elimination per draw of S, and C and its RREF generator are
+    built once, before the first mask draw; no dual code is built.
     """
     why = grs.dimension_error(f, n, k)
     if why:
@@ -224,6 +228,7 @@ def keygen(f: GF, n: int, k: int, rng: np.random.Generator) -> tuple[PublicKey, 
     s_mat, s_inv = linalg.random_invertible_pair(f, k, rng)
     perm = rng.permutation(n).astype(np.int64)
     masked = grs.GrsParams(f, params.x[perm], params.y[perm], k)
+    c = grs.code(masked)
 
     def nonzero_vec() -> np.ndarray:
         while True:
@@ -238,11 +243,8 @@ def keygen(f: GF, n: int, k: int, rng: np.random.Generator) -> tuple[PublicKey, 
             pk, sk = _assemble(params, masked, perm, s_mat, s_inv, alpha, beta)
         except InvalidDimensions:
             continue  # singular Q
-        if not linalg.matmul(f, masked.generator, sk.lam).any():
-            continue  # lam orthogonal to C: degenerate, public code equals C
-        if not linalg.matmul(f, sk.a, masked.parity_checks_t).any():
-            continue  # a in C: the public code p + <lam, p> a coincides with C
-        return pk, sk
+        if linalg.reduce_row(f, c.gen, c.pivots, pk.g_pub).any():
+            return pk, sk
     raise ResampleExhausted(f"no acceptable mask after {_MAX_RESAMPLE} samples")
 
 

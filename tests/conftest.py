@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from grs_squarebreak import scheme
+from grs_squarebreak import grs, scheme
 from grs_squarebreak.gf import GF
 from grs_squarebreak.linalg import matmul
 
@@ -49,3 +49,13 @@ def genuine_tie(pk: scheme.PublicKey, z: np.ndarray, got: np.ndarray) -> bool:
     one; a codeword strictly closer or farther than t is never a tie."""
     f = pk.field
     return np.count_nonzero(f.sub(z, matmul(f, got, pk.g_pub))) == pk.t
+
+
+def decode_word(p: grs.GrsParams, r: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """One word through ``grs.decode_many`` and ``grs.encode``: (codeword,
+    error) when some codeword lies within distance t of r, else None."""
+    msgs, ok = grs.decode_many(p, np.asarray(r)[None])
+    if not ok[0]:
+        return None
+    cw = grs.encode(p, msgs[0])
+    return cw, p.field.sub(r, cw)

@@ -15,11 +15,21 @@ from grs_squarebreak.attack import (
     NotApplicable,
     TrialBudgetExceeded,
 )
-from grs_squarebreak.codes import code_from_generator, random_code, star_rows
+from grs_squarebreak.codes import LinearCode, code_from_generator, random_code, star_rows
 from grs_squarebreak.gf import GF
 from grs_squarebreak.scheme import DecryptionFailure
 
 from conftest import genuine_tie
+
+
+def carries_onto(pub: LinearCode, c: LinearCode, a0: np.ndarray, lam0: np.ndarray) -> bool:
+    """Whether the masking map p -> p + <lam0, p> a0 (``scheme.mask``)
+    carries c onto pub: the images of c's basis lie in pub with full rank.
+    The pair route refuses a recovered GRS code unless its map does this;
+    this takes any pair of codes."""
+    f = pub.field
+    images = scheme.mask(f, c.gen, a0, lam0)
+    return all(pub.contains(row) for row in images) and la.rank(f, images) == pub.k
 
 
 @pytest.fixture(scope="module")
@@ -516,7 +526,6 @@ class TestRecoverValidPair:
             c_code = grs.code(scheme.masked_params(sk))
             a0, lam0, inter = atk.recover_valid_pair(pub, c_code)
             assert la.matmul(f, a0, lam0) == 0  # orthogonal by construction, != -1
-            assert atk.pair_is_valid(pub, c_code, a0, lam0)
             assert la.rank(f, inter) == pk.k - 1
             assert all(pub.contains(row) and c_code.contains(row) for row in inter)
             rk = scheme.RecoveredKey(sk.masked, a0, lam0, code_from_generator(f, inter))
@@ -538,7 +547,7 @@ class TestRecoverValidPair:
         assert la.matmul(f, kernel[0], p1) == 0
         a0, lam0, _ = atk.recover_valid_pair(pub, c)
         assert la.matmul(f, a0, lam0) == 0
-        assert atk.pair_is_valid(pub, c, a0, lam0)
+        assert carries_onto(pub, c, a0, lam0)
 
     def test_precondition_rejects_wrong_code(self, gf16m, low_rate_key, rng):
         f = gf16m
@@ -556,18 +565,23 @@ class TestRecoverValidPair:
     @pytest.mark.parametrize("f", [GF(7), GF(5, 2, 32)], ids=["GF7", "GF25"])
     def test_pair_with_product_minus_one_is_invalid(self, f, rng):
         """With c = pub and lam0 a parity check of pub the masking map fixes
-        c, so the pair passes every image check; it is still invalid at
-        <a0, lam0> = -1, where the map is singular, and valid at +1."""
+        c, so it carries c onto pub whatever <a0, lam0> is; the pair is
+        still invalid at <a0, lam0> = -1, where the map is singular on the
+        whole space (it sends a0 to zero), and valid at +1."""
         pub = random_code(f, 3, 7, rng)
         lam0 = pub.dual().gen[0]
         j = np.flatnonzero(lam0)[0]
         a0 = np.zeros(7, dtype=np.int64)
         a0[j] = f.inv(lam0[j])
+        space = np.eye(7, dtype=np.int64)
         assert la.matmul(f, a0, lam0) == 1
-        assert atk.pair_is_valid(pub, pub, a0, lam0)
+        assert carries_onto(pub, pub, a0, lam0)
+        assert la.rank(f, scheme.mask(f, space, a0, lam0)) == 7
         a0[j] = f.neg(a0[j])
         assert la.matmul(f, a0, lam0) == f.neg(1)
-        assert not atk.pair_is_valid(pub, pub, a0, lam0)
+        assert carries_onto(pub, pub, a0, lam0)
+        assert la.rank(f, scheme.mask(f, space, a0, lam0)) == 6
+        assert not scheme.mask(f, a0[None], a0, lam0).any()
 
 
 class TestEndToEnd:
@@ -626,13 +640,41 @@ class TestEndToEnd:
             assert np.array_equal(got, scheme.decrypt(sk, z))
             assert np.array_equal(got, msg) or genuine_tie(pk, z, got)
 
+    @pytest.mark.parametrize("n,k,branch", [(26, 10, Branch.LOW_RATE),
+                                            (26, 16, Branch.HIGH_RATE_DUAL)],
+                             ids=["GF27-26-10", "GF27-26-16-dual"])
+    def test_odd_extension_field_end_to_end(self, n, k, branch, tmp_path):
+        """Both branches over GF(3^3), an odd extension field: each key
+        goes through its public and secret key files, the attack recovers
+        C from the public one, and the recovered key goes through its file;
+        then both decryptors return one candidate set, holding the sent
+        plaintext at weight t (t = 8, past the minors' cap, and t = 5)."""
+        f = GF(3, 3, 34)
+        pub, sec, rec = tmp_path / "pub", tmp_path / "sec", tmp_path / "rk"
+        for seed in range(2):
+            pk, sk = scheme.keygen(f, n, k, np.random.default_rng(seed))
+            fileio.save_public_key(pub, pk)
+            fileio.save_secret_key(sec, sk)
+            pk, sk = fileio.load_public_key(pub), fileio.load_secret_key(sec)[1]
+            rk, st = atk.recover_key(pk, AttackConfig(seed=seed))
+            assert st.branch == branch
+            fileio.save_recovered_key(rec, rk)
+            rk = fileio.load_recovered_key(rec)
+            assert grs.code(rk.grs) == grs.code(scheme.masked_params(sk))
+            rng = np.random.default_rng(10 + seed)
+            for _ in range(10):
+                msg = rng.integers(0, f.q, k)
+                z = scheme.encrypt(pk, msg, rng)
+                secret = {(w, tuple(m.tolist())) for w, m in scheme.decrypt_candidates(sk, z)}
+                assert {(w, tuple(m.tolist())) for w, m in atk.pair_candidates(rk, pk, z)} == secret
+                assert (pk.t, tuple(msg.tolist())) in secret
+
     def test_pair_validity_invariants(self, gf16m, low_rate_key, low_rate_attack):
         f = gf16m
         pk, _sk = low_rate_key
         rk, _ = low_rate_attack
-        pub = code_from_generator(f, pk.g_pub)
         assert la.matmul(f, rk.a0, rk.lam0) != int(f.neg(1))
-        assert atk.pair_is_valid(pub, grs.code(rk.grs), rk.a0, rk.lam0)
+        scheme._pair_decryptor(rk, pk)  # raises unless phi carries C onto C_pub
 
     def test_dead_interval(self, gf16m):
         for k in (7, 8):
@@ -834,11 +876,11 @@ class TestDecryptWithPair:
         decoding, instead of decrypting the few whose decoded codeword
         happens to lie in the public code, and again on each later call with
         the same pair: a refusal is not kept as a map.  recover_valid_pair
-        never builds such a pair (pair_is_valid rejects it)."""
+        never builds such a pair."""
         pk, sk = scheme.keygen(gf16m, 15, k, np.random.default_rng(42))
         bad = atk.RecoveredKey(scheme.masked_params(sk), sk.a, np.zeros_like(sk.lam), None)
-        assert not atk.pair_is_valid(code_from_generator(gf16m, pk.g_pub),
-                                     grs.code(bad.grs), bad.a0, bad.lam0)
+        assert not carries_onto(code_from_generator(gf16m, pk.g_pub),
+                                grs.code(bad.grs), bad.a0, bad.lam0)
         rng = np.random.default_rng(43)
         for _ in range(100):
             z = scheme.encrypt(pk, rng.integers(0, 16, k), rng)
@@ -978,8 +1020,8 @@ class TestDecryptWithPair:
     def test_second_ciphertext_rebuilds_no_table(self, gf16m, monkeypatch):
         """Once a key has decrypted, later ciphertexts under it build none of
         the key-fixed tables: not the decoder's (generator, parity checks,
-        locator powers) and not the pair route's map.  The parity checks are
-        built once, by keygen, which tests each mask against them."""
+        locator powers) and not the pair route's map.  Keygen builds no
+        parity checks: the first decryption builds them, once."""
         calls = {}
 
         def counted(module, name):
@@ -996,14 +1038,15 @@ class TestDecryptWithPair:
         pk, sk = scheme.keygen(gf16m, 15, 6, np.random.default_rng(50))
         rk = atk.RecoveredKey(scheme.masked_params(sk), sk.a, sk.lam, None)
         rng = np.random.default_rng(51)
-        assert calls["dual_params"] == 1
+        assert "dual_params" not in calls
         calls.clear()
         for round_ in range(3):
             z = scheme.encrypt(pk, rng.integers(0, 16, 6), rng)
             scheme.decrypt(sk, z)
             atk.decrypt_with_pair(rk, pk, z)
             if round_ == 0:
-                assert set(calls) == {"_rows", "mask"}
+                assert set(calls) == {"_rows", "dual_params", "mask"}
+                assert calls["dual_params"] == 1
                 calls.clear()
         assert calls == {}
 

@@ -88,6 +88,67 @@ class TestKeygen:
         pub_code = code_from_generator(f, pk.g_pub)
         assert pub_code != c_code
 
+    def test_keygen_builds_no_dual_code(self, monkeypatch):
+        """At GF(4096) (4096, 1) key generation stays under 16 MiB of
+        traced memory and never builds the dual code: it compares the
+        public code with C through C's generator alone, where the dual's
+        4096 x 4096 point differences and 4095 x 4096 parity checks peak
+        at about 400 MiB."""
+        f = GF(2, 12, 4179)
+
+        def refused(p):
+            raise AssertionError("keygen built the dual code")
+
+        monkeypatch.setattr(grs, "dual_params", refused)
+        tracemalloc.start()
+        try:
+            pk, _ = scheme.keygen(f, 4096, 1, np.random.default_rng(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert pk.g_pub.shape == (1, 4096)
+        assert peak < 16 * 2**20
+
+    @pytest.mark.parametrize("field,n,k",
+                             [((3,), 3, 1), ((2, 2, 7), 4, 2), ((7,), 7, 2), ((7,), 7, 5),
+                              ((2, 4, 19), 15, 6), ((2, 4, 19), 15, 9), ((5, 2, 32), 16, 6)],
+                             ids=["gf3-3-1", "gf4-4-2", "gf7-7-2", "gf7-7-5", "gf16-15-6",
+                                  "gf16-15-9", "gf25-16-6"])
+    def test_one_mask_rule_rejects_both_degenerate_masks(self, monkeypatch, field, n, k):
+        """Keygen keeps a mask draw exactly when the public code differs
+        from C, and that is exactly when lam is not orthogonal to C and a
+        is not in C (G_C lam != 0 and a H_C^T != 0): on every draw at keygen
+        seeds 0-109, and at seeds 0-19 with the first two draws replaced by
+        a parity check of C as alpha (lam is a multiple of it) and by a
+        codeword of C as a.  Each degenerate mask leaves mask(G_C) in C;
+        each outcome occurs at every point."""
+        f = GF(*field)
+        assemble, draws = scheme._assemble, []
+
+        def spy(params, masked, perm, s_mat, s_inv, alpha, beta):
+            if forced and len(draws) == 0:
+                alpha = masked.parity_checks_t[:, 0]
+            elif forced and len(draws) == 1:
+                beta = np.zeros(n, dtype=np.int64)
+                beta[perm] = masked.generator[0]  # a = beta[perm]
+            pk, sk = assemble(params, masked, perm, s_mat, s_inv, alpha, beta)
+            honest = bool(la.matmul(f, masked.generator, sk.lam).any()
+                          and la.matmul(f, sk.a, masked.parity_checks_t).any())
+            assert honest == (code_from_generator(f, pk.g_pub) != grs.code(masked))
+            draws.append((pk, honest))
+            return pk, sk
+
+        monkeypatch.setattr(scheme, "_assemble", spy)
+        outcomes = set()
+        for forced, seeds in ((False, range(110)), (True, range(20))):
+            for seed in seeds:
+                draws.clear()
+                pk, _ = scheme.keygen(f, n, k, np.random.default_rng(seed))
+                verdicts = [honest for _, honest in draws]
+                assert draws[-1][0] is pk and verdicts[-1] and not any(verdicts[:-1])
+                outcomes.update(verdicts)
+        assert outcomes == {False, True}
+
     def test_intersection_dimension(self, keypair16):
         f, pk, sk = keypair16
         pub = code_from_generator(f, pk.g_pub)
